@@ -33,7 +33,7 @@ const defaultSeed = 1
 
 // setupReps is how many times a run repeats its set-up; setup_s is the
 // median.
-const setupReps = 15
+const setupReps = 101
 
 // retryAfter is the coordinator's wait hint.  The default (250 ms) would
 // idle a worker for most of a short campaign's tail.
@@ -214,22 +214,42 @@ func (m *nnModels) cases(short bool) []campaignCase {
 }
 
 // episodeClock times each episode from outside the engine: per-episode
-// mean step time (the campaign step-latency sample) and total busy time.
+// mean step time and total busy time.  Once per campaign, halfway
+// through, it also samples the live heap, while every worker's arena and
+// agent, the campaign's shard state and, through campaignd, the
+// coordinator and its connections are live.
 type episodeClock struct {
 	mu     sync.Mutex
 	stepNs []float64
+	heapMB float64 // the round's largest sample
 	busy   atomic.Int64
+	// started counts the current campaign's episodes; episode heapAt
+	// samples the heap.
+	started, heapAt atomic.Int64
 }
 
 func (c *episodeClock) reset() {
 	c.mu.Lock()
 	c.stepNs = c.stepNs[:0]
+	c.heapMB = 0
 	c.mu.Unlock()
 	c.busy.Store(0)
 }
 
+// arm starts a campaign of n episodes.
+func (c *episodeClock) arm(n int) {
+	c.started.Store(0)
+	c.heapAt.Store(int64(max(n/2, 1)))
+}
+
 func (c *episodeClock) wrap(f campaign.EpisodeFunc) campaign.EpisodeFunc {
 	return func(opts sim.Options) (sim.Result, error) {
+		if c.started.Add(1) == c.heapAt.Load() {
+			h := liveHeapMB()
+			c.mu.Lock()
+			c.heapMB = max(c.heapMB, h)
+			c.mu.Unlock()
+		}
 		t0 := time.Now()
 		r, err := f(opts)
 		d := time.Since(t0)
@@ -403,26 +423,30 @@ func startDistServer(coord *dist.Coordinator) (string, func(), error) {
 
 // roundResult is one pass over a workload's campaign sequence.
 type roundResult struct {
-	episodes, steps int64
-	wall            time.Duration
-	stepNs          []float64
-	busyNs          int64
+	episodes int64
+	wall     time.Duration
+	stepNs   []float64
+	busyNs   int64
+	heapMB   float64
 }
 
 // campaignRunner runs one campaign of a round.
 type campaignRunner func(c campaignCase, base int64) (campaign.Stats, error)
 
 // runRound runs the whole sequence once, checking every campaign and,
-// with a non-nil digest table, each campaign's Stats digest.
-func runRound(o *outcome, cases []campaignCase, clock *episodeClock, run campaignRunner, seed int64, round int, digests map[string]string) roundResult {
+// with a non-nil digest table, each campaign's Stats digest.  Every round
+// runs the same episodes, those of round 0, so rounds differ only by
+// machine noise.
+func runRound(o *outcome, cases []campaignCase, clock *episodeClock, run campaignRunner, seed int64, digests map[string]string) roundResult {
 	clock.reset()
 	var rr roundResult
 	t0 := time.Now()
 	for _, c := range cases {
 		o.attempted += int64(c.episodes)
-		st, err := run(c, baseSeed(seed, round))
+		clock.arm(c.episodes)
+		st, err := run(c, baseSeed(seed, 0))
 		if err != nil {
-			o.fail(int64(c.episodes), "%s round %d: %v", c.name, round, err)
+			o.fail(int64(c.episodes), "%s: %v", c.name, err)
 			continue
 		}
 		if digests != nil {
@@ -430,53 +454,44 @@ func runRound(o *outcome, cases []campaignCase, clock *episodeClock, run campaig
 		}
 		checkCampaign(o, c, st, digests[c.name])
 		rr.episodes += st.Episodes
-		rr.steps += st.Steps
 	}
 	rr.wall = time.Since(t0)
 	clock.mu.Lock()
 	rr.stepNs = append([]float64(nil), clock.stepNs...)
+	rr.heapMB = clock.heapMB
 	clock.mu.Unlock()
 	rr.busyNs = clock.busy.Load()
 	return rr
 }
 
 // measureRounds repeats rounds until the budget is spent (at least one)
-// and reports the end-to-end campaign metrics as medians over rounds.
+// and reports the end-to-end campaign metrics as medians over rounds,
+// which keeps a burst of machine noise from moving more than the rounds
+// it hits.
 func measureRounds(o *outcome, rc runConfig, cases []campaignCase, clock *episodeClock, run campaignRunner, digests map[string]string) {
-	var eps, steps, p50, p99 []float64
+	var eps, heap []float64
 	var tails []summary
 	deadline := time.Now().Add(rc.budget(1))
 	if rc.seed != defaultSeed || rc.short {
 		digests = nil
 	}
-	// Every round repeats the same campaigns, so rounds differ only by
-	// machine noise, which the median over rounds suppresses.
-	for round := 0; round == 0 || time.Now().Before(deadline); round++ {
-		rr := runRound(o, cases, clock, run, rc.seed, 0, digests)
-		s := rr.wall.Seconds()
-		eps = append(eps, float64(rr.episodes)/s)
-		steps = append(steps, float64(rr.steps)/s)
-		p50 = append(p50, quantile(rr.stepNs, 0.5)/1e3)
-		p99 = append(p99, quantile(rr.stepNs, 0.99)/1e3)
+	for len(eps) == 0 || time.Now().Before(deadline) {
+		rr := runRound(o, cases, clock, run, rc.seed, digests)
+		eps = append(eps, rate(rr))
+		heap = append(heap, rr.heapMB)
 		tails = append(tails, summarize(rr.stepNs))
 	}
 	o.metrics["episodes_per_s"] = median(eps)
-	o.metrics["capacity_steps_per_s"] = median(steps)
-	o.metrics["step_p50_us"] = median(p50)
-	// Noise bursts on a shared host inflate the tail of most rounds in
-	// some runs; the lower quartile over rounds stays on the run's own
-	// tail.  Every round's tail is in the report.
-	o.metrics["step_p99_us"] = quantile(p99, 0.25)
-	o.metrics["live_heap_mb"] = liveHeapMB()
+	o.metrics["live_heap_mb"] = median(heap)
 	o.details["rounds"] = len(eps)
 	o.details["round_episodes_per_s"] = eps
-	o.details["round_step_ns"] = tails
+	o.details["round_episode_step_ns"] = tails
+	o.details["round_live_heap_mb"] = heap
 }
 
-// liveHeapMB is the live heap after forced collections (two, so pooled
-// objects have left the sync.Pool victim caches).
+// liveHeapMB is the heap after a forced collection.  sync.Pool keeps
+// pooled arenas and agents through one collection, so they count.
 func liveHeapMB() float64 {
-	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -559,16 +574,14 @@ func runCampaignExpert(rc runConfig) (*outcome, error) {
 		return o, nil
 	}
 
-	// Traced run: one plain round, then one round through the decorated
+	// Traced run: plain rounds paired with rounds through the decorated
 	// transport, then the shared layer pass and the serve probe.
-	plain := runRound(o, cases, clock, untraced, rc.seed, 0, nil)
 	tally := &distTally{}
-	traced := runRound(o, cases, clock, func(c campaignCase, base int64) (campaign.Stats, error) {
+	traced := traceOverhead(o, cases, clock, untraced, func(c campaignCase, base int64) (campaign.Stats, error) {
 		return runDistCampaign(c, base, n, tally, rc.tr)
-	}, rc.seed, 1, nil)
+	}, rc.seed)
 	reportDist(o, tally, traced.wall, n)
 	reportIdle(o, traced, n)
-	o.layer("trace_overhead_frac", 1-rate(traced)/rate(plain), traced.episodes)
 
 	ls, err := newLayerSuite(rc, expertScenarios())
 	if err != nil {
@@ -584,6 +597,36 @@ func runCampaignExpert(rc runConfig) (*outcome, error) {
 }
 
 func rate(rr roundResult) float64 { return float64(rr.episodes) / rr.wall.Seconds() }
+
+// tracePairs is how many plain/traced round pairs trace_overhead_frac is
+// the median over.
+const tracePairs = 4
+
+// traceOverhead runs tracePairs pairs of one plain and one traced round
+// over the same episodes, alternating which goes first, and records
+// trace_overhead_frac: the median over pairs of 1 − traced ÷ plain
+// episodes/s.  It returns the traced rounds' totals.
+func traceOverhead(o *outcome, cases []campaignCase, clock *episodeClock, plain, traced campaignRunner, seed int64) roundResult {
+	var fracs []float64
+	var sum roundResult
+	for i := 0; i < tracePairs; i++ {
+		var p, t roundResult
+		if i%2 == 0 {
+			p = runRound(o, cases, clock, plain, seed, nil)
+			t = runRound(o, cases, clock, traced, seed, nil)
+		} else {
+			t = runRound(o, cases, clock, traced, seed, nil)
+			p = runRound(o, cases, clock, plain, seed, nil)
+		}
+		fracs = append(fracs, 1-rate(t)/rate(p))
+		sum.episodes += t.episodes
+		sum.wall += t.wall
+		sum.busyNs += t.busyNs
+	}
+	o.layer("trace_overhead_frac", median(fracs), sum.episodes)
+	o.details["trace_overhead_fracs"] = fracs
+	return sum
+}
 
 // reportDist turns the transport tally into the dist layer metrics.
 func reportDist(o *outcome, t *distTally, wall time.Duration, n int) {
@@ -654,15 +697,13 @@ func runCertifiedNN(rc runConfig) (*outcome, error) {
 		return o, nil
 	}
 
-	plain := runRound(o, cases, clock, run, rc.seed, 0, nil)
-	traced := runRound(o, cases, clock, func(c campaignCase, base int64) (campaign.Stats, error) {
+	traced := traceOverhead(o, cases, clock, run, func(c campaignCase, base int64) (campaign.Stats, error) {
 		t0 := time.Now()
 		st, err := run(c, base)
 		rc.tr.record(0, "campaign.run/"+c.name, t0, time.Since(t0), int64(c.episodes))
 		return st, err
-	}, rc.seed, 1, nil)
+	}, rc.seed)
 	reportIdle(o, traced, n)
-	o.layer("trace_overhead_frac", 1-rate(traced)/rate(plain), traced.episodes)
 
 	ls, err := newLayerSuite(rc, certifiedScenarios(m))
 	if err != nil {

@@ -53,6 +53,20 @@ func captureEnv(rc runConfig) runEnv {
 	return env
 }
 
+// cpuModel is the first "model name" of /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
 // sourceDigest hashes the checkout's program sources in path order; an
 // unreadable tree yields "unknown".
 func sourceDigest(root string) string {

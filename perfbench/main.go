@@ -32,8 +32,8 @@ type runConfig struct {
 	seed    int64
 	seconds float64
 	trace   bool
-	// short shrinks every size knob for the package test; digests and
-	// the fixed serve fleet size do not apply.
+	// short shrinks every size knob for the package test; digests do not
+	// apply.
 	short bool
 	// root is the repository checkout the benchmark runs in (models/ and
 	// the output directory live under it).
@@ -89,7 +89,6 @@ func (o *outcome) layer(name string, v float64, calls int64) {
 var runners = map[string]func(runConfig) (*outcome, error){
 	"campaign-expert":       runCampaignExpert,
 	"campaign-certified-nn": runCertifiedNN,
-	"serve-fleet":           runServeFleet,
 }
 
 type printedMetric struct {
@@ -106,11 +105,10 @@ type resultLine struct {
 
 func main() {
 	var (
-		workload = flag.String("workload", "", "workload name: campaign-expert, campaign-certified-nn or serve-fleet")
+		workload = flag.String("workload", "", "workload name: campaign-expert or campaign-certified-nn")
 		seed     = flag.Int64("seed", defaultSeed, "workload seed; every input derives from it")
 		seconds  = flag.Float64("seconds", 10, "measured wall-clock budget per run [s]")
 		trace    = flag.Int("trace", 0, "1 runs the traced per-layer pass instead of the end-to-end one")
-		short    = flag.Bool("short", false, "tiny sizes (smoke test only; not comparable)")
 	)
 	flag.Parse()
 	run, ok := runners[*workload]
@@ -127,7 +125,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
 	}
-	rc := runConfig{seed: *seed, seconds: *seconds, trace: *trace == 1, short: *short, root: root}
+	rc := runConfig{seed: *seed, seconds: *seconds, trace: *trace == 1, root: root}
 	if rc.trace {
 		rc.tr = newTracer()
 	}

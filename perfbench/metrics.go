@@ -18,9 +18,6 @@ type metricDef struct {
 var endToEnd = []metricDef{
 	{"setup_s", "s"},
 	{"episodes_per_s", "1/s"},
-	{"capacity_steps_per_s", "1/s"},
-	{"step_p50_us", "us"},
-	{"step_p99_us", "us"},
 	{"live_heap_mb", "MB"},
 }
 

@@ -46,8 +46,9 @@ func TestWorkloadsShort(t *testing.T) {
 			t.Fatalf("workload %s has no runner", w.Name)
 		}
 	}
-	// Every runner, including serve-fleet, which BENCHMARK.json leaves
-	// out (see README.md), must print the declared metrics.
+	if len(runners) != len(bf.Workloads) {
+		t.Fatalf("%d runners, BENCHMARK.json declares %d workloads", len(runners), len(bf.Workloads))
+	}
 	for name, run := range runners {
 		for _, trace := range []bool{false, true} {
 			rc := runConfig{seed: defaultSeed, seconds: 0.5, trace: trace, short: true, root: root}

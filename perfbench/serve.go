@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"safeplan/internal/campaign"
 	"safeplan/internal/carfollow"
 	"safeplan/internal/comms"
 	"safeplan/internal/core"
@@ -21,13 +20,12 @@ import (
 	"safeplan/internal/sim"
 )
 
-// Serve-fleet parameters.  fleetSize is S, the open-loop vehicle count:
-// at controlPeriod that offers 20·S steps/s, about a fifth of the
-// closed-loop capacity on the two-core reference machine, whose cores
-// the client shares.  At 1000 and 1500 vehicles the open-loop latency
-// did not hold steady from run to run on that shared host.
+// Serve probe parameters.  Every traced run measures the serve layer with
+// probeVehicles live sessions over fleetConns connections to an
+// in-process server: first open loop, one 1-step request per vehicle
+// every controlPeriod (the paper's control rate), then closed loop.
 const (
-	fleetSize     = 500
+	probeVehicles = 96
 	controlPeriod = 50 * time.Millisecond
 	// phaseSlot quantizes the vehicles' fixed phase offsets: every slot's
 	// vehicles are due together, so the generator wakes once per slot.
@@ -37,8 +35,6 @@ const (
 	// closedWindow is the closed loop's outstanding requests per
 	// connection.
 	closedWindow = 32
-	// sloLatency is the per-step wire latency objective.
-	sloLatency = time.Millisecond
 	// verifySample bounds how many finished sessions are replayed
 	// directly for the correctness check.
 	verifySample = 30
@@ -94,17 +90,9 @@ type phaseStats struct {
 
 	mu        sync.Mutex
 	latUs     []float64 // step latency from due time
-	latAt     []float64 // receipt offset from start [s], for windowing
 	lagUs     []float64 // generator lateness against due time
 	attempted int64
 	rejected  int64
-	skipped   int64
-	episodes  int64
-}
-
-func (ps *phaseStats) addLatency(at, due time.Time) {
-	ps.latUs = append(ps.latUs, float64(at.Sub(due).Nanoseconds())/1e3)
-	ps.latAt = append(ps.latAt, at.Sub(ps.start).Seconds())
 }
 
 // fleetConn is one client connection with its vehicles.
@@ -121,14 +109,13 @@ type fleetConn struct {
 	readDone chan struct{}
 }
 
-// fleet is the serve-fleet client: S vehicles over fleetConns
+// fleet is the serve probe's client: n vehicles over fleetConns
 // connections to one in-process server.
 type fleet struct {
 	seed  int64
 	conns []*fleetConn
-	// tr is the tracer of the current phase (nil when untraced).
-	tr  atomic.Pointer[tracer]
-	cur atomic.Pointer[phaseStats]
+	tr    *tracer // nil when untraced
+	cur   atomic.Pointer[phaseStats]
 
 	mu       sync.Mutex
 	finished []finishedSession
@@ -164,8 +151,8 @@ func startServer() (*serve.Server, string, func(), error) {
 }
 
 // dialFleet connects the client and starts one reader per connection.
-func dialFleet(addr string, seed int64, n int) (*fleet, error) {
-	f := &fleet{seed: seed}
+func dialFleet(addr string, seed int64, n int, tr *tracer) (*fleet, error) {
+	f := &fleet{seed: seed, tr: tr}
 	f.cur.Store(&phaseStats{start: time.Now()})
 	for c := 0; c < fleetConns; c++ {
 		conn, err := net.Dial("tcp", addr)
@@ -330,7 +317,7 @@ func (fc *fleetConn) read() {
 				f.mu.Lock()
 				f.openUs = append(f.openUs, float64(now.Sub(v.openSent).Nanoseconds())/1e3)
 				f.mu.Unlock()
-				f.tr.Load().record(0, "serve.open", v.openSent, now.Sub(v.openSent), 1)
+				f.tr.record(0, "serve.open", v.openSent, now.Sub(v.openSent), 1)
 			}
 		case resp.Op == serve.OpStep:
 			if len(v.due) == 0 {
@@ -341,15 +328,12 @@ func (fc *fleetConn) read() {
 			v.due = v.due[1:]
 			ps.mu.Lock()
 			if resp.OK {
-				ps.addLatency(now, due)
+				ps.latUs = append(ps.latUs, float64(now.Sub(due).Nanoseconds())/1e3)
 			} else {
 				ps.rejected++
 			}
-			if resp.Done {
-				ps.episodes++
-			}
 			ps.mu.Unlock()
-			f.tr.Load().record(0, "serve.step", due, now.Sub(due), 1)
+			f.tr.record(0, "serve.step", due, now.Sub(due), 1)
 			if !resp.OK {
 				f.failf("step %s: %s (%s)", resp.SID, resp.Error, resp.Reason)
 			}
@@ -381,10 +365,10 @@ func (fc *fleetConn) read() {
 
 // openLoop sends each vehicle's step at its phase every control period
 // for d.  A vehicle whose previous step is still unanswered skips the
-// slot, which counts as a missed step.  One generator goroutine serves
-// every connection.  The runtime's timers wake it up to a millisecond
-// late; that lateness is part of every latency (timed from the due
-// time) and is reported as serve.generator_lag_us.
+// slot.  One generator goroutine serves every connection.  The runtime's
+// timers wake it up to a millisecond late; that lateness is part of
+// every latency (timed from the due time) and is reported as
+// serve.generator_lag_us.
 func (f *fleet) openLoop(d time.Duration) *phaseStats {
 	ps := &phaseStats{start: time.Now()}
 	f.cur.Store(ps)
@@ -408,11 +392,10 @@ func (f *fleet) openLoop(d time.Duration) *phaseStats {
 			}
 			// Every vehicle of this slot is due now.
 			now := time.Now()
-			var attempted, skipped int64
+			var attempted int64
 			var lag []float64
 			for ; i < len(order) && order[i].phase == slot; i++ {
 				v := order[i]
-				attempted++
 				v.conn.mu.Lock()
 				busy := len(v.due) > 0
 				if !busy {
@@ -421,9 +404,9 @@ func (f *fleet) openLoop(d time.Duration) *phaseStats {
 				sid := v.sid
 				v.conn.mu.Unlock()
 				if busy {
-					skipped++
 					continue
 				}
+				attempted++
 				c := v.idx % fleetConns
 				lines[c] = append(lines[c], stepLine(sid))
 				lag = append(lag, float64(now.Sub(due).Nanoseconds())/1e3)
@@ -436,7 +419,6 @@ func (f *fleet) openLoop(d time.Duration) *phaseStats {
 			}
 			ps.mu.Lock()
 			ps.attempted += attempted
-			ps.skipped += skipped
 			ps.lagUs = append(ps.lagUs, lag...)
 			ps.mu.Unlock()
 		}
@@ -488,29 +470,10 @@ func (f *fleet) closedLoop(d time.Duration) *phaseStats {
 	return ps
 }
 
-// window is the span over which serve percentiles and rates are taken;
-// the reported figure is the median over windows, which keeps a stall
-// from moving more than the windows it hits.
-const window = 500 * time.Millisecond
-
-// windows splits a phase's receipts into whole windows (a trailing
-// partial window is dropped unless it is the only one).
-func (ps *phaseStats) windows(d time.Duration) [][]float64 {
-	n := max(int(d/window), 1)
-	out := make([][]float64, n)
-	for i, at := range ps.latAt {
-		w := int(at / window.Seconds())
-		if w < n {
-			out[w] = append(out[w], ps.latUs[i])
-		}
-	}
-	return out
-}
-
 // verify replays a sample of finished sessions directly through the
 // scenario engines (the same configuration construction as the server's
-// open handler) and compares the summaries field by field.  Returns the
-// number checked and the mismatches.
+// open handler) and compares the summaries field by field.  Every
+// mismatch is a correctness failure.
 func (f *fleet) verify(o *outcome) {
 	f.mu.Lock()
 	fin := append([]finishedSession(nil), f.finished...)
@@ -594,74 +557,22 @@ func leftTurnExpert(kind string, cfg sim.Config) planner.Planner {
 	return planner.ConservativeExpert(cfg.Scenario)
 }
 
-// serveScenarios are the layer pass's engines for serve-fleet: the
-// server's own default configurations with the conservative expert, and
-// campaign-expert's platoon (the server has no platoon scenario).
-func serveScenarios() []scenario {
-	lt := sim.DefaultConfig()
-	lt.InfoFilter = true
-	mc := sim.DefaultMultiConfig()
-	mc.InfoFilter = true
-	cf := carfollow.DefaultSimConfig()
-	cf.InfoFilter = true
-	return []scenario{
-		leftTurnScenario(lt, planner.ConservativeExpert(lt.Scenario)),
-		multiScenario(mc, planner.ConservativeExpert(mc.Scenario)),
-		carFollowScenario(cf, carfollow.ConservativeExpert(cf.Scenario)),
-		platoonScenario(expertPlatoon()),
-	}
-}
-
-// serveSetup is serve-fleet's set-up: start the server, connect both
-// client connections and complete a ping round trip on each.
-func serveSetup() error {
-	_, addr, stop, err := startServer()
-	if err != nil {
-		return err
-	}
-	defer stop()
-	for c := 0; c < fleetConns; c++ {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return err
-		}
-		_, err = conn.Write([]byte(`{"op":"ping"}` + "\n"))
-		if err == nil {
-			var resp serve.Response
-			err = json.NewDecoder(conn).Decode(&resp)
-			if err == nil && !resp.OK {
-				err = fmt.Errorf("ping rejected: %s", resp.Error)
-			}
-		}
-		conn.Close()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fleetRun is one server plus client through the open- and closed-loop
-// phases.
+// fleetRun is what the serve layer metrics read from a probe run.
 type fleetRun struct {
-	srv            *serve.Server
-	open, closedPS *phaseStats
-	openD, closedD time.Duration
-	closedTraced   *phaseStats
-	heapMB         float64
-	openUs         []float64
+	srv    *serve.Server
+	open   *phaseStats
+	openUs []float64
 }
 
-// runFleet drives n vehicles: open loop for openD, closed loop for
-// closedD, and — when tr is set — a second, traced closed loop.  It
-// verifies the finished sessions before closing everything.
+// runFleet drives n vehicles open loop for openD, then closed loop for
+// closedD, and verifies the finished sessions before closing everything.
 func runFleet(o *outcome, seed int64, n int, openD, closedD time.Duration, tr *tracer) (*fleetRun, error) {
 	srv, addr, stop, err := startServer()
 	if err != nil {
 		return nil, err
 	}
 	defer stop()
-	f, err := dialFleet(addr, seed, n)
+	f, err := dialFleet(addr, seed, n, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -669,30 +580,15 @@ func runFleet(o *outcome, seed int64, n int, openD, closedD time.Duration, tr *t
 	if err := f.openAll(30 * time.Second); err != nil {
 		return nil, err
 	}
-	fr := &fleetRun{srv: srv, openD: openD, closedD: closedD}
-	f.tr.Store(tr)
-	fr.open = f.openLoop(openD)
+	fr := &fleetRun{srv: srv, open: f.openLoop(openD)}
 	if err := f.drain(10 * time.Second); err != nil {
 		return nil, err
 	}
-	f.tr.Store(nil)
-	fr.closedPS = f.closedLoop(closedD)
+	closed := f.closedLoop(closedD)
 	if err := f.drain(10 * time.Second); err != nil {
 		return nil, err
 	}
-	if tr != nil {
-		f.tr.Store(tr)
-		fr.closedTraced = f.closedLoop(closedD)
-		if err := f.drain(10 * time.Second); err != nil {
-			return nil, err
-		}
-	}
-	fr.heapMB = liveHeapMB()
-
-	for _, ps := range []*phaseStats{fr.open, fr.closedPS, fr.closedTraced} {
-		if ps == nil {
-			continue
-		}
+	for _, ps := range []*phaseStats{fr.open, closed} {
 		o.attempted += ps.attempted
 		if ps.rejected > 0 {
 			o.fail(ps.rejected, "%d step requests rejected", ps.rejected)
@@ -710,63 +606,6 @@ func runFleet(o *outcome, seed int64, n int, openD, closedD time.Duration, tr *t
 	return fr, nil
 }
 
-// fleetMetrics derives the end-to-end serve metrics from a fleet run.
-func fleetMetrics(o *outcome, fr *fleetRun) {
-	var p50, p99 []float64
-	for _, w := range fr.open.windows(fr.openD) {
-		if len(w) > 0 {
-			p50 = append(p50, quantile(w, 0.5))
-			p99 = append(p99, quantile(w, 0.99))
-		}
-	}
-	ps := fr.open
-	var miss int64
-	for _, l := range ps.latUs {
-		if l > float64(sloLatency.Microseconds()) {
-			miss++
-		}
-	}
-	miss += ps.rejected + ps.skipped
-	capacity := windowRates(fr.closedPS, fr.closedD)
-	o.metrics["step_p50_us"] = median(p50)
-	// On a shared host, bursts of machine noise spike the p99 of more
-	// than half the windows in some runs; the lower quartile over windows
-	// stays on the run's own tail.  Every window's p99 is in the report.
-	o.metrics["step_p99_us"] = quantile(p99, 0.25)
-	o.metrics["capacity_steps_per_s"] = median(capacity)
-	o.metrics["episodes_per_s"] = float64(fr.closedPS.episodes) / fr.closedD.Seconds()
-	o.metrics["live_heap_mb"] = fr.heapMB
-	o.details["open_loop"] = map[string]any{
-		"vehicles":            fleetSize,
-		"offered_steps_per_s": float64(fleetSize) / controlPeriod.Seconds(),
-		"latency_us":          summarize(ps.latUs),
-		"window_p50_us":       p50,
-		"window_p99_us":       p99,
-		"attempted":           ps.attempted,
-		"slo_us":              sloLatency.Microseconds(),
-		"slo_miss_frac":       float64(miss) / float64(max(ps.attempted, 1)),
-		"skipped":             ps.skipped,
-		"generator_lag_us":    summarize(ps.lagUs),
-	}
-	o.details["closed_loop"] = map[string]any{
-		"window_per_conn":    closedWindow,
-		"connections":        fleetConns,
-		"window_steps_per_s": capacity,
-		"episodes":           fr.closedPS.episodes,
-		"latency_us":         summarize(fr.closedPS.latUs),
-	}
-}
-
-// windowRates is a closed-loop phase's completions per second, one value
-// per window.
-func windowRates(ps *phaseStats, d time.Duration) []float64 {
-	var out []float64
-	for _, w := range ps.windows(d) {
-		out = append(out, float64(len(w))/window.Seconds())
-	}
-	return out
-}
-
 // serveLayers records the serve layer metrics of a fleet run.
 func serveLayers(o *outcome, fr *fleetRun) {
 	st := fr.srv.Stats()
@@ -779,76 +618,13 @@ func serveLayers(o *outcome, fr *fleetRun) {
 	o.layer("serve.generator_lag_us", median(fr.open.lagUs), int64(len(fr.open.lagUs)))
 }
 
-// serveProbe measures the serve layer for the campaign workloads: a
-// small fleet through both phases.
+// serveProbe measures the serve layer in every traced run: a small fleet
+// through both phases, with a span per request.
 func serveProbe(rc runConfig, o *outcome) error {
-	fr, err := runFleet(o, rc.seed, 96, rc.budget(0.1), rc.budget(0.05), nil)
+	fr, err := runFleet(o, rc.seed, probeVehicles, rc.budget(0.1), rc.budget(0.05), rc.tr)
 	if err != nil {
 		return fmt.Errorf("serve probe: %w", err)
 	}
 	serveLayers(o, fr)
-	return nil
-}
-
-func runServeFleet(rc runConfig) (*outcome, error) {
-	o := newOutcome()
-	setup, err := measureSetup(rc, serveSetup)
-	if err != nil {
-		return nil, err
-	}
-	o.metrics["setup_s"] = setup
-	n := fleetSize
-	if rc.short {
-		n = 60
-	}
-	if !rc.trace {
-		fr, err := runFleet(o, rc.seed, n, rc.budget(0.6), rc.budget(0.3), nil)
-		if err != nil {
-			return nil, err
-		}
-		fleetMetrics(o, fr)
-		return o, nil
-	}
-
-	fr, err := runFleet(o, rc.seed, n, rc.budget(0.2), rc.budget(0.1), rc.tr)
-	if err != nil {
-		return nil, err
-	}
-	serveLayers(o, fr)
-	plain := float64(len(fr.closedPS.latUs)) / fr.closedD.Seconds()
-	traced := float64(len(fr.closedTraced.latUs)) / fr.closedD.Seconds()
-	o.layer("trace_overhead_frac", 1-traced/plain, int64(len(fr.closedTraced.latUs)))
-
-	ls, err := newLayerSuite(rc, serveScenarios())
-	if err != nil {
-		return nil, err
-	}
-	if err := ls.run(o); err != nil {
-		return nil, err
-	}
-	if err := distProbe(rc, o); err != nil {
-		return nil, err
-	}
-	return o, campaignProbe(rc, o)
-}
-
-// campaignProbe measures campaign.worker_idle_frac for serve-fleet,
-// which runs no campaign: a small in-process expert left-turn campaign.
-func campaignProbe(rc runConfig, o *outcome) error {
-	c := expertCases(true)[0]
-	c.episodes = 512
-	clock := &episodeClock{}
-	c.episode = clock.wrap(c.episode)
-	rr := runRound(o, []campaignCase{c}, clock, func(c campaignCase, base int64) (campaign.Stats, error) {
-		rep, err := campaign.Run(campaign.Spec{
-			Name: c.name, Episodes: c.episodes, BaseSeed: base, Workers: workers(),
-			Invariants: c.invariants, CountViolations: true,
-		}, c.episode)
-		if err != nil {
-			return campaign.Stats{}, err
-		}
-		return rep.Stats, nil
-	}, rc.seed, 8, nil)
-	reportIdle(o, rr, workers())
 	return nil
 }
