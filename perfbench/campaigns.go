@@ -31,9 +31,9 @@ import (
 // in expertDigests and nnDigests.
 const defaultSeed = 1
 
-// setupReps is how many times a run repeats its set-up; setup_s is the
-// median.
-const setupReps = 101
+// setupPerRound is how many set-ups follow each measured round; setup_s
+// is the median over the run, so set-ups sample the host all along it.
+const setupPerRound = 4
 
 // retryAfter is the coordinator's wait hint.  The default (250 ms) would
 // idle a worker for most of a short campaign's tail.
@@ -464,12 +464,20 @@ func runRound(o *outcome, cases []campaignCase, clock *episodeClock, run campaig
 	return rr
 }
 
-// measureRounds repeats rounds until the budget is spent (at least one)
-// and reports the end-to-end campaign metrics as medians over rounds,
-// which keeps a burst of machine noise from moving more than the rounds
-// it hits.
-func measureRounds(o *outcome, rc runConfig, cases []campaignCase, clock *episodeClock, run campaignRunner, digests map[string]string) {
-	var eps, heap []float64
+// measureRounds repeats rounds until the budget is spent (at least one),
+// each followed by setupPerRound set-ups and a host probe, and reports the
+// end-to-end campaign metrics as medians over rounds or set-ups, which
+// keeps a burst of machine noise from moving more than the rounds it
+// hits.  Both timings are scaled by their round's probe access time over
+// probeRefNs (rates up, times down), which cancels the host's memory
+// contention of the moment; the raw figures stay in the report.
+func measureRounds(o *outcome, rc runConfig, cases []campaignCase, clock *episodeClock, run campaignRunner, digests map[string]string, setup func() error) error {
+	probe, err := newHostProbe(workers())
+	if err != nil {
+		return fmt.Errorf("host probe: %w", err)
+	}
+	defer probe.close()
+	var raw, eps, probeNs, heap, rawSetup, setupS []float64
 	var tails []summary
 	deadline := time.Now().Add(rc.budget(1))
 	if rc.seed != defaultSeed || rc.short {
@@ -477,16 +485,39 @@ func measureRounds(o *outcome, rc runConfig, cases []campaignCase, clock *episod
 	}
 	for len(eps) == 0 || time.Now().Before(deadline) {
 		rr := runRound(o, cases, clock, run, rc.seed, digests)
-		eps = append(eps, rate(rr))
+		var reps []float64
+		for i := 0; i < setupPerRound; i++ {
+			d, err := timeSetup(setup)
+			if err != nil {
+				return fmt.Errorf("set-up: %w", err)
+			}
+			reps = append(reps, d)
+		}
+		ns := probe.accessNs()
+		raw = append(raw, rate(rr))
+		eps = append(eps, rate(rr)*ns/probeRefNs)
+		for _, d := range reps {
+			rawSetup = append(rawSetup, d)
+			setupS = append(setupS, d*probeRefNs/ns)
+		}
+		probeNs = append(probeNs, ns)
 		heap = append(heap, rr.heapMB)
 		tails = append(tails, summarize(rr.stepNs))
 	}
+	o.metrics["setup_s"] = median(setupS)
 	o.metrics["episodes_per_s"] = median(eps)
 	o.metrics["live_heap_mb"] = median(heap)
+	o.details["raw_setup_s"] = median(rawSetup)
+	o.details["setup_reps"] = len(setupS)
+	o.details["raw_episodes_per_s"] = median(raw)
+	o.details["probe_access_ns"] = median(probeNs)
 	o.details["rounds"] = len(eps)
 	o.details["round_episodes_per_s"] = eps
+	o.details["round_raw_episodes_per_s"] = raw
+	o.details["round_probe_access_ns"] = probeNs
 	o.details["round_episode_step_ns"] = tails
 	o.details["round_live_heap_mb"] = heap
+	return probe.close()
 }
 
 // liveHeapMB is the heap after a forced collection.  sync.Pool keeps
@@ -498,23 +529,15 @@ func liveHeapMB() float64 {
 	return float64(ms.HeapAlloc) / 1e6
 }
 
-// measureSetup runs f setupReps times (after a collection each) and
-// returns the median wall time in seconds.
-func measureSetup(rc runConfig, f func() error) (float64, error) {
-	reps := setupReps
-	if rc.short {
-		reps = 3
+// timeSetup runs one set-up after a collection and returns its wall
+// time in seconds.
+func timeSetup(f func() error) (float64, error) {
+	runtime.GC()
+	t0 := time.Now()
+	if err := f(); err != nil {
+		return 0, err
 	}
-	var xs []float64
-	for i := 0; i < reps; i++ {
-		runtime.GC()
-		t0 := time.Now()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		xs = append(xs, time.Since(t0).Seconds())
-	}
-	return median(xs), nil
+	return time.Since(t0).Seconds(), nil
 }
 
 // expertSetup is campaign-expert's set-up: build the campaign sequence,
@@ -554,12 +577,6 @@ func expertSetup(rc runConfig) error {
 
 func runCampaignExpert(rc runConfig) (*outcome, error) {
 	o := newOutcome()
-	setup, err := measureSetup(rc, func() error { return expertSetup(rc) })
-	if err != nil {
-		return nil, err
-	}
-	o.metrics["setup_s"] = setup
-
 	n := workers()
 	clock := &episodeClock{}
 	cases := expertCases(rc.short)
@@ -570,7 +587,10 @@ func runCampaignExpert(rc runConfig) (*outcome, error) {
 		return runDistCampaign(c, base, n, nil, nil)
 	}
 	if !rc.trace {
-		measureRounds(o, rc, cases, clock, untraced, expertDigests)
+		setup := func() error { return expertSetup(rc) }
+		if err := measureRounds(o, rc, cases, clock, untraced, expertDigests, setup); err != nil {
+			return nil, err
+		}
 		return o, nil
 	}
 
@@ -650,26 +670,6 @@ func reportIdle(o *outcome, rr roundResult, n int) {
 func runCertifiedNN(rc runConfig) (*outcome, error) {
 	o := newOutcome()
 	n := workers()
-	setup, err := measureSetup(rc, func() error {
-		m, err := loadNNModels(rc.root)
-		if err != nil {
-			return err
-		}
-		// One cloned agent per worker and model, as the campaign's pool
-		// builds them.
-		sc := sim.DefaultConfig().Scenario
-		for _, p := range []*planner.NNPlanner{m.cons, m.aggr} {
-			for i := 0; i < n; i++ {
-				_ = core.NewUltimate(sc, clonePlanner(p))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	o.metrics["setup_s"] = setup
-
 	m, err := loadNNModels(rc.root)
 	if err != nil {
 		return nil, err
@@ -693,7 +693,9 @@ func runCertifiedNN(rc runConfig) (*outcome, error) {
 		return rep.Stats, nil
 	}
 	if !rc.trace {
-		measureRounds(o, rc, cases, clock, run, nnDigests)
+		if err := measureRounds(o, rc, cases, clock, run, nnDigests, func() error { return certifiedSetup(rc.root, n) }); err != nil {
+			return nil, err
+		}
 		return o, nil
 	}
 
@@ -719,6 +721,23 @@ func runCertifiedNN(rc runConfig) (*outcome, error) {
 		return nil, err
 	}
 	return o, nil
+}
+
+// certifiedSetup is campaign-certified-nn's set-up: load both models,
+// build their propagators and one cloned agent per worker and model, as
+// the campaign's pool builds them.
+func certifiedSetup(root string, n int) error {
+	m, err := loadNNModels(root)
+	if err != nil {
+		return err
+	}
+	sc := sim.DefaultConfig().Scenario
+	for _, p := range []*planner.NNPlanner{m.cons, m.aggr} {
+		for i := 0; i < n; i++ {
+			_ = core.NewUltimate(sc, clonePlanner(p))
+		}
+	}
+	return nil
 }
 
 // distProbe measures the dist layer for workloads that do not run
