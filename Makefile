@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-batch bench-campaign bench-seed bench-guard bench-perf bench-ibp bench-platoon campaign-smoke guard-smoke platoon-smoke alloc-gate serve-smoke dist-smoke ibp-gate golden fuzz-smoke lint-extra
+.PHONY: build test check bench bench-campaign bench-seed bench-guard bench-perf bench-ibp bench-platoon campaign-smoke guard-smoke platoon-smoke alloc-gate serve-smoke dist-smoke ibp-gate golden fuzz-smoke lint-extra
 
 build:
 	$(GO) build ./...
@@ -32,7 +32,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCarFollowSafety -fuzztime 20s ./internal/carfollow
 	$(GO) test -run '^$$' -fuzz FuzzPlatoonSafety -fuzztime 20s ./internal/platoon
 	$(GO) test -run '^$$' -fuzz FuzzGuardedPlanner -fuzztime 20s ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzBatchParity -fuzztime 20s ./internal/sim/batch
+	$(GO) test -run '^$$' -fuzz FuzzServeProtocol -fuzztime 20s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzIBPContainment -fuzztime 20s ./internal/nn/ibp
 
 # Optional linters plus the in-tree determinism hygiene check: no global
@@ -46,11 +46,9 @@ lint-extra:
 # Allocation-regression gate: a warmed scratch arena must keep the episode
 # hot path allocation-free (budget in internal/sim/alloc_test.go), the
 # arena path must stay bit-identical to the allocate-per-episode path, and
-# the lockstep batch engine must amortize below the scalar 1 alloc/episode
-# bar at width 8 (internal/sim/batch/alloc_test.go).
+# an IBP propagation with a reused scratch must not allocate.
 alloc-gate:
 	$(GO) test -run 'TestEpisodeAllocs|TestMultiEpisodeAllocs|TestScratchParity|TestCertifyEpisodeAllocs' ./internal/sim -v
-	$(GO) test -run TestBatchEpisodeAllocs ./internal/sim/batch -v
 	$(GO) test -run TestIBPAllocs ./internal/nn/ibp -v
 
 # Certification gate: the IBP soundness property suites (interval network
@@ -89,12 +87,6 @@ bench:
 # outcome rates, and the parallel-speedup probe.
 bench-campaign:
 	$(GO) run ./cmd/bench -out BENCH_campaign.json
-
-# Full canonical matrix through the lockstep batch engine (8 lanes per
-# group): statistics are bit-identical to bench-campaign, only the
-# throughput numbers move.  Writes BENCH_batch.json for comparison.
-bench-batch:
-	$(GO) run ./cmd/bench -batch 8 -out BENCH_batch.json
 
 # Small stable snapshot (committed as BENCH_seed.json) for regression
 # comparison across machines and revisions.

@@ -57,40 +57,6 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchTable1 runs Table 1's three communication settings under
-// the guaranteed ultimate-conservative design through the lockstep batch
-// engine at width 8 — the batched counterpart of BenchmarkTable1, for
-// tracking the structure-of-arrays engine's end-to-end throughput (the
-// statistics themselves are bit-identical to the scalar path).
-func BenchmarkBatchTable1(b *testing.B) {
-	pl := planners()
-	type cell struct {
-		name  string
-		cfg   SimConfig
-		agent Agent
-	}
-	var cells []cell
-	for _, s := range experiments.StandardSettings() {
-		cfg := experiments.SettingConfig(s)
-		cfg.InfoFilter = true
-		cells = append(cells, cell{s.Name, cfg, BuildUltimate(cfg.Scenario, pl.Cons)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cells {
-			if _, err := RunBatchedCampaign(CampaignSpec{
-				Name:       "bench-batch/" + c.name,
-				Episodes:   benchEpisodes,
-				BaseSeed:   benchSeed,
-				BatchSize:  8,
-				Invariants: StandardInvariants(c.cfg.Scenario),
-			}, LeftTurnBatchCampaign(c.cfg, c.agent)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func BenchmarkTable2(b *testing.B) {
 	pl := planners()
 	for i := 0; i < b.N; i++ {

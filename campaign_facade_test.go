@@ -55,41 +55,3 @@ func TestRunShardedCampaignFacade(t *testing.T) {
 		t.Fatalf("resumed %d of %d shards", c.Perf.ResumedShards, c.Perf.Shards)
 	}
 }
-
-// TestRunBatchedCampaignFacade exercises the lockstep batch entry point
-// through the facade: a multi-worker batched campaign must reproduce the
-// scalar engine's Stats bit for bit, with the standard invariant set in
-// fail mode along the way.
-func TestRunBatchedCampaignFacade(t *testing.T) {
-	cfg := safeplan.DefaultSimConfig()
-	cfg.Comms = safeplan.DelayedComms(0.25, 0.5)
-	cfg.InfoFilter = true
-	sc := cfg.Scenario
-	agent := safeplan.BuildUltimate(sc, safeplan.NewAggressiveExpert(sc))
-
-	spec := safeplan.CampaignSpec{
-		Name:       "facade-batch",
-		Episodes:   600,
-		BaseSeed:   1,
-		Workers:    1,
-		Invariants: safeplan.StandardInvariants(sc),
-	}
-	scalar, err := safeplan.RunShardedCampaign(spec, safeplan.LeftTurnCampaign(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	spec.Workers = 4
-	spec.BatchSize = 8
-	batched, err := safeplan.RunBatchedCampaign(spec, safeplan.LeftTurnBatchCampaign(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(scalar.Stats, batched.Stats) {
-		t.Fatalf("batched stats diverge from scalar:\nscalar:  %+v\nbatched: %+v",
-			scalar.Stats, batched.Stats)
-	}
-	if batched.Stats.EmergencyEpisodes == 0 {
-		t.Fatal("fixture never exercised the emergency planner; parity ran vacuously")
-	}
-}

@@ -84,17 +84,6 @@ type Spec struct {
 	// how many completed shards trigger a save; 0 saves after every shard.
 	CheckpointPath  string
 	CheckpointEvery int
-
-	// BatchSize selects the batched lockstep execution mode used by
-	// RunBatch: each shard's episodes run through the SoA engine in groups
-	// of this many lanes (0 or 1 selects lane-at-a-time).  Stats are
-	// bit-identical for any batch size — lanes are byte-identical to
-	// scalar episodes and shards still fold in episode order — so
-	// BatchSize, like Workers, is deliberately excluded from the
-	// checkpoint fingerprint: a scalar checkpoint resumes under a batched
-	// run (and vice versa) without perturbing the aggregate.  Run ignores
-	// this field.
-	BatchSize int
 }
 
 func (s Spec) validate() error {
@@ -109,9 +98,6 @@ func (s Spec) validate() error {
 	}
 	if s.CheckpointEvery < 0 {
 		return fmt.Errorf("campaign: negative checkpoint interval %d", s.CheckpointEvery)
-	}
-	if s.BatchSize < 0 {
-		return fmt.Errorf("campaign: negative batch size %d", s.BatchSize)
 	}
 	return nil
 }
@@ -153,78 +139,6 @@ var (
 		1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6, 1e7, 2.5e7, 5e7, 1e8, 1e9, 1e10,
 	}
 )
-
-// shardCtx carries the per-shard plumbing shared by the scalar and batched
-// episode loops: the aggregate under construction, the wall-clock
-// histograms, and the campaign-wide progress counters.
-type shardCtx struct {
-	spec    *Spec
-	invs    []sim.Invariant
-	scratch *sim.Scratch
-	agg     *ShardStats
-
-	stepHist, epHist *telemetry.Histogram
-	ranSteps         *atomic.Int64
-	progress         *atomic.Int64
-	aborted          func() bool
-}
-
-// observe folds one finished episode into the shard aggregate and the
-// campaign's wall-clock accounting.  durNs is the episode's wall time — in
-// batched mode the batch's wall time amortized per lane (Perf is not
-// determinism-covered; Stats folds are wall-clock free).
-func (c *shardCtx) observe(r *sim.Result, durNs float64) {
-	c.epHist.Observe(durNs)
-	if r.Steps > 0 {
-		c.stepHist.Observe(durNs / float64(r.Steps))
-	}
-	c.ranSteps.Add(int64(r.Steps))
-	c.agg.Observe(r)
-	if c.spec.Collector != nil {
-		c.spec.Collector.OnProgress(c.progress.Add(1), int64(c.spec.Episodes))
-	}
-}
-
-// shardBody runs one shard's episode range [lo, hi), folding results via
-// ctx.observe.  On failure it returns the seed of the failing episode with
-// the error; on early abort (a sibling shard failed) it returns cleanly.
-type shardBody func(ctx *shardCtx, lo, hi int) (seed int64, err error)
-
-// scalarBody is Run's episode-at-a-time shard loop.
-func scalarBody(spec Spec, episode EpisodeFunc) shardBody {
-	return func(ctx *shardCtx, lo, hi int) (int64, error) {
-		for e := lo; e < hi; e++ {
-			if ctx.aborted() {
-				return 0, nil
-			}
-			seed := spec.BaseSeed + int64(e)
-			t0 := time.Now()
-			r, err := episode(sim.Options{
-				Seed:       seed,
-				Collector:  spec.Collector,
-				Invariants: ctx.invs,
-				Scratch:    ctx.scratch,
-			})
-			if err != nil {
-				return seed, err
-			}
-			ctx.observe(&r, float64(time.Since(t0).Nanoseconds()))
-		}
-		return 0, nil
-	}
-}
-
-// Run executes the campaign and returns its report.  Episodes are fanned
-// across workers shard by shard; per-shard aggregates merge in shard order,
-// so Stats is bit-identical for any worker count (Perf is wall-clock data
-// and is not).  With a CheckpointPath set, completed shards persist to disk
-// and an interrupted campaign resumes where it left off.
-func Run(spec Spec, episode EpisodeFunc) (*Report, error) {
-	if episode == nil {
-		return nil, fmt.Errorf("campaign: nil episode function")
-	}
-	return execute(spec, scalarBody(spec, episode))
-}
 
 // NumShards returns the effective shard count of the fixed partition —
 // the same resolution Run uses, so out-of-process executors (internal/dist)
@@ -311,11 +225,15 @@ func FoldShards(spec Spec, done map[int]*ShardStats) (Stats, error) {
 	return stats, nil
 }
 
-// execute is the campaign core shared by Run and RunBatch: invariant
-// wiring, checkpoint resume, the worker fan-out over pending shards, and
-// the deterministic shard-order reduction.  Only the per-shard episode
-// loop (body) differs between execution modes.
-func execute(spec Spec, body shardBody) (*Report, error) {
+// Run executes the campaign and returns its report.  Episodes are fanned
+// across workers shard by shard; per-shard aggregates merge in shard order
+// (FoldShards), so Stats is bit-identical for any worker count (Perf is
+// wall-clock data and is not).  With a CheckpointPath set, completed shards
+// persist to disk and an interrupted campaign resumes where it left off.
+func Run(spec Spec, episode EpisodeFunc) (*Report, error) {
+	if episode == nil {
+		return nil, fmt.Errorf("campaign: nil episode function")
+	}
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -369,9 +287,6 @@ func execute(spec Spec, body shardBody) (*Report, error) {
 
 	start := time.Now()
 	sim.ParallelForWorkers(workers, len(pending), func(k int) {
-		if firstErr.Load() != nil {
-			return // a sibling shard failed; drain the queue
-		}
 		shard := pending[k]
 		lo, hi := shardRange(spec.Episodes, shards, shard)
 		agg := &ShardStats{}
@@ -388,15 +303,32 @@ func execute(spec Spec, body shardBody) (*Report, error) {
 		// assert it), so pooling cannot perturb Stats.
 		scratch := scratchPool.Get().(*sim.Scratch)
 		defer scratchPool.Put(scratch)
-		ctx := &shardCtx{
-			spec: &spec, invs: invs, scratch: scratch, agg: agg,
-			stepHist: stepHist, epHist: epHist,
-			ranSteps: &ranSteps, progress: &progress,
-			aborted: func() bool { return firstErr.Load() != nil },
-		}
-		if seed, err := body(ctx, lo, hi); err != nil {
-			firstErr.CompareAndSwap(nil, &campaignError{shard: shard, seed: seed, err: err})
-			return
+		for e := lo; e < hi; e++ {
+			if firstErr.Load() != nil {
+				return // a sibling shard failed; drain the queue
+			}
+			seed := spec.BaseSeed + int64(e)
+			t0 := time.Now()
+			r, err := episode(sim.Options{
+				Seed:       seed,
+				Collector:  spec.Collector,
+				Invariants: invs,
+				Scratch:    scratch,
+			})
+			if err != nil {
+				firstErr.CompareAndSwap(nil, &campaignError{shard: shard, seed: seed, err: err})
+				return
+			}
+			durNs := float64(time.Since(t0).Nanoseconds())
+			epHist.Observe(durNs)
+			if r.Steps > 0 {
+				stepHist.Observe(durNs / float64(r.Steps))
+			}
+			ranSteps.Add(int64(r.Steps))
+			agg.Observe(&r)
+			if spec.Collector != nil {
+				spec.Collector.OnProgress(progress.Add(1), int64(spec.Episodes))
+			}
 		}
 		if firstErr.Load() != nil {
 			return
@@ -422,12 +354,10 @@ func execute(spec Spec, body shardBody) (*Report, error) {
 		return nil, fmt.Errorf("campaign %q: checkpoint: %w", spec.Name, *ep)
 	}
 
-	// Deterministic reduction: merge shard aggregates in shard order.
-	var stats Stats
-	for i := 0; i < shards; i++ {
-		stats.ShardStats.Merge(done[i])
+	stats, err := FoldShards(spec, done)
+	if err != nil {
+		return nil, err
 	}
-	stats.finalize()
 
 	perf := Perf{
 		WallSeconds:     wall.Seconds(),

@@ -203,7 +203,8 @@ func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 	sc := st.sc
 	res := &st.res
 
-	// 0. Externally streamed events (sessions only; empty in batch runs).
+	// 0. Externally streamed events (sessions only; empty in the closed
+	// run loop).
 	for _, m := range in.Messages {
 		st.filt.OnMessage(m)
 	}

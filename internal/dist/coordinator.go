@@ -21,9 +21,9 @@ const (
 
 // Config configures a Coordinator.
 type Config struct {
-	// Spec is the campaign to distribute.  Spec.Workers and
-	// Spec.BatchSize are worker-local concerns and ignored here; the
-	// coordinator owns only the shard plan and the fold.  When
+	// Spec is the campaign to distribute.  Spec.Workers is a
+	// worker-local concern and ignored here; the coordinator owns only
+	// the shard plan and the fold.  When
 	// Spec.CheckpointPath is set the coordinator checkpoints accepted
 	// shard results there (campaign checkpoint format, so a partial
 	// distributed campaign can be finished by single-process Run and

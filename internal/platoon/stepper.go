@@ -302,8 +302,8 @@ func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 	res := &st.res
 	links := st.links
 
-	// 0. Externally streamed events (sessions only; empty in batch runs),
-	// routed to links by 1-based vehicle index.
+	// 0. Externally streamed events (sessions only; empty in the closed
+	// run loop), routed to links by 1-based vehicle index.
 	for _, m := range in.Messages {
 		if m.Sender >= 1 && m.Sender <= len(links) {
 			links[m.Sender-1].filt.OnMessage(m)

@@ -597,7 +597,16 @@ func (w *connWriter) send(resp Response) {
 	if w.err != nil {
 		return
 	}
-	w.err = w.enc.Encode(resp)
+	err := w.enc.Encode(resp)
+	var uv *json.UnsupportedValueError
+	if errors.As(err, &uv) {
+		// Streamed events with extreme values can drive an engine to a
+		// non-finite output, which JSON cannot carry.  Encode writes
+		// nothing on a marshal error, so answer with the error instead of
+		// poisoning the connection for every later response.
+		err = w.enc.Encode(Response{SID: resp.SID, Op: resp.Op, Error: "serve: response not encodable: " + err.Error()})
+	}
+	w.err = err
 }
 
 // shard owns a disjoint subset of the session registry and the single
@@ -631,28 +640,18 @@ func (sh *shard) run() {
 
 // service drains one scheduled session: teardown requests first (close
 // jumps the queue), then the mailbox.  The scheduled-flag dance at the
-// end closes the lost-wakeup race against concurrent enqueues.
+// end closes the lost-wakeup race against concurrent enqueues; it runs
+// after a teardown too, so a close that found the session just before it
+// left the registry still gets its session-closed answer.
 func (sh *shard) service(sess *session) {
-	sess.mu.Lock()
-	dead := sess.closed
-	sess.mu.Unlock()
-	if dead {
-		// Stale runqueue entry for a torn-down session (a close or reap
-		// raced the teardown); answer any close that slipped in after the
-		// teardown swapped closeReq.
-		if env := sess.closeReq.Swap(nil); env != nil {
-			sh.srv.reject(env.w, env.req, ReasonSessionClosed, "session closed")
-		}
-		return
-	}
 	for {
 		if env := sess.closeReq.Swap(nil); env != nil {
 			sh.teardown(sess, env, &sh.srv.closed)
-			return
+			continue
 		}
-		if sess.reap.Load() {
+		if sess.reap.Swap(false) {
 			sh.teardown(sess, nil, &sh.srv.reaped)
-			return
+			continue
 		}
 		select {
 		case env := <-sess.mailbox:
@@ -685,8 +684,10 @@ func (sh *shard) process(sess *session, env envelope) {
 		})
 		if err != nil {
 			sh.free = append(sh.free, scratch)
-			srv.reject(env.w, req, ReasonBadRequest, err.Error())
+			// Tear down before answering, so a client that sees the
+			// rejection also sees the admission slot released.
 			sh.teardown(sess, nil, &srv.closed)
+			srv.reject(env.w, req, ReasonBadRequest, err.Error())
 			return
 		}
 		sess.eng = eng
@@ -762,11 +763,20 @@ func (sh *shard) settle(sess *session) {
 // teardown retires a session on the worker: deregister, settle the
 // episode (a mid-episode close yields the partial result), answer the
 // close request, flush stragglers with ReasonSessionClosed, and recycle
-// the scratch arena.
+// the scratch arena.  On a session already torn down (a failed open, or a
+// close or reap that raced the first teardown) it only answers the close
+// with ReasonSessionClosed, so nothing is released or counted twice.
 func (sh *shard) teardown(sess *session, closeEnv *envelope, counter *atomic.Int64) {
 	sess.mu.Lock()
+	dead := sess.closed
 	sess.closed = true
 	sess.mu.Unlock()
+	if dead {
+		if closeEnv != nil {
+			sh.srv.reject(closeEnv.w, closeEnv.req, ReasonSessionClosed, "session closed")
+		}
+		return
+	}
 	sh.mu.Lock()
 	delete(sh.sessions, sess.id)
 	sh.mu.Unlock()

@@ -640,3 +640,40 @@ func TestSoak(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestTeardownIdempotent pins the second teardown of a session — a close
+// that raced a failed open's teardown — as a no-op that only answers the
+// close: the admission slot is released once, not twice.
+func TestTeardownIdempotent(t *testing.T) {
+	srv, err := New(Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, server := net.Pipe()
+	defer client.Close()
+	w := newConnWriter(server)
+	replies := make(chan Response, 1)
+	go func() {
+		var r Response
+		if json.NewDecoder(client).Decode(&r) == nil {
+			replies <- r
+		}
+	}()
+
+	sh := srv.shards[0]
+	sess := &session{id: "x", sh: sh, mailbox: make(chan envelope, 1)}
+	sh.mu.Lock()
+	sh.sessions[sess.id] = sess
+	sh.mu.Unlock()
+	srv.live.Add(1)
+
+	sh.teardown(sess, nil, &srv.closed)
+	sh.teardown(sess, &envelope{req: Request{Op: OpClose, SID: "x"}, w: w}, &srv.closed)
+	if r := <-replies; r.OK || r.Reason != ReasonSessionClosed {
+		t.Fatalf("close on a torn-down session: %+v", r)
+	}
+	if st := srv.Stats(); st.LiveSessions != 0 || st.SessionsClosed != 1 {
+		t.Fatalf("second teardown counted again: live %d, closed %d", st.LiveSessions, st.SessionsClosed)
+	}
+}

@@ -20,8 +20,8 @@ import (
 )
 
 // StepInput carries externally streamed events into one control step of a
-// resumable Stepper.  The zero value reproduces the closed-loop batch
-// simulation exactly: the internal world generates its own V2V broadcasts
+// resumable Stepper.  The zero value reproduces the closed run loop
+// exactly: the internal world generates its own V2V broadcasts
 // and sensor readings.  A streaming session (cmd/serve) injects received
 // events here; they are fused *before* this step's internally generated
 // traffic, so a zero input leaves the byte-exact legacy behaviour intact.
@@ -150,7 +150,7 @@ func NewStepper(cfg Config, agent core.Agent, opts Options) (*Stepper, error) {
 	// sensor-drop, then the disturbance stream last so legacy
 	// configurations keep their exact per-seed behaviour), but the derived
 	// sources seed together through xrand.SeedMany, which interleaves the
-	// generator warm-up across lanes.  xrand.Source is a bit-exact
+	// generator warm-ups of the independent streams.  xrand.Source is a bit-exact
 	// math/rand replica, so every derived stream is byte-identical to the
 	// historical per-source reseed (the goldens and BENCH_seed pin this).
 	var seeds [6]int64
@@ -278,7 +278,7 @@ func (st *Stepper) Err() error { return st.err }
 
 // Step advances the episode by one control step.  The input can inject
 // externally streamed V2V messages and sensor readings (see StepInput); a
-// zero input reproduces the batch loop byte for byte.  After the terminal
+// zero input reproduces the closed run loop byte for byte.  After the terminal
 // step (or after an error) further calls return the terminal outcome
 // unchanged.
 func (st *Stepper) Step(in StepInput) (StepOutcome, error) {
@@ -297,7 +297,8 @@ func (st *Stepper) Step(in StepInput) (StepOutcome, error) {
 	sc := st.sc
 	res := &st.res
 
-	// 0. Externally streamed events (sessions only; empty in batch runs).
+	// 0. Externally streamed events (sessions only; empty in the closed
+	// run loop).
 	for _, m := range in.Messages {
 		st.filt.OnMessage(m)
 	}

@@ -28,14 +28,9 @@ type Workload struct {
 	Agent core.Agent
 }
 
-// Episode adapts the workload for the scalar campaign engine.
+// Episode adapts the workload for the campaign engine.
 func (w Workload) Episode() campaign.EpisodeFunc {
 	return campaign.LeftTurn(w.Cfg, w.Agent)
-}
-
-// Batch adapts the workload for the lockstep batched campaign engine.
-func (w Workload) Batch() campaign.BatchFunc {
-	return campaign.LeftTurnBatch(w.Cfg, w.Agent)
 }
 
 // Invariants is the workload's full checker set for guaranteed compound

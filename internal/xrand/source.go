@@ -5,14 +5,14 @@
 //
 // Why this exists: seeding one math/rand source walks a 607-entry bootstrap
 // recurrence — three serial modular multiplications per entry — and costs
-// ~10µs, which the profile shows is over half of a whole simulation episode
-// (each episode derives about eight purpose-specific streams).  Within one
-// episode the streams are derived sequentially from the master and there is
-// nothing to overlap; across the lanes of a batch, every source is
-// independent, so their chains can be interleaved and the per-seed latency
-// hidden.  That cross-lane amortization is only sound if a Source-backed
-// *rand.Rand draws exactly what a rand.NewSource-backed one would — hence
-// the bit-exact replica, pinned by TestSourceMatchesMathRand.
+// ~10µs, which the profile shows is over half of a whole simulation episode.
+// The scalar left-turn stepper (sim.Stepper) is the consumer: it draws the
+// seeds of its five or six purpose-specific streams from the episode master
+// first, then seeds all of their sources through one SeedMany call, so the
+// independent chains overlap and the per-seed latency is hidden.  That is
+// only sound if a Source-backed *rand.Rand draws exactly what a
+// rand.NewSource-backed one would — hence the bit-exact replica, pinned by
+// TestSourceMatchesMathRand.
 package xrand
 
 const (

@@ -24,7 +24,7 @@ func seedCases() []int64 {
 // seed, a Source produces exactly the Uint64/Int63 stream of
 // rand.NewSource, and a Source-backed *rand.Rand draws exactly the same
 // Float64/Int63n/NormFloat64 values.  Everything else in this package
-// (and the batch engine's seeding fast path) rests on this.
+// (and the scalar stepper's seeding fast path) rests on this.
 func TestSourceMatchesMathRand(t *testing.T) {
 	for _, seed := range seedCases() {
 		ours := NewSource(seed)
@@ -75,7 +75,7 @@ func TestSeedManyMatchesSeed(t *testing.T) {
 }
 
 // TestSeedManyReseeds verifies SeedMany fully overwrites prior state, as
-// pooled engines reseed the same sources batch after batch.
+// pooled steppers reseed the same sources episode after episode.
 func TestSeedManyReseeds(t *testing.T) {
 	srcs := []*Source{NewSource(1), NewSource(2), NewSource(3)}
 	for _, s := range srcs {

@@ -537,9 +537,6 @@ type (
 	CampaignReport = campaign.Report
 	// CampaignEpisodeFunc runs one episode under campaign-filled options.
 	CampaignEpisodeFunc = campaign.EpisodeFunc
-	// CampaignBatchFunc runs one lockstep group of episodes — one lane per
-	// seed, results in seed order — for RunBatchedCampaign.
-	CampaignBatchFunc = campaign.BatchFunc
 	// EpisodeOptions is the per-episode options payload a campaign hands an
 	// episode function (seed and invariants filled by the runner).  Named
 	// here so custom CampaignEpisodeFunc implementations — not just the
@@ -550,7 +547,7 @@ type (
 	// zero-allocation stepping path (DESIGN.md §12).  It is purely an
 	// optimization: results are bit-identical with and without one, and a
 	// nil scratch selects the legacy allocate-per-episode path.  The
-	// campaign engines pool arenas automatically; set EpisodeOptions.Scratch
+	// campaign engine pools arenas automatically; set EpisodeOptions.Scratch
 	// only in custom episode loops that replay many episodes serially.
 	EpisodeScratch = sim.Scratch
 
@@ -571,9 +568,6 @@ var (
 	CarFollowCampaign = campaign.CarFollow
 	// PlatoonCampaign adapts the N-vehicle chained-link platoon runner.
 	PlatoonCampaign = campaign.Platoon
-	// LeftTurnBatchCampaign adapts the lockstep batched left-turn engine
-	// (internal/sim/batch) for RunBatchedCampaign.
-	LeftTurnBatchCampaign = campaign.LeftTurnBatch
 )
 
 // RunShardedCampaign executes a deterministic sharded campaign; see
@@ -581,18 +575,6 @@ var (
 // contract.
 func RunShardedCampaign(spec CampaignSpec, episode CampaignEpisodeFunc) (*CampaignReport, error) {
 	rep, err := campaign.Run(spec, episode)
-	return rep, wrapErr(err)
-}
-
-// RunBatchedCampaign executes a sharded campaign through the lockstep
-// batch engine: each shard walks its episode range in groups of
-// CampaignSpec.BatchSize lanes stepped in structure-of-arrays lockstep
-// (DESIGN.md §14).  Every lane is byte-identical to its scalar episode
-// and shards fold in episode order, so Stats matches RunShardedCampaign
-// bit for bit at any (worker count × batch size); checkpoints
-// interoperate between the two entry points.
-func RunBatchedCampaign(spec CampaignSpec, run CampaignBatchFunc) (*CampaignReport, error) {
-	rep, err := campaign.RunBatch(spec, run)
 	return rep, wrapErr(err)
 }
 

@@ -9,24 +9,20 @@
 #
 #   - a math/rand *global* call (rand.Float64(), rand.Int63(), ...) —
 #     global streams are shared mutable state and break seed pairing; or
-#   - a new time.Now in the stepping packages beyond the three known
-#     telemetry latency probes (sim/sim.go, sim/multi.go, and
-#     platoon/stepper.go, each behind a `coll != nil` check, so they
-#     never run in headless campaigns).
+#   - a new time.Now in the stepping packages beyond the four known
+#     telemetry latency probes (sim/stepper.go, sim/multistepper.go,
+#     carfollow/stepper.go and platoon/stepper.go, each behind a
+#     `coll != nil` check, so they never run in headless campaigns).
 #
 # If you add a legitimate telemetry probe, raise TIME_NOW_BUDGET in the
 # same change and say why in the commit message.
 set -eu
 cd "$(dirname "$0")/.."
 
-# The greps recurse, so internal/sim also covers the lockstep batch
-# engine (internal/sim/batch), which must stay entirely wall-clock-free:
-# phase-major stepping has no per-lane planner timing (StepProbe.PlannerNs
-# is 0 by design there — see the package doc).
-PKGS="internal/sim internal/platoon internal/fusion internal/kalman internal/comms internal/reach internal/monitor internal/interval"
-# Budget 3: the sim.go and multi.go probes plus the platoon stepper's
-# planner-latency probe, all gated behind `coll != nil`.
-TIME_NOW_BUDGET=3
+PKGS="internal/sim internal/platoon internal/carfollow internal/fusion internal/kalman internal/comms internal/reach internal/monitor internal/interval internal/sensor internal/traffic internal/disturb internal/faultinject"
+# Budget 4: the planner-latency probes of the sim, multi-vehicle,
+# car-following and platoon steppers, all gated behind `coll != nil`.
+TIME_NOW_BUDGET=4
 
 fail=0
 
