@@ -44,11 +44,15 @@ lint-extra:
 	@command -v govulncheck >/dev/null 2>&1 && govulncheck ./... || echo "govulncheck not installed; skipping"
 
 # Allocation-regression gate: a warmed scratch arena must keep the episode
-# hot path allocation-free (budget in internal/sim/alloc_test.go), the
-# arena path must stay bit-identical to the allocate-per-episode path, and
-# an IBP propagation with a reused scratch must not allocate.
+# hot path of all four engines (left turn, multi-vehicle, car following,
+# platoon) allocation-free with their campaign invariant sets attached
+# (budget in internal/sim/alloc_test.go), the arena path must stay
+# bit-identical to the allocate-per-episode path, and an IBP propagation
+# with a reused scratch must not allocate.
 alloc-gate:
 	$(GO) test -run 'TestEpisodeAllocs|TestMultiEpisodeAllocs|TestScratchParity|TestCertifyEpisodeAllocs' ./internal/sim -v
+	$(GO) test -run TestCarFollowEpisodeAllocs ./internal/carfollow -v
+	$(GO) test -run TestPlatoonEpisodeAllocs ./internal/platoon -v
 	$(GO) test -run TestIBPAllocs ./internal/nn/ibp -v
 
 # Certification gate: the IBP soundness property suites (interval network

@@ -434,7 +434,7 @@ type countingInvariant struct {
 
 func (c countingInvariant) Name() string { return c.inner.Name() }
 
-func (c countingInvariant) CheckStep(s sim.StepInfo) error {
+func (c countingInvariant) CheckStep(s *sim.StepInfo) error {
 	if c.inner.CheckStep(s) != nil {
 		c.m[c.inner.Name()]++
 	}

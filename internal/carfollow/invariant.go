@@ -25,7 +25,7 @@ type TrueSlack struct {
 func (TrueSlack) Name() string { return "true-slack" }
 
 // CheckStep implements sim.Invariant.
-func (c TrueSlack) CheckStep(s sim.StepInfo) error {
+func (c TrueSlack) CheckStep(s *sim.StepInfo) error {
 	if slack := c.Cfg.Slack(s.Ego, ExactLead(s.Other, s.OtherA)); slack < 0 {
 		return &sim.ViolationError{
 			Invariant: c.Name(),

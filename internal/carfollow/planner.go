@@ -3,12 +3,12 @@ package carfollow
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"safeplan/internal/dynamics"
 	"safeplan/internal/mat"
 	"safeplan/internal/nn"
 	"safeplan/internal/telemetry"
+	"safeplan/internal/xrand"
 )
 
 // Planner decides the ego acceleration for car following.  The assumed
@@ -124,7 +124,7 @@ func (o *TrainOptions) fill() {
 // TrainNNPlanner imitates the expert over sampled planner-visible states.
 func TrainNNPlanner(cfg Config, expert Planner, label string, opts TrainOptions) (*NNPlanner, float64, error) {
 	opts.fill()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := xrand.New(opts.Seed)
 	x := mat.NewDense(opts.Samples, 5)
 	y := mat.NewDense(opts.Samples, 1)
 	for i := 0; i < opts.Samples; i++ {
@@ -150,7 +150,7 @@ func TrainNNPlanner(cfg Config, expert Planner, label string, opts TrainOptions)
 	norm.ApplyMatrix(ds.X)
 	sizes := append([]int{5}, opts.Hidden...)
 	sizes = append(sizes, 1)
-	net := nn.NewMLP(rand.New(rand.NewSource(opts.Seed+1)), nn.Tanh{}, sizes...)
+	net := nn.NewMLP(xrand.New(opts.Seed+1), nn.Tanh{}, sizes...)
 	loss := net.Fit(ds, &nn.Adam{LR: opts.LR}, nn.TrainConfig{
 		Epochs:    opts.Epochs,
 		BatchSize: opts.BatchSize,

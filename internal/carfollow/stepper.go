@@ -52,8 +52,9 @@ type Stepper struct {
 	emerg func() float64
 	env   func() (float64, float64, bool)
 
-	t float64
-	k Knowledge
+	t  float64
+	k  Knowledge
+	si sim.StepInfo // invariant payload, refilled every step
 
 	dt       float64
 	maxSteps int
@@ -275,12 +276,13 @@ func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 		res.EmergencySteps++
 	}
 	if len(st.opts.Invariants) > 0 {
-		si := sim.StepInfo{
+		si := &st.si
+		*si = sim.StepInfo{
 			T: t, Ego: st.ego, Other: st.lead, OtherA: st.leadA,
 			Est: est, Accel: a0, Emergency: emergency,
 		}
 		if st.gs != nil {
-			st.gs.Annotate(&si, gres)
+			st.gs.Annotate(si, gres)
 		}
 		if ierr := sim.CheckStepInvariants(st.opts.Invariants, si); ierr != nil {
 			st.err = ierr

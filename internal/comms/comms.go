@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"safeplan/internal/disturb"
+	"safeplan/internal/xrand"
 )
 
 // Message is a V2V state report: the exact kinematic state of the sender's
@@ -128,8 +129,8 @@ func (c *Channel) Reset(cfg Config, rng *rand.Rand) error {
 		return fmt.Errorf("comms: nil rng")
 	}
 	if c.drop == nil {
-		c.drop = rand.New(rand.NewSource(rng.Int63()))
-		c.delay = rand.New(rand.NewSource(rng.Int63()))
+		c.drop = xrand.New(rng.Int63())
+		c.delay = xrand.New(rng.Int63())
 	} else {
 		c.drop.Seed(rng.Int63())
 		c.delay.Seed(rng.Int63())

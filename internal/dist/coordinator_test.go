@@ -42,8 +42,8 @@ func synthEpisode(opts sim.Options) (sim.Result, error) {
 // nonzero invariant_violations map to carry across the wire.
 type collisionInvariant struct{}
 
-func (collisionInvariant) Name() string                 { return "test-no-collision" }
-func (collisionInvariant) CheckStep(sim.StepInfo) error { return nil }
+func (collisionInvariant) Name() string                  { return "test-no-collision" }
+func (collisionInvariant) CheckStep(*sim.StepInfo) error { return nil }
 func (collisionInvariant) CheckEpisode(r *sim.Result) error {
 	if r.Collided {
 		return fmt.Errorf("collided")

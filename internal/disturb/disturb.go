@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"safeplan/internal/xrand"
 )
 
 // Decision is the fate of one message offered to the channel.
@@ -396,8 +398,8 @@ func (m Schedule) New(dropRng, delayRng *rand.Rand) Process {
 	for i, ph := range m.Phases {
 		// Derive per-phase substreams up front, in phase order, so each
 		// phase's randomness is a pure function of (seed, phase index).
-		drop := rand.New(rand.NewSource(dropRng.Int63()))
-		delay := rand.New(rand.NewSource(delayRng.Int63()))
+		drop := xrand.New(dropRng.Int63())
+		delay := xrand.New(delayRng.Int63())
 		p.procs[i] = ph.Model.New(drop, delay)
 	}
 	return p

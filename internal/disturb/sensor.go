@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"safeplan/internal/xrand"
 )
 
 // SensorDecision is the fate of one scheduled sensor reading.
@@ -199,7 +201,7 @@ func (m SensorStack) Validate() error {
 func (m SensorStack) NewSensor(rng *rand.Rand) SensorProcess {
 	procs := make([]SensorProcess, len(m.Models))
 	for i, sm := range m.Models {
-		procs[i] = sm.NewSensor(rand.New(rand.NewSource(rng.Int63())))
+		procs[i] = sm.NewSensor(xrand.New(rng.Int63()))
 	}
 	return sensorStackProcess{procs}
 }

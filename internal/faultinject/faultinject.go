@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"safeplan/internal/xrand"
 )
 
 // Decision is the fault injected into one planner invocation.
@@ -314,8 +316,8 @@ func (m Flaky) Validate() error {
 // gate's own draws never interleave with the inner model's.
 func (m Flaky) New(faultRng, latRng *rand.Rand) Process {
 	inner := m.Inner.New(
-		rand.New(rand.NewSource(faultRng.Int63())),
-		rand.New(rand.NewSource(latRng.Int63())),
+		xrand.New(faultRng.Int63()),
+		xrand.New(latRng.Int63()),
 	)
 	return &flakyProcess{inner: inner, m: m, bad: m.StartBad, rng: faultRng}
 }
@@ -372,8 +374,8 @@ func (m Stack) New(faultRng, latRng *rand.Rand) Process {
 	ps := make([]Process, len(m.Models))
 	for i, c := range m.Models {
 		ps[i] = c.New(
-			rand.New(rand.NewSource(faultRng.Int63())),
-			rand.New(rand.NewSource(latRng.Int63())),
+			xrand.New(faultRng.Int63()),
+			xrand.New(latRng.Int63()),
 		)
 	}
 	return stackProcess(ps)

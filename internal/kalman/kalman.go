@@ -17,6 +17,7 @@ package kalman
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"safeplan/internal/interval"
 	"safeplan/internal/mat"
@@ -196,10 +197,14 @@ func (f *Filter) ApplyMessage(tk float64, p, v, a float64) {
 	f.lastA = a
 	// Replay retained measurements newer than tk directly from the
 	// history: step never mutates hist, so no scratch copy is needed.
-	for _, rec := range f.hist {
-		if rec.t > tk {
-			f.step(rec.t, rec.z, rec.a)
-		}
+	// The history is nondecreasing in t — Update rejects t < Time(), and
+	// Time() is at or past the newest record after every operation (a
+	// replay ends on the newest record newer than its tk) — so the records
+	// newer than tk are a suffix, found by binary search in the order a
+	// full scan would visit them.
+	first := sort.Search(len(f.hist), func(i int) bool { return f.hist[i].t > tk })
+	for _, rec := range f.hist[first:] {
+		f.step(rec.t, rec.z, rec.a)
 	}
 	// History keeps all records (they may be replayed again by an even
 	// older message only if it arrives out of order, which we ignore:

@@ -207,15 +207,18 @@ func (c SimConfig) spacing() float64 {
 	return c.Scenario.LeadInit.P - c.Scenario.EgoInit.P
 }
 
-// dDefault and tGap resolve the TimeGap constants.
-func (c SimConfig) dDefault() float64 {
+// dDefault and tGap resolve the TimeGap constants.  They, RequiredGap and
+// GapViolation take pointer receivers: the stepper evaluates the gap
+// predicate for every link every step, and a value receiver would copy
+// the whole SimConfig each time.
+func (c *SimConfig) dDefault() float64 {
 	if c.DDefault > 0 {
 		return c.DDefault
 	}
 	return DefaultDDefault
 }
 
-func (c SimConfig) tGap() float64 {
+func (c *SimConfig) tGap() float64 {
 	if c.TGap > 0 {
 		return c.TGap
 	}
@@ -240,7 +243,7 @@ func (c SimConfig) LinkScenario() carfollow.Config {
 
 // RequiredGap returns the minimum admissible bumper gap for a follower
 // moving at speed v under the configured spec.
-func (c SimConfig) RequiredGap(v float64) float64 {
+func (c *SimConfig) RequiredGap(v float64) float64 {
 	if c.Spec == TimeGap {
 		return c.dDefault() + c.tGap()*v
 	}
@@ -251,7 +254,7 @@ func (c SimConfig) RequiredGap(v float64) float64 {
 // configured pairwise unsafe set — the scored safety outcome, evaluated
 // on true states.  Under FixedGap it is exactly the car-following
 // Violation predicate.
-func (c SimConfig) GapViolation(pred, foll dynamics.State) bool {
+func (c *SimConfig) GapViolation(pred, foll dynamics.State) bool {
 	return pred.P-foll.P < c.RequiredGap(foll.V)
 }
 

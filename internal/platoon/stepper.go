@@ -79,8 +79,9 @@ type Stepper struct {
 	emerg func() float64
 	env   func() (float64, float64, bool)
 
-	t float64
-	k carfollow.Knowledge
+	t  float64
+	k  carfollow.Knowledge
+	si sim.StepInfo // invariant payload, refilled per link every step
 
 	dt       float64
 	maxSteps int
@@ -415,13 +416,14 @@ func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 			if l >= 1 {
 				a, em = st.fAcc[l+1], st.fEmerg[l+1]
 			}
-			si := sim.StepInfo{
+			si := &st.si
+			*si = sim.StepInfo{
 				T: t, Vehicle: l,
 				Ego: st.states[l+1], Other: st.states[l], OtherA: st.accels[l],
 				Est: links[l].est, Accel: a, Emergency: em,
 			}
 			if l == 0 && st.gs != nil {
-				st.gs.Annotate(&si, gres)
+				st.gs.Annotate(si, gres)
 			}
 			if ierr := sim.CheckStepInvariants(st.opts.Invariants, si); ierr != nil {
 				st.err = ierr

@@ -23,21 +23,25 @@ import (
 // pre-arena baseline was 25–70 allocations per episode.
 const episodeAllocBudget = 2
 
+// The gated episodes run with the campaigns' invariant sets attached, so
+// the per-step StepInfo handed to every checker is covered too: a payload
+// that escaped to the heap would cost one allocation per step.
 func TestEpisodeAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate is not meaningful with -short")
 	}
 	cfg := allocBenchConfig()
-	agent := consAgent(cfg)
+	agent := core.NewUltimate(cfg.Scenario, planner.ConservativeExpert(cfg.Scenario))
+	invs := []Invariant{NoCollision{}, SoundEstimate{}, EmergencyOneStep{Cfg: cfg.Scenario}, NewMonitorConsistency(cfg.Scenario)}
 	sh := NewScratch()
 	// Warm the arena: the first episode grows every pool to steady state.
-	if _, err := Run(cfg, agent, Options{Seed: 1, Scratch: sh}); err != nil {
+	if _, err := Run(cfg, agent, Options{Seed: 1, Scratch: sh, Invariants: invs}); err != nil {
 		t.Fatal(err)
 	}
 	seed := int64(0)
 	avg := testing.AllocsPerRun(10, func() {
 		seed++
-		if _, err := Run(cfg, agent, Options{Seed: seed, Scratch: sh}); err != nil {
+		if _, err := Run(cfg, agent, Options{Seed: seed, Scratch: sh, Invariants: invs}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -54,14 +58,15 @@ func TestMultiEpisodeAllocs(t *testing.T) {
 	cfg.Comms = allocBenchConfig().Comms
 	cfg.InfoFilter = true
 	agent := consMultiAgent(cfg)
+	invs := []Invariant{NoCollision{}, SoundEstimate{}, EmergencyOneStep{Cfg: cfg.Scenario}}
 	sh := NewScratch()
-	if _, err := RunMulti(cfg, agent, Options{Seed: 1, Scratch: sh}); err != nil {
+	if _, err := RunMulti(cfg, agent, Options{Seed: 1, Scratch: sh, Invariants: invs}); err != nil {
 		t.Fatal(err)
 	}
 	seed := int64(0)
 	avg := testing.AllocsPerRun(10, func() {
 		seed++
-		if _, err := RunMulti(cfg, agent, Options{Seed: seed, Scratch: sh}); err != nil {
+		if _, err := RunMulti(cfg, agent, Options{Seed: seed, Scratch: sh, Invariants: invs}); err != nil {
 			t.Fatal(err)
 		}
 	})

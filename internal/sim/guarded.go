@@ -7,6 +7,7 @@ import (
 	"safeplan/internal/faultinject"
 	"safeplan/internal/guard"
 	"safeplan/internal/telemetry"
+	"safeplan/internal/xrand"
 )
 
 // GuardedStep bundles one episode's planner-fault containment state: the
@@ -33,8 +34,8 @@ func NewGuardedStep(gcfg *guard.Config, fm faultinject.Model, lim dynamics.Limit
 	var gs GuardedStep
 	if fm != nil {
 		inj, err := faultinject.NewInjector(fm,
-			rand.New(rand.NewSource(master.Int63())),
-			rand.New(rand.NewSource(master.Int63())),
+			xrand.New(master.Int63()),
+			xrand.New(master.Int63()),
 		)
 		if err != nil {
 			return nil, err

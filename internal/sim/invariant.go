@@ -12,8 +12,9 @@ import (
 
 // StepInfo is the ground-truth plus estimate payload handed to invariant
 // checkers once per control step (per observed vehicle in the
-// multi-vehicle scenario).  It is passed by value, so checking never
-// allocates.
+// multi-vehicle scenario).  Each stepper fills one StepInfo it owns and
+// passes a pointer to it, so checking neither copies the payload per
+// checker nor allocates.
 type StepInfo struct {
 	// T is the simulation time of the step [s].
 	T float64
@@ -61,8 +62,9 @@ type Invariant interface {
 	// counters.
 	Name() string
 	// CheckStep inspects one control step; a non-nil error aborts the
-	// episode with a *ViolationError.
-	CheckStep(s StepInfo) error
+	// episode with a *ViolationError.  s is owned by the stepper and
+	// overwritten on its next step: read it, never retain or modify it.
+	CheckStep(s *StepInfo) error
 	// CheckEpisode inspects a finished episode's result.
 	CheckEpisode(r *Result) error
 }
@@ -89,7 +91,7 @@ func (e *ViolationError) Error() string {
 }
 
 // stepViolation builds a step-level ViolationError.
-func stepViolation(name string, s StepInfo, format string, args ...any) error {
+func stepViolation(name string, s *StepInfo, format string, args ...any) error {
 	return &ViolationError{Invariant: name, T: s.T, Detail: fmt.Sprintf(format, args...)}
 }
 
@@ -100,7 +102,7 @@ func episodeViolation(name, format string, args ...any) error {
 
 // CheckStepInvariants runs every checker against one step.  It is exported
 // for the sibling scenario packages' step loops (internal/carfollow).
-func CheckStepInvariants(invs []Invariant, s StepInfo) error {
+func CheckStepInvariants(invs []Invariant, s *StepInfo) error {
 	for _, inv := range invs {
 		if err := inv.CheckStep(s); err != nil {
 			return err
@@ -131,7 +133,7 @@ func (StepOnly) CheckEpisode(*Result) error { return nil }
 type EpisodeOnly struct{}
 
 // CheckStep implements Invariant.
-func (EpisodeOnly) CheckStep(StepInfo) error { return nil }
+func (EpisodeOnly) CheckStep(*StepInfo) error { return nil }
 
 // NoCollision asserts the paper's headline guarantee: a compound planner
 // never collides, so η ≥ 0 in every episode.  Attach it only to agents
@@ -160,7 +162,7 @@ type SoundEstimate struct{ StepOnly }
 func (SoundEstimate) Name() string { return "sound-estimate" }
 
 // CheckStep implements Invariant.
-func (c SoundEstimate) CheckStep(s StepInfo) error {
+func (c SoundEstimate) CheckStep(s *StepInfo) error {
 	if !s.Est.SoundP.Contains(s.Other.P) {
 		return stepViolation(c.Name(), s, "vehicle %d: true position %v outside sound interval %v",
 			s.Vehicle, s.Other.P, s.Est.SoundP)
@@ -210,7 +212,7 @@ type EmergencyOneStep struct {
 func (EmergencyOneStep) Name() string { return "emergency-one-step" }
 
 // CheckStep implements Invariant.
-func (c EmergencyOneStep) CheckStep(s StepInfo) error {
+func (c EmergencyOneStep) CheckStep(s *StepInfo) error {
 	if !s.Emergency {
 		return nil
 	}
@@ -267,7 +269,7 @@ func NewGuardConsistency(cfg leftturn.Config) GuardConsistency {
 func (GuardConsistency) Name() string { return "guard-consistency" }
 
 // CheckStep implements Invariant.
-func (c GuardConsistency) CheckStep(s StepInfo) error {
+func (c GuardConsistency) CheckStep(s *StepInfo) error {
 	if s.GuardFault == "" && s.GuardFallback == "" {
 		return nil // no guard, or clean pass-through
 	}
@@ -328,7 +330,7 @@ func NewMonitorConsistency(cfg leftturn.Config) MonitorConsistency {
 func (MonitorConsistency) Name() string { return "monitor-iff-boundary" }
 
 // CheckStep implements Invariant.
-func (c MonitorConsistency) CheckStep(s StepInfo) error {
+func (c MonitorConsistency) CheckStep(s *StepInfo) error {
 	est := leftturn.OncomingEstimate{
 		P: s.Est.SoundP, V: s.Est.SoundV,
 		PointP: s.Est.PointP, PointV: s.Est.PointV,

@@ -52,7 +52,8 @@ type MultiStepper struct {
 	emerg func() float64
 	env   func() (float64, float64, bool)
 
-	t float64
+	t  float64
+	si StepInfo // invariant payload, refilled per track every step
 
 	dt       float64
 	maxSteps int
@@ -310,12 +311,13 @@ func (st *MultiStepper) Step(in StepInput) (StepOutcome, error) {
 	if len(st.opts.Invariants) > 0 {
 		for i := range tracks {
 			tr := &tracks[i]
-			si := StepInfo{
+			si := &st.si
+			*si = StepInfo{
 				T: t, Vehicle: i, Ego: st.ego, Other: tr.state, OtherA: tr.accel,
 				Est: st.ests[i], Accel: a0, Emergency: emergency,
 			}
 			if st.gs != nil {
-				st.gs.Annotate(&si, gres)
+				st.gs.Annotate(si, gres)
 			}
 			if ierr := CheckStepInvariants(st.opts.Invariants, si); ierr != nil {
 				st.err = ierr

@@ -33,12 +33,6 @@ type Scratch struct {
 	rngs []*rand.Rand
 	nRng int
 
-	// Paired xrand sources and the rand.Rands wrapping them, for the
-	// batch-seeded derived streams (see XRands).  Reseeded in place every
-	// episode, so no per-use counter is needed.
-	xsrcs  []*xrand.Source
-	xrands []*rand.Rand
-
 	channels []*comms.Channel
 	nChan    int
 
@@ -92,11 +86,12 @@ func (s *Scratch) Begin() {
 }
 
 // RNG returns a rand.Rand seeded with seed — a pooled instance reseeded in
-// place when available, a fresh one otherwise.  Both produce the identical
-// stream.
+// place when available, a fresh one otherwise.  Both are xrand streams,
+// which seed fast and draw exactly what a math/rand source seeded with
+// seed would.
 func (s *Scratch) RNG(seed int64) *rand.Rand {
 	if s == nil {
-		return rand.New(rand.NewSource(seed))
+		return xrand.New(seed)
 	}
 	if s.nRng < len(s.rngs) {
 		r := s.rngs[s.nRng]
@@ -104,34 +99,10 @@ func (s *Scratch) RNG(seed int64) *rand.Rand {
 		r.Seed(seed)
 		return r
 	}
-	r := rand.New(rand.NewSource(seed))
+	r := xrand.New(seed)
 	s.rngs = append(s.rngs, r)
 	s.nRng++
 	return r
-}
-
-// XRands returns n paired xrand sources and the rand.Rands wrapping them,
-// growing the pool as needed.  Callers reseed the sources (typically one
-// xrand.SeedMany over all of them) before drawing from the wrappers; a
-// reseeded xrand.Source reproduces the exact stream of a freshly seeded
-// math/rand source, so the pooled and allocate-fresh paths stay
-// bit-identical.  Nil receivers allocate fresh pairs.
-func (s *Scratch) XRands(n int) ([]*xrand.Source, []*rand.Rand) {
-	if s == nil {
-		srcs := make([]*xrand.Source, n)
-		rngs := make([]*rand.Rand, n)
-		for i := range srcs {
-			srcs[i] = &xrand.Source{}
-			rngs[i] = rand.New(srcs[i])
-		}
-		return srcs, rngs
-	}
-	for len(s.xsrcs) < n {
-		src := &xrand.Source{}
-		s.xsrcs = append(s.xsrcs, src)
-		s.xrands = append(s.xrands, rand.New(src))
-	}
-	return s.xsrcs[:n], s.xrands[:n]
 }
 
 // Channel returns a channel configured like comms.NewChannel(cfg, rng),

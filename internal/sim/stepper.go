@@ -16,7 +16,6 @@ import (
 	"safeplan/internal/sensor"
 	"safeplan/internal/telemetry"
 	"safeplan/internal/traffic"
-	"safeplan/internal/xrand"
 )
 
 // StepInput carries externally streamed events into one control step of a
@@ -115,6 +114,7 @@ type Stepper struct {
 
 	t    float64
 	know core.Knowledge
+	si   StepInfo // invariant payload, refilled every step
 
 	dt       float64
 	maxSteps int
@@ -145,28 +145,17 @@ func NewStepper(cfg Config, agent core.Agent, opts Options) (*Stepper, error) {
 	st.reset(cfg, agent, opts)
 
 	master := sh.RNG(opts.Seed)
-	// Independent streams, seeded deterministically from the master — the
-	// seeds draw in the historical order (driver, channel, sensor, init,
-	// sensor-drop, then the disturbance stream last so legacy
-	// configurations keep their exact per-seed behaviour), but the derived
-	// sources seed together through xrand.SeedMany, which interleaves the
-	// generator warm-ups of the independent streams.  xrand.Source is a bit-exact
-	// math/rand replica, so every derived stream is byte-identical to the
-	// historical per-source reseed (the goldens and BENCH_seed pin this).
-	var seeds [6]int64
-	nStreams := 5
+	// Independent streams, seeded deterministically from the master in the
+	// historical order: driver, channel, sensor, init, sensor-drop, then
+	// the disturbance stream last so legacy configurations keep their
+	// exact per-seed behaviour.
+	driverRng := sh.RNG(master.Int63())
+	chanRng := sh.RNG(master.Int63())
+	sensRng := sh.RNG(master.Int63())
+	initRng := sh.RNG(master.Int63())
+	st.sensDropRng = sh.RNG(master.Int63())
 	if cfg.SensorDisturb != nil {
-		nStreams = 6
-	}
-	for i := 0; i < nStreams; i++ {
-		seeds[i] = master.Int63()
-	}
-	srcs, rngs := sh.XRands(nStreams)
-	xrand.SeedMany(srcs, seeds[:nStreams])
-	driverRng, chanRng, sensRng, initRng := rngs[0], rngs[1], rngs[2], rngs[3]
-	st.sensDropRng = rngs[4]
-	if cfg.SensorDisturb != nil {
-		st.sensProc = cfg.SensorDisturb.NewSensor(rngs[5])
+		st.sensProc = cfg.SensorDisturb.NewSensor(sh.RNG(master.Int63()))
 	}
 	// Planner-fault streams derive after the disturbance streams, under the
 	// same compatibility rule.
@@ -402,12 +391,13 @@ func (st *Stepper) Step(in StepInput) (StepOutcome, error) {
 		res.EmergencySteps++
 	}
 	if len(st.opts.Invariants) > 0 {
-		si := StepInfo{
+		si := &st.si
+		*si = StepInfo{
 			T: t, Ego: st.ego, Other: st.onc, OtherA: st.oncA,
 			Est: est, Accel: a0, Emergency: emergency,
 		}
 		if st.gs != nil {
-			st.gs.Annotate(&si, gres)
+			st.gs.Annotate(si, gres)
 		}
 		if ierr := CheckStepInvariants(st.opts.Invariants, si); ierr != nil {
 			st.err = ierr

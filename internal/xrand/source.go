@@ -1,19 +1,21 @@
 // Package xrand provides a bit-exact reimplementation of Go's math/rand
-// generator (the additive lagged-Fibonacci rngSource) whose seeding can be
-// batched: SeedMany initializes many independent sources in one pass,
-// interleaving their recurrence chains so the CPU pipelines them.
+// generator (the additive lagged-Fibonacci rngSource) whose seeding is
+// several times faster, and New, the constructor every random stream of
+// the stepping packages is built with.
 //
 // Why this exists: seeding one math/rand source walks a 607-entry bootstrap
-// recurrence — three serial modular multiplications per entry — and costs
-// ~10µs, which the profile shows is over half of a whole simulation episode.
-// The scalar left-turn stepper (sim.Stepper) is the consumer: it draws the
-// seeds of its five or six purpose-specific streams from the episode master
-// first, then seeds all of their sources through one SeedMany call, so the
-// independent chains overlap and the per-seed latency is hidden.  That is
-// only sound if a Source-backed *rand.Rand draws exactly what a
-// rand.NewSource-backed one would — hence the bit-exact replica, pinned by
-// TestSourceMatchesMathRand.
+// recurrence, x[n+1] = 48271·x[n] mod 2³¹−1, three serial Schrage steps per
+// entry, and costs ~12µs.  Every episode seeds eight or more streams, so
+// seeding dominated a stepper's set-up.  Source.Seed computes
+// each bootstrap position directly from the seed instead,
+// x[k] = x[0]·48271^k mod 2³¹−1, with the powers precomputed at init: the
+// three multiplications of an entry no longer depend on each other or on
+// the previous entry, so the CPU pipelines them.  That is only sound if a
+// Source-backed *rand.Rand draws exactly what a rand.NewSource-backed one
+// would — hence the bit-exact replica, pinned by TestSourceMatchesMathRand.
 package xrand
+
+import "math/rand"
 
 const (
 	rngLen   = 607
@@ -25,7 +27,7 @@ const (
 
 // Source is a drop-in rand.Source64 producing exactly the stream of
 // math/rand's rngSource for the same seed.  The zero value is not seeded;
-// call Seed (or NewSource / SeedMany) before drawing.
+// call Seed (or NewSource) before drawing.
 type Source struct {
 	tap  int
 	feed int
@@ -39,8 +41,14 @@ func NewSource(seed int64) *Source {
 	return s
 }
 
+// New returns a *rand.Rand drawing exactly the stream of
+// rand.New(rand.NewSource(seed)).  Reseeding it in place (rand.Rand.Seed)
+// reuses the Source and stays bit-identical to a fresh one.
+func New(seed int64) *rand.Rand { return rand.New(NewSource(seed)) }
+
 // seedrand advances the bootstrap recurrence x[n+1] = 48271·x[n] mod 2³¹−1
-// (Schrage's method, as in math/rand).
+// (Schrage's method, as in math/rand).  Only the init of jump and the
+// tests walk the chain serially.
 func seedrand(x int32) int32 {
 	const (
 		a = 48271
@@ -54,6 +62,36 @@ func seedrand(x int32) int32 {
 		x += int32max
 	}
 	return x
+}
+
+// jump[i][j] = 48271^(21+3i+j) mod 2³¹−1: the multiplier that carries the
+// normalized seed x[0] to the chain position rngSource.Seed reads for the
+// j-th part of bootstrap entry i (20 warm-up steps are discarded, then
+// every entry consumes three positions).
+var jump [rngLen][3]uint64
+
+func init() {
+	x := int32(1) // x[k] = 48271^k on the chain started at 1
+	for i := 0; i < 20; i++ {
+		x = seedrand(x)
+	}
+	for i := range jump {
+		for j := range jump[i] {
+			x = seedrand(x)
+			jump[i][j] = uint64(x)
+		}
+	}
+}
+
+// mulmod returns x·m mod 2³¹−1 for x, m in [1, 2³¹−2].  The product is
+// below 2⁶², and 2³¹ ≡ 1, so folding the high bits onto the low 31 twice
+// reduces it exactly: the first fold leaves at most 2³²−2, the second at
+// most 2³¹−1, and that value would mean x·m ≡ 0, impossible for a prime
+// modulus.  The result is the value Schrage's method produces.
+func mulmod(x, m uint64) int64 {
+	p := x * m
+	r := p&int32max + p>>31
+	return int64(r&int32max + r>>31)
 }
 
 // normSeed folds an arbitrary int64 seed into the generator's nonzero
@@ -70,22 +108,20 @@ func normSeed(seed int64) int32 {
 }
 
 // Seed initializes the generator to the deterministic state rand.NewSource
-// would produce for the same seed.
+// would produce for the same seed.  rngSource.Seed walks the chain
+// x[k+1] = 48271·x[k] mod 2³¹−1 from x[0] = normSeed(seed); since the
+// modulus is prime and x[0] ≠ 0, x[k] = x[0]·48271^k mod 2³¹−1 exactly,
+// and each entry here reads its three positions through jump.
 func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
-	x := normSeed(seed)
-	for i := -20; i < rngLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := int64(x) << 40
-			x = seedrand(x)
-			u ^= int64(x) << 20
-			x = seedrand(x)
-			u ^= int64(x)
-			u ^= rngCooked[i]
-			s.vec[i] = u
-		}
+	x := uint64(normSeed(seed))
+	for i := range s.vec {
+		m := &jump[i]
+		u := mulmod(x, m[0]) << 40
+		u ^= mulmod(x, m[1]) << 20
+		u ^= mulmod(x, m[2])
+		s.vec[i] = u ^ rngCooked[i]
 	}
 }
 
@@ -107,57 +143,4 @@ func (s *Source) Uint64() uint64 {
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)
-}
-
-// seedLanes is how many bootstrap chains SeedMany interleaves per block.
-// Each chain is a serial dependency of modular multiplications; eight
-// independent chains keep a wide core's multipliers busy without spilling
-// the live x values out of registers.
-const seedLanes = 8
-
-// SeedMany seeds dst[i] with seeds[i] for every i, producing states
-// identical to calling dst[i].Seed(seeds[i]) one by one, but several times
-// faster: the bootstrap chains of up to seedLanes sources advance in
-// lockstep inside one loop, so their serial multiply latencies overlap.
-// The two slices must have equal length.
-func SeedMany(dst []*Source, seeds []int64) {
-	if len(dst) != len(seeds) {
-		panic("xrand: SeedMany length mismatch")
-	}
-	for base := 0; base < len(dst); base += seedLanes {
-		k := len(dst) - base
-		if k > seedLanes {
-			k = seedLanes
-		}
-		if k == 1 {
-			dst[base].Seed(seeds[base])
-			continue
-		}
-		var x [seedLanes]int32
-		for j := 0; j < k; j++ {
-			s := dst[base+j]
-			s.tap = 0
-			s.feed = rngLen - rngTap
-			x[j] = normSeed(seeds[base+j])
-		}
-		// Bootstrap warm-up: the 20 discarded iterations of Seed's loop.
-		for i := 0; i < 20; i++ {
-			for j := 0; j < k; j++ {
-				x[j] = seedrand(x[j])
-			}
-		}
-		for i := 0; i < rngLen; i++ {
-			c := rngCooked[i]
-			for j := 0; j < k; j++ {
-				x0 := seedrand(x[j])
-				u := int64(x0) << 40
-				x1 := seedrand(x0)
-				u ^= int64(x1) << 20
-				x2 := seedrand(x1)
-				u ^= int64(x2)
-				x[j] = x2
-				dst[base+j].vec[i] = u ^ c
-			}
-		}
-	}
 }

@@ -24,7 +24,7 @@ func seedCases() []int64 {
 // seed, a Source produces exactly the Uint64/Int63 stream of
 // rand.NewSource, and a Source-backed *rand.Rand draws exactly the same
 // Float64/Int63n/NormFloat64 values.  Everything else in this package
-// (and the scalar stepper's seeding fast path) rests on this.
+// (and every random stream of the stepping packages) rests on this.
 func TestSourceMatchesMathRand(t *testing.T) {
 	for _, seed := range seedCases() {
 		ours := NewSource(seed)
@@ -52,61 +52,77 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestSeedManyMatchesSeed pins the batching law: SeedMany(dst, seeds) is
-// state-identical to seeding each source individually, for every block
-// size around the interleave width (1, partial block, exact block,
-// multiple blocks, ragged tail).
-func TestSeedManyMatchesSeed(t *testing.T) {
-	all := seedCases()
-	for _, n := range []int{1, 2, 5, 8, 9, 16, 24, 31, 64} {
-		seeds := all[:n]
-		batch := make([]*Source, n)
-		for i := range batch {
-			batch[i] = &Source{}
+// TestJumpMatchesSerialChain pins the jump-ahead table: jump[i][j] is the
+// position of seedrand's chain (started at 1, so x[k] = 48271^k) that the
+// serial bootstrap reads for part j of entry i — after the 20 discarded
+// warm-up steps, three steps per entry.
+func TestJumpMatchesSerialChain(t *testing.T) {
+	x := int32(1)
+	for i := -20; i < rngLen; i++ {
+		x = seedrand(x)
+		if i < 0 {
+			continue
 		}
-		SeedMany(batch, seeds)
-		for i, seed := range seeds {
-			want := NewSource(seed)
-			if *batch[i] != *want {
-				t.Fatalf("n=%d source %d (seed %d): SeedMany state differs from Seed", n, i, seed)
+		for j := 0; j < 3; j++ {
+			if j > 0 {
+				x = seedrand(x)
+			}
+			if got := jump[i][j]; got != uint64(x) {
+				t.Fatalf("jump[%d][%d] = %d, want chain position %d = %d", i, j, got, 21+3*i+j, x)
 			}
 		}
 	}
 }
 
-// TestSeedManyReseeds verifies SeedMany fully overwrites prior state, as
-// pooled steppers reseed the same sources episode after episode.
-func TestSeedManyReseeds(t *testing.T) {
-	srcs := []*Source{NewSource(1), NewSource(2), NewSource(3)}
-	for _, s := range srcs {
-		for i := 0; i < 17; i++ { // advance tap/feed off the seeded state
-			s.Uint64()
+// TestReseedInPlaceMatchesFresh pins the pooling law the stepping packages
+// rely on (sim.Scratch.RNG and comms.Channel.Reset reseed their streams in
+// place): a Source-backed *rand.Rand reseeded after partial draws — of
+// every draw kind, including the cached NormFloat64/Read paths — draws
+// exactly the stream of a fresh rand.NewSource.
+func TestReseedInPlaceMatchesFresh(t *testing.T) {
+	pooled := New(1)
+	buf := make([]byte, 3)
+	for _, seed := range seedCases() {
+		// Leave the pooled stream mid-flight: tap/feed off their seeded
+		// positions and a partially consumed Read value.
+		for i := 0; i < int(uint64(seed)%23); i++ {
+			pooled.Float64()
+			pooled.NormFloat64()
 		}
-	}
-	SeedMany(srcs, []int64{10, 11, 12})
-	for i, s := range srcs {
-		if want := NewSource(int64(10 + i)); *s != *want {
-			t.Fatalf("source %d: reseeded state differs from fresh Seed", i)
+		pooled.Read(buf)
+		pooled.Seed(seed)
+		ref := rand.New(rand.NewSource(seed))
+		for i := 0; i < 50; i++ {
+			if g, w := pooled.Float64(), ref.Float64(); g != w {
+				t.Fatalf("seed %d draw %d: Float64 = %v, want %v", seed, i, g, w)
+			}
+			if g, w := pooled.Int63n(1000), ref.Int63n(1000); g != w {
+				t.Fatalf("seed %d draw %d: Int63n = %d, want %d", seed, i, g, w)
+			}
+			if g, w := pooled.NormFloat64(), ref.NormFloat64(); g != w {
+				t.Fatalf("seed %d draw %d: NormFloat64 = %v, want %v", seed, i, g, w)
+			}
+		}
+		var gb, wb [5]byte
+		pooled.Read(gb[:])
+		ref.Read(wb[:])
+		if gb != wb {
+			t.Fatalf("seed %d: Read = %v, want %v", seed, gb, wb)
 		}
 	}
 }
 
-func BenchmarkSeedScalar(b *testing.B) {
+func BenchmarkSeed(b *testing.B) {
 	s := &Source{}
 	for i := 0; i < b.N; i++ {
 		s.Seed(int64(i))
 	}
 }
 
-func BenchmarkSeedMany8(b *testing.B) {
-	srcs := make([]*Source, 8)
-	seeds := make([]int64, 8)
-	for i := range srcs {
-		srcs[i] = &Source{}
-		seeds[i] = int64(i)
-	}
-	b.ResetTimer()
+// BenchmarkSeedMathRand is the reference cost Seed replaces.
+func BenchmarkSeedMathRand(b *testing.B) {
+	s := rand.NewSource(0)
 	for i := 0; i < b.N; i++ {
-		SeedMany(srcs, seeds)
+		s.Seed(int64(i))
 	}
 }

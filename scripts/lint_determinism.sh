@@ -8,7 +8,11 @@
 # This check fails when someone introduces
 #
 #   - a math/rand *global* call (rand.Float64(), rand.Int63(), ...) —
-#     global streams are shared mutable state and break seed pairing; or
+#     global streams are shared mutable state and break seed pairing;
+#   - a rand.NewSource call — math/rand's seeding costs ~12µs per stream
+#     and dominated stepper set-up; streams are built with
+#     xrand.New (or sim.Scratch.RNG), which draws the identical stream
+#     and seeds several times faster; or
 #   - a new time.Now in the stepping packages beyond the four known
 #     telemetry latency probes (sim/stepper.go, sim/multistepper.go,
 #     carfollow/stepper.go and platoon/stepper.go, each behind a
@@ -27,13 +31,22 @@ TIME_NOW_BUDGET=4
 fail=0
 
 # Global math/rand calls: rand.X( where X is an exported identifier, minus
-# the constructors (rand.New, rand.NewSource) used to build explicit
-# streams.  Method calls on instances (rng.Float64()) do not match.
+# the constructors (rand.New wraps explicit streams; rand.NewSource has
+# its own check below).  Method calls on instances (rng.Float64()) do not
+# match.
 globals=$(grep -rnE '\brand\.[A-Z][A-Za-z]*\(' $PKGS --include='*.go' \
 	| grep -v _test.go | grep -vE 'rand\.(New|NewSource)\(' || true)
 if [ -n "$globals" ]; then
 	echo "lint-determinism: global math/rand calls in stepping packages:" >&2
 	echo "$globals" >&2
+	fail=1
+fi
+
+# math/rand seeding: every stream goes through internal/xrand.
+seeders=$(grep -rn 'rand\.NewSource(' $PKGS --include='*.go' | grep -v _test.go || true)
+if [ -n "$seeders" ]; then
+	echo "lint-determinism: rand.NewSource in stepping packages (use xrand.New):" >&2
+	echo "$seeders" >&2
 	fail=1
 fi
 
