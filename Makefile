@@ -10,20 +10,21 @@ test: build
 	$(GO) test ./...
 
 # Full gate: vet + the whole suite under the race detector (includes the
-# concurrent-campaign telemetry tests), then the golden-trace regression,
+# concurrent-campaign telemetry tests), then the golden-trace regressions
+# (left turn, car following, platoon),
 # the guarded-planner fuzz seed corpus, and a short fuzzing smoke pass
 # over the safety invariants.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run TestGolden ./internal/sim
+	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon
 	$(GO) test -run FuzzGuardedPlanner ./internal/sim
 	$(GO) test -run FuzzIBPContainment ./internal/nn/ibp
 	$(MAKE) fuzz-smoke
 
 # Re-bless the golden traces after an intentional behaviour change.
 golden:
-	$(GO) test -run TestGolden ./internal/sim -update
+	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon -update
 
 # Short fuzzing pass: ~20s per safety target.  The full corpus grows under
 # `go test -fuzz <Target> <pkg>` without a -fuzztime bound.
@@ -44,8 +45,8 @@ lint-extra:
 	@command -v govulncheck >/dev/null 2>&1 && govulncheck ./... || echo "govulncheck not installed; skipping"
 
 # Allocation-regression gate: a warmed scratch arena must keep the episode
-# hot path of all four engines (left turn, multi-vehicle, car following,
-# platoon) allocation-free with their campaign invariant sets attached
+# hot path of all four scenarios (left turn, multi-vehicle, and car
+# following and the platoon on the shared chain engine) allocation-free with their campaign invariant sets attached
 # (budget in internal/sim/alloc_test.go), the arena path must stay
 # bit-identical to the allocate-per-episode path, and an IBP propagation
 # with a reused scratch must not allocate.

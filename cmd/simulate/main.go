@@ -27,6 +27,7 @@ import (
 	"log"
 	"os"
 
+	"safeplan/internal/campaign"
 	"safeplan/internal/comms"
 	"safeplan/internal/core"
 	"safeplan/internal/disturb"
@@ -157,11 +158,11 @@ func main() {
 		if coll != nil {
 			c = coll
 		}
-		rs, err := sim.RunCampaign(cfg, agent, *episodes, sim.CampaignOptions{
+		rs, err := sim.RunCampaign(*episodes, sim.CampaignOptions{
 			Options:  sim.Options{Collector: c},
 			BaseSeed: *seed,
 			Workers:  *workers,
-		})
+		}, campaign.LeftTurn(cfg, agent))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,6 +25,8 @@ const DefaultShards = 64
 // runner fills in Seed, Collector, and Invariants).  The scenario
 // adapters — LeftTurn, MultiVehicle, CarFollow, Platoon — wrap the
 // engine's episode runners; custom workloads can supply their own.
+// sim.RunCampaign takes the same shape, so the adapters serve both
+// campaign runners.
 type EpisodeFunc func(opts sim.Options) (sim.Result, error)
 
 // LeftTurn adapts the single-vehicle left-turn runner.  The agent is

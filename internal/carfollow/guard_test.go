@@ -18,14 +18,14 @@ func TestGuardedCampaignParity(t *testing.T) {
 	cfg := simCfg()
 	cfg.InfoFilter = true
 	agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
-	plain, err := RunCampaign(cfg, agent, episodes, sim.CampaignOptions{BaseSeed: 7})
+	plain, err := sim.RunCampaign(episodes, sim.CampaignOptions{BaseSeed: 7}, episodeFunc(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	gc := guard.DefaultConfig(cfg.Scenario.Ego)
 	cfg.Guard = &gc
-	a, err := RunCampaign(cfg, agent, episodes, sim.CampaignOptions{BaseSeed: 7})
+	a, err := sim.RunCampaign(episodes, sim.CampaignOptions{BaseSeed: 7}, episodeFunc(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}

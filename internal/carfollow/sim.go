@@ -3,7 +3,6 @@ package carfollow
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"safeplan/internal/comms"
 	"safeplan/internal/disturb"
@@ -151,40 +150,5 @@ func RunEpisode(cfg SimConfig, agent Agent, opts sim.Options) (sim.Result, error
 	if err != nil {
 		return sim.Result{}, err
 	}
-	for {
-		out, err := st.Step(sim.StepInput{})
-		if err != nil || out.Done {
-			return st.Finish()
-		}
-	}
-}
-
-// RunCampaign simulates n seed-paired car-following episodes with the
-// shared campaign options (worker bound, telemetry collector).
-func RunCampaign(cfg SimConfig, agent Agent, n int, o sim.CampaignOptions) ([]sim.Result, error) {
-	if o.Workers < 0 {
-		return nil, fmt.Errorf("carfollow: worker count %d must be >= 1 (0 selects GOMAXPROCS)", o.Workers)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("carfollow: non-positive episode count %d", n)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	results := make([]sim.Result, n)
-	errs := make([]error, n)
-	var done atomic.Int64
-	scratches := sim.NewWorkerScratches(o.Workers, n)
-	sim.ParallelForWorkersScoped(o.Workers, n, func(w, i int) {
-		results[i], errs[i] = RunEpisode(cfg, agent, o.EpisodeOptions(i, scratches[w]))
-		if o.Collector != nil {
-			o.Collector.OnProgress(done.Add(1), int64(n))
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("carfollow: episode %d: %w", i, err)
-		}
-	}
-	return results, nil
+	return st.Run()
 }

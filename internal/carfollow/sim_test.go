@@ -12,6 +12,11 @@ import (
 	"safeplan/internal/sim"
 )
 
+// episodeFunc adapts RunEpisode to sim.RunCampaign's episode func.
+func episodeFunc(cfg SimConfig, agent Agent) func(sim.Options) (sim.Result, error) {
+	return func(o sim.Options) (sim.Result, error) { return RunEpisode(cfg, agent, o) }
+}
+
 func simCfg() SimConfig { return DefaultSimConfig() }
 
 func TestSimValidate(t *testing.T) {
@@ -125,13 +130,13 @@ func TestUltimateFasterThanBasic(t *testing.T) {
 	cfg := simCfg()
 	cfg.Comms = comms.Delayed(0.25, 0.5)
 	const n = 60
-	basicRs, err := RunCampaign(cfg, NewBasic(cfg.Scenario, AggressiveExpert(cfg.Scenario)), n, sim.CampaignOptions{BaseSeed: 100})
+	basicRs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: 100}, episodeFunc(cfg, NewBasic(cfg.Scenario, AggressiveExpert(cfg.Scenario))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ultCfg := cfg
 	ultCfg.InfoFilter = true
-	ultRs, err := RunCampaign(ultCfg, NewUltimate(ultCfg.Scenario, AggressiveExpert(ultCfg.Scenario)), n, sim.CampaignOptions{BaseSeed: 100})
+	ultRs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: 100}, episodeFunc(ultCfg, NewUltimate(ultCfg.Scenario, AggressiveExpert(ultCfg.Scenario))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +152,7 @@ func TestUltimateFasterThanBasic(t *testing.T) {
 func TestRunCampaignPairsSeeds(t *testing.T) {
 	cfg := simCfg()
 	agent := &Pure{Cfg: cfg.Scenario, Planner: ConservativeExpert(cfg.Scenario)}
-	rs, err := RunCampaign(cfg, agent, 5, sim.CampaignOptions{BaseSeed: 30})
+	rs, err := sim.RunCampaign(5, sim.CampaignOptions{BaseSeed: 30}, episodeFunc(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +165,7 @@ func TestRunCampaignPairsSeeds(t *testing.T) {
 			t.Fatalf("episode %d differs from direct run", i)
 		}
 	}
-	if _, err := RunCampaign(cfg, agent, 0, sim.CampaignOptions{}); err == nil {
+	if _, err := sim.RunCampaign(0, sim.CampaignOptions{}, episodeFunc(cfg, agent)); err == nil {
 		t.Fatal("zero episodes accepted")
 	}
 }
@@ -210,11 +215,11 @@ func TestRunCampaignDeterministic(t *testing.T) {
 	cfg.SensorDisturb = disturb.BiasDrift{Max: 1, Period: 12}
 	cfg.InfoFilter = true
 	agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
-	a, err := RunCampaign(cfg, agent, 24, sim.CampaignOptions{BaseSeed: 7})
+	a, err := sim.RunCampaign(24, sim.CampaignOptions{BaseSeed: 7}, episodeFunc(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampaign(cfg, agent, 24, sim.CampaignOptions{BaseSeed: 7})
+	b, err := sim.RunCampaign(24, sim.CampaignOptions{BaseSeed: 7}, episodeFunc(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +240,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	cfg.SensorDisturb = disturb.SensorDropout{PGoodBad: 0.04, PBadGood: 0.15, DropBad: 0.95}
 	run := func(workers int) []sim.Result {
 		agent := NewBasic(cfg.Scenario, ConservativeExpert(cfg.Scenario))
-		rs, err := RunCampaign(cfg, agent, 24, sim.CampaignOptions{BaseSeed: 7, Workers: workers})
+		rs, err := sim.RunCampaign(24, sim.CampaignOptions{BaseSeed: 7, Workers: workers}, episodeFunc(cfg, agent))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"safeplan/internal/campaign"
 	"safeplan/internal/core"
 	"safeplan/internal/eval"
 	"safeplan/internal/monitor"
@@ -67,7 +68,7 @@ func Ablations(pl Planners, n int, seed int64) ([]AblationRow, error) {
 
 	var rows []AblationRow
 	for _, v := range variants {
-		rs, err := sim.RunCampaign(v.cfg, v.agent, n, sim.CampaignOptions{BaseSeed: seed})
+		rs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: seed}, campaign.LeftTurn(v.cfg, v.agent))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation %s: %w", v.name, err)
 		}

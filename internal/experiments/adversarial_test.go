@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"safeplan/internal/campaign"
 	"safeplan/internal/core"
 	"safeplan/internal/sim"
 )
@@ -56,7 +57,7 @@ func TestAdversarialSafetyInvariant(t *testing.T) {
 				ultCfg := adversarialSim(s)
 				ultCfg.InfoFilter = true
 				ult := core.NewUltimate(ultCfg.Scenario, pl.Pick(kind))
-				rs, err := sim.RunCampaign(ultCfg, ult, episodes, sim.CampaignOptions{BaseSeed: testSeed})
+				rs, err := sim.RunCampaign(episodes, sim.CampaignOptions{BaseSeed: testSeed}, campaign.LeftTurn(ultCfg, ult))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +73,7 @@ func TestAdversarialSafetyInvariant(t *testing.T) {
 				// threading.
 				basicCfg := adversarialSim(s)
 				basic := core.NewBasic(basicCfg.Scenario, pl.Pick(kind))
-				rs, err = sim.RunCampaign(basicCfg, basic, episodes, sim.CampaignOptions{BaseSeed: testSeed})
+				rs, err = sim.RunCampaign(episodes, sim.CampaignOptions{BaseSeed: testSeed}, campaign.LeftTurn(basicCfg, basic))
 				if err != nil {
 					t.Fatal(err)
 				}

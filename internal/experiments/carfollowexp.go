@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"safeplan/internal/campaign"
 	"safeplan/internal/carfollow"
 	"safeplan/internal/eval"
 	"safeplan/internal/sim"
@@ -47,7 +48,7 @@ func CarFollowTable(n int, seed int64) ([]CarFollowRow, error) {
 		for _, d := range designs {
 			cfg := base
 			cfg.InfoFilter = d.info
-			rs, err := carfollow.RunCampaign(cfg, d.agent, n, sim.CampaignOptions{BaseSeed: seed})
+			rs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: seed}, campaign.CarFollow(cfg, d.agent))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: carfollow %s/%s: %w", s.Name, d.label, err)
 			}

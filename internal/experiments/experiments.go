@@ -15,6 +15,7 @@ import (
 	"math"
 	"path/filepath"
 
+	"safeplan/internal/campaign"
 	"safeplan/internal/comms"
 	"safeplan/internal/core"
 	"safeplan/internal/eval"
@@ -174,7 +175,7 @@ func Table(kind PlannerKind, pl Planners, n int, seed int64) ([]TableRow, error)
 		stats := make([]eval.Stats, 3)
 		ags := agents(base.Scenario, p, base)
 		for i, ag := range ags {
-			rs, err := sim.RunCampaign(ag.Cfg, ag.Agent, n, sim.CampaignOptions{BaseSeed: seed})
+			rs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: seed}, campaign.LeftTurn(ag.Cfg, ag.Agent))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%s: %w", s.Name, ag.Label, err)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"safeplan/internal/campaign"
 	"safeplan/internal/carfollow"
 	"safeplan/internal/comms"
 	"safeplan/internal/disturb"
@@ -77,7 +78,7 @@ func PlatoonTable(n int, seed int64) ([]PlatoonRow, error) {
 	for _, e := range entries {
 		sc := e.cfg.LinkScenario()
 		agent := carfollow.NewUltimate(sc, carfollow.AggressiveExpert(sc))
-		rs, err := platoon.RunCampaign(e.cfg, agent, n, sim.CampaignOptions{BaseSeed: seed})
+		rs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: seed}, campaign.Platoon(e.cfg, agent))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: platoon %s: %w", e.label, err)
 		}

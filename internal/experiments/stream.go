@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"safeplan/internal/campaign"
 	"safeplan/internal/core"
 	"safeplan/internal/eval"
 	"safeplan/internal/sim"
@@ -54,7 +55,7 @@ func StreamTable(pl Planners, n int, seed int64) ([]StreamRow, error) {
 		for _, d := range designs {
 			cfg := base
 			cfg.InfoFilter = d.info
-			rs, err := sim.RunMultiCampaign(cfg, d.agent, n, sim.CampaignOptions{BaseSeed: seed})
+			rs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: seed}, campaign.MultiVehicle(cfg, d.agent))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: stream %d/%s: %w", vehicles, d.label, err)
 			}

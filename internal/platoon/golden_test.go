@@ -89,11 +89,11 @@ func goldenChainTrace(t *testing.T, cfg SimConfig) []byte {
 		if out.Step%10 == 0 || out.Done {
 			row := goldenChainRow{
 				Step: out.Step, T: out.T,
-				P:    make([]float64, len(st.states)),
-				V:    make([]float64, len(st.states)),
+				P:    make([]float64, len(st.States())),
+				V:    make([]float64, len(st.States())),
 				EgoA: out.Accel, Emergency: out.Emergency,
 			}
-			for i, s := range st.states {
+			for i, s := range st.States() {
 				row.P[i], row.V[i] = s.P, s.V
 			}
 			g.Rows = append(g.Rows, row)

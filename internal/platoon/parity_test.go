@@ -54,11 +54,13 @@ func parityCases(t *testing.T) []struct {
 	}
 }
 
-// TestTwoVehicleByteParity is the tentpole differential gate: a
-// two-vehicle platoon must reproduce the car-following episode byte for
-// byte at matched config and seed — full Result including the trace —
-// under every disturbance shape, on both the fresh and the pooled-arena
-// paths.
+// TestTwoVehicleByteParity is the differential gate: a two-vehicle
+// platoon must reproduce the car-following episode byte for byte at
+// matched config and seed — full Result including the trace — under
+// every disturbance shape, on both the fresh and the pooled-arena paths.
+// Both scenarios run on the one chain engine, so this pins that a
+// two-vehicle SimConfig resolves to the car-following chain; the
+// car-following goldens pin the episode bytes themselves.
 func TestTwoVehicleByteParity(t *testing.T) {
 	reused := sim.NewScratch()
 	for _, tc := range parityCases(t) {

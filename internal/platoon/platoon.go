@@ -22,9 +22,13 @@
 // The unsafe set is pairwise: every gap p_ℓ − p_{ℓ+1} must stay at or
 // above the scenario's PGap (FixedGap, the paper's §II-A set), or — as a
 // config switch — above the ReachMM ACC time-gap requirement
-// DDefault + TGap·v_follower (TimeGap).  A two-vehicle platoon under
-// FixedGap reproduces the car-following episode byte for byte at matched
-// config and seed; the differential test pins this.
+// DDefault + TGap·v_follower (TimeGap).
+//
+// The package holds no engine of its own.  NewStepper resolves a
+// SimConfig to a carfollow.Chain and runs it on the one stop-and-go chain
+// engine, carfollow.Stepper, whose two-vehicle case is car following; a
+// two-vehicle platoon under FixedGap therefore is the car-following
+// episode, which the differential test pins at matched config and seed.
 package platoon
 
 import (
@@ -208,8 +212,7 @@ func (c SimConfig) spacing() float64 {
 }
 
 // dDefault and tGap resolve the TimeGap constants.  They, RequiredGap and
-// GapViolation take pointer receivers: the stepper evaluates the gap
-// predicate for every link every step, and a value receiver would copy
+// GapViolation take pointer receivers, so a per-step caller does not copy
 // the whole SimConfig each time.
 func (c *SimConfig) dDefault() float64 {
 	if c.DDefault > 0 {
@@ -253,23 +256,8 @@ func (c *SimConfig) RequiredGap(v float64) float64 {
 // GapViolation reports whether the pair (pred, foll) violates the
 // configured pairwise unsafe set — the scored safety outcome, evaluated
 // on true states.  Under FixedGap it is exactly the car-following
-// Violation predicate.
+// Violation predicate; the engine scores it through the resolved
+// Chain's TGap (TestEngineScoresGapViolation).
 func (c *SimConfig) GapViolation(pred, foll dynamics.State) bool {
 	return pred.P-foll.P < c.RequiredGap(foll.V)
-}
-
-// linkComms returns link ℓ's channel configuration.
-func (c SimConfig) linkComms(l int) comms.Config {
-	if len(c.LinkComms) > 0 {
-		return c.LinkComms[l]
-	}
-	return c.Comms
-}
-
-// linkSensorDisturb returns link ℓ's sensing-fault model (possibly nil).
-func (c SimConfig) linkSensorDisturb(l int) disturb.SensorModel {
-	if len(c.LinkSensorDisturb) > 0 {
-		return c.LinkSensorDisturb[l]
-	}
-	return c.SensorDisturb
 }

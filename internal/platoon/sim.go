@@ -1,55 +1,46 @@
 package platoon
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"safeplan/internal/carfollow"
 	"safeplan/internal/sim"
 )
 
+// NewStepper validates cfg and builds the shared stop-and-go chain engine
+// (carfollow.Stepper) over the resolved chain, positioned before step 0.
+// The engine's monitors run on cfg.LinkScenario() and it scores the gap
+// requirement of cfg.Spec.
+func NewStepper(cfg SimConfig, agent carfollow.Agent, opts sim.Options) (*carfollow.Stepper, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cf := cfg.SimConfig
+	cf.Scenario = cfg.LinkScenario()
+	fg := cfg.Follow.fill()
+	ch := carfollow.Chain{
+		Vehicles:          cfg.Vehicles,
+		Spacing:           cfg.spacing(),
+		LinkComms:         cfg.LinkComms,
+		LinkSensorDisturb: cfg.LinkSensorDisturb,
+		Follower: carfollow.Expert{
+			Cfg:     cf.Scenario,
+			Headway: fg.Headway, Buffer: fg.Buffer,
+			GainGap: fg.GainGap, GainSpeed: fg.GainSpeed,
+			Label: "platoon-follower",
+		},
+	}
+	if cfg.Spec == TimeGap {
+		ch.TGap = cfg.tGap()
+	}
+	return carfollow.NewChainStepper(cf, ch, agent, opts)
+}
+
 // RunEpisode simulates one platoon episode under the shared episode
-// options (trace recording, telemetry collector).  Like carfollow's
-// RunEpisode it is a thin closed loop over the resumable Stepper engine.
+// options (trace recording, telemetry collector) through the same closed
+// loop as carfollow.RunEpisode.
 func RunEpisode(cfg SimConfig, agent carfollow.Agent, opts sim.Options) (sim.Result, error) {
 	st, err := NewStepper(cfg, agent, opts)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	for {
-		out, err := st.Step(sim.StepInput{})
-		if err != nil || out.Done {
-			return st.Finish()
-		}
-	}
-}
-
-// RunCampaign simulates n seed-paired platoon episodes with the shared
-// campaign options (worker bound, telemetry collector).
-func RunCampaign(cfg SimConfig, agent carfollow.Agent, n int, o sim.CampaignOptions) ([]sim.Result, error) {
-	if o.Workers < 0 {
-		return nil, fmt.Errorf("platoon: worker count %d must be >= 1 (0 selects GOMAXPROCS)", o.Workers)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("platoon: non-positive episode count %d", n)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	results := make([]sim.Result, n)
-	errs := make([]error, n)
-	var done atomic.Int64
-	scratches := sim.NewWorkerScratches(o.Workers, n)
-	sim.ParallelForWorkersScoped(o.Workers, n, func(w, i int) {
-		results[i], errs[i] = RunEpisode(cfg, agent, o.EpisodeOptions(i, scratches[w]))
-		if o.Collector != nil {
-			o.Collector.OnProgress(done.Add(1), int64(n))
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("platoon: episode %d: %w", i, err)
-		}
-	}
-	return results, nil
+	return st.Run()
 }

@@ -13,6 +13,11 @@ import (
 
 // ultimate builds the NN-slot compound agent against the effective link
 // scenario (so TimeGap configs monitor on the DDefault floor).
+// episodeFunc adapts RunEpisode to sim.RunCampaign's episode func.
+func episodeFunc(cfg SimConfig, agent carfollow.Agent) func(sim.Options) (sim.Result, error) {
+	return func(o sim.Options) (sim.Result, error) { return RunEpisode(cfg, agent, o) }
+}
+
 func ultimate(cfg SimConfig) carfollow.Agent {
 	sc := cfg.LinkScenario()
 	return carfollow.NewUltimate(sc, carfollow.AggressiveExpert(sc))
@@ -205,6 +210,47 @@ func TestTimeGapSpec(t *testing.T) {
 	}
 }
 
+// TestEngineScoresGapViolation pins the engine's per-step collision
+// scoring to GapViolation, the reference predicate, under both gap
+// specifications: a step is scored a collision exactly when some link
+// violates it on the post-step true states.
+func TestEngineScoresGapViolation(t *testing.T) {
+	for _, spec := range []GapSpec{FixedGap, TimeGap} {
+		cfg := DefaultSimConfig()
+		cfg.Spec = spec
+		cfg.Comms = comms.Delayed(0.25, 0.5)
+		sc := cfg.LinkScenario()
+		agent := carfollow.NewUltimate(sc, carfollow.AggressiveExpert(sc))
+		collided := 0
+		for seed := int64(0); seed < 6; seed++ {
+			st, err := NewStepper(cfg, agent, sim.Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !st.Done() {
+				out, err := st.Step(sim.StepInput{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				states, violated := st.States(), false
+				for l := 0; l+1 < len(states); l++ {
+					violated = violated || cfg.GapViolation(states[l], states[l+1])
+				}
+				if out.Collided != violated {
+					t.Fatalf("spec %d seed %d step %d: scored collision %v, GapViolation %v",
+						spec, seed, out.Step, out.Collided, violated)
+				}
+			}
+			if res, _ := st.Finish(); res.Collided {
+				collided++
+			}
+		}
+		if spec == TimeGap && collided == 0 {
+			t.Fatal("no time-gap breach scored — the speed term is not exercised")
+		}
+	}
+}
+
 // TestCampaignDeterministicAcrossWorkers: the worker count must not leak
 // into any platoon episode's random streams.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
@@ -219,7 +265,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	cfg.SensorDisturb = disturb.SensorDropout{PGoodBad: 0.04, PBadGood: 0.15, DropBad: 0.95}
 	agent := ultimate(cfg)
 	run := func(workers int) string {
-		rs, err := RunCampaign(cfg, agent, 24, sim.CampaignOptions{BaseSeed: 7, Workers: workers})
+		rs, err := sim.RunCampaign(24, sim.CampaignOptions{BaseSeed: 7, Workers: workers}, episodeFunc(cfg, agent))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Package serve hosts the compound planner as a long-running streaming
 // service: many concurrent vehicle *sessions*, each a resumable episode
-// engine (sim.Stepper, sim.MultiStepper, or carfollow.Stepper) fed by
-// streamed V2V/sensor events over a line-delimited JSON protocol.
+// engine (sim.Stepper, sim.MultiStepper, or carfollow.Stepper — the
+// stop-and-go chain engine, run as its two-vehicle car-following case)
+// fed by streamed V2V/sensor events over a line-delimited JSON protocol.
 //
 // Ownership model: sessions are sharded by SID hash across a fixed pool
 // of worker goroutines.  All engine access happens on the owning shard's
@@ -145,6 +146,10 @@ type Server struct {
 	live     atomic.Int64
 	peak     atomic.Int64
 	draining atomic.Bool
+	// answering counts teardowns still writing their answers.  It rises
+	// before live falls, so Shutdown, which waits for both to reach zero,
+	// never closes a connection under an answer in flight.
+	answering atomic.Int64
 
 	opened   atomic.Int64
 	closed   atomic.Int64
@@ -289,7 +294,8 @@ func (s *Server) Addr() net.Addr {
 // Shutdown drains the server gracefully: new session opens are rejected
 // with ReasonDraining (and /healthz flips to 503 so orchestrators stop
 // routing here), while live sessions keep stepping until they close,
-// finish, or are reaped.  Once no session remains — or the deadline
+// finish, or are reaped.  Once no session remains and every close answer
+// has been written — or the deadline
 // passes with sessions still live — the server closes hard and the
 // final Stats snapshot is returned for a last metrics flush.  A zero or
 // negative deadline closes immediately after the drain flag is up.
@@ -300,7 +306,7 @@ func (s *Server) Shutdown(deadline time.Duration) (Stats, error) {
 	s.draining.Store(true)
 	waited := time.Duration(0)
 	const poll = 10 * time.Millisecond
-	for waited < deadline && s.live.Load() > 0 {
+	for waited < deadline && (s.live.Load() > 0 || s.answering.Load() > 0) {
 		time.Sleep(poll)
 		waited += poll
 	}
@@ -686,8 +692,10 @@ func (sh *shard) process(sess *session, env envelope) {
 			sh.free = append(sh.free, scratch)
 			// Tear down before answering, so a client that sees the
 			// rejection also sees the admission slot released.
+			srv.answering.Add(1)
 			sh.teardown(sess, nil, &srv.closed)
 			srv.reject(env.w, req, ReasonBadRequest, err.Error())
+			srv.answering.Add(-1)
 			return
 		}
 		sess.eng = eng
@@ -761,19 +769,26 @@ func (sh *shard) settle(sess *session) {
 }
 
 // teardown retires a session on the worker: deregister, settle the
-// episode (a mid-episode close yields the partial result), answer the
-// close request, flush stragglers with ReasonSessionClosed, and recycle
-// the scratch arena.  On a session already torn down (a failed open, or a
-// close or reap that raced the first teardown) it only answers the close
-// with ReasonSessionClosed, so nothing is released or counted twice.
+// episode (a mid-episode close yields the partial result), recycle the
+// scratch arena, count the session retired and free its admission slot,
+// then answer the close request and flush stragglers with
+// ReasonSessionClosed.  Counting comes first, so a client that reads the
+// close answer also reads the retirement in Stats; the answering count
+// spans the writes, so Shutdown waits for them.  On a session already
+// torn down (a failed open, or a close or reap that raced the first
+// teardown) it only answers the close with ReasonSessionClosed, so
+// nothing is released or counted twice.
 func (sh *shard) teardown(sess *session, closeEnv *envelope, counter *atomic.Int64) {
+	srv := sh.srv
+	srv.answering.Add(1)
+	defer srv.answering.Add(-1)
 	sess.mu.Lock()
 	dead := sess.closed
 	sess.closed = true
 	sess.mu.Unlock()
 	if dead {
 		if closeEnv != nil {
-			sh.srv.reject(closeEnv.w, closeEnv.req, ReasonSessionClosed, "session closed")
+			srv.reject(closeEnv.w, closeEnv.req, ReasonSessionClosed, "session closed")
 		}
 		return
 	}
@@ -784,6 +799,14 @@ func (sh *shard) teardown(sess *session, closeEnv *envelope, counter *atomic.Int
 	if sess.eng != nil {
 		sh.settle(sess)
 	}
+	if sess.scratch != nil {
+		sh.free = append(sh.free, sess.scratch)
+		sess.scratch = nil
+	}
+	sess.eng = nil
+	counter.Add(1)
+	srv.live.Add(-1)
+
 	if closeEnv != nil {
 		resp := Response{SID: sess.id, Op: OpClose, OK: true, Result: sess.result}
 		if sess.engErr != nil {
@@ -791,18 +814,12 @@ func (sh *shard) teardown(sess *session, closeEnv *envelope, counter *atomic.Int
 		}
 		closeEnv.w.send(resp)
 	}
+	// closed is set, so no envelope can land in the mailbox any more.
 	for {
 		select {
 		case env := <-sess.mailbox:
-			sh.srv.reject(env.w, env.req, ReasonSessionClosed, "session closed")
+			srv.reject(env.w, env.req, ReasonSessionClosed, "session closed")
 		default:
-			if sess.scratch != nil {
-				sh.free = append(sh.free, sess.scratch)
-				sess.scratch = nil
-			}
-			sess.eng = nil
-			counter.Add(1)
-			sh.srv.live.Add(-1)
 			return
 		}
 	}

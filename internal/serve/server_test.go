@@ -117,6 +117,30 @@ func TestOpenStepCloseLifecycle(t *testing.T) {
 	}
 }
 
+// TestStatsSettledAtCloseReply pins the teardown order: a client that
+// has read a close answer must already see the session counted closed
+// and its admission slot free in Stats.  Run it with -race -count=200 to
+// shake out interleavings.
+func TestStatsSettledAtCloseReply(t *testing.T) {
+	srv, addr := newTestServer(t, Config{Shards: 2, MaxSessions: 1})
+	cl := dialTest(t, addr)
+	for i := 0; i < 20; i++ {
+		sid := "s" + strconv.Itoa(i)
+		if resp := cl.do(Request{Op: OpOpen, SID: sid, Seed: int64(i)}); !resp.OK {
+			t.Fatalf("open %s: %+v", sid, resp)
+		}
+		if resp := cl.do(Request{Op: OpStep, SID: sid, Steps: 3}); !resp.OK {
+			t.Fatalf("step %s: %+v", sid, resp)
+		}
+		if resp := cl.do(Request{Op: OpClose, SID: sid}); !resp.OK {
+			t.Fatalf("close %s: %+v", sid, resp)
+		}
+		if st := srv.Stats(); st.SessionsClosed != int64(i+1) || st.LiveSessions != 0 {
+			t.Fatalf("stats right after closing %s: %+v", sid, st)
+		}
+	}
+}
+
 func TestCloseMidEpisodeYieldsPartialResult(t *testing.T) {
 	_, addr := newTestServer(t, Config{Shards: 1})
 	cl := dialTest(t, addr)

@@ -14,10 +14,11 @@ import (
 	"safeplan/internal/sim"
 )
 
-// engine is the resumable-stepper contract every scenario engine
-// satisfies (sim.Stepper, sim.MultiStepper, carfollow.Stepper): advance
-// one control step with optional streamed events, then settle the
-// episode result exactly once.
+// engine is the resumable-stepper contract all three engines satisfy
+// (sim.Stepper, sim.MultiStepper, and the stop-and-go chain engine
+// carfollow.Stepper, which sessions open as car following): advance one
+// control step with optional streamed events, then settle the episode
+// result exactly once.
 type engine interface {
 	Step(sim.StepInput) (sim.StepOutcome, error)
 	Finish() (sim.Result, error)

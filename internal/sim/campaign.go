@@ -5,75 +5,63 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"safeplan/internal/core"
 )
 
-// CampaignOptions selects campaign-level behaviour shared by the
-// left-turn, multi-vehicle, and car-following campaign runners.  It
-// embeds the per-episode Options, which the runners replicate for every
-// episode: the Collector and Invariants fields apply to each episode
-// (shared across workers, so both must be concurrency-safe/stateless —
-// which telemetry.Metrics and every shipped Invariant are), while the
-// embedded Seed, Trace, and Scratch fields are ignored — the campaign
-// seeds episode i with BaseSeed+i, never records traces, and manages one
-// arena per worker itself.
+// CampaignOptions selects campaign-level behaviour shared by every
+// scenario's campaigns.  It embeds the per-episode Options, which
+// RunCampaign replicates for every episode: the Collector and Invariants
+// fields apply to each episode (shared across workers, so both must be
+// concurrency-safe/stateless — which telemetry.Metrics and every shipped
+// Invariant are), while the embedded Seed, Trace, and Scratch fields are
+// ignored — the campaign seeds episode i with BaseSeed+i, never records
+// traces, and manages one arena per worker itself.
 type CampaignOptions struct {
 	Options
 
 	// BaseSeed seeds episode i with BaseSeed+i.
 	BaseSeed int64
 	// Workers bounds the number of concurrent episode goroutines; 0
-	// selects GOMAXPROCS.  Negative counts are rejected by the runners.
+	// selects GOMAXPROCS.  Negative counts are rejected.
 	Workers int
 }
 
-func (o CampaignOptions) validate() error {
-	if o.Workers < 0 {
-		return fmt.Errorf("sim: worker count %d must be >= 1 (0 selects GOMAXPROCS)", o.Workers)
-	}
-	return nil
-}
-
-// EpisodeOptions derives episode i's Options from the
-// embedded episode options: per-campaign seed pairing and per-worker
-// arenas override the corresponding embedded fields, and Trace stays off
-// (a campaign's worth of traces would defeat the allocation-free hot
-// path; run a single traced episode instead).  Exported for the sibling
-// scenario packages' campaign runners.
-func (o CampaignOptions) EpisodeOptions(i int, scratch *Scratch) Options {
-	epo := o.Options
-	epo.Seed = o.BaseSeed + int64(i)
-	epo.Trace = false
-	epo.Scratch = scratch
-	return epo
-}
-
-// RunCampaign simulates n episodes of agent under cfg with master seeds
-// BaseSeed, BaseSeed+1, …, BaseSeed+n−1, fanning the work across
-// o.Workers goroutines.  Results are returned in seed order so campaigns
-// of different agents over the same seeds are pairwise comparable (same
-// C1 behaviour, same channel and sensor noise).
+// RunCampaign simulates n episodes with master seeds BaseSeed,
+// BaseSeed+1, …, BaseSeed+n−1, fanning the work across o.Workers
+// goroutines.  episode runs one episode under the Options the campaign
+// derives from o — seed BaseSeed+i, Trace off (a campaign's worth of
+// traces would defeat the allocation-free hot path; run a single traced
+// episode instead) and the worker's own scratch arena — and has the
+// shape of campaign.EpisodeFunc, so any scenario's closed run loop plugs
+// in.  Reusing an arena across a worker's episodes cannot perturb
+// results: episodes are seed-deterministic with or without one (the
+// parity tests assert bit identity).  Results are returned in seed order
+// so campaigns of different agents over the same seeds are pairwise
+// comparable (same C1 behaviour, same channel and sensor noise).
 //
-// The agent must be stateless across episodes (every agent in this
-// repository is); per-episode state (filters, channels, drivers) is
-// created inside Run.
-func RunCampaign(cfg Config, agent core.Agent, n int, o CampaignOptions) ([]Result, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
+// episode is shared across workers, so its agent must be stateless across
+// episodes (every agent in this repository is); per-episode state
+// (filters, channels, drivers) lives in the engine the run loop builds.
+// An invalid configuration surfaces as episode 0's error.
+func RunCampaign(n int, o CampaignOptions, episode func(Options) (Result, error)) ([]Result, error) {
+	if o.Workers < 0 {
+		return nil, fmt.Errorf("sim: worker count %d must be >= 1 (0 selects GOMAXPROCS)", o.Workers)
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("sim: non-positive episode count %d", n)
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	results := make([]Result, n)
 	errs := make([]error, n)
 	var done atomic.Int64
-	scratches := NewWorkerScratches(o.Workers, n)
-	ParallelForWorkersScoped(o.Workers, n, func(w, i int) {
-		results[i], errs[i] = Run(cfg, agent, o.EpisodeOptions(i, scratches[w]))
+	scratches := make([]*Scratch, resolveWorkers(o.Workers, n))
+	for w := range scratches {
+		scratches[w] = NewScratch()
+	}
+	parallelForWorkers(o.Workers, n, func(w, i int) {
+		epo := o.Options
+		epo.Seed = o.BaseSeed + int64(i)
+		epo.Trace = false
+		epo.Scratch = scratches[w]
+		results[i], errs[i] = episode(epo)
 		if o.Collector != nil {
 			o.Collector.OnProgress(done.Add(1), int64(n))
 		}
@@ -90,12 +78,12 @@ func RunCampaign(cfg Config, agent core.Agent, n int, o CampaignOptions) ([]Resu
 // goroutines (0 selects GOMAXPROCS) and waits for completion.  f must
 // only write to index-disjoint state.
 func ParallelForWorkers(workers, n int, f func(i int)) {
-	ParallelForWorkersScoped(workers, n, func(_, i int) { f(i) })
+	parallelForWorkers(workers, n, func(_, i int) { f(i) })
 }
 
-// ResolveWorkers applies the shared worker-count convention: 0 selects
+// resolveWorkers applies the shared worker-count convention: 0 selects
 // GOMAXPROCS, and the count never exceeds the task count.
-func ResolveWorkers(workers, n int) int {
+func resolveWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -105,25 +93,11 @@ func ResolveWorkers(workers, n int) int {
 	return workers
 }
 
-// NewWorkerScratches builds one episode arena per effective worker under
-// the ResolveWorkers convention, for campaign runners that index them by
-// the worker argument of ParallelForWorkersScoped.  Reusing an arena
-// across a worker's episodes cannot perturb results — episodes are
-// seed-deterministic with or without a scratch (the parity tests assert
-// bit identity).
-func NewWorkerScratches(workers, n int) []*Scratch {
-	out := make([]*Scratch, ResolveWorkers(workers, n))
-	for i := range out {
-		out[i] = NewScratch()
-	}
-	return out
-}
-
-// ParallelForWorkersScoped is ParallelForWorkers with the worker index
+// parallelForWorkers is ParallelForWorkers with the worker index
 // (0 … effective workers−1) passed alongside the task index, so callers
 // can keep per-worker scratch state without locking.
-func ParallelForWorkersScoped(workers, n int, f func(worker, i int)) {
-	workers = ResolveWorkers(workers, n)
+func parallelForWorkers(workers, n int, f func(worker, i int)) {
+	workers = resolveWorkers(workers, n)
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -141,8 +115,3 @@ func ParallelForWorkersScoped(workers, n int, f func(worker, i int)) {
 	close(next)
 	wg.Wait()
 }
-
-// ParallelFor runs f(0) … f(n−1) across GOMAXPROCS workers and waits for
-// completion.  It is exported for the sibling scenario packages' campaign
-// runners.
-func ParallelFor(n int, f func(i int)) { ParallelForWorkers(0, n, f) }

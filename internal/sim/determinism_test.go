@@ -44,7 +44,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	cfg := disturbedConfig(t)
 	run := func(workers int) []Result {
 		agent := core.NewUltimate(cfg.Scenario, planner.ConservativeExpert(cfg.Scenario))
-		rs, err := RunCampaign(cfg, agent, detEpisodes, CampaignOptions{BaseSeed: detSeed, Workers: workers})
+		rs, err := RunCampaign(detEpisodes, CampaignOptions{BaseSeed: detSeed, Workers: workers}, leftTurn(cfg, agent))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestMultiCampaignDeterministicAcrossWorkers(t *testing.T) {
 	cfg.Horizon = 45
 	run := func(workers int) []Result {
 		agent := core.NewMultiUltimate(cfg.Scenario, planner.ConservativeExpert(cfg.Scenario))
-		rs, err := RunMultiCampaign(cfg, agent, detEpisodes, CampaignOptions{BaseSeed: detSeed, Workers: workers})
+		rs, err := RunCampaign(detEpisodes, CampaignOptions{BaseSeed: detSeed, Workers: workers}, multiVehicle(cfg, agent))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestCampaignCollectorInvariance(t *testing.T) {
 			agent.SetCollector(m)
 			o.Collector = m
 		}
-		rs, err := RunCampaign(cfg, agent, detEpisodes, o)
+		rs, err := RunCampaign(detEpisodes, o, leftTurn(cfg, agent))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,11 +102,11 @@ func TestCampaignCollectorInvariance(t *testing.T) {
 func TestRunCampaignDeterministic(t *testing.T) {
 	cfg := disturbedConfig(t)
 	agent := core.NewUltimate(cfg.Scenario, planner.ConservativeExpert(cfg.Scenario))
-	a, err := RunCampaign(cfg, agent, detEpisodes, CampaignOptions{BaseSeed: detSeed})
+	a, err := RunCampaign(detEpisodes, CampaignOptions{BaseSeed: detSeed}, leftTurn(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampaign(cfg, agent, detEpisodes, CampaignOptions{BaseSeed: detSeed})
+	b, err := RunCampaign(detEpisodes, CampaignOptions{BaseSeed: detSeed}, leftTurn(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestRunMultiCampaignDeterministic(t *testing.T) {
 	cfg.Config = disturbedConfig(t)
 	cfg.Horizon = 45
 	agent := core.NewMultiUltimate(cfg.Scenario, planner.ConservativeExpert(cfg.Scenario))
-	a, err := RunMultiCampaign(cfg, agent, detEpisodes, CampaignOptions{BaseSeed: detSeed})
+	a, err := RunCampaign(detEpisodes, CampaignOptions{BaseSeed: detSeed}, multiVehicle(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMultiCampaign(cfg, agent, detEpisodes, CampaignOptions{BaseSeed: detSeed})
+	b, err := RunCampaign(detEpisodes, CampaignOptions{BaseSeed: detSeed}, multiVehicle(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}

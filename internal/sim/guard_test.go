@@ -236,14 +236,14 @@ func TestGuardedCampaignMatchesUnguarded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InfoFilter = true
 	agent := ultimateAgent(cfg)
-	plain, err := RunCampaign(cfg, agent, episodes, CampaignOptions{BaseSeed: 7})
+	plain, err := RunCampaign(episodes, CampaignOptions{BaseSeed: 7}, leftTurn(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	gc := guard.DefaultConfig(cfg.Scenario.Ego)
 	cfg.Guard = &gc
-	a, err := RunCampaign(cfg, agent, episodes, CampaignOptions{BaseSeed: 7})
+	a, err := RunCampaign(episodes, CampaignOptions{BaseSeed: 7}, leftTurn(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +270,11 @@ func TestFaultInjectedCampaignDeterministic(t *testing.T) {
 	}
 	cfg.PlannerFault = m
 	agent := ultimateAgent(cfg)
-	a, err := RunCampaign(cfg, agent, 16, CampaignOptions{BaseSeed: 7})
+	a, err := RunCampaign(16, CampaignOptions{BaseSeed: 7}, leftTurn(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampaign(cfg, agent, 16, CampaignOptions{BaseSeed: 7})
+	b, err := RunCampaign(16, CampaignOptions{BaseSeed: 7}, leftTurn(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"safeplan/internal/sensor"
 	"safeplan/internal/telemetry"
 	"safeplan/internal/traffic"
-	"sync/atomic"
 )
 
 // MultiConfig extends Config with a stream of oncoming vehicles: vehicle i
@@ -110,34 +109,4 @@ func multiStepProbe(sc leftturn.Config, t float64, emergency bool, ks []core.Kno
 	p.ConsWidth = core.MostConstrainingWindow(cons).Width()
 	p.AggrWidth = core.MostConstrainingWindow(aggr).Width()
 	return p
-}
-
-// RunMultiCampaign simulates n seed-paired multi-vehicle episodes with
-// the campaign options (worker bound, shared telemetry collector).
-func RunMultiCampaign(cfg MultiConfig, agent core.MultiAgent, n int, o CampaignOptions) ([]Result, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("sim: non-positive episode count %d", n)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	results := make([]Result, n)
-	errs := make([]error, n)
-	var done atomic.Int64
-	scratches := NewWorkerScratches(o.Workers, n)
-	ParallelForWorkersScoped(o.Workers, n, func(w, i int) {
-		results[i], errs[i] = RunMulti(cfg, agent, o.EpisodeOptions(i, scratches[w]))
-		if o.Collector != nil {
-			o.Collector.OnProgress(done.Add(1), int64(n))
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sim: episode %d: %w", i, err)
-		}
-	}
-	return results, nil
 }

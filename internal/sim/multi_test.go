@@ -149,7 +149,7 @@ func TestRunMultiSingleVehicleMatchesShape(t *testing.T) {
 
 func TestRunMultiCampaignPairsSeeds(t *testing.T) {
 	cfg := multiConfig()
-	rs, err := RunMultiCampaign(cfg, multiUltimate(cfg, true), 6, CampaignOptions{BaseSeed: 50})
+	rs, err := RunCampaign(6, CampaignOptions{BaseSeed: 50}, multiVehicle(cfg, multiUltimate(cfg, true)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRunMultiCampaignPairsSeeds(t *testing.T) {
 			t.Fatalf("episode %d differs from direct run", i)
 		}
 	}
-	if _, err := RunMultiCampaign(cfg, multiUltimate(cfg, true), 0, CampaignOptions{}); err == nil {
+	if _, err := RunCampaign(0, CampaignOptions{}, multiVehicle(cfg, multiUltimate(cfg, true))); err == nil {
 		t.Fatal("zero episodes accepted")
 	}
 }

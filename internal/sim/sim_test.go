@@ -194,9 +194,20 @@ func TestEmergencyFrequency(t *testing.T) {
 	}
 }
 
+// leftTurn and multiVehicle adapt the closed run loops to RunCampaign's
+// episode func (campaign.LeftTurn and campaign.MultiVehicle, which this
+// package cannot import).
+func leftTurn(cfg Config, agent core.Agent) func(Options) (Result, error) {
+	return func(o Options) (Result, error) { return Run(cfg, agent, o) }
+}
+
+func multiVehicle(cfg MultiConfig, agent core.MultiAgent) func(Options) (Result, error) {
+	return func(o Options) (Result, error) { return RunMulti(cfg, agent, o) }
+}
+
 func TestRunCampaignPairsSeeds(t *testing.T) {
 	cfg := baseConfig()
-	rs, err := RunCampaign(cfg, consAgent(cfg), 8, CampaignOptions{BaseSeed: 100})
+	rs, err := RunCampaign(8, CampaignOptions{BaseSeed: 100}, leftTurn(cfg, consAgent(cfg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +228,11 @@ func TestRunCampaignPairsSeeds(t *testing.T) {
 
 func TestRunCampaignRejects(t *testing.T) {
 	cfg := baseConfig()
-	if _, err := RunCampaign(cfg, consAgent(cfg), 0, CampaignOptions{BaseSeed: 1}); err == nil {
+	if _, err := RunCampaign(0, CampaignOptions{BaseSeed: 1}, leftTurn(cfg, consAgent(cfg))); err == nil {
 		t.Fatal("zero episodes accepted")
 	}
 	cfg.DtM = 0
-	if _, err := RunCampaign(cfg, consAgent(cfg), 1, CampaignOptions{BaseSeed: 1}); err == nil {
+	if _, err := RunCampaign(1, CampaignOptions{BaseSeed: 1}, leftTurn(cfg, consAgent(cfg))); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

@@ -21,7 +21,7 @@ func TestRunCampaignCollector(t *testing.T) {
 	agent.SetCollector(m)
 
 	const n = 64
-	rs, err := RunCampaign(cfg, agent, n, CampaignOptions{Options: Options{Collector: m}, BaseSeed: 100})
+	rs, err := RunCampaign(n, CampaignOptions{Options: Options{Collector: m}, BaseSeed: 100}, leftTurn(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRunCampaignRejectsNegativeWorkers(t *testing.T) {
 	cfg := DefaultConfig()
 	sc := leftturn.DefaultConfig()
 	agent := &core.PureNN{Cfg: sc, Planner: planner.ConservativeExpert(sc)}
-	if _, err := RunCampaign(cfg, agent, 4, CampaignOptions{Workers: -1}); err == nil {
+	if _, err := RunCampaign(4, CampaignOptions{Workers: -1}, leftTurn(cfg, agent)); err == nil {
 		t.Fatal("negative worker count accepted")
 	}
 }
@@ -80,11 +80,11 @@ func TestRunCampaignWorkerBound(t *testing.T) {
 	agent := &core.PureNN{Cfg: sc, Planner: planner.ConservativeExpert(sc)}
 	// Sequential (Workers: 1) must agree with the parallel default —
 	// episodes are seed-deterministic and index-disjoint.
-	seq, err := RunCampaign(cfg, agent, 8, CampaignOptions{BaseSeed: 7, Workers: 1})
+	seq, err := RunCampaign(8, CampaignOptions{BaseSeed: 7, Workers: 1}, leftTurn(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunCampaign(cfg, agent, 8, CampaignOptions{BaseSeed: 7})
+	par, err := RunCampaign(8, CampaignOptions{BaseSeed: 7}, leftTurn(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRunMultiCampaignCollector(t *testing.T) {
 	m := telemetry.NewMetrics()
 	agent.SetCollector(m)
 
-	rs, err := RunMultiCampaign(cfg, agent, 8, CampaignOptions{Options: Options{Collector: m}, BaseSeed: 3})
+	rs, err := RunCampaign(8, CampaignOptions{Options: Options{Collector: m}, BaseSeed: 3}, multiVehicle(cfg, agent))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -450,6 +450,20 @@ func (s runSettings) attach(agent any) {
 	}
 }
 
+// campaign runs n seed-paired episodes of ep under the campaign settings
+// (collector, worker bound) and aggregates the paper's statistics.
+func (s runSettings) campaign(n int, baseSeed int64, ep campaign.EpisodeFunc) (CampaignStats, error) {
+	rs, err := sim.RunCampaign(n, sim.CampaignOptions{
+		Options:  sim.Options{Collector: s.collector},
+		BaseSeed: baseSeed,
+		Workers:  s.workers,
+	}, ep)
+	if err != nil {
+		return CampaignStats{}, wrapErr(err)
+	}
+	return eval.Aggregate(rs), nil
+}
+
 // applySim folds the disturbance options into a (local copy of a) left-turn
 // simulation config.
 func (s runSettings) applySim(cfg *sim.Config) {
@@ -512,15 +526,7 @@ func RunCampaign(cfg SimConfig, agent Agent, n int, baseSeed int64, opts ...RunO
 	}
 	s.attach(agent)
 	s.applySim(&cfg)
-	rs, err := sim.RunCampaign(cfg, agent, n, sim.CampaignOptions{
-		Options:  sim.Options{Collector: s.collector},
-		BaseSeed: baseSeed,
-		Workers:  s.workers,
-	})
-	if err != nil {
-		return CampaignStats{}, wrapErr(err)
-	}
-	return eval.Aggregate(rs), nil
+	return s.campaign(n, baseSeed, campaign.LeftTurn(cfg, agent))
 }
 
 // Sharded Monte-Carlo campaign engine (internal/campaign): deterministic
@@ -697,15 +703,7 @@ func RunMultiCampaign(cfg MultiSimConfig, agent MultiAgent, n int, baseSeed int6
 	}
 	s.attach(agent)
 	s.applySim(&cfg.Config)
-	rs, err := sim.RunMultiCampaign(cfg, agent, n, sim.CampaignOptions{
-		Options:  sim.Options{Collector: s.collector},
-		BaseSeed: baseSeed,
-		Workers:  s.workers,
-	})
-	if err != nil {
-		return CampaignStats{}, wrapErr(err)
-	}
-	return eval.Aggregate(rs), nil
+	return s.campaign(n, baseSeed, campaign.MultiVehicle(cfg, agent))
 }
 
 // Car-following case study (the paper's §II-A distance-gap unsafe set):
@@ -775,15 +773,7 @@ func RunCarFollowCampaign(cfg CarFollowSimConfig, agent CarFollowAgent, n int, b
 	}
 	s.attach(agent)
 	s.applyCarFollow(&cfg)
-	rs, err := carfollow.RunCampaign(cfg, agent, n, sim.CampaignOptions{
-		Options:  sim.Options{Collector: s.collector},
-		BaseSeed: baseSeed,
-		Workers:  s.workers,
-	})
-	if err != nil {
-		return CampaignStats{}, wrapErr(err)
-	}
-	return eval.Aggregate(rs), nil
+	return s.campaign(n, baseSeed, campaign.CarFollow(cfg, agent))
 }
 
 // Platoon extension (the ReachMM platooning setting over the paper's
@@ -844,15 +834,7 @@ func RunPlatoonCampaign(cfg PlatoonSimConfig, agent CarFollowAgent, n int, baseS
 	}
 	s.attach(agent)
 	s.applyCarFollow(&cfg.SimConfig)
-	rs, err := platoon.RunCampaign(cfg, agent, n, sim.CampaignOptions{
-		Options:  sim.Options{Collector: s.collector},
-		BaseSeed: baseSeed,
-		Workers:  s.workers,
-	})
-	if err != nil {
-		return CampaignStats{}, wrapErr(err)
-	}
-	return eval.Aggregate(rs), nil
+	return s.campaign(n, baseSeed, campaign.Platoon(cfg, agent))
 }
 
 // Session API: the closed Run* loops above are thin wrappers over

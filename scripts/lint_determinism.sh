@@ -13,10 +13,11 @@
 #     and dominated stepper set-up; streams are built with
 #     xrand.New (or sim.Scratch.RNG), which draws the identical stream
 #     and seeds several times faster; or
-#   - a new time.Now in the stepping packages beyond the four known
-#     telemetry latency probes (sim/stepper.go, sim/multistepper.go,
-#     carfollow/stepper.go and platoon/stepper.go, each behind a
-#     `coll != nil` check, so they never run in headless campaigns).
+#   - a new time.Now in the stepping packages beyond the three known
+#     telemetry latency probes (sim/stepper.go, sim/multistepper.go and
+#     carfollow/stepper.go, the stop-and-go chain engine behind both car
+#     following and the platoon, each behind a `coll != nil` check, so
+#     they never run in headless campaigns).
 #
 # If you add a legitimate telemetry probe, raise TIME_NOW_BUDGET in the
 # same change and say why in the commit message.
@@ -24,9 +25,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 PKGS="internal/sim internal/platoon internal/carfollow internal/fusion internal/kalman internal/comms internal/reach internal/monitor internal/interval internal/sensor internal/traffic internal/disturb internal/faultinject"
-# Budget 4: the planner-latency probes of the sim, multi-vehicle,
-# car-following and platoon steppers, all gated behind `coll != nil`.
-TIME_NOW_BUDGET=4
+# Budget 3: the planner-latency probes of the sim, multi-vehicle and
+# stop-and-go chain steppers, all gated behind `coll != nil`.
+TIME_NOW_BUDGET=3
 
 fail=0
 
