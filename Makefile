@@ -11,7 +11,8 @@ test: build
 
 # Full gate: vet + the whole suite under the race detector (includes the
 # concurrent-campaign telemetry tests), then the golden-trace regressions
-# (left turn, car following, platoon),
+# (left turn, certified-NN left turn, multi-vehicle, car following,
+# platoon),
 # the guarded-planner fuzz seed corpus, and a short fuzzing smoke pass
 # over the safety invariants.
 check:
