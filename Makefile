@@ -50,20 +50,24 @@ lint-extra:
 # following and the platoon on the shared chain engine) allocation-free with their campaign invariant sets attached
 # (budget in internal/sim/alloc_test.go), the arena path must stay
 # bit-identical to the allocate-per-episode path, and an IBP propagation
-# with a reused scratch must not allocate.
+# with a reused scratch (interval and point boxes) and a warm
+# Network.Predict1 must not allocate.
 alloc-gate:
 	$(GO) test -run 'TestEpisodeAllocs|TestMultiEpisodeAllocs|TestScratchParity|TestCertifyEpisodeAllocs' ./internal/sim -v
 	$(GO) test -run TestCarFollowEpisodeAllocs ./internal/carfollow -v
 	$(GO) test -run TestPlatoonEpisodeAllocs ./internal/platoon -v
 	$(GO) test -run TestIBPAllocs ./internal/nn/ibp -v
+	$(GO) test -run TestPredict1Allocs ./internal/nn -v
 
 # Certification gate: the IBP soundness property suites (interval network
-# containment, the leftturn/carfollow feature brackets, the monitor edge
-# cases), the committed fuzz corpus replay, and a quick certification sweep
-# over the trained models asserting zero certified-range misses on the
-# clean canonical scenario.
+# containment, the point-box and two-sided differential checks, the
+# leftturn/carfollow feature brackets, the monitor edge cases), the bitwise
+# tests of the dot kernel IBP and Predict1 share, the committed fuzz corpus
+# replay, and a quick certification sweep over the trained models asserting
+# zero certified-range misses on the clean canonical scenario.
 ibp-gate:
 	$(GO) test ./internal/nn/ibp -count=1
+	$(GO) test ./internal/mat -count=1
 	$(GO) test -run 'TestFeatureBox' ./internal/leftturn ./internal/carfollow -count=1
 	$(GO) test -run 'TestCertify' ./internal/sim -count=1
 	$(GO) test ./internal/monitor -count=1

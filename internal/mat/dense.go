@@ -169,16 +169,47 @@ func MulBTransInto(dst, a, b *Dense) {
 		panic("mat: MulBTrans dst shape mismatch")
 	}
 	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		drow := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for j := 0; j < b.rows; j++ {
-			brow := b.data[j*b.cols : (j+1)*b.cols]
-			var s float64
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			drow[j] = s
+		DotRowsInto(dst.data[i*dst.cols:(i+1)*dst.cols], a.data[i*a.cols:(i+1)*a.cols], b.data)
+	}
+}
+
+// DotRowsInto sets dst[j] = Σ_k x[k]·w[j·n+k] for every j < len(dst),
+// with n = len(x): the row vector x times the transpose of the
+// len(dst)×n row-major matrix w.  It is the one dot kernel behind
+// MulBTransInto (so Network.Predict1 and training) and the IBP point
+// pass.
+//
+// Every output accumulates s += x[k]·w[j·n+k] from +0 in k-ascending
+// order, so the result is bitwise the naive loop.  Four outputs share one
+// pass over x, each with its own accumulator, which hides the latency of
+// the dependent adds; a scalar loop finishes the last len(dst) mod 4.
+func DotRowsInto(dst, x, w []float64) {
+	n := len(x)
+	if len(w) < len(dst)*n {
+		panic(fmt.Sprintf("mat: DotRowsInto weights hold %d values, want %d×%d", len(w), len(dst), n))
+	}
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		w0 := w[j*n:][:n]
+		w1 := w[(j+1)*n:][:n]
+		w2 := w[(j+2)*n:][:n]
+		w3 := w[(j+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for k, xk := range x {
+			s0 += xk * w0[k]
+			s1 += xk * w1[k]
+			s2 += xk * w2[k]
+			s3 += xk * w3[k]
 		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(dst); j++ {
+		wj := w[j*n:][:n]
+		var s float64
+		for k, xk := range x {
+			s += xk * wj[k]
+		}
+		dst[j] = s
 	}
 }
 

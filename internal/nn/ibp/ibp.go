@@ -8,7 +8,11 @@
 // w·lo for nonnegative weights and w·hi for negative ones (and vice versa
 // for the upper bound), in exactly the same k-ascending order as
 // mat.MulBTransInto with the bias added afterwards — so for a degenerate
-// point box both bounds reproduce Network.Predict1 bit for bit.  Every
+// point box both bounds reproduce Network.Predict1 bit for bit.  A box
+// whose normalized bounds all coincide skips the two lanes: it takes one
+// pass per layer through mat.DotRowsInto, the dot kernel behind
+// MulBTransInto and so behind Predict1, which computes the same value
+// once (see predictPointInto).  Every
 // activation in this repository (ReLU, LeakyReLU with α ≥ 0, Tanh,
 // Sigmoid, Identity) is monotone nondecreasing, so its exact interval
 // image is [f(lo), f(hi)]; New rejects anything else.  The optional input
@@ -33,6 +37,7 @@ import (
 	"math"
 
 	"safeplan/internal/interval"
+	"safeplan/internal/mat"
 	"safeplan/internal/nn"
 )
 
@@ -186,6 +191,7 @@ func (p *Propagator) PredictIntervalInto(dst, box []interval.Interval, scr *Scra
 	scr.grow(p.maxWidth)
 	curLo, curHi := scr.lo[:p.inDim], scr.hi[:p.inDim]
 	nxtLo, nxtHi := scr.lo2, scr.hi2
+	point := true
 	for k, iv := range box {
 		if p.std != nil {
 			// The normalizer is the same expression Normalizer.Apply
@@ -196,6 +202,10 @@ func (p *Propagator) PredictIntervalInto(dst, box []interval.Interval, scr *Scra
 		} else {
 			curLo[k], curHi[k] = iv.Lo, iv.Hi
 		}
+		point = point && curLo[k] == curHi[k]
+	}
+	if point {
+		return p.predictPointInto(dst, curLo, nxtLo)
 	}
 	for _, l := range p.layers {
 		outLo, outHi := nxtLo[:l.out], nxtHi[:l.out]
@@ -223,6 +233,28 @@ func (p *Propagator) PredictIntervalInto(dst, box []interval.Interval, scr *Scra
 	}
 	for j := 0; j < p.outDim; j++ {
 		dst[j] = interval.Interval{Lo: curLo[j], Hi: curHi[j]}
+	}
+	return dst[:p.outDim]
+}
+
+// predictPointInto is PredictIntervalInto for a box whose normalized
+// bounds coincide.  The two-sided loop would run the same operations on
+// the same values in both lanes (lo == hi, and a ±0 product never changes
+// a sum that starts at +0), so one pass through the shared dot kernel,
+// then the bias and the activation, gives both bounds bit for bit — and
+// is exactly Dense.Forward, so the result is Predict1's.  x holds the
+// normalized input and is overwritten, as is buf.
+func (p *Propagator) predictPointInto(dst []interval.Interval, x, buf []float64) []interval.Interval {
+	for _, l := range p.layers {
+		out := buf[:l.out]
+		mat.DotRowsInto(out, x, l.w)
+		for j, s := range out {
+			out[j] = l.act.Apply(s + l.b[j])
+		}
+		x, buf = out, x[:cap(x)]
+	}
+	for j, y := range x {
+		dst[j] = interval.Interval{Lo: y, Hi: y}
 	}
 	return dst[:p.outDim]
 }

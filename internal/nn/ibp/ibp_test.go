@@ -140,6 +140,166 @@ func TestIBPPointBoxExact(t *testing.T) {
 			}
 		})
 	}
+
+	// Raw bounds one ulp apart that the normalizer maps to one point take
+	// the point pass too, and still give Predict1 of that point.
+	t.Run("one_ulp_normalized", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		found := 0
+		for caseNo := 0; caseNo < 200; caseNo++ {
+			net := nn.NewMLP(rng, nn.Tanh{}, 3, 8, 1)
+			// Means far from the inputs make the subtraction absorb the
+			// one-ulp difference in most draws; wide scales keep the
+			// normalized inputs in tanh's unsaturated range.
+			norm := &nn.Normalizer{Mean: []float64{500, -1000, 2e3}, Std: []float64{170, 300, 1100}}
+			p, err := New(net, norm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			box := make([]interval.Interval, 3)
+			x := make([]float64, 3)
+			collapsed := true
+			for k := range box {
+				lo := rng.Float64()*10 - 5
+				hi := math.Nextafter(lo, math.Inf(1))
+				box[k] = interval.New(lo, hi)
+				x[k] = lo
+				collapsed = collapsed && (lo-norm.Mean[k])/norm.Std[k] == (hi-norm.Mean[k])/norm.Std[k]
+			}
+			if !collapsed {
+				continue
+			}
+			found++
+			norm.Apply(x)
+			y := net.Predict1(x)
+			if out := p.PredictInterval1(box, nil); out.Lo != y || out.Hi != y {
+				t.Fatalf("case %d: one-ulp box gives [%v, %v], Predict1 gives %v", caseNo, out.Lo, out.Hi, y)
+			}
+		}
+		if found == 0 {
+			t.Fatal("no one-ulp box normalized to a point")
+		}
+	})
+
+	// A deeper ReLU network with several outputs: the point pass runs the
+	// dot kernel's four-wide and tail paths and must reproduce Predict.
+	t.Run("relu_multi_output", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(14))
+		for caseNo := 0; caseNo < 100; caseNo++ {
+			in := 1 + rng.Intn(6)
+			net := nn.NewMLP(rng, nn.ReLU{}, in, 1+rng.Intn(13), 1+rng.Intn(9), 1+rng.Intn(7))
+			p, err := New(net, randNorm(rng, in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			box := make([]interval.Interval, in)
+			x := make([]float64, in)
+			for k := range x {
+				x[k] = rng.Float64()*10 - 5
+				box[k] = interval.Point(x[k])
+			}
+			(&nn.Normalizer{Mean: p.mean, Std: p.std}).Apply(x)
+			want := net.Predict(x)
+			got := p.PredictInterval(box)
+			for j, y := range want {
+				if got[j].Lo != y || got[j].Hi != y {
+					t.Fatalf("case %d output %d: point box gives %v, Predict gives %v", caseNo, j, got[j], y)
+				}
+			}
+		}
+	})
+}
+
+// twoSidedReference is the propagation loop as it stood before the point
+// pass: normalize each bound, then the sign-split accumulation on both
+// lanes for every box.  It is kept here as the differential reference.
+func twoSidedReference(p *Propagator, box []interval.Interval) []interval.Interval {
+	curLo, curHi := make([]float64, len(box)), make([]float64, len(box))
+	for k, iv := range box {
+		if p.std != nil {
+			curLo[k] = (iv.Lo - p.mean[k]) / p.std[k]
+			curHi[k] = (iv.Hi - p.mean[k]) / p.std[k]
+		} else {
+			curLo[k], curHi[k] = iv.Lo, iv.Hi
+		}
+	}
+	for _, l := range p.layers {
+		outLo, outHi := make([]float64, l.out), make([]float64, l.out)
+		for j := 0; j < l.out; j++ {
+			wrow := l.w[j*l.in : (j+1)*l.in]
+			var slo, shi float64
+			for k, w := range wrow {
+				if w >= 0 {
+					slo += w * curLo[k]
+					shi += w * curHi[k]
+				} else {
+					slo += w * curHi[k]
+					shi += w * curLo[k]
+				}
+			}
+			slo += l.b[j]
+			shi += l.b[j]
+			outLo[j] = l.act.Apply(slo)
+			outHi[j] = l.act.Apply(shi)
+		}
+		curLo, curHi = outLo, outHi
+	}
+	out := make([]interval.Interval, len(curLo))
+	for j := range out {
+		out[j] = interval.Interval{Lo: curLo[j], Hi: curHi[j]}
+	}
+	return out
+}
+
+// TestIBPMatchesTwoSidedReference is the differential check: interval
+// boxes, boxes with some point inputs, and full point boxes all give
+// bitwise the output of the reference two-sided loop, for every
+// activation, with and without a normalizer, at one and several outputs.
+func TestIBPMatchesTwoSidedReference(t *testing.T) {
+	for _, tc := range hiddenActs {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(15))
+			scr := &Scratch{}
+			for caseNo := 0; caseNo < 300; caseNo++ {
+				in := 1 + rng.Intn(6)
+				sizes := []int{in, 1 + rng.Intn(12), 1 + rng.Intn(6)}
+				if rng.Intn(2) == 0 {
+					sizes = []int{in, 1 + rng.Intn(12), 1 + rng.Intn(9), 1}
+				}
+				net := nn.NewMLP(rng, tc.act, sizes...)
+				var norm *nn.Normalizer
+				if rng.Intn(2) == 0 {
+					norm = randNorm(rng, in)
+				}
+				p, err := New(net, norm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				box := randBox(rng, in)
+				switch caseNo % 3 {
+				case 1: // some inputs are points
+					for k := range box {
+						if rng.Intn(2) == 0 {
+							box[k] = interval.Point(box[k].Lo)
+						}
+					}
+				case 2: // a full point box
+					for k := range box {
+						box[k] = interval.Point(box[k].Hi)
+					}
+				}
+				want := twoSidedReference(p, box)
+				got := p.PredictIntervalInto(make([]interval.Interval, p.OutputDim()), box, scr)
+				for j := range want {
+					if math.Float64bits(got[j].Lo) != math.Float64bits(want[j].Lo) ||
+						math.Float64bits(got[j].Hi) != math.Float64bits(want[j].Hi) {
+						t.Fatalf("case %d output %d: got %v, reference %v (box %v)", caseNo, j, got[j], want[j], box)
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestIBPMonotoneWidth asserts the bound is monotone under box expansion:
@@ -263,14 +423,23 @@ func TestIBPAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	box := randBox(rng, 5)
+	point := make([]interval.Interval, 5)
+	for k := range point {
+		point[k] = interval.Point(box[k].Mid())
+	}
 	scr := p.NewScratch()
 	dst := make([]interval.Interval, 1)
-	p.PredictIntervalInto(dst, box, scr) // warm-up
-	avg := testing.AllocsPerRun(100, func() {
-		p.PredictIntervalInto(dst, box, scr)
-	})
-	if avg != 0 {
-		t.Errorf("PredictIntervalInto allocates %.1f times with a warm Scratch (budget 0)", avg)
+	for _, tc := range []struct {
+		name string
+		box  []interval.Interval
+	}{{"interval", box}, {"point", point}} {
+		p.PredictIntervalInto(dst, tc.box, scr) // warm-up
+		avg := testing.AllocsPerRun(100, func() {
+			p.PredictIntervalInto(dst, tc.box, scr)
+		})
+		if avg != 0 {
+			t.Errorf("PredictIntervalInto (%s box) allocates %.1f times with a warm Scratch (budget 0)", tc.name, avg)
+		}
 	}
 }
 
@@ -303,5 +472,26 @@ func BenchmarkPredict1Baseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Predict1(x)
+	}
+}
+
+// BenchmarkPredictInterval1Point is the point-box row: the certified
+// range of a degenerate box, which takes the one-pass point path.
+func BenchmarkPredictInterval1Point(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	net := nn.NewMLP(rng, nn.Tanh{}, 5, 32, 32, 1)
+	p, err := New(net, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	box := randBox(rng, 5)
+	for k := range box {
+		box[k] = interval.Point(box[k].Mid())
+	}
+	scr := p.NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.PredictInterval1(box, scr)
 	}
 }

@@ -101,6 +101,22 @@ func TestPredictDeterministic(t *testing.T) {
 	}
 }
 
+// TestPredict1Allocs is the point-evaluation budget wired into make
+// alloc-gate: once warm, Predict1 reuses the network's own buffers and
+// must not allocate at all.
+func TestPredict1Allocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate is not meaningful with -short")
+	}
+	rng := rand.New(rand.NewSource(10))
+	n := NewMLP(rng, Tanh{}, 5, 32, 32, 1)
+	x := []float64{0.3, -1.2, 0.8, 2.1, -0.4}
+	n.Predict1(x) // warm-up
+	if avg := testing.AllocsPerRun(100, func() { n.Predict1(x) }); avg != 0 {
+		t.Errorf("Predict1 allocates %.1f times on a warm network (budget 0)", avg)
+	}
+}
+
 // Numerical gradient check: the backprop gradients must match finite
 // differences of the loss with respect to every parameter.
 func TestGradientCheck(t *testing.T) {
