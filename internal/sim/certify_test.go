@@ -185,3 +185,23 @@ func TestCertifyEpisodeAllocs(t *testing.T) {
 		t.Errorf("verified episode allocates %.1f times (budget %d)", avg, episodeAllocBudget)
 	}
 }
+
+// TestMultiConfigRejectsCertify pins the multi engine's refusal of
+// verified mode: it has no certifier, so a set Certify must fail
+// validation rather than report zero certified steps.
+func TestMultiConfigRejectsCertify(t *testing.T) {
+	p, prop := certifyPlanner(t, 4)
+	cfg := DefaultMultiConfig()
+	cfg.Certify = &CertifyConfig{Prop: prop}
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("MultiConfig.Validate accepted Certify")
+	}
+	agent := core.NewMultiUltimate(cfg.Scenario, p)
+	if _, err := RunMulti(cfg, agent, Options{Seed: 1}); err == nil {
+		t.Fatal("RunMulti ran with Certify set")
+	}
+	cfg.Certify = nil
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("MultiConfig.Validate without Certify: %v", err)
+	}
+}

@@ -57,6 +57,11 @@ func (c MultiConfig) Validate() error {
 	if c.SpacingDist < 0 || c.SpacingJitter < 0 {
 		return fmt.Errorf("sim: negative spacing")
 	}
+	if c.Certify != nil {
+		// Refuse rather than run unverified: the multi engine has no
+		// certifier, so the counters would read zero misses unchecked.
+		return fmt.Errorf("sim: Certify is not implemented for the multi-vehicle engine")
+	}
 	return nil
 }
 

@@ -387,7 +387,9 @@ func WithGuard(cfg GuardConfig) RunOption {
 // executed κ_n command is cross-checked against the certified output
 // range and counted in EpisodeResult.CertifiedSteps /
 // CertifiedRangeMisses.  Verified mode is observation-only — it never
-// changes the episode.  Car-following entry points ignore it.
+// changes the episode.  The multi-vehicle, car-following and platoon
+// entry points do not implement it yet and return an error rather than
+// run unverified.
 //
 //	prop, _ := safeplan.NewIBPPropagator(kn)
 //	res, err := safeplan.RunEpisode(cfg, agent, 1, safeplan.WithCertify(safeplan.CertifyConfig{Prop: prop}))
@@ -484,8 +486,13 @@ func (s runSettings) applySim(cfg *sim.Config) {
 	}
 }
 
-// applyCarFollow folds the disturbance options into a car-following config.
-func (s runSettings) applyCarFollow(cfg *carfollow.SimConfig) {
+// applyCarFollow folds the disturbance options into a car-following
+// config.  The chain engine has no verified mode, so WithCertify is
+// refused rather than dropped.
+func (s runSettings) applyCarFollow(cfg *carfollow.SimConfig) error {
+	if s.certify != nil {
+		return fmt.Errorf("safeplan: WithCertify: verified mode is not implemented for car following or the platoon")
+	}
 	if s.disturb != nil {
 		cfg.Comms.Model = s.disturb
 	}
@@ -498,6 +505,7 @@ func (s runSettings) applyCarFollow(cfg *carfollow.SimConfig) {
 	if s.fault != nil {
 		cfg.PlannerFault = s.fault
 	}
+	return nil
 }
 
 // RunEpisode simulates one closed-loop episode.  Options select per-run
@@ -758,8 +766,10 @@ func RunCarFollowEpisode(cfg CarFollowSimConfig, agent CarFollowAgent, seed int6
 	if err != nil {
 		return EpisodeResult{}, err
 	}
+	if err := s.applyCarFollow(&cfg); err != nil {
+		return EpisodeResult{}, err
+	}
 	s.attach(agent)
-	s.applyCarFollow(&cfg)
 	r, err := carfollow.RunEpisode(cfg, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
 	return r, wrapErr(err)
 }
@@ -771,8 +781,10 @@ func RunCarFollowCampaign(cfg CarFollowSimConfig, agent CarFollowAgent, n int, b
 	if err != nil {
 		return CampaignStats{}, err
 	}
+	if err := s.applyCarFollow(&cfg); err != nil {
+		return CampaignStats{}, err
+	}
 	s.attach(agent)
-	s.applyCarFollow(&cfg)
 	return s.campaign(n, baseSeed, campaign.CarFollow(cfg, agent))
 }
 
@@ -819,8 +831,10 @@ func RunPlatoonEpisode(cfg PlatoonSimConfig, agent CarFollowAgent, seed int64, o
 	if err != nil {
 		return EpisodeResult{}, err
 	}
+	if err := s.applyCarFollow(&cfg.SimConfig); err != nil {
+		return EpisodeResult{}, err
+	}
 	s.attach(agent)
-	s.applyCarFollow(&cfg.SimConfig)
 	r, err := platoon.RunEpisode(cfg, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
 	return r, wrapErr(err)
 }
@@ -832,8 +846,10 @@ func RunPlatoonCampaign(cfg PlatoonSimConfig, agent CarFollowAgent, n int, baseS
 	if err != nil {
 		return CampaignStats{}, err
 	}
+	if err := s.applyCarFollow(&cfg.SimConfig); err != nil {
+		return CampaignStats{}, err
+	}
 	s.attach(agent)
-	s.applyCarFollow(&cfg.SimConfig)
 	return s.campaign(n, baseSeed, campaign.Platoon(cfg, agent))
 }
 
@@ -905,8 +921,10 @@ func NewCarFollowStepper(cfg CarFollowSimConfig, agent CarFollowAgent, seed int6
 	if err != nil {
 		return nil, err
 	}
+	if err := s.applyCarFollow(&cfg); err != nil {
+		return nil, err
+	}
 	s.attach(agent)
-	s.applyCarFollow(&cfg)
 	st, err := carfollow.NewStepper(cfg, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
 	return st, wrapErr(err)
 }
