@@ -138,6 +138,7 @@ bench-perf:
 
 # Offline certification sweep: every trained-NN design on the clean
 # canonical scenario in IBP verified mode; fails on any certified-range
-# miss.  Writes BENCH_ibp.json.
+# miss.  Writes BENCH_ibp.json at the committed snapshot's size (-quick,
+# 500 episodes per design), so its stats compare byte for byte.
 bench-ibp:
-	$(GO) run ./cmd/bench -ibp -out BENCH_ibp.json
+	$(GO) run ./cmd/bench -ibp -quick -out BENCH_ibp.json
