@@ -20,8 +20,9 @@ func byteAt(data []byte, i int) byte {
 
 // FuzzIBPContainment drives the soundness property from fuzzer-chosen
 // network shapes, activations, normalizers, and input boxes: every sampled
-// point evaluation must land inside the certified interval, and the
-// degenerate midpoint box must reproduce Predict1 exactly.  The committed
+// point evaluation must land inside the certified interval, with no
+// tolerance, and the degenerate midpoint box must contain Predict1 and be
+// at most 2·excessBound wide.  The committed
 // seed corpus (testdata/fuzz/FuzzIBPContainment) covers every activation
 // and both normalizer arms; make check replays it, make fuzz-smoke
 // explores beyond it.
@@ -66,33 +67,21 @@ func FuzzIBPContainment(f *testing.F) {
 			t.Fatalf("bad certified interval %v for box %v", out, box)
 		}
 		x := make([]float64, in)
-		xn := make([]float64, in)
 		for s := 0; s < 32; s++ {
 			for k := range x {
 				x[k] = box[k].Lo + rng.Float64()*(box[k].Hi-box[k].Lo)
 			}
-			copy(xn, x)
-			if norm != nil {
-				norm.Apply(xn)
-			}
-			y := net.Predict1(xn)
-			if tol := tolFor(out); y < out.Lo-tol || y > out.Hi+tol {
-				t.Fatalf("Predict1 = %v escapes certified %v (box %v, sample %v)", y, out, box, x)
-			}
+			checkContains(t, "interval box", []interval.Interval{out}, predictIn(net, norm, x))
 		}
 		point := make([]interval.Interval, in)
 		for k := range point {
-			m := box[k].Mid()
-			point[k] = interval.Point(m)
-			xn[k] = m
+			x[k] = box[k].Mid()
+			point[k] = interval.Point(x[k])
 		}
-		if norm != nil {
-			norm.Apply(xn)
-		}
-		y := net.Predict1(xn)
 		pout := p.PredictInterval1(point, scr)
-		if pout.Lo != y || pout.Hi != y {
-			t.Fatalf("point box gives [%v, %v], Predict1 gives %v", pout.Lo, pout.Hi, y)
+		checkContains(t, "point box", []interval.Interval{pout}, predictIn(net, norm, x))
+		if w, bound := pout.Width(), 2*excessBound(p, point); w > bound {
+			t.Fatalf("point box %v is %g wide, bound %g", pout, w, bound)
 		}
 	})
 }
