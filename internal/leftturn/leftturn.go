@@ -90,7 +90,7 @@ func DefaultConfig() Config {
 }
 
 // Validate checks the full configuration.
-func (c Config) Validate() error {
+func (c *Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
@@ -113,14 +113,14 @@ func (c Config) Validate() error {
 }
 
 // BrakingDistance returns d_b = −v²/(2·a_min) for the ego vehicle.
-func (c Config) BrakingDistance(v float64) float64 {
+func (c *Config) BrakingDistance(v float64) float64 {
 	return dynamics.StopDistance(v, c.Ego.AMin)
 }
 
 // Slack implements paper Eq. 5: how much stopping margin the ego has before
 // the front line.  Nonnegative slack means C0 can still stop before the
 // zone; negative slack means it is committed to entering (or is inside).
-func (c Config) Slack(ego dynamics.State) float64 {
+func (c *Config) Slack(ego dynamics.State) float64 {
 	switch {
 	case ego.P <= c.Geometry.PF:
 		return c.Geometry.PF - c.BrakingDistance(ego.V) - ego.P
@@ -137,7 +137,7 @@ func (c Config) Slack(ego dynamics.State) float64 {
 // zone yields an unbounded-entry window that can never intersect; a
 // stationary ego inside the zone yields [0, +Inf).  Once past the back
 // line the window is empty: no conflict is possible anymore.
-func (c Config) EgoWindow(ego dynamics.State) interval.Interval {
+func (c *Config) EgoWindow(ego dynamics.State) interval.Interval {
 	g := c.Geometry
 	switch {
 	case ego.P <= g.PF:
@@ -184,7 +184,7 @@ func ExactEstimate(s dynamics.State, a float64) OncomingEstimate {
 // time it could clear the back line (farthest position, lowest speed,
 // maximum braking, velocity floor).  The true passing window is contained
 // in the result whenever the estimate is sound.
-func (c Config) ConservativeWindow(est OncomingEstimate) interval.Interval {
+func (c *Config) ConservativeWindow(est OncomingEstimate) interval.Interval {
 	if est.P.IsEmpty() || est.V.IsEmpty() {
 		return interval.Empty()
 	}
@@ -204,7 +204,7 @@ func (c Config) ConservativeWindow(est OncomingEstimate) interval.Interval {
 // the entry) without the emptiness handling.  Both times are monotone
 // nonincreasing in the estimate's position and velocity endpoints, which
 // is what FeatureBoxInto's corner bracketing relies on.
-func (c Config) conservativeTimes(est OncomingEstimate) (tEntry, tExit float64) {
+func (c *Config) conservativeTimes(est OncomingEstimate) (tEntry, tExit float64) {
 	g, lim := c.Geometry, c.Oncoming
 	tEntry = dynamics.TimeToReach(g.PF-est.P.Hi, est.V.Hi, lim.AMax, lim.VMax)
 	tExit = dynamics.TimeToCover(g.PB-est.P.Lo, est.V.Lo, lim.AMin, lim.VMin, lim.VMax)
@@ -225,7 +225,7 @@ func (c Config) conservativeTimes(est OncomingEstimate) (tEntry, tExit float64) 
 // so communication disturbance — which widens the estimate — widens the
 // aggressive window too, degrading efficiency gracefully rather than
 // silently betting harder.
-func (c Config) AggressiveWindow(est OncomingEstimate) interval.Interval {
+func (c *Config) AggressiveWindow(est OncomingEstimate) interval.Interval {
 	if est.P.IsEmpty() || est.V.IsEmpty() {
 		return interval.Empty()
 	}
@@ -248,7 +248,7 @@ func (c Config) AggressiveWindow(est OncomingEstimate) interval.Interval {
 // velocity endpoints — the bracketing property FeatureBoxInto relies on
 // (the entry's velocity cap and the exit's velocity floor move *with*
 // their endpoints, preserving the ordering).
-func (c Config) aggressiveTimes(est OncomingEstimate) (tEntry, tExit float64) {
+func (c *Config) aggressiveTimes(est OncomingEstimate) (tEntry, tExit float64) {
 	g, lim := c.Geometry, c.Oncoming
 	vEntry := est.V.Hi
 	aFast := math.Min(est.A+c.ABuf, lim.AMax)
@@ -267,7 +267,7 @@ func (c Config) aggressiveTimes(est OncomingEstimate) (tEntry, tExit float64) {
 // InUnsafeSet implements paper Eq. 6 on the estimated oncoming window:
 // the state is unsafe when the ego can no longer stop before the zone
 // (negative slack) and the passing windows intersect.
-func (c Config) InUnsafeSet(ego dynamics.State, oncoming interval.Interval) bool {
+func (c *Config) InUnsafeSet(ego dynamics.State, oncoming interval.Interval) bool {
 	if !(c.Slack(ego) < 0) {
 		return false
 	}
@@ -278,14 +278,14 @@ func (c Config) InUnsafeSet(ego dynamics.State, oncoming interval.Interval) bool
 // (v0·Δt_c + ½·a_max·Δt_c²)·(1 − a_max/a_min).  States with slack in
 // [0, threshold) may reach negative slack within one control step under
 // some admissible input.
-func (c Config) BoundaryThreshold(v0 float64) float64 {
+func (c *Config) BoundaryThreshold(v0 float64) float64 {
 	return (v0*c.DtC + 0.5*c.Ego.AMax*c.DtC*c.DtC) * (1 - c.Ego.AMax/c.Ego.AMin)
 }
 
 // InBoundarySafeSet implements the paper's X_b for this scenario: slack is
 // nonnegative but below the one-step threshold (widened by SafetyMargin,
 // see Config), and the windows intersect.
-func (c Config) InBoundarySafeSet(ego dynamics.State, oncoming interval.Interval) bool {
+func (c *Config) InBoundarySafeSet(ego dynamics.State, oncoming interval.Interval) bool {
 	s := c.Slack(ego)
 	if s < 0 || s >= c.BoundaryThreshold(ego.V)+c.SafetyMargin {
 		return false
@@ -301,7 +301,7 @@ func (c Config) InBoundarySafeSet(ego dynamics.State, oncoming interval.Interval
 // κ_e and the emergency-one-step checker both use this bound: a state
 // whose slack is below it cannot be guaranteed to stop short of the front
 // line in discrete time, however hard it brakes.
-func (c Config) StopOvershoot() float64 {
+func (c *Config) StopOvershoot() float64 {
 	return -c.Ego.AMin * c.DtC * c.DtC / 8
 }
 
@@ -327,7 +327,7 @@ func (c Config) StopOvershoot() float64 {
 //
 // The output is clamped to the ego's envelope so the planner remains
 // admissible from any state.
-func (c Config) EmergencyAccel(ego dynamics.State) float64 {
+func (c *Config) EmergencyAccel(ego dynamics.State) float64 {
 	g := c.Geometry
 	if ego.P > g.PF {
 		return c.Ego.AMax
@@ -356,7 +356,7 @@ func (c Config) EmergencyAccel(ego dynamics.State) float64 {
 // negative it is committed to crossing, and constraining the NN planner's
 // output to at least this floor preserves the pass-before-C1 invariant that
 // justified committing (see internal/monitor).
-func (c Config) MinAccelToClear(ego dynamics.State, tWindow float64) (float64, bool) {
+func (c *Config) MinAccelToClear(ego dynamics.State, tWindow float64) (float64, bool) {
 	d := c.Geometry.PB - ego.P
 	if d <= 0 {
 		return c.Ego.AMin, true // already past the back line
@@ -394,7 +394,7 @@ func (c Config) MinAccelToClear(ego dynamics.State, tWindow float64) (float64, b
 // a committed ego, since a stoppable one never arrives under full braking).
 // The runtime monitor uses this as the pass-after commitment guard — the
 // dual of MinAccelToClear.
-func (c Config) MaxAccelToDelay(ego dynamics.State, tDelay float64) (float64, bool) {
+func (c *Config) MaxAccelToDelay(ego dynamics.State, tDelay float64) (float64, bool) {
 	d := c.Geometry.PF - ego.P
 	if d <= 0 {
 		return c.Ego.AMax, false // already at/past the line
@@ -425,18 +425,18 @@ func (c Config) MaxAccelToDelay(ego dynamics.State, tDelay float64) (float64, bo
 
 // ReachedTarget reports whether the ego vehicle has completed the turn —
 // the target set X_t is every state with the ego past the back line.
-func (c Config) ReachedTarget(ego dynamics.State) bool {
+func (c *Config) ReachedTarget(ego dynamics.State) bool {
 	return ego.P > c.Geometry.PB
 }
 
 // InZone reports whether a path position lies inside the conflict zone.
-func (c Config) InZone(p float64) bool {
+func (c *Config) InZone(p float64) bool {
 	return p >= c.Geometry.PF && p <= c.Geometry.PB
 }
 
 // Collision reports whether both vehicles occupy the conflict zone
 // simultaneously — the safety violation of the case study.
-func (c Config) Collision(ego, oncoming dynamics.State) bool {
+func (c *Config) Collision(ego, oncoming dynamics.State) bool {
 	return c.InZone(ego.P) && c.InZone(oncoming.P)
 }
 
@@ -468,7 +468,7 @@ func FeaturesInto(dst []float64, t float64, ego dynamics.State, oncoming interva
 }
 
 // FeatureBox returns a fresh interval feature box; see FeatureBoxInto.
-func (c Config) FeatureBox(t float64, ego dynamics.State, sound OncomingEstimate, aggressive bool) []interval.Interval {
+func (c *Config) FeatureBox(t float64, ego dynamics.State, sound OncomingEstimate, aggressive bool) []interval.Interval {
 	dst := make([]interval.Interval, FeatureCount)
 	c.FeatureBoxInto(dst, t, ego, sound, aggressive)
 	return dst
@@ -494,7 +494,7 @@ func (c Config) FeatureBox(t float64, ego dynamics.State, sound OncomingEstimate
 // already have passed the zone (sound.P.Hi ≥ PB) or never arrive (an
 // infinite corner entry saturates to the cap on the far side).  The box is
 // always finite, so it is a valid ibp input.
-func (c Config) FeatureBoxInto(dst []interval.Interval, t float64, ego dynamics.State, sound OncomingEstimate, aggressive bool) {
+func (c *Config) FeatureBoxInto(dst []interval.Interval, t float64, ego dynamics.State, sound OncomingEstimate, aggressive bool) {
 	dst[0] = interval.Point(t)
 	dst[1] = interval.Point(ego.P)
 	dst[2] = interval.Point(ego.V)

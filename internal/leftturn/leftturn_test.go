@@ -13,7 +13,8 @@ import (
 func cfg() Config { return DefaultConfig() }
 
 func TestDefaultConfigValid(t *testing.T) {
-	if err := cfg().Validate(); err != nil {
+	c := cfg()
+	if err := c.Validate(); err != nil {
 		t.Fatalf("DefaultConfig invalid: %v", err)
 	}
 }

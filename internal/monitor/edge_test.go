@@ -194,8 +194,9 @@ func TestInflationZeroValueDefaults(t *testing.T) {
 	ego := dynamics.State{P: 0, V: 11}
 	egoW := cfg.EgoWindow(ego)
 	w := interval.New(egoW.Hi+DefaultWindowInflation/2, egoW.Hi+10)
-	zero := Monitor{Cfg: cfg}.Assess(ego, w)
-	explicit := Monitor{Cfg: cfg, WindowInflation: DefaultWindowInflation}.Assess(ego, w)
+	zeroMon := Monitor{Cfg: cfg}
+	explicitMon := Monitor{Cfg: cfg, WindowInflation: DefaultWindowInflation}
+	zero, explicit := zeroMon.Assess(ego, w), explicitMon.Assess(ego, w)
 	if zero != explicit {
 		t.Fatalf("zero-value tuning diverged: %+v vs %+v", zero, explicit)
 	}

@@ -78,7 +78,7 @@ type Monitor struct {
 // New returns a Monitor for the scenario configuration.
 func New(cfg leftturn.Config) Monitor { return Monitor{Cfg: cfg} }
 
-func (m Monitor) inflation() float64 {
+func (m *Monitor) inflation() float64 {
 	if m.WindowInflation == 0 {
 		return DefaultWindowInflation
 	}
@@ -90,8 +90,8 @@ func (m Monitor) inflation() float64 {
 
 // Assess inspects the current ego state against the conservative
 // (sound) oncoming window and returns the verdict.
-func (m Monitor) Assess(ego dynamics.State, wCons interval.Interval) Outcome {
-	c := m.Cfg
+func (m *Monitor) Assess(ego dynamics.State, wCons interval.Interval) Outcome {
+	c := &m.Cfg
 	// Inflate the window for the membership tests (clip at zero: the past
 	// cannot conflict).
 	wTest := wCons
@@ -148,7 +148,7 @@ func (m Monitor) Assess(ego dynamics.State, wCons interval.Interval) Outcome {
 // shouldHold reports whether a (near-)stopped ego close to the front line
 // must stay under κ_e: it is released only when even a full-throttle start
 // clears the zone ReleaseMargin before the oncoming vehicle could arrive.
-func (m Monitor) shouldHold(ego dynamics.State, wCons interval.Interval) bool {
+func (m *Monitor) shouldHold(ego dynamics.State, wCons interval.Interval) bool {
 	if ego.V > 1e-9 || wCons.IsEmpty() || ego.P > m.Cfg.Geometry.PF {
 		return false
 	}

@@ -99,7 +99,7 @@ func RunMulti(cfg MultiConfig, agent core.MultiAgent, opts Options) (Result, err
 // one handed to κ_n.  cons and aggr are caller-owned per-track scratch
 // slices of length len(ks) (hoisted into the episode arena so a
 // collector-attached run stays allocation-free per step).
-func multiStepProbe(sc leftturn.Config, t float64, emergency bool, ks []core.Knowledge, cons, aggr []interval.Interval, plannerNs int64) telemetry.StepProbe {
+func multiStepProbe(sc *leftturn.Config, t float64, emergency bool, ks []core.Knowledge, cons, aggr []interval.Interval, plannerNs int64) telemetry.StepProbe {
 	p := telemetry.StepProbe{T: t, Emergency: emergency, PlannerNs: plannerNs}
 	for i, k := range ks {
 		if w := k.Sound.P.Width(); w > p.SoundWidth {

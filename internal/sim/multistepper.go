@@ -228,7 +228,7 @@ func (st *MultiStepper) Step(in StepInput) (StepOutcome, error) {
 	st.t = float64(step) * st.dt
 	t := st.t
 	cfg := &st.cfg
-	sc := st.sc
+	sc := &st.sc
 	res := &st.res
 	tracks := st.tracks
 

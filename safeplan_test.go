@@ -6,7 +6,8 @@ import (
 )
 
 func TestDefaultsValid(t *testing.T) {
-	if err := DefaultScenario().Validate(); err != nil {
+	sc := DefaultScenario()
+	if err := sc.Validate(); err != nil {
 		t.Fatalf("scenario: %v", err)
 	}
 	if err := Validate(DefaultSimConfig()); err != nil {
