@@ -21,9 +21,19 @@ type Dense struct {
 	z    *mat.Dense // pre-activation (n × out)
 	aOut *mat.Dense // activation output (n × out)
 
-	// Gradients accumulated by Backward.
+	// Gradients accumulated by Backward.  Inference copies (Clone,
+	// UnmarshalModel) start without them; Backward and the optimizers
+	// allocate them on first use.
 	GradW *mat.Dense
 	GradB []float64
+}
+
+// ensureGrads allocates the gradient buffers of a layer that has none.
+func (l *Dense) ensureGrads() {
+	if l.GradW == nil {
+		l.GradW = mat.NewDense(l.Out, l.In)
+		l.GradB = make([]float64, l.Out)
+	}
 }
 
 // NewDense constructs a layer with Glorot-uniform initialized weights and
@@ -80,6 +90,7 @@ func (l *Dense) Backward(dOut *mat.Dense) *mat.Dense {
 	if l.x == nil || n != l.x.Rows() || dOut.Cols() != l.Out {
 		panic("nn: Backward without matching Forward")
 	}
+	l.ensureGrads()
 	// dZ = dOut ⊙ act'(z), computed in place on a scratch copy.
 	dZ := mat.NewDense(n, l.Out)
 	for i := 0; i < n; i++ {
@@ -114,6 +125,7 @@ func (l *Dense) Backward(dOut *mat.Dense) *mat.Dense {
 // Params returns the parameter and gradient tensors in a stable order,
 // flattening biases into 1×out matrices for the optimizer.
 func (l *Dense) params() []param {
+	l.ensureGrads()
 	return []param{
 		{w: l.W.Data(), g: l.GradW.Data()},
 		{w: l.B, g: l.GradB},

@@ -119,19 +119,18 @@ func (n *Network) TrainBatch(x, y *mat.Dense, opt Optimizer) float64 {
 	return loss
 }
 
-// Clone returns a deep copy of the network (weights only; caches and
-// gradients start fresh).
+// Clone returns a deep copy of the network: weights only.  Forward caches
+// start fresh, and the gradient buffers are allocated only if the copy
+// is trained.
 func (n *Network) Clone() *Network {
 	out := &Network{}
 	for _, l := range n.Layers {
 		nl := &Dense{
-			In:    l.In,
-			Out:   l.Out,
-			W:     l.W.Clone(),
-			B:     append([]float64(nil), l.B...),
-			Act:   l.Act,
-			GradW: mat.NewDense(l.Out, l.In),
-			GradB: make([]float64, l.Out),
+			In:  l.In,
+			Out: l.Out,
+			W:   l.W.Clone(),
+			B:   append([]float64(nil), l.B...),
+			Act: l.Act,
 		}
 		out.Layers = append(out.Layers, nl)
 	}

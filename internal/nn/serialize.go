@@ -78,13 +78,11 @@ func UnmarshalModel(data []byte) (*Network, *Normalizer, error) {
 			return nil, nil, fmt.Errorf("nn: layer %d: shape mismatch", i)
 		}
 		l := &Dense{
-			In:    lj.In,
-			Out:   lj.Out,
-			W:     mat.NewDense(lj.Out, lj.In),
-			B:     append([]float64(nil), lj.B...),
-			Act:   act,
-			GradW: mat.NewDense(lj.Out, lj.In),
-			GradB: make([]float64, lj.Out),
+			In:  lj.In,
+			Out: lj.Out,
+			W:   mat.NewDense(lj.Out, lj.In),
+			B:   append([]float64(nil), lj.B...),
+			Act: act,
 		}
 		for r, row := range lj.W {
 			if len(row) != lj.In {

@@ -159,3 +159,57 @@ func TestFitAdvancedPanicsOnZeroEpochs(t *testing.T) {
 	NewMLP(rand.New(rand.NewSource(1)), Tanh{}, 2, 2, 1).
 		FitAdvanced(ds, &Adam{LR: 0.01}, AdvancedTrainConfig{})
 }
+
+// TestLazyGradientsTrainBitwise pins the lazy gradient buffers: a Clone
+// and a model loaded from JSON carry no GradW/GradB until trained, and
+// training either one gives bitwise the loss and weights of a copy whose
+// buffers were allocated up front by NewMLP — with Adam, gradient
+// clipping and SGD with momentum.
+func TestLazyGradientsTrainBitwise(t *testing.T) {
+	newEager := func() *Network { return NewMLP(rand.New(rand.NewSource(32)), Tanh{}, 2, 12, 8, 1) }
+	src := newEager()
+	clone := src.Clone()
+	data, err := MarshalModel(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := UnmarshalModel(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*Network{clone, loaded} {
+		for i, l := range n.Layers {
+			if l.GradW != nil || l.GradB != nil {
+				t.Fatalf("layer %d of an inference copy holds gradient buffers", i)
+			}
+		}
+	}
+	fit := func(n *Network) []float64 {
+		ds := makeQuadraticDataset(200, 31) // fitting shuffles it in place
+		res := n.FitAdvanced(ds, &Adam{LR: 0.01}, AdvancedTrainConfig{Epochs: 3, BatchSize: 32, Seed: 33, ClipNorm: 1})
+		loss := n.Fit(ds, &SGD{LR: 0.01, Momentum: 0.9}, TrainConfig{Epochs: 2, BatchSize: 16, Seed: 34})
+		return []float64{res.TrainLoss, loss}
+	}
+	wantNet := newEager()
+	want := fit(wantNet)
+	for name, n := range map[string]*Network{"clone": clone, "loaded": loaded} {
+		got := fit(n)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: loss %d = %v, eager copy %v", name, i, got[i], want[i])
+			}
+		}
+		for i, l := range n.Layers {
+			for k, w := range l.W.Data() {
+				if math.Float64bits(w) != math.Float64bits(wantNet.Layers[i].W.Data()[k]) {
+					t.Fatalf("%s: layer %d weight %d differs from the eager copy", name, i, k)
+				}
+			}
+			for k, b := range l.B {
+				if math.Float64bits(b) != math.Float64bits(wantNet.Layers[i].B[k]) {
+					t.Fatalf("%s: layer %d bias %d differs from the eager copy", name, i, k)
+				}
+			}
+		}
+	}
+}
