@@ -59,12 +59,14 @@ alloc-gate:
 	$(GO) test -run TestIBPAllocs ./internal/nn/ibp -v
 	$(GO) test -run TestPredict1Allocs ./internal/nn -v
 
-# Certification gate: the IBP soundness property suites (interval network
-# containment, the point-box and two-sided differential checks, the
-# leftturn/carfollow feature brackets, the monitor edge cases), the bitwise
-# tests of the dot kernel IBP and Predict1 share, the committed fuzz corpus
-# replay, and a quick certification sweep over the trained models asserting
-# zero certified-range misses on the clean canonical scenario.
+# Certification gate: the IBP soundness property suites (containment of
+# the network's float output with no tolerance, the tanh enclosure, point
+# boxes and the two-sided reference within their stated width bounds, the
+# shipped planners' widening, the leftturn/carfollow feature brackets, the
+# monitor edge cases), the bitwise tests of the dot kernel IBP and
+# Predict1 share, the committed fuzz corpus replay, and a quick
+# certification sweep over the trained models asserting zero
+# certified-range misses on the clean canonical scenario.
 ibp-gate:
 	$(GO) test ./internal/nn/ibp -count=1
 	$(GO) test ./internal/mat -count=1
