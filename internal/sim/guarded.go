@@ -62,8 +62,8 @@ func (gs *GuardedStep) Stats() guard.EpisodeStats { return gs.g.Stats() }
 
 // SetCertifiedRange arms the guard's IBP cross-check (see
 // guard.Guard.SetCertifiedRange).
-func (gs *GuardedStep) SetCertifiedRange(f func() (lo, hi float64, ok bool), tol float64) {
-	gs.g.SetCertifiedRange(f, tol)
+func (gs *GuardedStep) SetCertifiedRange(f func() (lo, hi float64, ok bool)) {
+	gs.g.SetCertifiedRange(f)
 }
 
 // Step runs one guarded planner invocation, threading the injector (when
