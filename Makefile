@@ -13,21 +13,26 @@ test: build
 # concurrent-campaign telemetry tests), then the golden-trace regressions
 # (left turn, certified-NN left turn, multi-vehicle, car following,
 # platoon),
-# the guarded-planner fuzz seed corpus, and a short fuzzing smoke pass
-# over the safety invariants.
+# the committed fuzz corpora (guarded planner, IBP containment, and the
+# vector kernels against their scalar references), and a short fuzzing
+# smoke pass over the safety invariants and the kernels.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon
 	$(GO) test -run FuzzGuardedPlanner ./internal/sim
 	$(GO) test -run FuzzIBPContainment ./internal/nn/ibp
+	$(GO) test -run 'FuzzTanhInto|FuzzMidRadInto' ./internal/mat
 	$(MAKE) fuzz-smoke
 
 # Re-bless the golden traces after an intentional behaviour change.
 golden:
 	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon -update
 
-# Short fuzzing pass: ~20s per safety target.  The full corpus grows under
+# Short fuzzing pass: ~20s per safety target and per vector kernel.  The
+# kernels' targets cap input minimization at 1000 runs: minimizing their
+# long float inputs would otherwise use up the 20s.  The full corpus grows
+# under
 # `go test -fuzz <Target> <pkg>` without a -fuzztime bound.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompoundSafety -fuzztime 20s ./internal/sim
@@ -36,6 +41,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGuardedPlanner -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzServeProtocol -fuzztime 20s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzIBPContainment -fuzztime 20s ./internal/nn/ibp
+	$(GO) test -run '^$$' -fuzz FuzzTanhInto -fuzztime 20s -fuzzminimizetime 1000x ./internal/mat
+	$(GO) test -run '^$$' -fuzz FuzzMidRadInto -fuzztime 20s -fuzzminimizetime 1000x ./internal/mat
 
 # Optional linters plus the in-tree determinism hygiene check: no global
 # math/rand calls and no new time.Now in the stepping packages (see
@@ -50,8 +57,9 @@ lint-extra:
 # following and the platoon on the shared chain engine) allocation-free with their campaign invariant sets attached
 # (budget in internal/sim/alloc_test.go), the arena path must stay
 # bit-identical to the allocate-per-episode path, and an IBP propagation
-# with a reused scratch (interval and point boxes) and a warm
-# Network.Predict1 must not allocate.
+# with a reused scratch (interval and point boxes, on the fused
+# centre/radius and the point kernels) and a warm Network.Predict1 (with
+# its vector tanh) must not allocate.
 alloc-gate:
 	$(GO) test -run 'TestEpisodeAllocs|TestMultiEpisodeAllocs|TestScratchParity|TestCertifyEpisodeAllocs' ./internal/sim -v
 	$(GO) test -run TestCarFollowEpisodeAllocs ./internal/carfollow -v
@@ -63,13 +71,20 @@ alloc-gate:
 # the network's float output with no tolerance, the tanh enclosure, point
 # boxes and the two-sided reference within their stated width bounds, the
 # shipped planners' widening, the leftturn/carfollow feature brackets, the
-# monitor edge cases), the bitwise tests of the dot kernel IBP and
-# Predict1 share, the committed fuzz corpus replay, and a quick
+# monitor edge cases), the bitwise tests of the kernels IBP and Predict1
+# run on (VecMatInto and MidRadInto against DotRowsInto, TanhInto against
+# math.Tanh), the committed fuzz corpus replay, and a quick
 # certification sweep over the trained models asserting zero
-# certified-range misses on the clean canonical scenario.
+# certified-range misses on the clean canonical scenario.  The purego
+# lines run the same bitwise tests and the left-turn goldens on the
+# portable Go kernels, and the arm64 vet keeps the build tags compiling
+# off amd64.
 ibp-gate:
 	$(GO) test ./internal/nn/ibp -count=1
 	$(GO) test ./internal/mat -count=1
+	$(GO) test -tags purego ./internal/mat ./internal/nn/... -count=1
+	$(GO) test -tags purego -run TestGolden ./internal/sim -count=1
+	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/nn/...
 	$(GO) test -run 'TestFeatureBox' ./internal/leftturn ./internal/carfollow -count=1
 	$(GO) test -run 'TestCertify' ./internal/sim -count=1
 	$(GO) test ./internal/monitor -count=1

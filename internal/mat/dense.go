@@ -175,9 +175,10 @@ func MulBTransInto(dst, a, b *Dense) {
 
 // DotRowsInto sets dst[j] = Σ_k x[k]·w[j·n+k] for every j < len(dst),
 // with n = len(x): the row vector x times the transpose of the
-// len(dst)×n row-major matrix w.  It is the one dot kernel behind
-// MulBTransInto (so Network.Predict1 and training) and the IBP point
-// pass.
+// len(dst)×n row-major matrix w.  It is the dot kernel behind
+// MulBTransInto (so Network.Predict1 and training), and the reference that
+// VecMatInto and MidRadInto, the IBP passes over transposed weights,
+// equal bit for bit.
 //
 // Every output accumulates s += x[k]·w[j·n+k] from +0 in k-ascending
 // order, so the result is bitwise the naive loop.  Four outputs share one

@@ -80,7 +80,7 @@ func FuzzIBPContainment(f *testing.F) {
 		}
 		pout := p.PredictInterval1(point, scr)
 		checkContains(t, "point box", []interval.Interval{pout}, predictIn(net, norm, x))
-		if w, bound := pout.Width(), 2*excessBound(p, point); w > bound {
+		if w, bound := pout.Width(), 2*excessBound(net, p, point); w > bound {
 			t.Fatalf("point box %v is %g wide, bound %g", pout, w, bound)
 		}
 	})

@@ -8,17 +8,20 @@
 // the image holds the normalized float input Predict1 sees) and becomes
 // the centre c = lo/2 + hi/2 and radius r = hi/2 − lo/2, which cannot
 // overflow for finite bounds.  A dense layer y = act(W·x + b) maps it in
-// two passes through mat.DotRowsInto, the dot kernel behind Predict1:
+// one sweep of mat.MidRadInto over the transposed weights Wᵀ that New
+// snapshots:
 //
 //	c' = W·c + b,   r' = |W|·r + margin,   z ∈ [c' − r', c' + r'],
 //
-// with |W| snapshotted by New.  In real arithmetic c' ± |W|·r is exactly
-// the sign-split bound.  The per-row margin covers every rounding error
-// in float64: Predict1's own dot product, the centre and radius passes,
-// the mid-radius conversion and the margin arithmetic itself.  With
-// γ_n = n·u/(1 − n·u), u = 2⁻⁵³, and M = max_k |c_k| + r_k, row j of a
-// layer with fan-in n gets κ·(Σ_k |w_jk|·M + |b_j|), κ = γ_{4n+16}, with
-// a floor of 2⁻⁹⁹⁹ for products that underflow.
+// where the kernel takes |w| from the sign bit and keeps the centre and
+// radius sums apart, each in the k order of Predict1's mat.DotRowsInto,
+// so both are bitwise the two separate passes.  In real arithmetic
+// c' ± |W|·r is exactly the sign-split bound.  The per-row margin covers
+// every rounding error in float64: Predict1's own dot product, the centre
+// and radius passes, the mid-radius conversion and the margin arithmetic
+// itself.  With γ_n = n·u/(1 − n·u), u = 2⁻⁵³, and M = max_k |c_k| + r_k,
+// row j of a layer with fan-in n gets κ·(Σ_k |w_jk|·M + |b_j|),
+// κ = γ_{4n+16}, with a floor of 2⁻⁹⁹⁹ for products that underflow.
 //
 // The activations are enclosed outward.  Tanh uses a fixed table of
 // math.Tanh(i/128) on [0, 20]: tanh is concave on x ≥ 0, so the chord
@@ -32,13 +35,14 @@
 // monotone.  New rejects any other activation.
 //
 // A point box (every radius zero) takes the same path but skips the
-// radius pass.  Its radii are then only margins and enclosure slack, so
-// each hidden layer bounds Σ_k |w_jk|·r_k by Σ_k |w_jk|·max_k r_k, and
-// the output layer takes the exact radius pass.  So a point box does
-// not reproduce Predict1 bit for bit: it contains it, and its width
-// is the propagated margins and enclosure slack, at most 1.3e-3 for the
-// shipped planners.  See DESIGN.md §15 for the error tally.  An input so
-// large that a pre-activation might overflow gets the whole real line.
+// radius pass, running only the centre pass, mat.VecMatInto.  Its radii
+// are then only margins and enclosure slack, so each hidden layer bounds
+// Σ_k |w_jk|·r_k by Σ_k |w_jk|·max_k r_k, and the output layer takes the
+// exact radius pass.  So a point box does not reproduce Predict1 bit for
+// bit: it contains it, and its width is the propagated margins and
+// enclosure slack, at most 1.3e-3 for the shipped planners.  See
+// DESIGN.md §15 for the error tally.  An input so large that a
+// pre-activation might overflow gets the whole real line.
 //
 // A Propagator is immutable after New (weights are snapshotted, so later
 // training of the source network is not reflected) and safe for
@@ -156,8 +160,7 @@ func kindOf(act nn.Activation) (actKind, error) {
 // its margins.
 type layer struct {
 	in, out int
-	w       []float64 // out × in, row-major (same layout as mat.Dense)
-	absW    []float64 // |w|, the radius pass's weights
+	wt      []float64 // Wᵀ: in × out, row-major
 	b       []float64
 	rowsum  []float64 // Σ_k |w_jk|
 	gb      []float64 // max(κ·|b_j|, marginFloor)
@@ -265,8 +268,7 @@ func New(net *nn.Network, norm *nn.Normalizer) (*Propagator, error) {
 		}
 		sl := layer{
 			in: l.In, out: l.Out,
-			w:      append([]float64(nil), l.W.Data()...),
-			absW:   make([]float64, l.In*l.Out),
+			wt:     make([]float64, l.In*l.Out),
 			b:      append([]float64(nil), l.B...),
 			rowsum: make([]float64, l.Out),
 			gb:     make([]float64, l.Out),
@@ -282,8 +284,8 @@ func New(net *nn.Network, norm *nn.Normalizer) (*Propagator, error) {
 		}
 		for j := 0; j < l.Out; j++ {
 			var s float64
-			for k, w := range sl.w[j*l.In : (j+1)*l.In] {
-				sl.absW[j*l.In+k] = math.Abs(w)
+			for k, w := range l.W.Row(j) {
+				sl.wt[k*l.Out+j] = w
 				s += math.Abs(w)
 			}
 			sl.rowsum[j] = s
@@ -389,13 +391,13 @@ func (p *Propagator) PredictIntervalInto(dst, box []interval.Interval, scr *Scra
 		// Centre pass into lo and radius pass into hi.  s scales the
 		// rowsums: the margin κ·M plus, for a point box, rmax.
 		lo, hi := nc[:l.out], nr[:l.out]
-		mat.DotRowsInto(lo, c, l.w)
 		s := l.kappa * m
 		if point && (!last || rmax == 0) {
+			mat.VecMatInto(lo, c, l.wt)
 			s += rmax
 			clear(hi)
 		} else {
-			mat.DotRowsInto(hi, r, l.absW)
+			mat.MidRadInto(lo, hi, c, r, l.wt)
 		}
 		for j, cj := range lo {
 			cj += l.b[j]

@@ -127,9 +127,10 @@ func TestIBPContainment(t *testing.T) {
 // w·lo or w·hi by the sign of w, in Predict1's order, and apply the
 // activation to each lane.  Each lane is a float evaluation at a corner
 // of the layer's input box, so the result is the interval image up to
-// rounding.  It returns every layer's input box, the normalized input
-// first and the output box last.
-func twoSidedLayers(p *Propagator, box []interval.Interval) [][]interval.Interval {
+// rounding.  It reads the weights of the source network net, not p's
+// snapshot, and p only for the normalizer.  It returns every layer's
+// input box, the normalized input first and the output box last.
+func twoSidedLayers(net *nn.Network, p *Propagator, box []interval.Interval) [][]interval.Interval {
 	cur := make([]interval.Interval, len(box))
 	for k, iv := range box {
 		cur[k] = iv
@@ -138,11 +139,11 @@ func twoSidedLayers(p *Propagator, box []interval.Interval) [][]interval.Interva
 		}
 	}
 	boxes := [][]interval.Interval{cur}
-	for _, l := range p.layers {
-		out := make([]interval.Interval, l.out)
+	for _, l := range net.Layers {
+		out := make([]interval.Interval, l.Out)
 		for j := range out {
 			var slo, shi float64
-			for k, w := range l.w[j*l.in : (j+1)*l.in] {
+			for k, w := range l.W.Row(j) {
 				if w >= 0 {
 					slo += w * cur[k].Lo
 					shi += w * cur[k].Hi
@@ -151,7 +152,7 @@ func twoSidedLayers(p *Propagator, box []interval.Interval) [][]interval.Interva
 					shi += w * cur[k].Lo
 				}
 			}
-			out[j] = interval.Interval{Lo: l.act.Apply(slo + l.b[j]), Hi: l.act.Apply(shi + l.b[j])}
+			out[j] = interval.Interval{Lo: l.Act.Apply(slo + l.B[j]), Hi: l.Act.Apply(shi + l.B[j])}
 		}
 		cur = out
 		boxes = append(boxes, cur)
@@ -160,8 +161,8 @@ func twoSidedLayers(p *Propagator, box []interval.Interval) [][]interval.Interva
 }
 
 // twoSidedReference returns the reference output box.
-func twoSidedReference(p *Propagator, box []interval.Interval) []interval.Interval {
-	boxes := twoSidedLayers(p, box)
+func twoSidedReference(net *nn.Network, p *Propagator, box []interval.Interval) []interval.Interval {
+	boxes := twoSidedLayers(net, p, box)
 	return boxes[len(boxes)-1]
 }
 
@@ -172,8 +173,8 @@ func twoSidedReference(p *Propagator, box []interval.Interval) []interval.Interv
 // enclosure (at most 2·tanhSlack), sigmoid is 1/4-Lipschitz plus its
 // nudge, and the exact activations are 1-Lipschitz.  A point box's
 // reference has zero width, so for it this bounds half the width.
-func excessBound(p *Propagator, box []interval.Interval) float64 {
-	ins := twoSidedLayers(p, box)
+func excessBound(net *nn.Network, p *Propagator, box []interval.Interval) float64 {
+	ins := twoSidedLayers(net, p, box)
 	var e float64
 	for i, l := range p.layers {
 		var m float64
@@ -240,7 +241,7 @@ func TestIBPPointBoxExact(t *testing.T) {
 				}
 				out := p.PredictInterval(box)
 				checkContains(t, tc.name, out, predictIn(net, norm, x))
-				if w, bound := out[0].Width(), 2*excessBound(p, box); w > bound {
+				if w, bound := out[0].Width(), 2*excessBound(net, p, box); w > bound {
 					t.Fatalf("case %d: point box %v is %g wide, bound %g", caseNo, out[0], w, bound)
 				}
 			}
@@ -278,7 +279,7 @@ func TestIBPPointBoxExact(t *testing.T) {
 			found++
 			out := p.PredictInterval(box)
 			checkContains(t, "one-ulp box", out, predictIn(net, norm, x))
-			if w, bound := out[0].Width(), 2*excessBound(p, box); w > bound {
+			if w, bound := out[0].Width(), 2*excessBound(net, p, box); w > bound {
 				t.Fatalf("case %d: one-ulp box %v is %g wide, bound %g", caseNo, out[0], w, bound)
 			}
 		}
@@ -308,7 +309,7 @@ func TestIBPPointBoxExact(t *testing.T) {
 			}
 			got := p.PredictInterval(box)
 			checkContains(t, "relu multi-output", got, predictIn(net, norm, x))
-			bound := 2 * excessBound(p, box)
+			bound := 2 * excessBound(net, p, box)
 			for j := range got {
 				if w := got[j].Width(); w > bound {
 					t.Fatalf("case %d output %d: point box %v is %g wide, bound %g", caseNo, j, got[j], w, bound)
@@ -358,7 +359,7 @@ func TestIBPMatchesTwoSidedReference(t *testing.T) {
 					}
 				}
 				got := p.PredictIntervalInto(make([]interval.Interval, p.OutputDim()), box, scr)
-				checkExcess(t, tc.name, got, twoSidedReference(p, box), excessBound(p, box))
+				checkExcess(t, tc.name, got, twoSidedReference(net, p, box), excessBound(net, p, box))
 			}
 		})
 	}
@@ -513,7 +514,7 @@ func TestIBPShippedModels(t *testing.T) {
 			boxes, points := featureBoxes(rand.New(rand.NewSource(18)), 1000, aggressive)
 			for i, box := range boxes {
 				got := p.PredictInterval1(box, scr)
-				want := twoSidedReference(p, box)[0]
+				want := twoSidedReference(net, p, box)[0]
 				checkExcess(t, name, []interval.Interval{got}, []interval.Interval{want}, maxWidening/2)
 				worst = max(worst, got.Width()-want.Width())
 				y := predictIn(net, norm, points[i])

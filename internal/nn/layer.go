@@ -74,10 +74,18 @@ func (l *Dense) Forward(x *mat.Dense) *mat.Dense {
 	mat.MulBTransInto(l.z, x, l.W) // z = x·Wᵀ
 	for i := 0; i < n; i++ {
 		zr := l.z.Row(i)
-		ar := l.aOut.Row(i)
-		for j := 0; j < l.Out; j++ {
+		for j := range zr {
 			zr[j] += l.B[j]
-			ar[j] = l.Act.Apply(zr[j])
+		}
+	}
+	// Tanh layers take the vector kernel, bitwise math.Tanh; the others
+	// apply their activation unit by unit.
+	z, a := l.z.Data(), l.aOut.Data()
+	if _, ok := l.Act.(Tanh); ok {
+		mat.TanhInto(a, z)
+	} else {
+		for j, v := range z {
+			a[j] = l.Act.Apply(v)
 		}
 	}
 	return l.aOut

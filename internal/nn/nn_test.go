@@ -361,6 +361,13 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		"bad activation": `{"version": 1, "layers": [{"in":1,"out":1,"activation":"nope","w":[[1]],"b":[0]}]}`,
 		"ragged weights": `{"version": 1, "layers": [{"in":2,"out":1,"activation":"relu","w":[[1]],"b":[0]}]}`,
 		"chain mismatch": `{"version": 1, "layers": [{"in":1,"out":2,"activation":"relu","w":[[1],[1]],"b":[0,0]},{"in":3,"out":1,"activation":"identity","w":[[1,1,1]],"b":[0]}]}`,
+		"zero outputs":   `{"version":1,"layers":[{"in":3,"out":0,"activation":"tanh","w":[],"b":[]}]}`,
+		"zero inputs":    `{"version":1,"layers":[{"in":0,"out":1,"activation":"tanh","w":[[]],"b":[0]}]}`,
+		"negative in":    `{"version":1,"layers":[{"in":-2,"out":1,"activation":"tanh","w":[[]],"b":[0]}]}`,
+		"zero std":       `{"version":1,"layers":[{"in":1,"out":1,"activation":"identity","w":[[1]],"b":[0]}],"normalizer":{"mean":[0],"std":[0]}}`,
+		"negative std":   `{"version":1,"layers":[{"in":1,"out":1,"activation":"identity","w":[[1]],"b":[0]}],"normalizer":{"mean":[0],"std":[-1]}}`,
+		"infinite std":   `{"version":1,"layers":[{"in":1,"out":1,"activation":"identity","w":[[1]],"b":[0]}],"normalizer":{"mean":[0],"std":[1e999]}}`,
+		"infinite mean":  `{"version":1,"layers":[{"in":1,"out":1,"activation":"identity","w":[[1]],"b":[0]}],"normalizer":{"mean":[-1e999],"std":[1]}}`,
 	} {
 		if _, _, err := UnmarshalModel([]byte(data)); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -56,7 +56,9 @@ func MarshalModel(n *Network, norm *Normalizer) ([]byte, error) {
 }
 
 // UnmarshalModel reconstructs a network (and normalizer, possibly nil) from
-// the JSON produced by MarshalModel.
+// the JSON produced by MarshalModel.  Malformed input (a layer with no
+// inputs or outputs, mismatched shapes, a normalizer scale that is not
+// positive) is an error, never a panic.
 func UnmarshalModel(data []byte) (*Network, *Normalizer, error) {
 	var mj modelJSON
 	if err := json.Unmarshal(data, &mj); err != nil {
@@ -73,6 +75,9 @@ func UnmarshalModel(data []byte) (*Network, *Normalizer, error) {
 		act, ok := ActivationByName(lj.Activation)
 		if !ok {
 			return nil, nil, fmt.Errorf("nn: layer %d: unknown activation %q", i, lj.Activation)
+		}
+		if lj.In <= 0 || lj.Out <= 0 {
+			return nil, nil, fmt.Errorf("nn: layer %d: invalid shape %d→%d", i, lj.In, lj.Out)
 		}
 		if len(lj.W) != lj.Out || len(lj.B) != lj.Out {
 			return nil, nil, fmt.Errorf("nn: layer %d: shape mismatch", i)
@@ -100,6 +105,13 @@ func UnmarshalModel(data []byte) (*Network, *Normalizer, error) {
 	if mj.Norm != nil {
 		if len(mj.Norm.Mean) != len(mj.Norm.Std) || len(mj.Norm.Mean) != n.InputDim() {
 			return nil, nil, fmt.Errorf("nn: normalizer width mismatch")
+		}
+		// JSON carries no NaN or infinity (the decoder rejects 1e999), so
+		// a scale that is not positive is the one bad value left.
+		for j, sd := range mj.Norm.Std {
+			if !(sd > 0) {
+				return nil, nil, fmt.Errorf("nn: normalizer feature %d has scale %v, want > 0", j, sd)
+			}
 		}
 		norm = &Normalizer{Mean: mj.Norm.Mean, Std: mj.Norm.Std}
 	}
