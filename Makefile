@@ -72,8 +72,8 @@ alloc-gate:
 # boxes and the two-sided reference within their stated width bounds, the
 # shipped planners' widening, the leftturn/carfollow feature brackets, the
 # monitor edge cases), the bitwise tests of the kernels IBP and Predict1
-# run on (VecMatInto and MidRadInto against DotRowsInto, TanhInto against
-# math.Tanh), the committed fuzz corpus replay, and a quick
+# run on (MidRadInto against DotRowsInto, TanhInto against math.Tanh),
+# the committed fuzz corpus replay, and a quick
 # certification sweep over the trained models asserting zero
 # certified-range misses on the clean canonical scenario.  The purego
 # lines run the same bitwise tests and the left-turn goldens on the

@@ -177,8 +177,7 @@ func MulBTransInto(dst, a, b *Dense) {
 // with n = len(x): the row vector x times the transpose of the
 // len(dst)×n row-major matrix w.  It is the dot kernel behind
 // MulBTransInto (so Network.Predict1 and training), and the reference that
-// VecMatInto and MidRadInto, the IBP passes over transposed weights,
-// equal bit for bit.
+// MidRadInto, the IBP passes over transposed weights, equals bit for bit.
 //
 // Every output accumulates s += x[k]·w[j·n+k] from +0 in k-ascending
 // order, so the result is bitwise the naive loop.  Four outputs share one

@@ -33,9 +33,9 @@ func FuzzTanhInto(f *testing.F) {
 	})
 }
 
-// FuzzMidRadInto compares VecMatInto and MidRadInto with DotRowsInto on
-// the transposed weights (and on |w|) for m = out mod 33 outputs and
-// every input width up to in mod 68.  Operands cycle through the decoded
+// FuzzMidRadInto compares MidRadInto with DotRowsInto on the transposed
+// weights (and on |w|) for m = out mod 33 outputs and every input width
+// up to in mod 68.  Operands cycle through the decoded
 // values: x, then r, then the in×m weights row by row.  The committed
 // corpus (testdata/fuzz/FuzzMidRadInto) runs widths 0–67 at m = 1, 24
 // and 32 (and the tails at 7), on finite values and on specials.

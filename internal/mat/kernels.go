@@ -5,39 +5,26 @@ import (
 	"math"
 )
 
-// The kernels below serve the certified step: VecMatInto and MidRadInto
-// are the IBP weight passes over a transposed (in × out) weight snapshot,
-// and TanhInto is the activation of Network.Predict1's tanh layers.  Each
-// has a portable Go twin, and on amd64 an AVX2 version that is bitwise
-// equal to it.  The AVX2 versions take blocks of four values when a
-// one-time CPU check allows (kernels_amd64.go); the twins take the rest,
-// and everything off amd64 or under -tags purego.  The twins stay the
-// reference of the differential tests and fuzz targets.
+// The kernels below serve the certified step: MidRadInto runs the IBP
+// weight passes over a transposed (in × out) weight snapshot, and
+// TanhInto is the activation of Network.Predict1's tanh layers.  Each has
+// a portable Go twin, and on amd64 an AVX2 version that is bitwise equal
+// to it.  The AVX2 versions take blocks of four values when a one-time
+// CPU check allows (kernels_amd64.go); the twins take the rest, and
+// everything off amd64 or under -tags purego.  The differential tests and
+// fuzz targets check both paths against an independent oracle:
+// DotRowsInto on the transposed weights for MidRadInto, math.Tanh for
+// TanhInto.  Under -tags purego they check the twins, the portable path,
+// against that same oracle.
 
-// VecMatInto sets dst[j] = Σ_k x[k]·wt[k·m+j] for every j < m = len(dst):
-// the row vector x times the len(x)×m row-major matrix wt.  Every output
-// accumulates s += x[k]·wt[k·m+j] from +0 in k-ascending order, so the
-// result is bitwise DotRowsInto(dst, x, w) with w the transpose of wt.
-// The AVX2 version keeps one output per lane and uses separate multiplies
-// and adds, never a fused multiply-add.
-func VecMatInto(dst, x, wt []float64) {
-	m := len(dst)
-	if len(wt) < len(x)*m {
-		panic(fmt.Sprintf("mat: VecMatInto weights hold %d values, want %d×%d", len(wt), len(x), m))
-	}
-	j := 0
-	if useAsm {
-		j = m &^ 3
-		vecMatAsm(dst[:j], x, wt, m)
-	}
-	vecMatGo(dst, x, wt, j)
-}
-
-// MidRadInto runs the two IBP passes of a layer in one sweep over wt:
-// c2[j] = Σ_k c[k]·wt[k·m+j] and r2[j] = Σ_k r[k]·|wt[k·m+j]| for every
-// j < m = len(c2), with len(r) = len(c).  The centre and the radius keep
-// separate accumulators, each in VecMatInto's order, so c2 is bitwise
-// VecMatInto(c2, c, wt) and r2 is VecMatInto(r2, r, |wt|).
+// MidRadInto runs the two IBP passes of a layer in one sweep over wt, the
+// len(c)×m row-major transposed weights: c2[j] = Σ_k c[k]·wt[k·m+j] and
+// r2[j] = Σ_k r[k]·|wt[k·m+j]| for every j < m = len(c2), with
+// len(r) = len(c).  The centre and the radius keep separate accumulators;
+// each starts at +0 and adds its products in k-ascending order, so c2 is
+// bitwise DotRowsInto(c2, c, w) with w the transpose of wt, and r2 is
+// DotRowsInto(r2, r, |w|).  The AVX2 version keeps one output per lane
+// and uses separate multiplies and adds, never a fused multiply-add.
 func MidRadInto(c2, r2, c, r, wt []float64) {
 	m := len(c2)
 	if len(r2) != m || len(r) != len(c) {
@@ -71,22 +58,6 @@ func TanhInto(dst, src []float64) {
 	}
 	for ; i < len(src); i++ {
 		dst[i] = math.Tanh(src[i])
-	}
-}
-
-// vecMatGo is VecMatInto's portable twin for the outputs from j0 on:
-// dst[j] = Σ_k x[k]·wt[k·m+j] for j0 ≤ j < m = len(dst).
-func vecMatGo(dst, x, wt []float64, j0 int) {
-	m := len(dst)
-	if j0 == m {
-		return
-	}
-	d := dst[j0:]
-	clear(d)
-	for k, xk := range x {
-		for j, w := range wt[k*m+j0 : (k+1)*m] {
-			d[j] += xk * w
-		}
 	}
 }
 

@@ -4,10 +4,10 @@ package mat
 
 import "math"
 
-// useAsm selects the AVX2 kernels of VecMatInto and MidRadInto.  They
-// need AVX2 and an OS that saves the YMM registers; FMA is required too,
-// because TanhInto must match math.Exp, which takes its FMA path exactly
-// when the CPU has AVX and FMA.
+// useAsm selects the AVX2 kernel of MidRadInto.  It needs AVX2 and an
+// OS that saves the YMM registers; FMA is required too, because TanhInto
+// must match math.Exp, which takes its FMA path exactly when the CPU has
+// AVX and FMA.
 var useAsm = hasAVX2FMA()
 
 // useAsmTanh selects the AVX2 kernel of TanhInto.  Beyond the CPU check
@@ -67,12 +67,6 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv reads XCR0.
 func xgetbv() (eax, edx uint32)
-
-// vecMatAsm is VecMatInto's AVX2 kernel for len(dst) a multiple of 4,
-// over a weight matrix with row stride stride.
-//
-//go:noescape
-func vecMatAsm(dst, x, wt []float64, stride int)
 
 // midRadAsm is MidRadInto's AVX2 kernel for len(c2) a multiple of 4, over
 // a weight matrix with row stride stride.

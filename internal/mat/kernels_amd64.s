@@ -2,11 +2,11 @@
 
 #include "textflag.h"
 
-// AVX2 kernels behind VecMatInto, MidRadInto and TanhInto.  Each is
-// bitwise equal to its Go twin in kernels.go: the dot kernels keep one
-// output per lane, start every accumulator at +0 and add the products in
-// k-ascending order with separate VMULPD/VADDPD (never a fused
-// multiply-add); the tanh kernel replays math.Tanh's branches, with
+// AVX2 kernels behind MidRadInto and TanhInto.  Each is bitwise equal to
+// its Go twin in kernels.go: the dot kernel keeps one output per lane,
+// starts every accumulator at +0 and adds the products in k-ascending
+// order with separate VMULPD/VADDPD (never a fused multiply-add); the
+// tanh kernel replays math.Tanh's branches, with
 // math.Exp's FMA path (exp_amd64.s) for the exponential.
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -26,86 +26,6 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
-	RET
-
-// func vecMatAsm(dst, x, wt []float64, stride int)
-//
-// Blocks of 16 outputs (four accumulators), then blocks of 4.
-TEXT ·vecMatAsm(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ x_base+24(FP), SI
-	MOVQ x_len+32(FP), BX
-	MOVQ wt_base+48(FP), DX
-	MOVQ stride+72(FP), R8
-	SHLQ $3, R8
-
-vm16:
-	CMPQ CX, $16
-	JLT  vm4
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ SI, R9
-	MOVQ DX, R10
-	MOVQ BX, R11
-	TESTQ R11, R11
-	JZ   vm16store
-
-vm16k:
-	VBROADCASTSD (R9), Y4
-	VMULPD (R10), Y4, Y5
-	VADDPD Y5, Y0, Y0
-	VMULPD 32(R10), Y4, Y6
-	VADDPD Y6, Y1, Y1
-	VMULPD 64(R10), Y4, Y7
-	VADDPD Y7, Y2, Y2
-	VMULPD 96(R10), Y4, Y8
-	VADDPD Y8, Y3, Y3
-	ADDQ $8, R9
-	ADDQ R8, R10
-	DECQ R11
-	JNZ  vm16k
-
-vm16store:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ $128, DI
-	ADDQ $128, DX
-	SUBQ $16, CX
-	JMP  vm16
-
-vm4:
-	CMPQ CX, $4
-	JLT  vmdone
-	VXORPD Y0, Y0, Y0
-	MOVQ SI, R9
-	MOVQ DX, R10
-	MOVQ BX, R11
-	TESTQ R11, R11
-	JZ   vm4store
-
-vm4k:
-	VBROADCASTSD (R9), Y4
-	VMULPD (R10), Y4, Y5
-	VADDPD Y5, Y0, Y0
-	ADDQ $8, R9
-	ADDQ R8, R10
-	DECQ R11
-	JNZ  vm4k
-
-vm4store:
-	VMOVUPD Y0, (DI)
-	ADDQ $32, DI
-	ADDQ $32, DX
-	SUBQ $4, CX
-	JMP  vm4
-
-vmdone:
-	VZEROUPPER
 	RET
 
 DATA absmask<>+0(SB)/8, $0x7fffffffffffffff

@@ -9,6 +9,5 @@ const (
 	useAsmTanh = false
 )
 
-func vecMatAsm(dst, x, wt []float64, stride int)       { panic("mat: no vector kernel") }
 func midRadAsm(c2, r2, c, r, wt []float64, stride int) { panic("mat: no vector kernel") }
 func tanhAsm(dst, src []float64)                       { panic("mat: no vector kernel") }

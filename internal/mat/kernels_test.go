@@ -36,26 +36,20 @@ func sameBits(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want)
 }
 
-// checkDotKernels runs VecMatInto and MidRadInto on the first k inputs
-// of x and r and the first k rows of wt (n×m, n = len(x)), and compares
-// every output j with DotRowsInto on the first k entries of row j of
-// w = wtᵀ and aw = |wt|ᵀ (m×n, from transpose).
+// checkDotKernels runs MidRadInto on the first k inputs of x and r and
+// the first k rows of wt (n×m, n = len(x)), and compares every output j
+// with DotRowsInto on the first k entries of row j of w = wtᵀ and
+// aw = |wt|ᵀ (m×n, from transpose).
 func checkDotKernels(t testing.TB, x, r, wt, w, aw []float64, m, k int) {
 	t.Helper()
 	n := len(x)
-	got := make([]float64, m)
 	gotC := make([]float64, m)
 	gotR := make([]float64, m)
-	VecMatInto(got, x[:k], wt[:k*m])
 	MidRadInto(gotC, gotR, x[:k], r[:k], wt[:k*m])
 	var wantC, wantR [1]float64
 	for j := 0; j < m; j++ {
 		DotRowsInto(wantC[:], x[:k], w[j*n:j*n+k])
 		DotRowsInto(wantR[:], r[:k], aw[j*n:j*n+k])
-		if !sameBits(got[j], wantC[0]) {
-			t.Fatalf("k=%d m=%d: VecMatInto dst[%d] = %v (%#x), DotRowsInto %v (%#x)",
-				k, m, j, got[j], math.Float64bits(got[j]), wantC[0], math.Float64bits(wantC[0]))
-		}
 		if !sameBits(gotC[j], wantC[0]) {
 			t.Fatalf("k=%d m=%d: MidRadInto centre %d = %v (%#x), DotRowsInto %v (%#x)",
 				k, m, j, gotC[j], math.Float64bits(gotC[j]), wantC[0], math.Float64bits(wantC[0]))
@@ -78,12 +72,12 @@ var specialFloats = []float64{
 	1e308, -1e308, 1, -1,
 }
 
-// TestVecMatMidRadMatchDotRows pins VecMatInto and MidRadInto bit for bit
-// to DotRowsInto on the transposed weights (and on |w|), for every input
-// width 0–9 plus 24 and 32 and every output count 0–35 (the 16-, 8- and
-// 4-wide blocks and the scalar tail), on finite operands whose long sums
+// TestMidRadMatchDotRows pins MidRadInto bit for bit to DotRowsInto on
+// the transposed weights (and on |w|), for every input width 0–9 plus 24
+// and 32 and every output count 0–35 (the 8- and 4-wide blocks and the
+// scalar tail), on finite operands whose long sums
 // round and on operands mixed with specialFloats: 4.25M operands in all.
-func TestVecMatMidRadMatchDotRows(t *testing.T) {
+func TestMidRadMatchDotRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	draw := func(specials bool) float64 {
 		if specials && rng.Intn(8) == 0 {
@@ -111,10 +105,9 @@ func TestVecMatMidRadMatchDotRows(t *testing.T) {
 	}
 }
 
-// TestVecMatMidRadShapePanics pins the shape checks.
-func TestVecMatMidRadShapePanics(t *testing.T) {
+// TestKernelShapePanics pins the shape checks.
+func TestKernelShapePanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"VecMatInto short wt": func() { VecMatInto(make([]float64, 3), make([]float64, 4), make([]float64, 11)) },
 		"MidRadInto short wt": func() {
 			MidRadInto(make([]float64, 3), make([]float64, 3), make([]float64, 4), make([]float64, 4), make([]float64, 11))
 		},
@@ -245,19 +238,6 @@ func benchOperands(in, out int) (x, r, wt []float64) {
 		wt[k] = rng.NormFloat64()
 	}
 	return x, r, wt
-}
-
-// BenchmarkVecMatInto times one point pass of a layer.
-func BenchmarkVecMatInto(b *testing.B) {
-	for _, s := range benchShapes {
-		b.Run(fmt.Sprintf("%dx%d", s.in, s.out), func(b *testing.B) {
-			x, _, wt := benchOperands(s.in, s.out)
-			dst := make([]float64, s.out)
-			for i := 0; i < b.N; i++ {
-				VecMatInto(dst, x, wt)
-			}
-		})
-	}
 }
 
 // BenchmarkMidRadInto times the fused centre and radius passes of a layer.

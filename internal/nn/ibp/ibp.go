@@ -34,11 +34,10 @@
 // identity are evaluated exactly as Predict1 evaluates them, and are
 // monotone.  New rejects any other activation.
 //
-// A point box (every radius zero) takes the same path but skips the
-// radius pass, running only the centre pass, mat.VecMatInto.  Its radii
-// are then only margins and enclosure slack, so each hidden layer bounds
-// Σ_k |w_jk|·r_k by Σ_k |w_jk|·max_k r_k, and the output layer takes the
-// exact radius pass.  So a point box does not reproduce Predict1 bit for
+// A point box (every radius zero) takes the same path, but its radii are
+// then only margins and enclosure slack, so each hidden layer bounds
+// Σ_k |w_jk|·r_k by Σ_k |w_jk|·max_k r_k in place of the radius pass, and
+// the output layer takes the exact radius pass.  So a point box does not reproduce Predict1 bit for
 // bit: it contains it, and its width is the propagated margins and
 // enclosure slack, at most 1.3e-3 for the shipped planners.  See
 // DESIGN.md §15 for the error tally.  An input so large that a
@@ -374,8 +373,8 @@ func (p *Propagator) PredictIntervalInto(dst, box []interval.Interval, scr *Scra
 	}
 	// A point box keeps its radii small: they are margins and enclosure
 	// slack.  Its hidden layers then bound Σ_k |w_jk|·r_k by
-	// rowsum_j·rmax and skip the radius pass; the output layer, usually a
-	// single row, takes the exact pass.
+	// rowsum_j·rmax in place of the radius pass's sum; the output layer,
+	// usually a single row, keeps the exact sum.
 	point := rmax == 0
 	dst = dst[:p.outDim]
 	nc, nr := scr.c2, scr.r2
@@ -388,16 +387,15 @@ func (p *Propagator) PredictIntervalInto(dst, box []interval.Interval, scr *Scra
 			return dst
 		}
 		last := i == len(p.layers)-1
-		// Centre pass into lo and radius pass into hi.  s scales the
-		// rowsums: the margin κ·M plus, for a point box, rmax.
+		// Centre pass into lo and radius pass into hi (cleared for a
+		// point box's hidden layers).  s scales the rowsums: the margin
+		// κ·M plus, for a point box, rmax.
 		lo, hi := nc[:l.out], nr[:l.out]
 		s := l.kappa * m
+		mat.MidRadInto(lo, hi, c, r, l.wt)
 		if point && (!last || rmax == 0) {
-			mat.VecMatInto(lo, c, l.wt)
 			s += rmax
 			clear(hi)
-		} else {
-			mat.MidRadInto(lo, hi, c, r, l.wt)
 		}
 		for j, cj := range lo {
 			cj += l.b[j]
