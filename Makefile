@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-campaign bench-seed bench-guard bench-perf bench-ibp bench-platoon campaign-smoke guard-smoke platoon-smoke alloc-gate serve-smoke dist-smoke ibp-gate golden fuzz-smoke lint-extra
+.PHONY: build test check bench bench-campaign bench-seed bench-guard bench-ibp bench-platoon campaign-smoke guard-smoke platoon-smoke alloc-gate serve-smoke dist-smoke ibp-gate golden fuzz-smoke lint-extra
 
 build:
 	$(GO) build ./...
@@ -147,11 +147,6 @@ bench-platoon:
 # writes BENCH_guard.json with mean η and crash-free rate per preset.
 bench-guard:
 	$(GO) run ./cmd/bench -guard -out BENCH_guard.json
-
-# Allocation/latency matrix: each episode runner measured with the scratch
-# arena off and on (ns/step, B/op, allocs/op); writes BENCH_perf.json.
-bench-perf:
-	$(GO) run ./cmd/bench -perf -out BENCH_perf.json
 
 # Offline certification sweep: every trained-NN design on the clean
 # canonical scenario in IBP verified mode; fails on any certified-range

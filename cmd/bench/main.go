@@ -111,7 +111,6 @@ func main() {
 		smoke      = flag.Bool("smoke", false, "CI safety gate: one 10k-episode campaign, invariants in fail mode")
 		guardMode  = flag.Bool("guard", false, "compute-fault matrix: one campaign per planner-fault preset under the guarded design")
 		checkpoint = flag.String("checkpoint", "", "directory for per-campaign checkpoints (enables resume)")
-		perfMode   = flag.Bool("perf", false, "allocation/latency matrix: ns/step, B/op, allocs/op per scenario, scratch off vs on (BENCH_perf.json)")
 		ibpMode    = flag.Bool("ibp", false, "certification sweep: every trained-NN design in IBP verified mode, zero certified-range misses required (BENCH_ibp.json)")
 		platoonN   = flag.Int("platoon", 0, "chain length for the N-vehicle platoon matrix (BENCH_platoon.json); with -smoke, the platoon CI gate")
 		modelDir   = flag.String("models", "models", "trained-model directory for -ibp")
@@ -155,15 +154,6 @@ func main() {
 				log.Fatal(err)
 			}
 		}()
-	}
-
-	if *perfMode {
-		o := *out
-		if !flagPassed("out") {
-			o = "BENCH_perf.json"
-		}
-		runPerfMatrix(*seed, o)
-		return
 	}
 
 	if *platoonN != 0 && *platoonN < 2 {

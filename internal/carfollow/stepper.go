@@ -68,7 +68,7 @@ type link struct {
 }
 
 // Stepper is the resumable stop-and-go chain engine — the car-following
-// twin of sim.Stepper, sharing sim's StepInput / StepOutcome vocabulary so
+// twin of sim.MultiStepper, sharing sim's StepInput / StepOutcome vocabulary so
 // streaming services drive every scenario through one interface.  A
 // two-vehicle chain is the car-following episode; longer chains are the
 // platoon extension.  Injected messages and readings are fused before the
@@ -77,7 +77,7 @@ type link struct {
 // vehicle indices, matching the engine's own traffic) and out-of-range
 // indices are dropped.
 //
-// The same lifetime rules apply as for sim.Stepper: not safe for
+// The same lifetime rules apply as for sim.MultiStepper: not safe for
 // concurrent use, and pooled inside the arena (via the arena's opaque
 // external-engine slot) when Options.Scratch is set.
 type Stepper struct {
@@ -127,7 +127,7 @@ type Stepper struct {
 }
 
 // pooledStepper fetches the arena's pooled chain engine, or a fresh one
-// when the arena is nil or the slot holds nothing usable.
+// when the slot holds nothing usable.
 func pooledStepper(sh *sim.Scratch) *Stepper {
 	if st, ok := sh.ExtEngine().(*Stepper); ok && st != nil {
 		return st
@@ -170,6 +170,9 @@ func NewChainStepper(cfg SimConfig, ch Chain, agent Agent, opts sim.Options) (*S
 	horizon := cfg.Horizon
 	if horizon == 0 {
 		horizon = DefaultHorizon
+	}
+	if opts.Scratch == nil {
+		opts.Scratch = sim.NewScratch()
 	}
 	sh := opts.Scratch
 	sh.Begin()
@@ -265,7 +268,7 @@ func NewChainStepper(cfg SimConfig, ch Chain, agent Agent, opts sim.Options) (*S
 	st.maxSteps = int(horizon/st.dt) + 1
 
 	if st.plan == nil {
-		// Built once per pooled Stepper (see sim.Stepper): the closures
+		// Built once per pooled Stepper (see sim.MultiStepper): the closures
 		// read the receiver's fields at call time.  The ego is states[1]
 		// and its knowledge is link 0's, refreshed before the guard runs.
 		st.plan = func() (float64, bool) { return st.agent.Accel(st.t, st.states[1], st.links[0].k) }
@@ -320,7 +323,7 @@ func (st *Stepper) linkOf(i int) *link {
 	return nil
 }
 
-// Step advances the episode by one control step; see sim.Stepper.Step.
+// Step advances the episode by one control step; see sim.MultiStepper.Step.
 func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 	if st.done || st.err != nil {
 		return st.terminalOutcome(), st.err
@@ -578,7 +581,7 @@ func (st *Stepper) Run() (sim.Result, error) {
 	}
 }
 
-// Finish finalizes the episode; see sim.Stepper.Finish.  For chains
+// Finish finalizes the episode; see sim.MultiStepper.Finish.  For chains
 // longer than one link it publishes the per-link statistics before the
 // episode invariants run, so chain-level invariants (platoon's
 // StringStability) can read them; a two-vehicle chain leaves Links nil.

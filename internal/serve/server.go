@@ -1,8 +1,10 @@
 // Package serve hosts the compound planner as a long-running streaming
 // service: many concurrent vehicle *sessions*, each a resumable episode
-// engine (sim.Stepper, sim.MultiStepper, or carfollow.Stepper — the
-// stop-and-go chain engine, run as its two-vehicle car-following case)
-// fed by streamed V2V/sensor events over a line-delimited JSON protocol.
+// engine (sim.MultiStepper — the left-turn engine, run as the
+// single-vehicle left turn or the oncoming stream — or carfollow.Stepper,
+// the stop-and-go chain engine, run as its two-vehicle car-following
+// case) fed by streamed V2V/sensor events over a line-delimited JSON
+// protocol.
 //
 // Ownership model: sessions are sharded by SID hash across a fixed pool
 // of worker goroutines.  All engine access happens on the owning shard's

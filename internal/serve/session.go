@@ -14,8 +14,9 @@ import (
 	"safeplan/internal/sim"
 )
 
-// engine is the resumable-stepper contract all three engines satisfy
-// (sim.Stepper, sim.MultiStepper, and the stop-and-go chain engine
+// engine is the resumable-stepper contract both engines satisfy
+// (sim.MultiStepper, which sessions open as the single-vehicle left turn
+// or the oncoming stream, and the stop-and-go chain engine
 // carfollow.Stepper, which sessions open as car following): advance one
 // control step with optional streamed events, then settle the episode
 // result exactly once.

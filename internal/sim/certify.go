@@ -22,8 +22,10 @@ import (
 // The propagator must be built (ibp.New) from the same network and
 // normalizer the episode's agent actually runs, and Limits must match the
 // planner's actuation clamp; otherwise misses measure the configuration
-// mismatch, not a defect.  Supported agents are *core.PureNN and
-// *core.Compound with an NN planner; NewStepper rejects anything else.
+// mismatch, not a defect.  Verified mode covers the single-vehicle left
+// turn (NewStepper) with a *core.PureNN or a *core.Compound over an NN
+// planner; construction refuses any other agent, and MultiConfig refuses
+// Certify for the oncoming stream.
 //
 // Point evaluation stays on the hot path: a nil Certify skips every part
 // of this machinery, and the episode bytes are identical with and without
@@ -56,13 +58,13 @@ func (c *CertifyConfig) validate() error {
 
 // certifier is the per-stepper verified-mode state: the propagator, the
 // agent-shape facts the range computation needs, and the reusable
-// buffers.  It lives inside the pooled Stepper; the shared CertifyConfig
+// buffers.  It lives inside the pooled engine; the shared CertifyConfig
 // stays read-only.
 type certifier struct {
 	prop *ibp.Propagator
 	lim  dynamics.Limits
 
-	// Agent shape, fixed at NewStepper: which window feeds κ_n, and the
+	// Agent shape, fixed at construction: which window feeds κ_n, and the
 	// monitor clamp to lift over the range (Compound only).  The monitor
 	// is stateless (a pure value), so holding a copy reproduces the
 	// agent's verdict exactly.
@@ -83,8 +85,9 @@ type certifier struct {
 
 // init (re)configures the per-stepper verified-mode state for agent,
 // rejecting agent types whose command the certified range does not
-// describe.  The receiver's scratch is reused when present, so a pooled
-// Stepper re-enters verified mode without allocating.
+// describe; agent is the left turn's single-vehicle agent (nil on the
+// oncoming stream).  The receiver's scratch is reused when present, so a
+// pooled engine re-enters verified mode without allocating.
 func (c *certifier) init(cfg *CertifyConfig, ego dynamics.Limits, agent core.Agent) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -103,6 +106,8 @@ func (c *certifier) init(cfg *CertifyConfig, ego dynamics.Limits, agent core.Age
 		c.clamp = true
 		c.monFused = ag.MonitorOnFused
 		c.mon = ag.Monitor
+	case nil:
+		return fmt.Errorf("sim: Certify is implemented for the single-vehicle left turn only")
 	default:
 		return fmt.Errorf("sim: Certify does not support agent type %T", agent)
 	}

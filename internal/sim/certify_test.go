@@ -158,7 +158,7 @@ func TestCertifyRejectsUnsupported(t *testing.T) {
 // TestCertifyEpisodeAllocs is the verified-mode alloc budget wired into
 // make alloc-gate: with a warm arena, enabling Certify must stay within
 // the same per-episode budget as the plain path (the IBP scratch and the
-// certifier live in the pooled Stepper).
+// certifier live in the pooled engine).
 func TestCertifyEpisodeAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate is not meaningful with -short")

@@ -74,14 +74,21 @@ type oncomingTrack struct {
 	sensor   *sensor.Model
 	filter   *fusion.Filter
 	sensProc disturb.SensorProcess // nil unless SensorDisturb is set
+
+	meas     sensor.Reading // the last reading taken (trace rows)
+	haveMeas bool
 }
 
 // RunMulti simulates one episode with a stream of oncoming vehicles.  The
 // episode ends at the first collision with any vehicle, when the ego
-// clears the zone, or at the horizon.  Like Run it is a thin closed loop
-// over the resumable engine (here MultiStepper).
+// clears the zone, or at the horizon.
 func RunMulti(cfg MultiConfig, agent core.MultiAgent, opts Options) (Result, error) {
-	st, err := NewMultiStepper(cfg, agent, opts)
+	return run(NewMultiStepper(cfg, agent, opts))
+}
+
+// run is the closed loop over the resumable engine: step to termination
+// with no injected input, then finalize.
+func run(st *MultiStepper, err error) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}

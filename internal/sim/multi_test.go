@@ -126,8 +126,9 @@ func TestRunMultiDeterministic(t *testing.T) {
 }
 
 func TestRunMultiSingleVehicleMatchesShape(t *testing.T) {
-	// A one-vehicle stream must behave like the single-vehicle engine in
-	// aggregate (not bit-identical: the RNG draw order differs).
+	// A one-vehicle stream must behave like the left turn in aggregate
+	// (not bit-identical: NewMultiStepper keeps the stream's RNG
+	// derivation order).
 	cfg := multiConfig()
 	cfg.Vehicles = 1
 	cfg.InfoFilter = true
@@ -201,5 +202,43 @@ func TestQuickMultiEndToEndSafety(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// vehicleRecorder records the true state of every observed vehicle, step
+// by step, through the invariant hook.
+type vehicleRecorder struct {
+	StepOnly
+	states map[int][]float64 // vehicle index → true position per step
+}
+
+func (*vehicleRecorder) Name() string { return "vehicle-recorder" }
+
+func (r *vehicleRecorder) CheckStep(s *StepInfo) error {
+	r.states[s.Vehicle] = append(r.states[s.Vehicle], s.Other.P)
+	return nil
+}
+
+// TestRunMultiTraceRecordsVehicleOne pins Options.Trace on the oncoming
+// stream: one row per step, describing vehicle 1 (track 0) — it used to
+// come back empty.
+func TestRunMultiTraceRecordsVehicleOne(t *testing.T) {
+	cfg := multiConfig()
+	cfg.Vehicles = 3
+	rec := &vehicleRecorder{states: map[int][]float64{}}
+	res, err := RunMulti(cfg, multiUltimate(cfg, false), Options{Seed: 7, Trace: true, Invariants: []Invariant{rec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps == 0 || len(res.Trace) != res.Steps {
+		t.Fatalf("trace holds %d rows for %d steps", len(res.Trace), res.Steps)
+	}
+	for i, s := range res.Trace {
+		if s.OncP != rec.states[0][i] {
+			t.Fatalf("step %d: trace OncP %v, vehicle 1 at %v", i, s.OncP, rec.states[0][i])
+		}
+		if s.OncP == rec.states[1][i] {
+			t.Fatalf("step %d: trace OncP equals vehicle 2's position %v", i, s.OncP)
+		}
 	}
 }

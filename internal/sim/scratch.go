@@ -27,8 +27,9 @@ import (
 // between goroutines; per-episode determinism is untouched because nothing
 // in the arena carries state across Begin calls.
 //
-// All acquisition methods tolerate a nil receiver by allocating fresh
-// objects, so runner code is identical with and without a Scratch.
+// The acquisition methods need a non-nil receiver: the engines give an
+// episode that was passed no arena a fresh one (NewScratch) on entry, so
+// there is one code path with and without a caller-owned Scratch.
 type Scratch struct {
 	rngs []*rand.Rand
 	nRng int
@@ -50,7 +51,7 @@ type Scratch struct {
 
 	msgBuf []comms.Message
 
-	// RunMulti per-track working storage.
+	// Per-track working storage of the engine.
 	tracks []oncomingTrack
 	knows  []core.Knowledge
 	ests   []fusion.Estimate
@@ -60,11 +61,10 @@ type Scratch struct {
 	cons []interval.Interval
 	aggr []interval.Interval
 
-	// Pooled resumable engines.  A Stepper carries its own hot-path
-	// closures (built once, capturing only the stepper pointer), so
-	// reusing the object keeps repeat episodes allocation-free; the arena
-	// discipline is unchanged — one episode at a time per Scratch.
-	pooledStepper      *Stepper
+	// The pooled resumable engine.  It carries its own hot-path closures
+	// (built once, capturing only the engine pointer), so reusing the
+	// object keeps repeat episodes allocation-free; the arena discipline
+	// is unchanged — one episode at a time per Scratch.
 	pooledMultiStepper *MultiStepper
 	// extEngine is the same slot for sibling scenario packages
 	// (internal/carfollow), which sim cannot name without an import cycle.
@@ -77,11 +77,8 @@ func NewScratch() *Scratch { return &Scratch{} }
 
 // Begin readies the arena for a new episode, releasing every component
 // acquired by the previous one back into the reuse pools.  Episode runners
-// call it once on entry; it is a no-op on a nil receiver.
+// call it once on entry.
 func (s *Scratch) Begin() {
-	if s == nil {
-		return
-	}
 	s.nRng, s.nChan, s.nSens, s.nDrv, s.nStop, s.nFilt = 0, 0, 0, 0, 0, 0
 }
 
@@ -90,9 +87,6 @@ func (s *Scratch) Begin() {
 // which seed fast and draw exactly what a math/rand source seeded with
 // seed would.
 func (s *Scratch) RNG(seed int64) *rand.Rand {
-	if s == nil {
-		return xrand.New(seed)
-	}
 	if s.nRng < len(s.rngs) {
 		r := s.rngs[s.nRng]
 		s.nRng++
@@ -108,9 +102,6 @@ func (s *Scratch) RNG(seed int64) *rand.Rand {
 // Channel returns a channel configured like comms.NewChannel(cfg, rng),
 // reusing a pooled instance when available.
 func (s *Scratch) Channel(cfg comms.Config, rng *rand.Rand) (*comms.Channel, error) {
-	if s == nil {
-		return comms.NewChannel(cfg, rng)
-	}
 	if s.nChan < len(s.channels) {
 		c := s.channels[s.nChan]
 		if err := c.Reset(cfg, rng); err != nil {
@@ -130,9 +121,6 @@ func (s *Scratch) Channel(cfg comms.Config, rng *rand.Rand) (*comms.Channel, err
 
 // Sensor returns a sensor model configured like sensor.New(cfg, rng).
 func (s *Scratch) Sensor(cfg sensor.Config, rng *rand.Rand) (*sensor.Model, error) {
-	if s == nil {
-		return sensor.New(cfg, rng)
-	}
 	if s.nSens < len(s.sensors) {
 		m := s.sensors[s.nSens]
 		if err := m.Reset(cfg, rng); err != nil {
@@ -152,9 +140,6 @@ func (s *Scratch) Sensor(cfg sensor.Config, rng *rand.Rand) (*sensor.Model, erro
 
 // Driver returns a random driver configured like traffic.NewDriver(cfg, rng).
 func (s *Scratch) Driver(cfg traffic.DriverConfig, rng *rand.Rand) (*traffic.Driver, error) {
-	if s == nil {
-		return traffic.NewDriver(cfg, rng)
-	}
 	if s.nDrv < len(s.drivers) {
 		d := s.drivers[s.nDrv]
 		if err := d.Reset(cfg, rng); err != nil {
@@ -175,9 +160,6 @@ func (s *Scratch) Driver(cfg traffic.DriverConfig, rng *rand.Rand) (*traffic.Dri
 // StopAndGo returns a stop-and-go lead driver configured like
 // traffic.NewStopAndGo(cfg, rng).
 func (s *Scratch) StopAndGo(cfg traffic.StopAndGoConfig, rng *rand.Rand) (*traffic.StopAndGo, error) {
-	if s == nil {
-		return traffic.NewStopAndGo(cfg, rng)
-	}
 	if s.nStop < len(s.stopgos) {
 		d := s.stopgos[s.nStop]
 		if err := d.Reset(cfg, rng); err != nil {
@@ -198,9 +180,6 @@ func (s *Scratch) StopAndGo(cfg traffic.StopAndGoConfig, rng *rand.Rand) (*traff
 // Fusion returns a fusion filter configured like fusion.New(cfg), reusing a
 // pooled instance (and its Kalman history buffer) when available.
 func (s *Scratch) Fusion(cfg fusion.Config) (*fusion.Filter, error) {
-	if s == nil {
-		return fusion.New(cfg)
-	}
 	if s.nFilt < len(s.filters) {
 		f := s.filters[s.nFilt]
 		if err := f.ResetConfig(cfg); err != nil {
@@ -223,37 +202,18 @@ func (s *Scratch) Fusion(cfg fusion.Config) (*fusion.Filter, error) {
 const msgBufCap = 64
 
 // MsgBuf returns the reusable message scratch buffer, emptied, for use with
-// comms.Channel.PollAppend.  Nil receivers return nil (append allocates as
-// before).
+// comms.Channel.PollAppend.
 func (s *Scratch) MsgBuf() []comms.Message {
-	if s == nil {
-		return nil
-	}
 	if s.msgBuf == nil {
 		s.msgBuf = make([]comms.Message, 0, msgBufCap)
 	}
 	return s.msgBuf[:0]
 }
 
-// stepper returns the arena's pooled single-vehicle Stepper (allocated on
-// first use), or a fresh one on a nil receiver.  The caller resets it; the
-// previous episode's engine is invalidated, matching the one-episode-at-a-
-// time arena contract.
-func (s *Scratch) stepper() *Stepper {
-	if s == nil {
-		return &Stepper{}
-	}
-	if s.pooledStepper == nil {
-		s.pooledStepper = &Stepper{}
-	}
-	return s.pooledStepper
-}
-
-// multiStepper is the multi-vehicle twin of stepper.
+// multiStepper returns the arena's pooled engine (allocated on first
+// use).  The caller resets it; the previous episode's engine is
+// invalidated, matching the one-episode-at-a-time arena contract.
 func (s *Scratch) multiStepper() *MultiStepper {
-	if s == nil {
-		return &MultiStepper{}
-	}
 	if s.pooledMultiStepper == nil {
 		s.pooledMultiStepper = &MultiStepper{}
 	}
@@ -261,27 +221,14 @@ func (s *Scratch) multiStepper() *MultiStepper {
 }
 
 // ExtEngine returns the opaque pooled-engine slot for sibling scenario
-// packages (nil on a nil receiver or before the first SetExtEngine).
-func (s *Scratch) ExtEngine() any {
-	if s == nil {
-		return nil
-	}
-	return s.extEngine
-}
+// packages (nil before the first SetExtEngine).
+func (s *Scratch) ExtEngine() any { return s.extEngine }
 
-// SetExtEngine stores a sibling scenario package's pooled engine; a no-op
-// on a nil receiver.
-func (s *Scratch) SetExtEngine(v any) {
-	if s != nil {
-		s.extEngine = v
-	}
-}
+// SetExtEngine stores a sibling scenario package's pooled engine.
+func (s *Scratch) SetExtEngine(v any) { s.extEngine = v }
 
-// trackSlice returns a zeroed slice of n oncoming tracks for RunMulti.
+// trackSlice returns a zeroed slice of n oncoming tracks.
 func (s *Scratch) trackSlice(n int) []oncomingTrack {
-	if s == nil {
-		return make([]oncomingTrack, n)
-	}
 	if cap(s.tracks) < n {
 		s.tracks = make([]oncomingTrack, n)
 	}
@@ -293,13 +240,9 @@ func (s *Scratch) trackSlice(n int) []oncomingTrack {
 }
 
 // windowSlices returns two zeroed per-track window slices for the
-// multi-vehicle telemetry probe.  Acquired once per episode (only when a
-// collector is attached), so even the nil-receiver path allocates per
-// episode rather than per step.
+// telemetry probe (acquired once per episode, only when a collector is
+// attached).
 func (s *Scratch) windowSlices(n int) (cons, aggr []interval.Interval) {
-	if s == nil {
-		return make([]interval.Interval, n), make([]interval.Interval, n)
-	}
 	if cap(s.cons) < n {
 		s.cons = make([]interval.Interval, n)
 		s.aggr = make([]interval.Interval, n)
@@ -312,12 +255,8 @@ func (s *Scratch) windowSlices(n int) (cons, aggr []interval.Interval) {
 	return s.cons, s.aggr
 }
 
-// knowledgeSlices returns zeroed per-track knowledge and estimate slices
-// for RunMulti.
+// knowledgeSlices returns zeroed per-track knowledge and estimate slices.
 func (s *Scratch) knowledgeSlices(n int) ([]core.Knowledge, []fusion.Estimate) {
-	if s == nil {
-		return make([]core.Knowledge, n), make([]fusion.Estimate, n)
-	}
 	if cap(s.knows) < n {
 		s.knows = make([]core.Knowledge, n)
 		s.ests = make([]fusion.Estimate, n)

@@ -296,8 +296,13 @@ func (r Result) EmergencyFrequency() float64 {
 
 // Options selects per-episode behaviour.
 type Options struct {
-	Seed  int64 // master seed; every random stream derives from it
-	Trace bool  // record per-step samples
+	Seed int64 // master seed; every random stream derives from it
+
+	// Trace records one Sample per control step in Result.Trace.  A row
+	// describes the first oncoming vehicle (sender 1): the left turn's one
+	// vehicle, and vehicle 1 of a multi-vehicle stream, whose other
+	// vehicles are not traced.
+	Trace bool
 
 	// Collector receives telemetry probes (per-step, per-episode).  Nil
 	// disables telemetry: the loop then pays one nil-check per probe
@@ -312,12 +317,12 @@ type Options struct {
 	// stateless: campaign runners share them across workers.
 	Invariants []Invariant
 
-	// Scratch, when non-nil, is the episode-scoped arena the runner draws
-	// per-episode objects (rand streams, channel, sensor, driver, fusion
-	// filter, Poll buffer) from instead of allocating them fresh.  The
-	// episode is bit-identical with and without it.  A Scratch serves one
-	// episode at a time: campaign workers keep one per shard and must not
-	// share it between concurrently running episodes.
+	// Scratch is the episode-scoped arena the runner draws per-episode
+	// objects (the engine itself, rand streams, channel, sensor, driver,
+	// fusion filter, Poll buffer) from; nil gets a fresh arena per
+	// episode.  The episode is bit-identical either way.  A Scratch serves
+	// one episode at a time: campaign workers keep one per shard and must
+	// not share it between concurrently running episodes.
 	Scratch *Scratch
 }
 
@@ -341,19 +346,9 @@ func ReportOutcome(c telemetry.Collector, seed int64, r *Result) {
 	})
 }
 
-// Run simulates one episode of agent under cfg and returns its Result.
-// It is a thin closed loop over the resumable Stepper engine: construct,
-// step to termination with no injected input, finalize.  The Stepper
-// parity tests pin this equivalence byte for byte.
+// Run simulates one single-vehicle left-turn episode of agent under cfg
+// and returns its Result: the oncoming stream with one track (see
+// NewStepper).
 func Run(cfg Config, agent core.Agent, opts Options) (Result, error) {
-	st, err := NewStepper(cfg, agent, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	for {
-		out, err := st.Step(StepInput{})
-		if err != nil || out.Done {
-			return st.Finish()
-		}
-	}
+	return run(NewStepper(cfg, agent, opts))
 }

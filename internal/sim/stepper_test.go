@@ -283,3 +283,37 @@ func TestStepperInjectedEventParity(t *testing.T) {
 		t.Fatal("injected V2V message left the episode byte-identical; injection path appears dead")
 	}
 }
+
+// TestStepperDropsOutOfRangeEvents pins the routing of streamed events on
+// the left turn: its one oncoming vehicle is sender/target 1, and events
+// naming any other index are ignored rather than fused into its filter.
+func TestStepperDropsOutOfRangeEvents(t *testing.T) {
+	cfg := goldenEpisodes()[2].Cfg // lost comms: a fused message would show
+	opts := Options{Seed: 9}
+	want, err := Run(cfg, stepperAgent(cfg), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStepper(cfg, stepperAgent(cfg), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; !st.Done(); step++ {
+		at := float64(step) * cfg.Scenario.DtC
+		p := cfg.Scenario.OncomingInit.P + cfg.Scenario.OncomingInit.V*at
+		in := StepInput{
+			Messages: []comms.Message{{Sender: 0, T: at, P: p, V: 3}, {Sender: 2, T: at, P: p, V: 3}},
+			Readings: []sensor.Reading{{Target: 0, T: at, P: p, V: 3}, {Target: 2, T: at, P: p, V: 3}},
+		}
+		if _, err := st.Step(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := st.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
+		t.Fatalf("out-of-range events changed the episode\nrun:     %s\nstepper: %s", w, g)
+	}
+}

@@ -862,8 +862,9 @@ func RunPlatoonCampaign(cfg PlatoonSimConfig, agent CarFollowAgent, n int, baseS
 // vocabulary hosts many such engines as concurrent network sessions; see
 // cmd/serve for the daemon and load generator.
 type (
-	// Stepper is the resumable left-turn episode engine.
-	Stepper = sim.Stepper
+	// Stepper is the resumable left-turn episode engine: the oncoming
+	// stream with one vehicle, the same type as MultiStepper.
+	Stepper = sim.MultiStepper
 	// MultiStepper is the resumable oncoming-stream episode engine.
 	MultiStepper = sim.MultiStepper
 	// CarFollowStepper is the resumable car-following episode engine.
