@@ -78,8 +78,8 @@ type link struct {
 // indices are dropped.
 //
 // The same lifetime rules apply as for sim.MultiStepper: not safe for
-// concurrent use, and pooled inside the arena (via the arena's opaque
-// external-engine slot) when Options.Scratch is set.
+// concurrent use, and pooled inside the episode's arena (via the arena's
+// opaque external-engine slot; a nil Options.Scratch gets a fresh one).
 type Stepper struct {
 	cfg   SimConfig
 	ch    Chain

@@ -186,9 +186,10 @@ func TestCertifyEpisodeAllocs(t *testing.T) {
 	}
 }
 
-// TestMultiConfigRejectsCertify pins the multi engine's refusal of
-// verified mode: it has no certifier, so a set Certify must fail
-// validation rather than report zero certified steps.
+// TestMultiConfigRejectsCertify pins the oncoming stream's refusal of
+// verified mode: the engine certifies the single-vehicle left turn only,
+// so a set Certify must fail validation rather than report zero certified
+// steps.
 func TestMultiConfigRejectsCertify(t *testing.T) {
 	p, prop := certifyPlanner(t, 4)
 	cfg := DefaultMultiConfig()

@@ -308,11 +308,7 @@ func newEngine(cfg MultiConfig, multi core.MultiAgent, single core.Agent, opts O
 		st.env = func() (float64, float64, bool) {
 			lo, hi := st.sc.Ego.AMin, st.sc.Ego.AMax
 			for _, k := range st.ks {
-				o := st.mon.Assess(st.ego, st.sc.ConservativeWindow(k.Sound))
-				if o.Emergency {
-					return 0, 0, false
-				}
-				tlo, thi, ok := o.Envelope(st.sc.Ego)
+				tlo, thi, ok := st.mon.Assess(st.ego, st.sc.ConservativeWindow(k.Sound)).Envelope(st.sc.Ego)
 				if !ok {
 					return 0, 0, false
 				}
