@@ -13,7 +13,8 @@ import (
 func cfCfg() Config { return DefaultConfig() }
 
 func TestDefaultConfigValid(t *testing.T) {
-	if err := cfCfg().Validate(); err != nil {
+	c := cfCfg()
+	if err := c.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
 }

@@ -78,3 +78,70 @@ func TestFaultPresetsContainedCarFollow(t *testing.T) {
 		})
 	}
 }
+
+// guardFieldRecorder records every link's guard annotation, in call order.
+type guardFieldRecorder struct {
+	sim.StepOnly
+	rows []guardFieldRow
+}
+
+type guardFieldRow struct {
+	t                      float64
+	link                   int
+	state, fault, fallback string
+}
+
+func (r *guardFieldRecorder) Name() string { return "guard-field-recorder" }
+
+func (r *guardFieldRecorder) CheckStep(s *sim.StepInfo) error {
+	r.rows = append(r.rows, guardFieldRow{s.T, s.Vehicle, s.GuardState, s.GuardFault, s.GuardFallback})
+	return nil
+}
+
+// TestChainStepInfoGuardFieldsReset pins the per-link StepInfo refill of
+// a guarded chain: the engine reuses one StepInfo for every link and
+// annotates only link 0 (the ego's) with the guard's verdict, so links
+// ≥ 1 must read empty guard fields on every step, including the steps on
+// which link 0 carries a contained fault and its fallback.
+func TestChainStepInfoGuardFieldsReset(t *testing.T) {
+	m, err := faultinject.Preset("worst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := simCfg()
+	cfg.InfoFilter = true
+	cfg.PlannerFault = m
+	gc := guard.DefaultConfig(cfg.Scenario.Ego)
+	cfg.Guard = &gc
+	ch := Chain{Vehicles: 4, Spacing: 20, Follower: *ConservativeExpert(cfg.Scenario)}
+	agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
+	rec := &guardFieldRecorder{}
+	faults := 0
+	for seed := int64(0); seed < 3; seed++ {
+		st, err := NewChainStepper(cfg, ch, agent, sim.Options{Seed: seed, Invariants: []sim.Invariant{rec}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Run(); err != nil {
+			t.Fatal(err)
+		}
+		annotated := false
+		for _, r := range rec.rows {
+			if r.link == 0 {
+				annotated = r.state != ""
+				if r.fault != "" {
+					faults++
+				}
+				continue
+			}
+			if annotated && (r.state != "" || r.fault != "" || r.fallback != "") {
+				t.Fatalf("seed %d t=%v: link %d carries link 0's guard fields %q/%q/%q",
+					seed, r.t, r.link, r.state, r.fault, r.fallback)
+			}
+		}
+		rec.rows = rec.rows[:0]
+	}
+	if faults == 0 {
+		t.Fatal("the worst-case fault preset never faulted link 0: the test checks nothing")
+	}
+}

@@ -2,7 +2,6 @@ package carfollow
 
 import (
 	"fmt"
-	"math"
 
 	"safeplan/internal/dynamics"
 	"safeplan/internal/mat"
@@ -54,10 +53,10 @@ func (e *Expert) Name() string { return e.Label }
 
 // Accel implements Planner.
 func (e *Expert) Accel(_ float64, ego dynamics.State, lead LeadEstimate, assumedBrake float64) float64 {
-	c := e.Cfg
+	c := &e.Cfg
 	if lead.P.IsEmpty() {
 		// Free road: cruise at the speed limit.
-		return math.Min(c.Ego.AMax, (c.Ego.VMax-ego.V)/0.8)
+		return min(c.Ego.AMax, (c.Ego.VMax-ego.V)/0.8)
 	}
 	gap := lead.PointP - ego.P - c.PGap
 	target := c.RequiredGap(ego.V, lead.PointV, assumedBrake) + e.Headway*ego.V + e.Buffer
@@ -67,7 +66,7 @@ func (e *Expert) Accel(_ float64, ego dynamics.State, lead LeadEstimate, assumed
 	if ego.V >= c.Ego.VMax && a > 0 {
 		a = 0
 	}
-	return math.Max(c.Ego.AMin, math.Min(c.Ego.AMax, a))
+	return max(c.Ego.AMin, min(c.Ego.AMax, a))
 }
 
 // NNPlanner is an imitation-trained network over Config.Features.
@@ -88,7 +87,7 @@ func (p *NNPlanner) Accel(_ float64, ego dynamics.State, lead LeadEstimate, assu
 		p.Norm.Apply(feats)
 	}
 	a := p.Net.Predict1(feats)
-	return math.Max(p.Cfg.Ego.AMin, math.Min(p.Cfg.Ego.AMax, a))
+	return max(p.Cfg.Ego.AMin, min(p.Cfg.Ego.AMax, a))
 }
 
 // TrainOptions drives car-following imitation learning.  The expert policy

@@ -384,20 +384,21 @@ func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 				lk.filt.OnReading(lk.lastMeas)
 			}
 		}
-		est := lk.filt.EstimateAt(t)
-		lk.est = est
+		est := &lk.est
+		lk.filt.EstimateInto(est, t)
 		if !est.P.Contains(pred.P) || !est.V.Contains(pred.V) {
 			res.FusedIntervalMisses++
 		}
 		if !est.SoundP.Contains(pred.P) || !est.SoundV.Contains(pred.V) {
 			res.SoundViolations++
 		}
-		lk.k = Knowledge{
-			Sound: LeadEstimate{P: est.SoundP, V: est.SoundV,
-				PointP: est.PointP, PointV: est.PointV, A: est.A},
-			Fused: LeadEstimate{P: est.P, V: est.V,
-				PointP: est.PointP, PointV: est.PointV, A: est.A},
-		}
+		// Written field by field: every field of both estimates, in
+		// place (see DESIGN.md, hot-path rules).
+		k := &lk.k
+		k.Sound.P, k.Sound.V = est.SoundP, est.SoundV
+		k.Fused.P, k.Fused.V = est.P, est.V
+		k.Sound.PointP, k.Sound.PointV, k.Sound.A = est.PointP, est.PointV, est.A
+		k.Fused.PointP, k.Fused.PointV, k.Fused.A = est.PointP, est.PointV, est.A
 	}
 
 	// 2. The ego under the guard, timed for telemetry; the probe reports
@@ -454,11 +455,10 @@ func (st *Stepper) Step(in sim.StepInput) (sim.StepOutcome, error) {
 				a, em = st.fAcc[l+1], st.fEmerg[l+1]
 			}
 			si := &st.si
-			*si = sim.StepInfo{
-				T: t, Vehicle: l,
-				Ego: states[l+1], Other: states[l], OtherA: st.accels[l],
-				Est: links[l].est, Accel: a, Emergency: em,
-			}
+			si.T, si.Vehicle, si.Ego, si.Other, si.OtherA = t, l, states[l+1], states[l], st.accels[l]
+			si.Est = links[l].est
+			si.Accel, si.Emergency = a, em
+			si.GuardState, si.GuardFault, si.GuardFallback = "", "", ""
 			if l == 0 && st.gs != nil {
 				st.gs.Annotate(si, gres)
 			}

@@ -137,8 +137,8 @@ func (c *MultiCompound) Accel(t float64, ego dynamics.State, ks []Knowledge) (fl
 	floor := math.Inf(-1)
 	ceil := math.Inf(1)
 	hasFloor, hasCeil := false, false
-	for _, k := range ks {
-		w := c.Cfg.ConservativeWindow(k.Sound)
+	for i := range ks {
+		w := c.Cfg.ConservativeWindow(ks[i].Sound)
 		verdict := c.Monitor.Assess(ego, w)
 		if verdict.Emergency {
 			c.decide(verdict.Reason)
@@ -165,12 +165,12 @@ func (c *MultiCompound) Accel(t float64, ego dynamics.State, ks []Knowledge) (fl
 	// mutable scratch).
 	best := interval.Empty()
 	bestLo := math.Inf(1)
-	for _, k := range ks {
+	for i := range ks {
 		var w interval.Interval
 		if c.AggressiveSet {
-			w = c.Cfg.AggressiveWindow(k.Fused)
+			w = c.Cfg.AggressiveWindow(ks[i].Fused)
 		} else {
-			w = c.Cfg.ConservativeWindow(k.Fused)
+			w = c.Cfg.ConservativeWindow(ks[i].Fused)
 		}
 		if !w.IsEmpty() && w.Lo < bestLo {
 			best, bestLo = w, w.Lo

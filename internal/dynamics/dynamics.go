@@ -27,14 +27,17 @@ type Limits struct {
 	AMin, AMax float64 // acceleration range [m/s²], AMin < 0 < AMax
 }
 
-// Validate reports whether the limits are internally consistent.
+// Validate reports whether the limits are internally consistent.  A NaN
+// acceleration bound fails too: the planners clamp commands with the
+// builtin min/max, which agree with math.Min/math.Max once AMin and AMax
+// are known to be numbers of the right sign.
 func (l Limits) Validate() error {
 	switch {
 	case l.VMin > l.VMax:
 		return fmt.Errorf("dynamics: VMin %v > VMax %v", l.VMin, l.VMax)
-	case l.AMin >= 0:
+	case !(l.AMin < 0):
 		return fmt.Errorf("dynamics: AMin %v must be negative", l.AMin)
-	case l.AMax <= 0:
+	case !(l.AMax > 0):
 		return fmt.Errorf("dynamics: AMax %v must be positive", l.AMax)
 	}
 	return nil

@@ -17,6 +17,8 @@ func TestValidate(t *testing.T) {
 		{VMin: 5, VMax: 1, AMin: -1, AMax: 1},
 		{VMin: 0, VMax: 1, AMin: 1, AMax: 1},
 		{VMin: 0, VMax: 1, AMin: -1, AMax: 0},
+		{VMin: 0, VMax: 1, AMin: math.NaN(), AMax: 1},
+		{VMin: 0, VMax: 1, AMin: -1, AMax: math.NaN()},
 	}
 	for i, l := range bad {
 		if err := l.Validate(); err == nil {

@@ -186,12 +186,23 @@ func (f *Filter) OnReading(r sensor.Reading) {
 
 // EstimateAt returns the fused estimate for the observed vehicle at time t.
 func (f *Filter) EstimateAt(t float64) Estimate {
-	lim := f.cfg.Limits
-	set := reach.Entire(lim)
-	est := Estimate{}
+	var est Estimate
+	f.EstimateInto(&est, t)
+	return est
+}
+
+// EstimateInto writes the fused estimate for the observed vehicle at time
+// t into *est, overwriting every field.  The steppers call it with the
+// per-track slot they keep, so the estimate is built in place instead of
+// being returned and copied once per observed vehicle and step.
+func (f *Filter) EstimateInto(est *Estimate, t float64) {
+	lim := &f.cfg.Limits
+	set := reach.Entire(*lim)
+	est.A = 0
+	est.HasInfo = false
 
 	if f.haveMsg {
-		set = set.Intersect(reach.At(f.msg, t, lim).Expand(soundEps, soundEps))
+		set = set.Intersect(reach.At(f.msg, t, *lim).Expand(soundEps, soundEps))
 		est.HasInfo = true
 		est.A = f.msgA
 	}
@@ -200,7 +211,7 @@ func (f *Filter) EstimateAt(t float64) Estimate {
 			P: f.reading.PosInterval(f.cfg.Sensor),
 			V: f.reading.VelInterval(f.cfg.Sensor).ClampTo(lim.VMin, lim.VMax),
 		}
-		prop := reach.FromSet(base, t-f.reading.T, lim).Expand(soundEps, soundEps)
+		prop := reach.FromSet(base, t-f.reading.T, *lim).Expand(soundEps, soundEps)
 		if joined := set.Intersect(prop); !joined.IsEmpty() {
 			set = joined
 		}
@@ -231,7 +242,6 @@ func (f *Filter) EstimateAt(t float64) Estimate {
 			est.PointV = set.V.Clamp(x.Y)
 		}
 	}
-	return est
 }
 
 // MessageAge returns t minus the timestamp of the newest message, or +Inf

@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,6 +51,29 @@ func TestNoInformation(t *testing.T) {
 	}
 	if !math.IsInf(f.MessageAge(5), 1) {
 		t.Fatal("MessageAge should be +Inf without messages")
+	}
+}
+
+// TestEstimateIntoOverwritesSlot pins the in-place contract the steppers
+// rely on: EstimateInto rewrites every field of a reused slot, so a slot
+// last written with information (HasInfo, a nonzero A) reads exactly as
+// EstimateAt once the filter has none.  (Compared in print form: the
+// information-free point position is NaN.)
+func TestEstimateIntoOverwritesSlot(t *testing.T) {
+	same := func(a, b Estimate) bool { return fmt.Sprintf("%+v", a) == fmt.Sprintf("%+v", b) }
+	for _, useKF := range []bool{false, true} {
+		f := newFilter(t, useKF, 1)
+		f.InitExact(0, dynamics.State{P: -35, V: 8}, 0.5)
+		var slot Estimate
+		f.EstimateInto(&slot, 0.3)
+		if !same(slot, f.EstimateAt(0.3)) {
+			t.Fatalf("kf=%v: EstimateInto = %+v, want %+v", useKF, slot, f.EstimateAt(0.3))
+		}
+		f.Reset()
+		f.EstimateInto(&slot, 0.4)
+		if want := f.EstimateAt(0.4); !same(slot, want) || slot.HasInfo || slot.A != 0 {
+			t.Fatalf("kf=%v: reused slot = %+v, want %+v", useKF, slot, want)
+		}
 	}
 }
 

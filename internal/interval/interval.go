@@ -92,8 +92,8 @@ func (iv Interval) Intersect(other Interval) Interval {
 	if iv.IsEmpty() || other.IsEmpty() {
 		return Empty()
 	}
-	lo := math.Max(iv.Lo, other.Lo)
-	hi := math.Min(iv.Hi, other.Hi)
+	lo := maxf(iv.Lo, other.Lo)
+	hi := minf(iv.Hi, other.Hi)
 	if lo > hi {
 		return Empty()
 	}
@@ -114,7 +114,7 @@ func (iv Interval) Hull(other Interval) Interval {
 	if other.IsEmpty() {
 		return iv
 	}
-	return Interval{Lo: math.Min(iv.Lo, other.Lo), Hi: math.Max(iv.Hi, other.Hi)}
+	return Interval{Lo: minf(iv.Lo, other.Lo), Hi: maxf(iv.Hi, other.Hi)}
 }
 
 // Add returns the Minkowski sum [a.Lo+b.Lo, a.Hi+b.Hi].
@@ -170,8 +170,8 @@ func (iv Interval) Mul(other Interval) Interval {
 	c := iv.Hi * other.Lo
 	d := iv.Hi * other.Hi
 	return Interval{
-		Lo: math.Min(math.Min(a, b), math.Min(c, d)),
-		Hi: math.Max(math.Max(a, b), math.Max(c, d)),
+		Lo: minf(minf(a, b), minf(c, d)),
+		Hi: maxf(maxf(a, b), maxf(c, d)),
 	}
 }
 
@@ -208,6 +208,26 @@ func (iv Interval) Clamp(x float64) float64 {
 		return iv.Hi
 	}
 	return x
+}
+
+// maxf is math.Max in a form the compiler inlines (math.Max is an
+// assembly routine on amd64).  It keeps math.Max's special cases: +Inf
+// wins over NaN, then NaN wins, and max(−0, +0) = +0.  The builtin max
+// alone would return NaN for (+Inf, NaN).
+func maxf(x, y float64) float64 {
+	if x > math.MaxFloat64 || y > math.MaxFloat64 {
+		return math.Inf(1)
+	}
+	return max(x, y)
+}
+
+// minf is math.Min in a form the compiler inlines; −Inf wins over NaN,
+// then NaN wins, and min(−0, +0) = −0.
+func minf(x, y float64) float64 {
+	if x < -math.MaxFloat64 || y < -math.MaxFloat64 {
+		return math.Inf(-1)
+	}
+	return min(x, y)
 }
 
 // String implements fmt.Stringer.

@@ -246,7 +246,7 @@ func (f *Filter) IntervalAt(t, k float64) (pos, vel interval.Interval) {
 		return interval.Entire(), interval.Entire()
 	}
 	x, p := f.EstimateAt(t)
-	sp := k * math.Sqrt(math.Max(p.A, 0))
-	sv := k * math.Sqrt(math.Max(p.D, 0))
+	sp := k * math.Sqrt(max(p.A, 0))
+	sv := k * math.Sqrt(max(p.D, 0))
 	return interval.New(x.X-sp, x.X+sp), interval.New(x.Y-sv, x.Y+sv)
 }

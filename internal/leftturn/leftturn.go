@@ -251,11 +251,11 @@ func (c *Config) AggressiveWindow(est OncomingEstimate) interval.Interval {
 func (c *Config) aggressiveTimes(est OncomingEstimate) (tEntry, tExit float64) {
 	g, lim := c.Geometry, c.Oncoming
 	vEntry := est.V.Hi
-	aFast := math.Min(est.A+c.ABuf, lim.AMax)
+	aFast := min(est.A+c.ABuf, lim.AMax)
 	vFast := math.Min(vEntry+c.VBuf, lim.VMax)
 	tEntry = dynamics.TimeToReach(g.PF-est.P.Hi, vEntry, aFast, vFast)
 	vExit := est.V.Lo
-	aSlow := math.Max(est.A-c.ABuf, lim.AMin)
+	aSlow := max(est.A-c.ABuf, lim.AMin)
 	vSlow := math.Max(vExit-c.VBuf, lim.VMin)
 	tExit = dynamics.TimeToCover(g.PB-est.P.Lo, vExit, aSlow, vSlow, lim.VMax)
 	if tExit < tEntry {
@@ -345,7 +345,7 @@ func (c *Config) EmergencyAccel(ego dynamics.State) float64 {
 	} else {
 		a = -ego.V * ego.V / (2 * gap)
 	}
-	return math.Max(c.Ego.AMin, math.Min(c.Ego.AMax, a))
+	return max(c.Ego.AMin, min(c.Ego.AMax, a))
 }
 
 // MinAccelToClear returns the smallest constant acceleration that lets the
@@ -461,8 +461,8 @@ func Features(t float64, ego dynamics.State, oncoming interval.Interval) []float
 func FeaturesInto(dst []float64, t float64, ego dynamics.State, oncoming interval.Interval) {
 	tMin, tMax := float64(FeatureTimeCap), float64(FeatureTimeCap)
 	if !oncoming.IsEmpty() {
-		tMin = math.Min(oncoming.Lo, FeatureTimeCap)
-		tMax = math.Min(oncoming.Hi, FeatureTimeCap)
+		tMin = min(oncoming.Lo, FeatureTimeCap)
+		tMax = min(oncoming.Hi, FeatureTimeCap)
 	}
 	dst[0], dst[1], dst[2], dst[3], dst[4] = t, ego.P, ego.V, tMin, tMax
 }
@@ -520,8 +520,8 @@ func (c *Config) FeatureBoxInto(dst []interval.Interval, t float64, ego dynamics
 		enN, exN = c.conservativeTimes(near)
 		enF, exF = c.conservativeTimes(far)
 	}
-	f3lo, f3hi := math.Min(enN, tcap), math.Min(enF, tcap)
-	f4lo, f4hi := math.Min(exN, tcap), math.Min(exF, tcap)
+	f3lo, f3hi := min(enN, tcap), min(enF, tcap)
+	f4lo, f4hi := min(exN, tcap), min(exF, tcap)
 	if sound.P.Hi >= c.Geometry.PB {
 		// The near corner has surely passed the zone: the empty-window
 		// features (cap, cap) are reachable inside the sound set.

@@ -99,7 +99,7 @@ func (e *Expert) Name() string { return e.Label }
 
 // Accel implements Planner.
 func (e *Expert) Accel(_ float64, ego dynamics.State, oncoming interval.Interval) float64 {
-	c := e.Cfg
+	c := &e.Cfg
 	lim := c.Ego
 	// Past the zone, or inside it: keep moving out at full throttle.
 	if ego.P > c.Geometry.PF {
@@ -121,7 +121,7 @@ func (e *Expert) Accel(_ float64, ego dynamics.State, oncoming interval.Interval
 // closes, degrading to a stop at YieldBuffer before the line when the
 // window never closes (or closes too far away).
 func (e *Expert) yieldAccel(ego dynamics.State, oncoming interval.Interval) float64 {
-	c := e.Cfg
+	c := &e.Cfg
 	lim := c.Ego
 	dist := c.Geometry.PF - e.YieldBuffer - ego.P
 	if dist <= 0 {
@@ -133,7 +133,7 @@ func (e *Expert) yieldAccel(ego dynamics.State, oncoming interval.Interval) floa
 	// the tracking law.
 	required := ego.V * ego.V / (2 * dist)
 	if required >= e.ComfortBrake {
-		return math.Max(lim.AMin, -required*1.1)
+		return max(lim.AMin, -required*1.1)
 	}
 	// Glide: approach as fast as a comfortable stop at the buffer point
 	// allows, so the vehicle is poised at the line when the window closes.
@@ -148,7 +148,7 @@ func (e *Expert) yieldAccel(ego dynamics.State, oncoming interval.Interval) floa
 		vTarget = lim.VMax
 	}
 	a := (vTarget - ego.V) / e.Response
-	return math.Max(lim.AMin, math.Min(lim.AMax, a))
+	return max(lim.AMin, min(lim.AMax, a))
 }
 
 // Emergency wraps the scenario's emergency planner κ_e as a Planner so it

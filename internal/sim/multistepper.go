@@ -422,24 +422,21 @@ func (st *MultiStepper) Step(in StepInput) (StepOutcome, error) {
 				tr.filter.OnReading(tr.meas)
 			}
 		}
-		est := tr.filter.EstimateAt(t)
-		st.ests[i] = est
+		est := &st.ests[i]
+		tr.filter.EstimateInto(est, t)
 		if !est.P.Contains(tr.state.P) || !est.V.Contains(tr.state.V) {
 			res.FusedIntervalMisses++
 		}
 		if !est.SoundP.Contains(tr.state.P) || !est.SoundV.Contains(tr.state.V) {
 			res.SoundViolations++
 		}
-		st.ks[i] = core.Knowledge{
-			Sound: leftturn.OncomingEstimate{
-				P: est.SoundP, V: est.SoundV,
-				PointP: est.PointP, PointV: est.PointV, A: est.A,
-			},
-			Fused: leftturn.OncomingEstimate{
-				P: est.P, V: est.V,
-				PointP: est.PointP, PointV: est.PointV, A: est.A,
-			},
-		}
+		// Written field by field: every field of both estimates, in
+		// place (see DESIGN.md, hot-path rules).
+		k := &st.ks[i]
+		k.Sound.P, k.Sound.V = est.SoundP, est.SoundV
+		k.Fused.P, k.Fused.V = est.P, est.V
+		k.Sound.PointP, k.Sound.PointV, k.Sound.A = est.PointP, est.PointV, est.A
+		k.Fused.PointP, k.Fused.PointV, k.Fused.A = est.PointP, est.PointV, est.A
 	}
 
 	// 5. Plan, through the guard when one is configured, and cross-check
@@ -491,10 +488,10 @@ func (st *MultiStepper) Step(in StepInput) (StepOutcome, error) {
 		for i := range tracks {
 			tr := &tracks[i]
 			si := &st.si
-			*si = StepInfo{
-				T: t, Vehicle: i, Ego: st.ego, Other: tr.state, OtherA: tr.accel,
-				Est: st.ests[i], Accel: a0, Emergency: emergency,
-			}
+			si.T, si.Vehicle, si.Ego, si.Other, si.OtherA = t, i, st.ego, tr.state, tr.accel
+			si.Est = st.ests[i]
+			si.Accel, si.Emergency = a0, emergency
+			si.GuardState, si.GuardFault, si.GuardFallback = "", "", ""
 			if st.gs != nil {
 				st.gs.Annotate(si, gres)
 			}

@@ -1,18 +1,23 @@
 // Package xrand provides a bit-exact reimplementation of Go's math/rand
 // generator (the additive lagged-Fibonacci rngSource) whose seeding is
-// several times faster, and New, the constructor every random stream of
-// the stepping packages is built with.
+// nearly free, and New, the constructor every random stream of the
+// stepping packages is built with.
 //
 // Why this exists: seeding one math/rand source walks a 607-entry bootstrap
 // recurrence, x[n+1] = 48271·x[n] mod 2³¹−1, three serial Schrage steps per
 // entry, and costs ~12µs.  Every episode seeds eight or more streams, so
-// seeding dominated a stepper's set-up.  Source.Seed computes
-// each bootstrap position directly from the seed instead,
+// seeding dominated a stepper's set-up.  This Source computes each
+// bootstrap position directly from the seed instead,
 // x[k] = x[0]·48271^k mod 2³¹−1, with the powers precomputed at init: the
 // three multiplications of an entry no longer depend on each other or on
-// the previous entry, so the CPU pipelines them.  That is only sound if a
+// the previous entry, so the CPU pipelines them.  And it computes them
+// lazily: Seed only stores the normalized seed, and each draw fills the
+// bootstrap entries it is about to read, a chunk at a time, so a stream an
+// episode never draws from costs nothing and one that draws a handful of
+// values fills a handful of chunks.  That is only sound if a
 // Source-backed *rand.Rand draws exactly what a rand.NewSource-backed one
-// would — hence the bit-exact replica, pinned by TestSourceMatchesMathRand.
+// would — hence the bit-exact replica, pinned by TestSourceMatchesMathRand
+// and TestReseedAfterDrawsMatchesFresh.
 package xrand
 
 import "math/rand"
@@ -23,6 +28,15 @@ const (
 	rngMax   = 1 << 63
 	rngMask  = rngMax - 1
 	int32max = (1 << 31) - 1
+
+	// rngFeed is where feed starts after seeding (tap starts at 0).  Draw
+	// k < rngFeed reads vec[rngFeed−1−k] on the feed side and
+	// vec[rngLen−1−k] on the tap side, so the first rngFeed draws read
+	// every entry once before any entry is read twice.
+	rngFeed = rngLen - rngTap
+	// fillChunk is how many feed-side entries (and their tap-side
+	// partners) one lazy fill computes.
+	fillChunk = 16
 )
 
 // Source is a drop-in rand.Source64 producing exactly the stream of
@@ -31,7 +45,14 @@ const (
 type Source struct {
 	tap  int
 	feed int
-	vec  [rngLen]int64
+	// lo is the lowest feed-side entry filled since the last Seed: entries
+	// [lo, rngFeed) and their tap-side partners [lo+rngTap, rngLen) hold
+	// the bootstrap values (or the draws since), the rest are stale.  The
+	// table is complete once lo reaches 0, after rngFeed draws; from then
+	// on feed < lo means only that feed wrapped.
+	lo  int
+	x   uint64 // normalized seed, x[0] of the bootstrap chain
+	vec [rngLen]int64
 }
 
 // NewSource returns a seeded Source, equivalent to rand.NewSource.
@@ -108,15 +129,46 @@ func normSeed(seed int64) int32 {
 }
 
 // Seed initializes the generator to the deterministic state rand.NewSource
-// would produce for the same seed.  rngSource.Seed walks the chain
-// x[k+1] = 48271·x[k] mod 2³¹−1 from x[0] = normSeed(seed); since the
-// modulus is prime and x[0] ≠ 0, x[k] = x[0]·48271^k mod 2³¹−1 exactly,
-// and each entry here reads its three positions through jump.
+// would produce for the same seed.  It only records the normalized seed;
+// the bootstrap table is filled on demand by the draws (see fill).
 func (s *Source) Seed(seed int64) {
 	s.tap = 0
-	s.feed = rngLen - rngTap
-	x := uint64(normSeed(seed))
-	for i := range s.vec {
+	s.feed = rngFeed
+	s.lo = rngFeed
+	s.x = uint64(normSeed(seed))
+}
+
+// refeed is Uint64's slow path, taken when feed has fallen below lo:
+// either the table is complete and feed wrapped, or the draw is about to
+// read entries not yet filled.
+func (s *Source) refeed() {
+	if s.feed < 0 {
+		s.feed += rngLen
+		return
+	}
+	s.fill()
+}
+
+// fill computes the next chunk of bootstrap entries below lo: the
+// feed-side entries [lo−fillChunk, lo) and their tap-side partners
+// rngTap above, skipping partners below rngFeed — those are feed-side
+// entries, filled by an earlier chunk and possibly already overwritten
+// by a draw.  rngSource.Seed walks the chain x[k+1] = 48271·x[k]
+// mod 2³¹−1 from x[0] = normSeed(seed); since the modulus is prime and
+// x[0] ≠ 0, x[k] = x[0]·48271^k mod 2³¹−1 exactly, and each entry reads
+// its three positions through jump.
+func (s *Source) fill() {
+	hi := s.lo
+	lo := max(hi-fillChunk, 0)
+	s.fillRange(lo, hi)
+	s.fillRange(max(lo+rngTap, rngFeed), hi+rngTap)
+	s.lo = lo
+}
+
+// fillRange writes the seeded bootstrap values of entries [lo, hi).
+func (s *Source) fillRange(lo, hi int) {
+	x := s.x
+	for i := lo; i < hi; i++ {
 		m := &jump[i]
 		u := mulmod(x, m[0]) << 40
 		u ^= mulmod(x, m[1]) << 20
@@ -137,8 +189,8 @@ func (s *Source) Uint64() uint64 {
 		s.tap += rngLen
 	}
 	s.feed--
-	if s.feed < 0 {
-		s.feed += rngLen
+	if s.feed < s.lo {
+		s.refeed()
 	}
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x

@@ -24,12 +24,15 @@ func seedCases() []int64 {
 // seed, a Source produces exactly the Uint64/Int63 stream of
 // rand.NewSource, and a Source-backed *rand.Rand draws exactly the same
 // Float64/Int63n/NormFloat64 values.  Everything else in this package
-// (and every random stream of the stepping packages) rests on this.
+// (and every random stream of the stepping packages) rests on this.  The
+// raw stream runs past two full turns of the table, so it covers every
+// lazy fill, the end of the bootstrap after rngFeed draws, and both
+// indices wrapping.
 func TestSourceMatchesMathRand(t *testing.T) {
 	for _, seed := range seedCases() {
 		ours := NewSource(seed)
 		ref := rand.NewSource(seed).(rand.Source64)
-		for i := 0; i < 400; i++ {
+		for i := 0; i < 2*rngLen+rngTap; i++ {
 			if g, w := ours.Uint64(), ref.Uint64(); g != w {
 				t.Fatalf("seed %d draw %d: Uint64 = %d, want %d", seed, i, g, w)
 			}
@@ -112,10 +115,60 @@ func TestReseedInPlaceMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestReseedAfterDrawsMatchesFresh pins lazy seeding under reuse, the
+// sim.Scratch.RNG pool pattern: one Source reseeded after k draws —
+// none, inside the first fill chunk, on and around chunk boundaries, on
+// either side of the end of the bootstrap (rngFeed draws) and after a
+// wrap — must draw exactly the stream of a fresh rand.NewSource, with no
+// stale entry of the previous seed's table read.
+func TestReseedAfterDrawsMatchesFresh(t *testing.T) {
+	src := NewSource(1)
+	seeds := seedCases()
+	for _, k := range []int{0, 1, fillChunk - 1, fillChunk, fillChunk + 1, rngFeed - 1, rngFeed, 700} {
+		for j, seed := range seeds[:40] {
+			src.Seed(seeds[len(seeds)-1-j])
+			for i := 0; i < k; i++ {
+				src.Uint64()
+			}
+			src.Seed(seed)
+			ref := rand.NewSource(seed).(rand.Source64)
+			for i := 0; i < 2*rngLen; i++ {
+				if g, w := src.Uint64(), ref.Uint64(); g != w {
+					t.Fatalf("after %d draws, reseed %d draw %d: Uint64 = %d, want %d", k, seed, i, g, w)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkSeed(b *testing.B) {
 	s := &Source{}
 	for i := 0; i < b.N; i++ {
 		s.Seed(int64(i))
+	}
+}
+
+// BenchmarkSeedDraw16 is the cost of a stream that is seeded and then
+// draws 16 values: Seed plus one lazy fill chunk.
+func BenchmarkSeedDraw16(b *testing.B) {
+	s := &Source{}
+	for i := 0; i < b.N; i++ {
+		s.Seed(int64(i))
+		for j := 0; j < fillChunk; j++ {
+			s.Uint64()
+		}
+	}
+}
+
+// BenchmarkSeedDrawAll is the cost of a stream that is seeded and then
+// draws until its bootstrap table is complete.
+func BenchmarkSeedDrawAll(b *testing.B) {
+	s := &Source{}
+	for i := 0; i < b.N; i++ {
+		s.Seed(int64(i))
+		for j := 0; j < rngFeed; j++ {
+			s.Uint64()
+		}
 	}
 }
 
