@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-campaign bench-seed bench-guard bench-ibp bench-platoon campaign-smoke guard-smoke platoon-smoke alloc-gate serve-smoke dist-smoke ibp-gate golden fuzz-smoke lint-extra
+.PHONY: build test check bench-check bench bench-campaign bench-seed bench-guard bench-ibp bench-platoon campaign-smoke guard-smoke platoon-smoke alloc-gate serve-smoke dist-smoke ibp-gate golden fuzz-smoke lint-extra
 
 build:
 	$(GO) build ./...
@@ -15,15 +15,26 @@ test: build
 # platoon),
 # the committed fuzz corpora (guarded planner, IBP containment, and the
 # vector kernels against their scalar references), and a short fuzzing
-# smoke pass over the safety invariants and the kernels.
+# smoke pass over the safety invariants and the kernels, and bench-check.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(MAKE) bench-check
 	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon
 	$(GO) test -run FuzzGuardedPlanner ./internal/sim
 	$(GO) test -run FuzzIBPContainment ./internal/nn/ibp
 	$(GO) test -run 'FuzzTanhInto|FuzzMidRadInto' ./internal/mat
 	$(MAKE) fuzz-smoke
+
+# The benchmark module under perfbench/ vetted and tested at tiny size
+# (go test ./... does not reach it: it is its own module), and the
+# committed BENCH_seed.json and BENCH_ibp.json rerun from their recorded
+# sizes and seeds with every campaign's stats compared byte for byte
+# (cmd/bench -check).  About 10 s.
+bench-check:
+	cd perfbench && $(GO) vet . && $(GO) test -short .
+	$(GO) run ./cmd/bench -check BENCH_seed.json
+	$(GO) run ./cmd/bench -check BENCH_ibp.json
 
 # Re-bless the golden traces after an intentional behaviour change.
 golden:

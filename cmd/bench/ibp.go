@@ -119,11 +119,29 @@ func clonePlanner(p *planner.NNPlanner) *planner.NNPlanner {
 }
 
 // runIBPSweep is the -ibp mode: the offline certification sweep over the
-// scenario state space, reusing the sharded campaign engine.  It loads
-// the committed NN planners, builds one propagator per model, runs each
-// design's campaign in verified mode, asserts zero certified-range
-// misses, and writes BENCH_ibp.json.
+// scenario state space (ibpSweep), written to BENCH_ibp.json.
 func runIBPSweep(n, w int, seed int64, out, modelDir string) {
+	report := ibpSweep(n, w, seed, modelDir)
+	raw, err := json.MarshalIndent(report, "", " ")
+	if err != nil {
+		log.Fatal(err)
+	}
+	raw = append(raw, '\n')
+	if out == "-" {
+		os.Stdout.Write(raw)
+		return
+	}
+	if err := campaign.WriteFileAtomic(out, raw); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("wrote %s (%d certification campaigns)", out, len(report.Campaigns))
+}
+
+// ibpSweep runs the certification sweep, reusing the sharded campaign
+// engine.  It loads the committed NN planners, builds one propagator per
+// model, runs each design's campaign in verified mode and asserts zero
+// certified-range misses.
+func ibpSweep(n, w int, seed int64, modelDir string) *ibpBenchReport {
 	base := sim.DefaultConfig()
 	pl, err := experiments.LoadPlanners(modelDir, base.Scenario)
 	if err != nil {
@@ -162,7 +180,7 @@ func runIBPSweep(n, w int, seed int64, out, modelDir string) {
 		}),
 	}
 
-	report := ibpBenchReport{
+	report := &ibpBenchReport{
 		GeneratedBy:         "cmd/bench -ibp",
 		GoVersion:           runtime.Version(),
 		GOOS:                runtime.GOOS,
@@ -222,18 +240,5 @@ func runIBPSweep(n, w int, seed int64, out, modelDir string) {
 			wl.name, rep.Stats.Episodes, rep.Perf.EpisodesPerSec, rep.Stats.CertifiedSteps,
 			widths.mean(), widths.max)
 	}
-
-	raw, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	raw = append(raw, '\n')
-	if out == "-" {
-		os.Stdout.Write(raw)
-		return
-	}
-	if err := campaign.WriteFileAtomic(out, raw); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s (%d certification campaigns)", out, len(report.Campaigns))
+	return report
 }

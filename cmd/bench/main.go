@@ -7,6 +7,7 @@
 //
 //	bench [-episodes 5000] [-workers 0] [-seed 42] [-out BENCH_campaign.json]
 //	      [-quick] [-smoke] [-guard] [-platoon N] [-checkpoint DIR]
+//	bench -check BENCH_seed.json
 //
 // The default matrix covers the paper's three communication settings (none,
 // delayed, lost) for both expert planners under the ultimate compound
@@ -42,6 +43,12 @@
 // workload registry, and submits aggregates that fold byte-identically
 // to a local run.  -worker-checkpoint gives the worker a mid-shard
 // resume file so a crashed worker restarts at the exact episode it left.
+// -check FILE reruns the campaigns a committed report records (the
+// canonical matrix of BENCH_seed.json or the certification sweep of
+// BENCH_ibp.json), at its recorded sizes and seeds, and compares every
+// campaign's stats object with the file's byte for byte; timings and host
+// fields are ignored.  Any difference names the campaign and the field
+// and exits nonzero.
 // -checkpoint enables per-campaign checkpoint/resume in the given
 // directory: an interrupted bench rerun resumes completed shards instead
 // of redoing them.  A corrupt checkpoint file is discarded with a warning
@@ -114,6 +121,7 @@ func main() {
 		ibpMode    = flag.Bool("ibp", false, "certification sweep: every trained-NN design in IBP verified mode, zero certified-range misses required (BENCH_ibp.json)")
 		platoonN   = flag.Int("platoon", 0, "chain length for the N-vehicle platoon matrix (BENCH_platoon.json); with -smoke, the platoon CI gate")
 		modelDir   = flag.String("models", "models", "trained-model directory for -ibp")
+		check      = flag.String("check", "", "rerun the campaigns of this committed report and compare their stats byte for byte")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -154,6 +162,17 @@ func main() {
 				log.Fatal(err)
 			}
 		}()
+	}
+
+	if *check != "" {
+		w := *workers
+		if w == 0 {
+			w = runtime.GOMAXPROCS(0)
+		}
+		if err := runCheck(*check, w, *modelDir); err != nil {
+			log.Fatal(err)
+		}
+		return
 	}
 
 	if *platoonN != 0 && *platoonN < 2 {
@@ -221,14 +240,7 @@ func main() {
 
 	matrix := workloads.CanonicalMatrix(*quick)
 	for i, wl := range matrix {
-		spec := campaign.Spec{
-			Name:            wl.Name,
-			Episodes:        n,
-			BaseSeed:        *seed,
-			Workers:         w,
-			Invariants:      wl.Invariants(),
-			CountViolations: true,
-		}
+		spec := matrixSpec(wl, n, w, *seed)
 		if *checkpoint != "" {
 			spec.CheckpointPath = filepath.Join(*checkpoint, sanitize(wl.Name)+".json")
 		}
@@ -273,6 +285,19 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %s (%d campaigns)", *out, len(report.Campaigns))
+}
+
+// matrixSpec is the campaign of one canonical-matrix workload: every
+// checker of its invariant set in counting mode.
+func matrixSpec(wl workloads.Workload, n, w int, seed int64) campaign.Spec {
+	return campaign.Spec{
+		Name:            wl.Name,
+		Episodes:        n,
+		BaseSeed:        seed,
+		Workers:         w,
+		Invariants:      wl.Invariants(),
+		CountViolations: true,
+	}
 }
 
 // runCampaign executes a spec, degrading gracefully when its checkpoint
