@@ -13,36 +13,41 @@ test: build
 # concurrent-campaign telemetry tests), then the golden-trace regressions
 # (left turn, certified-NN left turn, multi-vehicle, car following,
 # platoon),
-# the committed fuzz corpora (guarded planner, IBP containment, and the
-# vector kernels against their scalar references), and a short fuzzing
-# smoke pass over the safety invariants and the kernels, and bench-check.
+# the committed fuzz corpora (guarded planner, IBP containment, the dist
+# wire protocol, the vector kernels against their scalar references and
+# the IBP tanh epilogue against its Go twin), and a short fuzzing smoke
+# pass over the safety invariants, the wire protocols and the kernels,
+# and bench-check.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) bench-check
 	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon
 	$(GO) test -run FuzzGuardedPlanner ./internal/sim
-	$(GO) test -run FuzzIBPContainment ./internal/nn/ibp
-	$(GO) test -run 'FuzzTanhInto|FuzzMidRadInto' ./internal/mat
+	$(GO) test -run 'FuzzIBPContainment|FuzzTanhEpilogue' ./internal/nn/ibp
+	$(GO) test -run 'FuzzTanhInto|FuzzMidRadInto|FuzzDotRowsInto' ./internal/mat
+	$(GO) test -run FuzzDistProtocol ./internal/dist
 	$(MAKE) fuzz-smoke
 
 # The benchmark module under perfbench/ vetted and tested at tiny size
 # (go test ./... does not reach it: it is its own module), and the
-# committed BENCH_seed.json and BENCH_ibp.json rerun from their recorded
-# sizes and seeds with every campaign's stats compared byte for byte
-# (cmd/bench -check).  About 10 s.
+# committed BENCH_seed.json, BENCH_ibp.json and BENCH_guard_quick.json
+# rerun from their recorded sizes and seeds with every campaign's stats
+# compared byte for byte (cmd/bench -check).  About 15 s.
 bench-check:
 	cd perfbench && $(GO) vet . && $(GO) test -short .
 	$(GO) run ./cmd/bench -check BENCH_seed.json
 	$(GO) run ./cmd/bench -check BENCH_ibp.json
+	$(GO) run ./cmd/bench -check BENCH_guard_quick.json
 
 # Re-bless the golden traces after an intentional behaviour change.
 golden:
 	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon -update
 
-# Short fuzzing pass: ~20s per safety target and per vector kernel.  The
-# kernels' targets cap input minimization at 1000 runs: minimizing their
-# long float inputs would otherwise use up the 20s.  The full corpus grows
+# Short fuzzing pass: ~20s per safety target, per wire protocol and per
+# vector kernel.  The
+# kernels' and the dist protocol's targets cap input minimization at 1000
+# runs: minimizing their long inputs would otherwise use up the 20s.  The full corpus grows
 # under
 # `go test -fuzz <Target> <pkg>` without a -fuzztime bound.
 fuzz-smoke:
@@ -54,6 +59,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzIBPContainment -fuzztime 20s ./internal/nn/ibp
 	$(GO) test -run '^$$' -fuzz FuzzTanhInto -fuzztime 20s -fuzzminimizetime 1000x ./internal/mat
 	$(GO) test -run '^$$' -fuzz FuzzMidRadInto -fuzztime 20s -fuzzminimizetime 1000x ./internal/mat
+	$(GO) test -run '^$$' -fuzz FuzzDotRowsInto -fuzztime 20s -fuzzminimizetime 1000x ./internal/mat
+	$(GO) test -run '^$$' -fuzz FuzzTanhEpilogue -fuzztime 20s -fuzzminimizetime 1000x ./internal/nn/ibp
+	$(GO) test -run '^$$' -fuzz FuzzDistProtocol -fuzztime 20s -fuzzminimizetime 1000x ./internal/dist
 
 # Optional linters plus the in-tree determinism hygiene check: no global
 # math/rand calls and no new time.Now in the stepping packages (see
@@ -83,7 +91,9 @@ alloc-gate:
 # boxes and the two-sided reference within their stated width bounds, the
 # shipped planners' widening, the leftturn/carfollow feature brackets, the
 # monitor edge cases), the bitwise tests of the kernels IBP and Predict1
-# run on (MidRadInto against DotRowsInto, TanhInto against math.Tanh),
+# run on (DotRowsInto against the naive loop, MidRadInto against
+# DotRowsInto, TanhInto against math.Tanh, the tanh epilogue against its
+# Go twin),
 # the committed fuzz corpus replay, and a quick
 # certification sweep over the trained models asserting zero
 # certified-range misses on the clean canonical scenario.  The purego
@@ -155,9 +165,12 @@ bench-platoon:
 	$(GO) run ./cmd/bench -platoon 4 -out BENCH_platoon.json
 
 # Compute-fault matrix: one guarded campaign per planner-fault preset;
-# writes BENCH_guard.json with mean η and crash-free rate per preset.
+# writes BENCH_guard.json with mean η and crash-free rate per preset
+# (5,000 episodes each, the published table), and BENCH_guard_quick.json
+# at 500 episodes each, the snapshot bench-check reruns.
 bench-guard:
 	$(GO) run ./cmd/bench -guard -out BENCH_guard.json
+	$(GO) run ./cmd/bench -guard -quick -out BENCH_guard_quick.json
 
 # Offline certification sweep: every trained-NN design on the clean
 # canonical scenario in IBP verified mode; fails on any certified-range

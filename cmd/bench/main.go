@@ -44,8 +44,9 @@
 // to a local run.  -worker-checkpoint gives the worker a mid-shard
 // resume file so a crashed worker restarts at the exact episode it left.
 // -check FILE reruns the campaigns a committed report records (the
-// canonical matrix of BENCH_seed.json or the certification sweep of
-// BENCH_ibp.json), at its recorded sizes and seeds, and compares every
+// canonical matrix of BENCH_seed.json, the certification sweep of
+// BENCH_ibp.json or the fault matrix of BENCH_guard_quick.json), at its
+// recorded sizes and seeds, and compares every
 // campaign's stats object with the file's byte for byte; timings and host
 // fields are ignored.  Any difference names the campaign and the field
 // and exits nonzero.
@@ -400,12 +401,31 @@ func faultInvariantSet(cfg sim.Config) []sim.Invariant {
 	}
 }
 
-// runGuardMatrix runs one guarded campaign per planner-fault preset and
-// writes BENCH_guard.json.  The containment invariants run in counting
-// mode so the report doubles as a fault-tolerance audit: every
-// invariant_violations counter must be zero and every crash_free_rate 1.
+// runGuardMatrix runs the fault matrix (guardMatrix) and writes it to out
+// (BENCH_guard.json by default).
 func runGuardMatrix(n, w int, seed int64, out, checkpoint string) {
-	report := guardBenchReport{
+	report := guardMatrix(n, w, seed, checkpoint)
+	raw, err := json.MarshalIndent(report, "", " ")
+	if err != nil {
+		log.Fatal(err)
+	}
+	raw = append(raw, '\n')
+	if out == "-" {
+		os.Stdout.Write(raw)
+		return
+	}
+	if err := campaign.WriteFileAtomic(out, raw); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("wrote %s (%d fault campaigns)", out, len(report.Campaigns))
+}
+
+// guardMatrix runs one guarded campaign per planner-fault preset.  The
+// containment invariants run in counting mode so the report doubles as a
+// fault-tolerance audit: every invariant_violations counter must be zero
+// and every crash_free_rate 1.
+func guardMatrix(n, w int, seed int64, checkpoint string) *guardBenchReport {
+	report := &guardBenchReport{
 		GeneratedBy:         "cmd/bench -guard",
 		GoVersion:           runtime.Version(),
 		GOOS:                runtime.GOOS,
@@ -457,20 +477,7 @@ func runGuardMatrix(n, w int, seed int64, out, checkpoint string) {
 			spec.Name, rep.Stats.Episodes, rep.Perf.EpisodesPerSec,
 			row.MeanEta, rep.Stats.GuardFaults, rep.Stats.GuardFallbackStepRate)
 	}
-
-	raw, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	raw = append(raw, '\n')
-	if out == "-" {
-		os.Stdout.Write(raw)
-		return
-	}
-	if err := campaign.WriteFileAtomic(out, raw); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s (%d fault campaigns)", out, len(report.Campaigns))
+	return report
 }
 
 // runGuardSmoke is the guard's CI gate: the acceptance worst cases —

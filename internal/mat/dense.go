@@ -173,46 +173,6 @@ func MulBTransInto(dst, a, b *Dense) {
 	}
 }
 
-// DotRowsInto sets dst[j] = Σ_k x[k]·w[j·n+k] for every j < len(dst),
-// with n = len(x): the row vector x times the transpose of the
-// len(dst)×n row-major matrix w.  It is the dot kernel behind
-// MulBTransInto (so Network.Predict1 and training), and the reference that
-// MidRadInto, the IBP passes over transposed weights, equals bit for bit.
-//
-// Every output accumulates s += x[k]·w[j·n+k] from +0 in k-ascending
-// order, so the result is bitwise the naive loop.  Four outputs share one
-// pass over x, each with its own accumulator, which hides the latency of
-// the dependent adds; a scalar loop finishes the last len(dst) mod 4.
-func DotRowsInto(dst, x, w []float64) {
-	n := len(x)
-	if len(w) < len(dst)*n {
-		panic(fmt.Sprintf("mat: DotRowsInto weights hold %d values, want %d×%d", len(w), len(dst), n))
-	}
-	j := 0
-	for ; j+4 <= len(dst); j += 4 {
-		w0 := w[j*n:][:n]
-		w1 := w[(j+1)*n:][:n]
-		w2 := w[(j+2)*n:][:n]
-		w3 := w[(j+3)*n:][:n]
-		var s0, s1, s2, s3 float64
-		for k, xk := range x {
-			s0 += xk * w0[k]
-			s1 += xk * w1[k]
-			s2 += xk * w2[k]
-			s3 += xk * w3[k]
-		}
-		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
-	}
-	for ; j < len(dst); j++ {
-		wj := w[j*n:][:n]
-		var s float64
-		for k, xk := range x {
-			s += xk * wj[k]
-		}
-		dst[j] = s
-	}
-}
-
 // AddInPlace computes m += n element-wise.
 func (m *Dense) AddInPlace(n *Dense) {
 	m.sameShape(n)

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -129,61 +128,6 @@ func TestMulBTransInto(t *testing.T) {
 	want := NewDenseFrom([][]float64{{1*3 + 2*4, 1*5 + 2*6}})
 	if !dst.Equal(want, 0) {
 		t.Fatalf("MulBTransInto = %+v", dst.Data())
-	}
-}
-
-// TestDotRowsMatchesNaive pins DotRowsInto bit for bit to the naive
-// one-accumulator loop, for every output count mod 4 (the four-wide pass
-// and the scalar tail) and inner widths 0, 1, 5 and 32, with ±0,
-// subnormals, ±Inf and NaN mixed into the operands.  Large magnitudes
-// make the sums overflow and cancel, so the order of the adds shows.
-func TestDotRowsMatchesNaive(t *testing.T) {
-	special := []float64{
-		0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308,
-		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8000000000123),
-		1e308, -1e308, 1,
-	}
-	// Odd repetitions mix specials in; even ones stay finite, so the
-	// rounding of long finite sums is checked too.
-	draw := func(rng *rand.Rand, rep int) float64 {
-		if rep%2 == 1 && rng.Intn(8) == 0 {
-			return special[rng.Intn(len(special))]
-		}
-		return (rng.Float64()*2 - 1) * math.Pow(10, float64(rng.Intn(9)-4))
-	}
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{0, 1, 5, 32} {
-		for out := 0; out <= 9; out++ {
-			for rep := 0; rep < 50; rep++ {
-				x := make([]float64, n)
-				w := make([]float64, out*n)
-				for k := range x {
-					x[k] = draw(rng, rep)
-				}
-				for k := range w {
-					w[k] = draw(rng, rep)
-				}
-				got := make([]float64, out)
-				DotRowsInto(got, x, w)
-				for j := 0; j < out; j++ {
-					var s float64
-					for k := 0; k < n; k++ {
-						s += x[k] * w[j*n+k]
-					}
-					// Go leaves NaN payloads unspecified (the compiler may
-					// swap the operands of a commutative op), so any NaN
-					// matches any NaN; every other value, ±0 included, must
-					// match bit for bit.
-					if math.IsNaN(got[j]) && math.IsNaN(s) {
-						continue
-					}
-					if math.Float64bits(got[j]) != math.Float64bits(s) {
-						t.Fatalf("n=%d out=%d rep=%d: dst[%d] = %v (%#x), naive %v (%#x)",
-							n, out, rep, j, got[j], math.Float64bits(got[j]), s, math.Float64bits(s))
-					}
-				}
-			}
-		}
 	}
 }
 

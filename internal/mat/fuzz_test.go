@@ -62,3 +62,35 @@ func FuzzMidRadInto(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDotRowsInto compares DotRowsInto with the naive loop bit for bit on
+// m = out mod 36 outputs at every input width up to in mod 68: the
+// weights of width k are the first k columns of an m×(in mod 68) matrix.
+// Operands cycle through the decoded values: x, then the weights row by
+// row.  The committed corpus (testdata/fuzz/FuzzDotRowsInto) runs widths
+// 0–67 at m = 1, 7, 32 and 35, on finite values and on specials.
+func FuzzDotRowsInto(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, in, out uint8) {
+		vals := floatsOf(data)
+		n, m := int(in)%68, int(out)%36
+		at := func(i int) float64 {
+			if len(vals) == 0 {
+				return 0
+			}
+			return vals[i%len(vals)]
+		}
+		x := make([]float64, n)
+		for k := range x {
+			x[k] = at(k)
+		}
+		for k := 0; k <= n; k++ {
+			w := make([]float64, m*k)
+			for j := 0; j < m; j++ {
+				for q := 0; q < k; q++ {
+					w[j*k+q] = at(n + j*n + q)
+				}
+			}
+			checkDotRows(t, x[:k], w, m)
+		}
+	})
+}

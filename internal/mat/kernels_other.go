@@ -9,5 +9,6 @@ const (
 	useAsmTanh = false
 )
 
+func dotRowsAsm(dst, x, w []float64)                   { panic("mat: no vector kernel") }
 func midRadAsm(c2, r2, c, r, wt []float64, stride int) { panic("mat: no vector kernel") }
 func tanhAsm(dst, src []float64)                       { panic("mat: no vector kernel") }

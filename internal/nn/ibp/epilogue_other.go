@@ -1,0 +1,9 @@
+//go:build !amd64 || purego
+
+package ibp
+
+// Off amd64, and under the purego build tag, useAsm is false and the
+// epilogue runs its Go twin.
+func tanhEpilogueAsm(c, r, b, rowsum, gb []float64, s float64, point bool) float64 {
+	panic("ibp: no vector kernel")
+}

@@ -23,6 +23,11 @@
 // row j of a layer with fan-in n gets κ·(Σ_k |w_jk|·M + |b_j|),
 // κ = γ_{4n+16}, with a floor of 2⁻⁹⁹⁹ for products that underflow.
 //
+// After the weight pass, one epilogue per hidden layer adds the bias and
+// margin, encloses the activation and re-centres the bounds; for tanh
+// layers it runs an AVX2 kernel (epilogue_amd64.s) that is bitwise its
+// Go twin whenever mat.AVX2 reports the vector kernels in use.
+//
 // The activations are enclosed outward.  Tanh uses a fixed table of
 // math.Tanh(i/128) on [0, 20]: tanh is concave on x ≥ 0, so the chord
 // through the cell's ends lies below it, by at most 0.77/(8·128²)
@@ -93,6 +98,13 @@ const (
 	sigmoidNudge = 0x1p-48
 	sigmoidFloor = 0x1p-1021
 )
+
+// useAsm selects the AVX2 tanh epilogue (epilogue_amd64.s).
+var useAsm = mat.AVX2()
+
+// epilogueConst holds the constants the AVX2 tanh epilogue broadcasts, in
+// its order.
+var epilogueConst = [...]float64{tanhOffHalf, tanhOffMid, tanhRange, tanhCellsPerUnit}
 
 // tanhCell holds, per cell i of the tanh enclosure, y_i = math.Tanh(i/128)
 // and the rise y_{i+1} − y_i (exact by Sterbenz: y_{i+1} ≤ 2·y_i for
@@ -171,6 +183,49 @@ type layer struct {
 	outMax float64
 	act    nn.Activation
 	kind   actKind
+}
+
+// enclose turns the centre and radius sums of rows j0 on, in lo and hi,
+// into bounds on the layer output, in place: it adds the bias, widens by
+// the margin r + rowsum·s + gb and encloses the activation.
+func (l *layer) enclose(lo, hi []float64, s float64, j0 int) {
+	hi = hi[:len(lo)]
+	for j := j0; j < len(lo); j++ {
+		cj := lo[j] + l.b[j]
+		rho := hi[j] + l.rowsum[j]*s + l.gb[j]
+		lo[j], hi[j] = cj-rho, cj+rho
+	}
+	l.activate(lo[j0:], hi[j0:])
+}
+
+// epilogue finishes a hidden layer in place: enclose on the centre and
+// radius sums in c and r, then the output bounds back to centre and
+// radius.  It returns the largest radius for a point box (the next
+// layer's rmax) and 0 for any other box.  Tanh layers run the AVX2
+// kernel on blocks of four rows when mat.AVX2 allows; epilogueGo is its
+// twin, and runs the remaining rows and every other activation.
+func (l *layer) epilogue(c, r []float64, s float64, point bool) float64 {
+	j0, rmax := 0, 0.0
+	if useAsm && l.kind == actTanh {
+		j0 = len(c) &^ 3
+		rmax = tanhEpilogueAsm(c[:j0], r[:j0], l.b, l.rowsum, l.gb, s, point)
+	}
+	return l.epilogueGo(c, r, s, point, j0, rmax)
+}
+
+// epilogueGo is epilogue in Go for rows j0 on, continuing the running
+// maximum rmax of the rows before j0.
+func (l *layer) epilogueGo(c, r []float64, s float64, point bool, j0 int, rmax float64) float64 {
+	l.enclose(c, r, s, j0)
+	r = r[:len(c)]
+	for j := j0; j < len(c); j++ {
+		lj, hj := c[j], r[j]
+		c[j], r[j] = lj/2+hj/2, hj/2-lj/2
+		if point {
+			rmax = max(rmax, r[j])
+		}
+	}
+	return rmax
 }
 
 // activate maps the pre-activation bounds [lo_j, hi_j] to bounds on the
@@ -397,23 +452,14 @@ func (p *Propagator) PredictIntervalInto(dst, box []interval.Interval, scr *Scra
 			s += rmax
 			clear(hi)
 		}
-		for j, cj := range lo {
-			cj += l.b[j]
-			rho := hi[j] + l.rowsum[j]*s + l.gb[j]
-			lo[j], hi[j] = cj-rho, cj+rho
-		}
-		l.activate(lo, hi)
 		if last {
+			l.enclose(lo, hi, s, 0)
 			for j := range dst {
 				dst[j] = interval.Interval{Lo: lo[j], Hi: hi[j]}
 			}
 			return dst
 		}
-		rmax = 0
-		for j, lj := range lo {
-			lo[j], hi[j] = lj/2+hi[j]/2, hi[j]/2-lj/2
-			rmax = max(rmax, hi[j])
-		}
+		rmax = l.epilogue(lo, hi, s, point)
 		m = l.outMax
 		if m == 0 {
 			for j, cj := range lo {
