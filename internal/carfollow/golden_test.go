@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"safeplan/internal/guard"
 	"safeplan/internal/sensor"
 	"safeplan/internal/sim"
+	"safeplan/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "re-bless the golden trace files")
@@ -46,22 +48,59 @@ type goldenRow struct {
 }
 
 // golden is one blessed episode: the subsampled trace plus the whole
-// terminal Result (counters, guard statistics) with its trace stripped.
+// terminal Result (counters, guard statistics) with its trace stripped,
+// and, for the cases run with a collector, every probe the episode emits.
 type golden struct {
 	Rows   []goldenRow `json:"rows"`
 	Result sim.Result  `json:"result"`
+	probeStreams
+}
+
+// probeStreams holds an episode's telemetry streams rendered with %+v:
+// the per-step probes (wall-clock PlannerNs zeroed), the monitor
+// decisions, the guard events and the episode outcome.
+type probeStreams struct {
+	Probes  []string `json:"probes,omitempty"`
+	Reasons []string `json:"reasons,omitempty"`
+	Guard   []string `json:"guard,omitempty"`
+	Episode []string `json:"episode,omitempty"`
+}
+
+// streamRecorder is a collector that fills a probeStreams.
+type streamRecorder struct {
+	telemetry.Nop
+	probeStreams
+}
+
+func (r *streamRecorder) OnStep(p telemetry.StepProbe) {
+	p.PlannerNs = 0
+	r.Probes = append(r.Probes, fmt.Sprintf("%+v", p))
+}
+func (r *streamRecorder) OnMonitorDecision(reason string) { r.Reasons = append(r.Reasons, reason) }
+func (r *streamRecorder) OnGuardEvent(e telemetry.GuardEvent) {
+	r.Guard = append(r.Guard, fmt.Sprintf("%+v", e))
+}
+func (r *streamRecorder) OnEpisode(o telemetry.EpisodeOutcome) {
+	r.Episode = append(r.Episode, fmt.Sprintf("%+v", o))
 }
 
 const goldenSeed = 11
 
+// goldenCase is one blessed car-following episode.  Probe runs it with a
+// collector and the campaign invariant set, and pins the telemetry
+// streams too.
+type goldenCase struct {
+	Name  string
+	Cfg   SimConfig
+	Probe bool
+}
+
 // goldenCases cover every input path of the car-following engine: the
 // three paper channel settings, the adversarial burst preset, a sensing
-// fault, the guard under injected NaN planner output, and a scripted
-// lead that brakes hard mid-course.
-func goldenCases(t *testing.T) []struct {
-	Name string
-	Cfg  SimConfig
-} {
+// fault, the guard under injected NaN planner output, a scripted lead
+// that brakes hard mid-course, and the guard under a flaky planner with
+// a collector and the invariants attached.
+func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	perfect := DefaultSimConfig()
 
@@ -108,30 +147,48 @@ func goldenCases(t *testing.T) []struct {
 		}
 	}
 
-	return []struct {
-		Name string
-		Cfg  SimConfig
-	}{
-		{"perfect", perfect},
-		{"delayed", delayed},
-		{"lost", lost},
-		{"burst", burst},
-		{"bias", bias},
-		{"guard-nan", nan},
-		{"script", script},
+	probe := DefaultSimConfig()
+	probe.Comms = comms.Delayed(0.25, 0.5)
+	probe.InfoFilter = true
+	pgc := guard.DefaultConfig(probe.Scenario.Ego)
+	probe.Guard = &pgc
+	if probe.PlannerFault, err = faultinject.Preset("flaky"); err != nil {
+		t.Fatal(err)
+	}
+
+	return []goldenCase{
+		{Name: "perfect", Cfg: perfect},
+		{Name: "delayed", Cfg: delayed},
+		{Name: "lost", Cfg: lost},
+		{Name: "burst", Cfg: burst},
+		{Name: "bias", Cfg: bias},
+		{Name: "guard-nan", Cfg: nan},
+		{Name: "script", Cfg: script},
+		{Name: "probe-flaky", Cfg: probe, Probe: true},
 	}
 }
 
 // goldenTrace runs one traced episode with the ultimate compound planner
 // (aggressive κ_n) and renders every 10th step (and the last).
-func goldenTrace(t *testing.T, cfg SimConfig) []byte {
+func goldenTrace(t *testing.T, tc goldenCase) []byte {
 	t.Helper()
+	cfg := tc.Cfg
 	agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
-	res, err := RunEpisode(cfg, agent, sim.Options{Seed: goldenSeed, Trace: true})
+	opts := sim.Options{Seed: goldenSeed, Trace: true}
+	rec := &streamRecorder{}
+	if tc.Probe {
+		agent.SetCollector(rec)
+		opts.Collector = rec
+		opts.Invariants = []sim.Invariant{
+			sim.NoCollision{}, sim.SoundEstimate{}, TrueSlack{Cfg: cfg.Scenario},
+			sim.GuardConsistency{Limits: cfg.Scenario.Ego},
+		}
+	}
+	res, err := RunEpisode(cfg, agent, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var g golden
+	g := golden{probeStreams: rec.probeStreams}
 	for i, s := range res.Trace {
 		if i%10 != 0 && i != len(res.Trace)-1 {
 			continue
@@ -168,7 +225,7 @@ func TestGoldenCarFollowTraces(t *testing.T) {
 	for _, tc := range goldenCases(t) {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
-			got := goldenTrace(t, tc.Cfg)
+			got := goldenTrace(t, tc)
 			path := filepath.Join("testdata", "golden_"+tc.Name+".json")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +12,10 @@ import (
 	"safeplan/internal/carfollow"
 	"safeplan/internal/comms"
 	"safeplan/internal/disturb"
+	"safeplan/internal/faultinject"
+	"safeplan/internal/guard"
 	"safeplan/internal/sim"
+	"safeplan/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "re-bless the golden trace files")
@@ -30,24 +34,57 @@ type goldenChainRow struct {
 }
 
 // goldenChain is one blessed episode: subsampled full-chain rows plus the
-// terminal outcome and per-link statistics.
+// terminal outcome and per-link statistics; for the cases run with a
+// collector, also the whole Result and every probe the episode emits,
+// rendered with %+v (the per-step probes with wall-clock PlannerNs
+// zeroed).
 type goldenChain struct {
 	Rows     []goldenChainRow `json:"rows"`
 	Reached  bool             `json:"reached"`
 	Collided bool             `json:"collided"`
 	Steps    int              `json:"steps"`
 	Links    []sim.LinkStats  `json:"links"`
+	Result   string           `json:"result,omitempty"`
+	Probes   []string         `json:"probes,omitempty"`
+	Reasons  []string         `json:"reasons,omitempty"`
+	Guard    []string         `json:"guard,omitempty"`
+	Episode  []string         `json:"episode,omitempty"`
+}
+
+// chainRecorder is a collector that fills a goldenChain's probe streams.
+type chainRecorder struct {
+	telemetry.Nop
+	g *goldenChain
+}
+
+func (r chainRecorder) OnStep(p telemetry.StepProbe) {
+	p.PlannerNs = 0
+	r.g.Probes = append(r.g.Probes, fmt.Sprintf("%+v", p))
+}
+func (r chainRecorder) OnMonitorDecision(reason string) { r.g.Reasons = append(r.g.Reasons, reason) }
+func (r chainRecorder) OnGuardEvent(e telemetry.GuardEvent) {
+	r.g.Guard = append(r.g.Guard, fmt.Sprintf("%+v", e))
+}
+func (r chainRecorder) OnEpisode(o telemetry.EpisodeOutcome) {
+	r.g.Episode = append(r.g.Episode, fmt.Sprintf("%+v", o))
 }
 
 const goldenSeed = 11
 
-// goldenCases are the two canonical platoon episodes: a clean chain and
-// one with the adversarial burst preset on the middle link — the
-// disturbance geometry the chained-link design exists for.
-func goldenCases(t *testing.T) []struct {
-	Name string
-	Cfg  SimConfig
-} {
+// goldenCase is one blessed platoon episode.  Probe runs it with a
+// collector and the campaign invariant set, and pins the telemetry
+// streams too.
+type goldenCase struct {
+	Name  string
+	Cfg   SimConfig
+	Probe bool
+}
+
+// goldenCases are the two canonical platoon episodes — a clean chain and
+// one with the adversarial burst preset on the middle link, the
+// disturbance geometry the chained-link design exists for — and a
+// four-vehicle chain whose ego runs a flaky planner under the guard.
+func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	clean := DefaultSimConfig()
 	clean.InfoFilter = true
@@ -61,26 +98,43 @@ func goldenCases(t *testing.T) []struct {
 	burst.LinkComms = []comms.Config{
 		comms.NoDisturbance(), comms.Disturbed(bm), comms.NoDisturbance(),
 	}
-	return []struct {
-		Name string
-		Cfg  SimConfig
-	}{
-		{"clean", clean},
-		{"burst-mid", burst},
+	probe := DefaultSimConfig()
+	probe.InfoFilter = true
+	probe.Comms = comms.Delayed(0.25, 0.5)
+	gc := guard.DefaultConfig(probe.Scenario.Ego)
+	probe.Guard = &gc
+	if probe.PlannerFault, err = faultinject.Preset("flaky"); err != nil {
+		t.Fatal(err)
+	}
+	return []goldenCase{
+		{Name: "clean", Cfg: clean},
+		{Name: "burst-mid", Cfg: burst},
+		{Name: "probe-flaky", Cfg: probe, Probe: true},
 	}
 }
 
 // goldenChainTrace drives the engine step by step, snapshotting every
 // 10th step (and the last) of the whole chain.
-func goldenChainTrace(t *testing.T, cfg SimConfig) []byte {
+func goldenChainTrace(t *testing.T, tc goldenCase) []byte {
 	t.Helper()
+	cfg := tc.Cfg
 	sc := cfg.LinkScenario()
 	agent := carfollow.NewUltimate(sc, carfollow.ConservativeExpert(sc))
-	st, err := NewStepper(cfg, agent, sim.Options{Seed: goldenSeed})
+	var g goldenChain
+	opts := sim.Options{Seed: goldenSeed}
+	if tc.Probe {
+		rec := chainRecorder{g: &g}
+		agent.SetCollector(rec)
+		opts.Collector = rec
+		opts.Invariants = []sim.Invariant{
+			sim.NoCollision{}, sim.SoundEstimate{}, carfollow.TrueSlack{Cfg: sc},
+			sim.GuardConsistency{Limits: sc.Ego}, StringStability{},
+		}
+	}
+	st, err := NewStepper(cfg, agent, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var g goldenChain
 	for !st.Done() {
 		out, err := st.Step(sim.StepInput{})
 		if err != nil {
@@ -104,6 +158,9 @@ func goldenChainTrace(t *testing.T, cfg SimConfig) []byte {
 		t.Fatal(err)
 	}
 	g.Reached, g.Collided, g.Steps, g.Links = res.Reached, res.Collided, res.Steps, res.Links
+	if tc.Probe {
+		g.Result = fmt.Sprintf("%+v", res)
+	}
 	out, err := json.MarshalIndent(g, "", " ")
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +175,7 @@ func TestGoldenChainTraces(t *testing.T) {
 	for _, tc := range goldenCases(t) {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
-			got := goldenChainTrace(t, tc.Cfg)
+			got := goldenChainTrace(t, tc)
 			path := filepath.Join("testdata", "golden_"+tc.Name+".json")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -12,6 +12,7 @@ import (
 	"safeplan/internal/disturb"
 	"safeplan/internal/faultinject"
 	"safeplan/internal/guard"
+	"safeplan/internal/planner"
 	"safeplan/internal/sensor"
 	"safeplan/internal/telemetry"
 )
@@ -63,16 +64,23 @@ type oneTrackCase struct {
 	cfg   Config
 	agent func(Config) core.Agent
 	invs  []Invariant
-	// stream drives the episode through NewStepper with injected
-	// messages and readings instead of Run.
+	// stream drives the episode step by step with injected messages and
+	// readings instead of the closed loop.
 	stream bool
+	// vehicles, when nonzero, runs the case on the oncoming stream of that
+	// many vehicles (NewMultiStepper with the multi-vehicle ultimate
+	// compound; agent is unused) instead of the single-vehicle left turn.
+	// The trace follows vehicle 1, and a streamed drive also sends events
+	// for the out-of-range senders 0 and vehicles+1.
+	vehicles int
 }
 
 // oneTrackCases covers the left-turn features the canonical goldens leave
 // unpinned: the guard under every planner-fault preset, sensor bias
 // drift, sensor dropout, a scripted oncoming vehicle, verified mode with
 // and without the guard, streamed session events and the campaign
-// invariant set.
+// invariant set; and one oncoming-stream case that pins the multi-vehicle
+// probe, guard-report and episode streams.
 func oneTrackCases(t *testing.T) []oneTrackCase {
 	t.Helper()
 	base := DefaultConfig()
@@ -123,6 +131,22 @@ func oneTrackCases(t *testing.T) []oneTrackCase {
 		oneTrackCase{name: "certified", cfg: cert, agent: nnAgent},
 		oneTrackCase{name: "certified-guarded", cfg: certGuarded, agent: nnAgent},
 	)
+
+	// The oncoming stream with every per-track input path at once:
+	// i.i.d. dropout, bias drift, a planner-fault preset under an explicit
+	// guard, the fault invariant set and streamed events.
+	multi := base
+	multi.Horizon = 12
+	multi.SensorDropProb = 0.4
+	multi.SensorDisturb = disturb.BiasDrift{Max: 1, Period: 12}
+	mgc := guard.DefaultConfig(multi.Scenario.Ego)
+	multi.Guard = &mgc
+	fm, err := faultinject.Preset("flaky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi.PlannerFault = fm
+	cases = append(cases, oneTrackCase{name: "multi-stream", cfg: multi, invs: faultInvariants(multi), stream: true, vehicles: 3})
 	return cases
 }
 
@@ -142,31 +166,53 @@ func streamInput(ref []Sample, step int, dt float64) StepInput {
 	}
 }
 
+// newStepper builds the case's engine; rec, when non-nil, is attached to
+// the compound agent as its monitor-decision collector.
+func (c oneTrackCase) newStepper(opts Options, rec telemetry.Collector) (*MultiStepper, error) {
+	if c.vehicles == 0 {
+		agent := c.agent(c.cfg)
+		if a, ok := agent.(*core.Compound); ok && rec != nil {
+			a.SetCollector(rec)
+		}
+		return NewStepper(c.cfg, agent, opts)
+	}
+	agent := core.NewMultiUltimate(c.cfg.Scenario, planner.ConservativeExpert(c.cfg.Scenario))
+	if rec != nil {
+		agent.SetCollector(rec)
+	}
+	return NewMultiStepper(MultiConfig{Config: c.cfg, Vehicles: c.vehicles}, agent, opts)
+}
+
 // runOneTrack runs one case and records it.
 func runOneTrack(t *testing.T, c oneTrackCase, sh *Scratch) oneTrackRecord {
 	t.Helper()
 	rec := &oneTrackRecorder{}
-	agent := c.agent(c.cfg)
-	if a, ok := agent.(*core.Compound); ok {
-		a.SetCollector(rec)
-	}
 	opts := Options{Seed: goldenSeed, Trace: true, Collector: rec, Invariants: c.invs, Scratch: sh}
 	var out oneTrackRecord
 	var res Result
 	var err error
 	if !c.stream {
-		res, err = Run(c.cfg, agent, opts)
+		res, err = run(c.newStepper(opts, rec))
 	} else {
-		ref, rerr := Run(c.cfg, c.agent(c.cfg), Options{Seed: goldenSeed, Trace: true})
+		ref, rerr := run(c.newStepper(Options{Seed: goldenSeed, Trace: true}, nil))
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
-		st, nerr := NewStepper(c.cfg, agent, opts)
+		st, nerr := c.newStepper(opts, rec)
 		if nerr != nil {
 			t.Fatal(nerr)
 		}
 		for step := 0; !st.Done(); step++ {
-			o, serr := st.Step(streamInput(ref.Trace, step, c.cfg.Scenario.DtC))
+			in := streamInput(ref.Trace, step, c.cfg.Scenario.DtC)
+			if c.vehicles > 0 && len(in.Messages) > 0 {
+				m, r := in.Messages[0], in.Readings[0]
+				for _, bad := range []int{0, c.vehicles + 1} {
+					m.Sender, r.Target = bad, bad
+					in.Messages = append(in.Messages, m)
+					in.Readings = append(in.Readings, r)
+				}
+			}
+			o, serr := st.Step(in)
 			if serr != nil {
 				t.Fatal(serr)
 			}
