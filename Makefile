@@ -17,9 +17,10 @@ test: build
 # wire protocol, the vector kernels against their scalar references and
 # the IBP tanh epilogue against its Go twin), and a short fuzzing smoke
 # pass over the safety invariants, the wire protocols and the kernels,
-# and bench-check.
+# bench-check, and the determinism lint (scripts/lint_determinism.sh).
 check:
 	$(GO) vet ./...
+	./scripts/lint_determinism.sh
 	$(GO) test -race ./...
 	$(MAKE) bench-check
 	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon
@@ -71,10 +72,13 @@ lint-extra:
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || echo "staticcheck not installed; skipping"
 	@command -v govulncheck >/dev/null 2>&1 && govulncheck ./... || echo "govulncheck not installed; skipping"
 
-# Allocation-regression gate: a warmed scratch arena must keep the episode
-# hot path of all four scenarios (left turn, multi-vehicle, and car
-# following and the platoon on the shared chain engine) allocation-free with their campaign invariant sets attached
-# (budget in internal/sim/alloc_test.go), the arena path must stay
+# Allocation-regression gate: a warmed scratch arena, whose pooled engines
+# keep their hooks and per-link storage, must keep the episode hot path of
+# all four scenarios (the left turn and the multi-vehicle stream on
+# sim.MultiStepper, car following and the platoon on carfollow.Stepper,
+# both on the shared sim.Engine step skeleton) allocation-free with their
+# campaign invariant sets attached (budget in
+# internal/sim/alloc_test.go), the arena path must stay
 # bit-identical to the allocate-per-episode path, and an IBP propagation
 # with a reused scratch (interval and point boxes, on the fused
 # centre/radius and the point kernels) and a warm Network.Predict1 (with

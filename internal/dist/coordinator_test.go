@@ -32,8 +32,10 @@ func synthEpisode(opts sim.Options) (sim.Result, error) {
 	if seed%7 == 0 {
 		r.EmergencySteps = 3
 	}
-	if err := sim.CheckEpisodeInvariants(opts.Invariants, &r); err != nil {
-		return r, err
+	for _, inv := range opts.Invariants {
+		if err := inv.CheckEpisode(&r); err != nil {
+			return r, err
+		}
 	}
 	return r, nil
 }

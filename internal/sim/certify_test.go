@@ -218,7 +218,7 @@ func TestCertifyNaNRangeMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.certFn = func() (float64, float64, bool) { return math.NaN(), math.NaN(), true }
+	st.eng.certFn = func() (float64, float64, bool) { return math.NaN(), math.NaN(), true }
 	for !st.Done() {
 		if _, err := st.Step(StepInput{}); err != nil {
 			t.Fatal(err)

@@ -10,28 +10,28 @@ import (
 	"safeplan/internal/xrand"
 )
 
-// GuardedStep bundles one episode's planner-fault containment state: the
+// guardedStep bundles one episode's planner-fault containment state: the
 // guard and, when a fault model is configured, the fault injector wrapped
 // around the agent call.  Agents are shared across campaign workers and
 // must stay stateless, so this state lives in the episode runners, one
-// instance per episode.
-type GuardedStep struct {
+// instance per episode (held by the Engine).
+type guardedStep struct {
 	g   *guard.Guard
 	inj *faultinject.Injector
 }
 
-// NewGuardedStep instantiates the episode's guard and injector from the
+// newGuardedStep instantiates the episode's guard and injector from the
 // config.  With neither a guard nor a fault model it returns nil (and the
 // step loops keep their direct agent call).  A fault model without an
 // explicit guard installs guard.DefaultConfig(lim): injected panics must
 // never escape the runner.  The injector's streams derive from master
 // only when a fault model is configured — after every legacy stream — so
 // existing configurations keep their exact per-seed behaviour.
-func NewGuardedStep(gcfg *guard.Config, fm faultinject.Model, lim dynamics.Limits, master *rand.Rand) (*GuardedStep, error) {
+func newGuardedStep(gcfg *guard.Config, fm faultinject.Model, lim dynamics.Limits, master *rand.Rand) (*guardedStep, error) {
 	if gcfg == nil && fm == nil {
 		return nil, nil
 	}
-	var gs GuardedStep
+	var gs guardedStep
 	if fm != nil {
 		inj, err := faultinject.NewInjector(fm,
 			xrand.New(master.Int63()),
@@ -58,11 +58,11 @@ func NewGuardedStep(gcfg *guard.Config, fm faultinject.Model, lim dynamics.Limit
 }
 
 // Stats returns the guard's episode statistics accumulated so far.
-func (gs *GuardedStep) Stats() guard.EpisodeStats { return gs.g.Stats() }
+func (gs *guardedStep) Stats() guard.EpisodeStats { return gs.g.Stats() }
 
 // SetCertifiedRange arms the guard's IBP cross-check (see
 // guard.Guard.SetCertifiedRange).
-func (gs *GuardedStep) SetCertifiedRange(f func() (lo, hi float64, ok bool)) {
+func (gs *guardedStep) SetCertifiedRange(f func() (lo, hi float64, ok bool)) {
 	gs.g.SetCertifiedRange(f)
 }
 
@@ -72,7 +72,7 @@ func (gs *GuardedStep) SetCertifiedRange(f func() (lo, hi float64, ok bool)) {
 // supplies the monitor's safe-action interval for the current state; the
 // guard validates every executed non-emergency command against it (see
 // guard.Guard.Step).
-func (gs *GuardedStep) Step(t float64, plan func() (float64, bool), emergency func() float64, envelope func() (lo, hi float64, ok bool)) (float64, bool, guard.StepResult) {
+func (gs *guardedStep) Step(t float64, plan func() (float64, bool), emergency func() float64, envelope func() (lo, hi float64, ok bool)) (float64, bool, guard.StepResult) {
 	wrapped := plan
 	var latFn func() float64
 	if gs.inj != nil {
@@ -83,7 +83,7 @@ func (gs *GuardedStep) Step(t float64, plan func() (float64, bool), emergency fu
 }
 
 // annotate fills a StepInfo's guard fields from the step result.
-func (gs *GuardedStep) Annotate(s *StepInfo, r guard.StepResult) {
+func (gs *guardedStep) annotate(s *StepInfo, r guard.StepResult) {
 	s.GuardState = r.State.String()
 	if r.Fault != guard.FaultNone {
 		s.GuardFault = r.Fault.String()
@@ -96,7 +96,7 @@ func (gs *GuardedStep) Annotate(s *StepInfo, r guard.StepResult) {
 // report forwards a guard intervention to the collector.  Clean
 // pass-through steps (no fault, no fallback, no transition) stay silent,
 // so guarded no-fault runs emit zero guard events.
-func (gs *GuardedStep) Report(coll telemetry.Collector, t float64, r guard.StepResult) {
+func (gs *guardedStep) report(coll telemetry.Collector, t float64, r guard.StepResult) {
 	if r.Fault == guard.FaultNone && r.Fallback == guard.FallbackNone && !r.Transition() {
 		return
 	}

@@ -100,27 +100,6 @@ func episodeViolation(name, format string, args ...any) error {
 	return &ViolationError{Invariant: name, T: math.NaN(), Detail: fmt.Sprintf(format, args...)}
 }
 
-// CheckStepInvariants runs every checker against one step.  It is exported
-// for the sibling scenario packages' step loops (internal/carfollow).
-func CheckStepInvariants(invs []Invariant, s *StepInfo) error {
-	for _, inv := range invs {
-		if err := inv.CheckStep(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CheckEpisodeInvariants runs every checker against a finished episode.
-func CheckEpisodeInvariants(invs []Invariant, r *Result) error {
-	for _, inv := range invs {
-		if err := inv.CheckEpisode(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // StepOnly provides a no-op CheckEpisode; embed it in checkers that only
 // inspect steps.
 type StepOnly struct{}

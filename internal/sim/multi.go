@@ -2,16 +2,11 @@ package sim
 
 import (
 	"fmt"
-	"safeplan/internal/comms"
+
 	"safeplan/internal/core"
-	"safeplan/internal/disturb"
-	"safeplan/internal/dynamics"
-	"safeplan/internal/fusion"
 	"safeplan/internal/interval"
 	"safeplan/internal/leftturn"
-	"safeplan/internal/sensor"
 	"safeplan/internal/telemetry"
-	"safeplan/internal/traffic"
 )
 
 // MultiConfig extends Config with a stream of oncoming vehicles: vehicle i
@@ -65,20 +60,6 @@ func (c MultiConfig) Validate() error {
 	return nil
 }
 
-// oncomingTrack bundles one oncoming vehicle's simulation state.
-type oncomingTrack struct {
-	state    dynamics.State
-	accel    float64
-	driver   *traffic.Driver
-	channel  *comms.Channel
-	sensor   *sensor.Model
-	filter   *fusion.Filter
-	sensProc disturb.SensorProcess // nil unless SensorDisturb is set
-
-	meas     sensor.Reading // the last reading taken (trace rows)
-	haveMeas bool
-}
-
 // RunMulti simulates one episode with a stream of oncoming vehicles.  The
 // episode ends at the first collision with any vehicle, when the ego
 // clears the zone, or at the horizon.
@@ -86,28 +67,22 @@ func RunMulti(cfg MultiConfig, agent core.MultiAgent, opts Options) (Result, err
 	return run(NewMultiStepper(cfg, agent, opts))
 }
 
-// run is the closed loop over the resumable engine: step to termination
-// with no injected input, then finalize.
+// run runs a freshly built engine's closed loop (Drive).
 func run(st *MultiStepper, err error) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	for {
-		out, err := st.Step(StepInput{})
-		if err != nil || out.Done {
-			return st.Finish()
-		}
-	}
+	return Drive(st)
 }
 
-// multiStepProbe condenses the per-vehicle knowledge into one telemetry
-// probe: the estimate widths report the worst-tracked (widest) vehicle,
-// and the window widths report the most constraining window — exactly the
-// one handed to κ_n.  cons and aggr are caller-owned per-track scratch
-// slices of length len(ks) (hoisted into the episode arena so a
-// collector-attached run stays allocation-free per step).
-func multiStepProbe(sc *leftturn.Config, t float64, emergency bool, ks []core.Knowledge, cons, aggr []interval.Interval, plannerNs int64) telemetry.StepProbe {
-	p := telemetry.StepProbe{T: t, Emergency: emergency, PlannerNs: plannerNs}
+// multiStepProbe condenses the per-vehicle knowledge into the widths of
+// one telemetry probe: the estimate widths report the worst-tracked
+// (widest) vehicle, and the window widths report the most constraining
+// window — exactly the one handed to κ_n.  cons and aggr are per-track
+// scratch slices of length len(ks), kept in the pooled engine so a
+// collector-attached run stays allocation-free per step.
+func multiStepProbe(sc *leftturn.Config, ks []core.Knowledge, cons, aggr []interval.Interval) telemetry.StepProbe {
+	var p telemetry.StepProbe
 	for i, k := range ks {
 		if w := k.Sound.P.Width(); w > p.SoundWidth {
 			p.SoundWidth = w

@@ -4,9 +4,7 @@ import (
 	"math/rand"
 
 	"safeplan/internal/comms"
-	"safeplan/internal/core"
 	"safeplan/internal/fusion"
-	"safeplan/internal/interval"
 	"safeplan/internal/sensor"
 	"safeplan/internal/traffic"
 	"safeplan/internal/xrand"
@@ -14,8 +12,8 @@ import (
 
 // Scratch is an episode-scoped arena: it owns the per-episode objects the
 // step loops would otherwise allocate fresh every episode (derived random
-// streams, the channel, sensor model, drivers, fusion filter, and the Poll
-// message buffer), and hands them back reset.  Reusing a Scratch across
+// streams, the channel, sensor model, drivers, fusion filter, and the
+// engine itself), and hands them back reset.  Reusing a Scratch across
 // episodes makes steady-state episodes allocation-free while staying
 // bit-identical to the allocate-fresh path: every component's Reset draws
 // from the parent rng in exactly the order its constructor does, and every
@@ -49,26 +47,8 @@ type Scratch struct {
 	filters []*fusion.Filter
 	nFilt   int
 
-	msgBuf []comms.Message
-
-	// Per-track working storage of the engine.
-	tracks []oncomingTrack
-	knows  []core.Knowledge
-	ests   []fusion.Estimate
-
-	// Per-track passing-window storage for the multi-vehicle telemetry
-	// probe (collector-attached runs only).
-	cons []interval.Interval
-	aggr []interval.Interval
-
-	// The pooled resumable engine.  It carries its own hot-path closures
-	// (built once, capturing only the engine pointer), so reusing the
-	// object keeps repeat episodes allocation-free; the arena discipline
-	// is unchanged — one episode at a time per Scratch.
-	pooledMultiStepper *MultiStepper
-	// extEngine is the same slot for sibling scenario packages
-	// (internal/carfollow), which sim cannot name without an import cycle.
-	extEngine any
+	// The pooled resumable engines, one per engine type (see Pooled).
+	engines []any
 }
 
 // NewScratch returns an empty arena; components are created lazily on first
@@ -197,74 +177,19 @@ func (s *Scratch) Fusion(cfg fusion.Config) (*fusion.Filter, error) {
 	return f, nil
 }
 
-// msgBufCap sizes the reusable Poll buffer; a burst delivering more
-// messages in one control step than this simply grows a transient slice.
-const msgBufCap = 64
-
-// MsgBuf returns the reusable message scratch buffer, emptied, for use with
-// comms.Channel.PollAppend.
-func (s *Scratch) MsgBuf() []comms.Message {
-	if s.msgBuf == nil {
-		s.msgBuf = make([]comms.Message, 0, msgBufCap)
+// Pooled returns the arena's pooled engine of type T (MultiStepper,
+// carfollow.Stepper), allocating it on first use.  The caller resets it;
+// the previous episode's engine of that type is invalidated, matching the
+// one-episode-at-a-time arena contract.  An engine keeps its own hooks
+// and per-link storage across episodes (see Zeroed), so reusing it keeps
+// repeat episodes allocation-free.
+func Pooled[T any](s *Scratch) *T {
+	for _, e := range s.engines {
+		if p, ok := e.(*T); ok {
+			return p
+		}
 	}
-	return s.msgBuf[:0]
-}
-
-// multiStepper returns the arena's pooled engine (allocated on first
-// use).  The caller resets it; the previous episode's engine is
-// invalidated, matching the one-episode-at-a-time arena contract.
-func (s *Scratch) multiStepper() *MultiStepper {
-	if s.pooledMultiStepper == nil {
-		s.pooledMultiStepper = &MultiStepper{}
-	}
-	return s.pooledMultiStepper
-}
-
-// ExtEngine returns the opaque pooled-engine slot for sibling scenario
-// packages (nil before the first SetExtEngine).
-func (s *Scratch) ExtEngine() any { return s.extEngine }
-
-// SetExtEngine stores a sibling scenario package's pooled engine.
-func (s *Scratch) SetExtEngine(v any) { s.extEngine = v }
-
-// trackSlice returns a zeroed slice of n oncoming tracks.
-func (s *Scratch) trackSlice(n int) []oncomingTrack {
-	if cap(s.tracks) < n {
-		s.tracks = make([]oncomingTrack, n)
-	}
-	s.tracks = s.tracks[:n]
-	for i := range s.tracks {
-		s.tracks[i] = oncomingTrack{}
-	}
-	return s.tracks
-}
-
-// windowSlices returns two zeroed per-track window slices for the
-// telemetry probe (acquired once per episode, only when a collector is
-// attached).
-func (s *Scratch) windowSlices(n int) (cons, aggr []interval.Interval) {
-	if cap(s.cons) < n {
-		s.cons = make([]interval.Interval, n)
-		s.aggr = make([]interval.Interval, n)
-	}
-	s.cons, s.aggr = s.cons[:n], s.aggr[:n]
-	for i := range s.cons {
-		s.cons[i] = interval.Interval{}
-		s.aggr[i] = interval.Interval{}
-	}
-	return s.cons, s.aggr
-}
-
-// knowledgeSlices returns zeroed per-track knowledge and estimate slices.
-func (s *Scratch) knowledgeSlices(n int) ([]core.Knowledge, []fusion.Estimate) {
-	if cap(s.knows) < n {
-		s.knows = make([]core.Knowledge, n)
-		s.ests = make([]fusion.Estimate, n)
-	}
-	s.knows, s.ests = s.knows[:n], s.ests[:n]
-	for i := range s.knows {
-		s.knows[i] = core.Knowledge{}
-		s.ests[i] = fusion.Estimate{}
-	}
-	return s.knows, s.ests
+	p := new(T)
+	s.engines = append(s.engines, p)
+	return p
 }

@@ -173,7 +173,7 @@ func (c Config) Validate() error {
 	if c.Guard != nil {
 		g := *c.Guard
 		if g.Limits == (dynamics.Limits{}) {
-			g.Limits = c.Scenario.Ego // NewGuardedStep applies the same fill
+			g.Limits = c.Scenario.Ego // newGuardedStep applies the same fill
 		}
 		if err := g.Validate(); err != nil {
 			return fmt.Errorf("sim: %w", err)
@@ -324,26 +324,6 @@ type Options struct {
 	// one episode at a time: campaign workers keep one per shard and must
 	// not share it between concurrently running episodes.
 	Scratch *Scratch
-}
-
-// ReportOutcome forwards a finished episode to the collector (a no-op on
-// a nil collector).  It is exported for the sibling scenario packages'
-// runners.
-func ReportOutcome(c telemetry.Collector, seed int64, r *Result) {
-	if c == nil {
-		return
-	}
-	c.OnEpisode(telemetry.EpisodeOutcome{
-		Seed:                seed,
-		Reached:             r.Reached,
-		Collided:            r.Collided,
-		Eta:                 r.Eta,
-		ReachTime:           r.ReachTime,
-		Steps:               r.Steps,
-		EmergencySteps:      r.EmergencySteps,
-		FusedIntervalMisses: r.FusedIntervalMisses,
-		SoundViolations:     r.SoundViolations,
-	})
 }
 
 // Run simulates one single-vehicle left-turn episode of agent under cfg

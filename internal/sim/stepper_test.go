@@ -29,7 +29,7 @@ func driveStepper(t *testing.T, cfg Config, opts Options) Result {
 			t.Fatal(err)
 		}
 		steps++
-		if steps > 10*st.maxSteps {
+		if steps > 10*st.eng.maxSteps {
 			t.Fatalf("stepper did not terminate after %d steps", steps)
 		}
 	}

@@ -307,9 +307,6 @@ type (
 // NewMetrics returns an empty Metrics collector.
 func NewMetrics() *Metrics { return telemetry.NewMetrics() }
 
-// NewEpisodeScratch returns an empty episode arena (see EpisodeScratch).
-func NewEpisodeScratch() *EpisodeScratch { return sim.NewScratch() }
-
 // MultiCollector bundles several collectors into one (e.g. Metrics plus a
 // ProgressFunc driving a console progress line).
 func MultiCollector(cs ...Collector) Collector { return telemetry.Multi(cs...) }
@@ -560,7 +557,7 @@ type (
 	// EpisodeScratch is the reusable per-episode arena behind the
 	// zero-allocation stepping path (DESIGN.md §12).  It is purely an
 	// optimization: results are bit-identical with and without one, and a
-	// nil scratch selects the legacy allocate-per-episode path.  The
+	// nil scratch gets a fresh arena per episode.  The
 	// campaign engine pools arenas automatically; set EpisodeOptions.Scratch
 	// only in custom episode loops that replay many episodes serially.
 	EpisodeScratch = sim.Scratch
@@ -626,12 +623,6 @@ type (
 // NewExpertExperimentPlanners bundles the analytic experts as κ_n.
 func NewExpertExperimentPlanners(sc Scenario) ExperimentPlanners {
 	return experiments.ExpertPlanners(sc)
-}
-
-// NewTrainedExperimentPlanners imitation-trains the κ_n pair.
-func NewTrainedExperimentPlanners(sc Scenario, seed int64) (ExperimentPlanners, error) {
-	pl, err := experiments.TrainedPlanners(sc, seed)
-	return pl, wrapErr(err)
 }
 
 // ReproduceTable1 regenerates Table I (conservative κ_n).

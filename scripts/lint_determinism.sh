@@ -13,12 +13,11 @@
 #     and dominated stepper set-up; streams are built with
 #     xrand.New (or sim.Scratch.RNG), which draws the identical stream
 #     and seeds several times faster; or
-#   - a new time.Now in the stepping packages beyond the two known
-#     telemetry latency probes (sim/multistepper.go, the left-turn engine
-#     behind both the single-vehicle left turn and the oncoming stream,
-#     and carfollow/stepper.go, the stop-and-go chain engine behind both
-#     car following and the platoon, each behind a `coll != nil` check,
-#     so they never run in headless campaigns).
+#   - a new time.Now in the stepping packages beyond the one known
+#     telemetry latency probe (sim/engine.go, Engine.Decide: the shared
+#     step skeleton behind the left turn, the oncoming stream, car
+#     following and the platoon, behind a `coll != nil` check, so it
+#     never runs in headless campaigns).
 #
 # If you add a legitimate telemetry probe, raise TIME_NOW_BUDGET in the
 # same change and say why in the commit message.
@@ -26,9 +25,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 PKGS="internal/sim internal/platoon internal/carfollow internal/fusion internal/kalman internal/comms internal/reach internal/monitor internal/interval internal/sensor internal/traffic internal/disturb internal/faultinject"
-# Budget 2: the planner-latency probes of the left-turn and stop-and-go
-# chain engines, both gated behind `coll != nil`.
-TIME_NOW_BUDGET=2
+# Budget 1: the planner-latency probe of the shared step skeleton, gated
+# behind `coll != nil`.
+TIME_NOW_BUDGET=1
 
 fail=0
 
