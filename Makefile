@@ -14,9 +14,10 @@ test: build
 # (left turn, certified-NN left turn, multi-vehicle, car following,
 # platoon),
 # the committed fuzz corpora (guarded planner, IBP containment, the dist
-# wire protocol, the vector kernels against their scalar references and
-# the IBP tanh epilogue against its Go twin), and a short fuzzing smoke
-# pass over the safety invariants, the wire protocols and the kernels,
+# wire protocol, the vector kernels against their scalar references, the
+# IBP tanh epilogue against its Go twin and the checkpoint loader), and a
+# short fuzzing smoke pass over the safety invariants, the wire
+# protocols, the kernels and the checkpoint loader,
 # bench-check, and the determinism lint (scripts/lint_determinism.sh).
 check:
 	$(GO) vet ./...
@@ -28,6 +29,7 @@ check:
 	$(GO) test -run 'FuzzIBPContainment|FuzzTanhEpilogue' ./internal/nn/ibp
 	$(GO) test -run 'FuzzTanhInto|FuzzMidRadInto|FuzzDotRowsInto' ./internal/mat
 	$(GO) test -run FuzzDistProtocol ./internal/dist
+	$(GO) test -run FuzzCheckpointLoad ./internal/campaign
 	$(MAKE) fuzz-smoke
 
 # The benchmark module under perfbench/ vetted and tested at tiny size
@@ -45,10 +47,10 @@ bench-check:
 golden:
 	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon -update
 
-# Short fuzzing pass: ~20s per safety target, per wire protocol and per
-# vector kernel.  The
-# kernels' and the dist protocol's targets cap input minimization at 1000
-# runs: minimizing their long inputs would otherwise use up the 20s.  The full corpus grows
+# Short fuzzing pass: ~20s per safety target, per wire protocol, per
+# vector kernel and for the checkpoint loader.  The
+# kernels', the dist protocol's and the checkpoint loader's targets cap
+# input minimization at 1000 runs: minimizing their long inputs would otherwise use up the 20s.  The full corpus grows
 # under
 # `go test -fuzz <Target> <pkg>` without a -fuzztime bound.
 fuzz-smoke:
@@ -63,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDotRowsInto -fuzztime 20s -fuzzminimizetime 1000x ./internal/mat
 	$(GO) test -run '^$$' -fuzz FuzzTanhEpilogue -fuzztime 20s -fuzzminimizetime 1000x ./internal/nn/ibp
 	$(GO) test -run '^$$' -fuzz FuzzDistProtocol -fuzztime 20s -fuzzminimizetime 1000x ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 20s -fuzzminimizetime 1000x ./internal/campaign
 
 # Optional linters plus the in-tree determinism hygiene check: no global
 # math/rand calls and no new time.Now in the stepping packages (see

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -161,8 +162,8 @@ func (s Spec) ShardRange(i int) (lo, hi int) {
 // an uninterrupted run.  In counting mode violations tally into
 // agg.InvariantViolations.  after, when non-nil, runs after every folded
 // episode with the index of the next episode to run; a non-nil return
-// aborts the shard with that error (the checkpoint and crash-injection
-// seam used by the distributed tier).
+// aborts the shard with that error (Run's progress and stop seam, the
+// distributed worker's checkpoint and crash-injection seam).
 func RunShard(spec Spec, episode EpisodeFunc, shard, from int, agg *ShardStats, after func(next int) error) error {
 	if episode == nil {
 		return fmt.Errorf("campaign: nil episode function")
@@ -181,7 +182,14 @@ func RunShard(spec Spec, episode EpisodeFunc, shard, from int, agg *ShardStats, 
 	if from < lo || from > hi {
 		return fmt.Errorf("campaign: shard %d resume episode %d outside [%d, %d]", shard, from, lo, hi)
 	}
+	// In counting mode a violation tallies into this shard's aggregate
+	// instead of failing the episode: counting at shard granularity keeps
+	// the totals order-independent across workers and lets checkpointed
+	// or remotely-run shards carry their counts with them.
 	invs := countingInvariants(spec, agg)
+	// One pooled arena serves the whole shard.  Episode results are
+	// seed-deterministic with or without a scratch (the parity tests
+	// assert it), so pooling cannot perturb Stats.
 	scratch := scratchPool.Get().(*sim.Scratch)
 	defer scratchPool.Put(scratch)
 	for e := from; e < hi; e++ {
@@ -248,14 +256,12 @@ func Run(spec Spec, episode EpisodeFunc) (*Report, error) {
 	// Resume: load previously completed shard aggregates, if any.
 	done := make(map[int]*ShardStats)
 	if spec.CheckpointPath != "" {
-		loaded, err := loadCheckpoint(spec.CheckpointPath, spec.Fingerprint())
+		ck, err := LoadCheckpoint(spec.CheckpointPath, spec.Fingerprint())
 		if err != nil {
 			return nil, err
 		}
-		for i, agg := range loaded {
-			if i < shards {
-				done[i] = agg
-			}
+		for i, agg := range ck.Shards {
+			done[i] = agg
 		}
 	}
 	var resumedEpisodes int64
@@ -274,86 +280,65 @@ func Run(spec Spec, episode EpisodeFunc) (*Report, error) {
 	epHist := telemetry.NewHistogram(episodeLatencyBounds...)
 
 	var (
-		mu            sync.Mutex // guards done + checkpoint writes
-		sinceSave     int
-		firstErr      atomic.Pointer[campaignError]
-		progress      atomic.Int64
-		ranSteps      atomic.Int64
-		checkpointErr atomic.Pointer[error]
+		mu       sync.Mutex // guards done + ckpt
+		ckpt     = spec.Checkpointer()
+		firstErr atomic.Pointer[error]
+		progress atomic.Int64
+		ranSteps atomic.Int64
 	)
 	progress.Store(resumedEpisodes)
-	saveEvery := spec.CheckpointEvery
-	if saveEvery == 0 {
-		saveEvery = 1
+	// fail keeps the first error.  Only its own parameter escapes, so a
+	// shard that succeeds allocates no error slot.
+	fail := func(err error) { firstErr.CompareAndSwap(nil, &err) }
+
+	// timed feeds Perf: the latency histograms and the executed steps.
+	timed := func(opts sim.Options) (sim.Result, error) {
+		t0 := time.Now()
+		r, err := episode(opts)
+		if err != nil {
+			return r, err
+		}
+		durNs := float64(time.Since(t0).Nanoseconds())
+		epHist.Observe(durNs)
+		if r.Steps > 0 {
+			stepHist.Observe(durNs / float64(r.Steps))
+		}
+		ranSteps.Add(int64(r.Steps))
+		return r, nil
+	}
+	after := func(int) error {
+		if spec.Collector != nil {
+			spec.Collector.OnProgress(progress.Add(1), int64(spec.Episodes))
+		}
+		if firstErr.Load() != nil {
+			return errSiblingFailed
+		}
+		return nil
 	}
 
 	start := time.Now()
 	sim.ParallelForWorkers(workers, len(pending), func(k int) {
-		shard := pending[k]
-		lo, hi := shardRange(spec.Episodes, shards, shard)
-		agg := &ShardStats{}
-		// Invariant wiring: in counting mode every checker is wrapped so a
-		// violation tallies into this shard's aggregate instead of failing
-		// the episode.  Counting at shard granularity keeps the totals
-		// order-independent across workers AND lets checkpointed or
-		// remotely-run shards carry their violation counts with them.
-		invs := countingInvariants(spec, agg)
-		// Episode scratch is pooled at shard granularity only: one arena
-		// per in-flight shard, reused across that shard's episodes and
-		// returned when the shard completes.  Episode results are already
-		// seed-deterministic with or without a scratch (the parity tests
-		// assert it), so pooling cannot perturb Stats.
-		scratch := scratchPool.Get().(*sim.Scratch)
-		defer scratchPool.Put(scratch)
-		for e := lo; e < hi; e++ {
-			if firstErr.Load() != nil {
-				return // a sibling shard failed; drain the queue
-			}
-			seed := spec.BaseSeed + int64(e)
-			t0 := time.Now()
-			r, err := episode(sim.Options{
-				Seed:       seed,
-				Collector:  spec.Collector,
-				Invariants: invs,
-				Scratch:    scratch,
-			})
-			if err != nil {
-				firstErr.CompareAndSwap(nil, &campaignError{shard: shard, seed: seed, err: err})
-				return
-			}
-			durNs := float64(time.Since(t0).Nanoseconds())
-			epHist.Observe(durNs)
-			if r.Steps > 0 {
-				stepHist.Observe(durNs / float64(r.Steps))
-			}
-			ranSteps.Add(int64(r.Steps))
-			agg.Observe(&r)
-			if spec.Collector != nil {
-				spec.Collector.OnProgress(progress.Add(1), int64(spec.Episodes))
-			}
-		}
 		if firstErr.Load() != nil {
+			return // a shard or a save failed; drain the queue
+		}
+		shard := pending[k]
+		lo, _ := shardRange(spec.Episodes, shards, shard)
+		agg := &ShardStats{}
+		if err := RunShard(spec, timed, shard, lo, agg, after); err != nil {
+			fail(err)
 			return
 		}
 		mu.Lock()
 		done[shard] = agg
-		sinceSave++
-		save := spec.CheckpointPath != "" && (sinceSave >= saveEvery || len(done) == shards)
-		if save {
-			sinceSave = 0
-			if err := saveCheckpoint(spec.CheckpointPath, spec.Fingerprint(), done); err != nil {
-				checkpointErr.CompareAndSwap(nil, &err)
-			}
+		if err := ckpt.ShardDone(done); err != nil {
+			fail(fmt.Errorf("campaign %q: checkpoint: %w", spec.Name, err))
 		}
 		mu.Unlock()
 	})
 	wall := time.Since(start)
 
-	if ce := firstErr.Load(); ce != nil {
-		return nil, fmt.Errorf("campaign %q: shard %d seed %d: %w", spec.Name, ce.shard, ce.seed, ce.err)
-	}
-	if ep := checkpointErr.Load(); ep != nil {
-		return nil, fmt.Errorf("campaign %q: checkpoint: %w", spec.Name, *ep)
+	if ep := firstErr.Load(); ep != nil {
+		return nil, *ep
 	}
 
 	stats, err := FoldShards(spec, done)
@@ -396,12 +381,10 @@ func Run(spec Spec, episode EpisodeFunc) (*Report, error) {
 // shard, so no cross-goroutine handoff can reorder anything.
 var scratchPool = sync.Pool{New: func() any { return sim.NewScratch() }}
 
-// campaignError carries the first episode failure with its location.
-type campaignError struct {
-	shard int
-	seed  int64
-	err   error
-}
+// errSiblingFailed stops a shard once an episode or a checkpoint save of
+// the same Run has failed; Run reports that first failure, never this
+// error.
+var errSiblingFailed = errors.New("campaign: sibling shard failed")
 
 // countingInvariants wraps the spec's checkers so violations tally into
 // the shard aggregate instead of failing the episode (no-op outside

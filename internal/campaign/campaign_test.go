@@ -3,10 +3,10 @@ package campaign
 import (
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"safeplan/internal/comms"
@@ -161,28 +161,16 @@ func TestCampaignCheckpointResume(t *testing.T) {
 
 	// Simulate an interruption: drop half the shards from the checkpoint,
 	// resume, and demand the exact same statistics.
-	raw, err := os.ReadFile(path)
+	ck, err := LoadCheckpoint(path, spec.Fingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cf map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &cf); err != nil {
-		t.Fatal(err)
-	}
-	var shardsJSON map[string]json.RawMessage
-	if err := json.Unmarshal(cf["shards"], &shardsJSON); err != nil {
-		t.Fatal(err)
-	}
-	kept := 0
-	for k := range shardsJSON {
-		if kept%2 == 0 {
-			delete(shardsJSON, k)
+	for i := range ck.Shards {
+		if i%2 == 0 {
+			delete(ck.Shards, i)
 		}
-		kept++
 	}
-	cf["shards"], _ = json.Marshal(shardsJSON)
-	tampered, _ := json.Marshal(cf)
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+	if err := SaveCheckpoint(path, spec.Fingerprint(), ck); err != nil {
 		t.Fatal(err)
 	}
 	partial, err := Run(spec, syntheticEpisode)
@@ -208,6 +196,25 @@ func TestCampaignCheckpointFingerprintMismatch(t *testing.T) {
 	spec.BaseSeed = 2
 	if _, err := Run(spec, syntheticEpisode); err == nil {
 		t.Fatal("resuming a checkpoint with a different base seed must fail")
+	}
+}
+
+// TestCampaignCheckpointSaveFailure: a checkpoint that cannot be written
+// fails the campaign with the save error, and, like a failed episode,
+// stops the shards still queued.
+func TestCampaignCheckpointSaveFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing-dir", "ckpt.json")
+	spec := Spec{Name: "unsaved", Episodes: 80, BaseSeed: 1, Shards: 8, Workers: 1, CheckpointPath: path}
+	ran := 0
+	_, err := Run(spec, func(opts sim.Options) (sim.Result, error) {
+		ran++
+		return syntheticEpisode(opts)
+	})
+	if err == nil || !strings.Contains(err.Error(), `campaign "unsaved": checkpoint:`) {
+		t.Fatalf("unwritable checkpoint: %v", err)
+	}
+	if ran != 10 {
+		t.Fatalf("ran %d episodes after the first save failed, want the first shard's 10", ran)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -190,22 +192,29 @@ func TestChaosGateMessageFaults(t *testing.T) {
 // TestChaosGateWorkerKill: a worker is killed mid-shard at a scripted
 // episode while a sibling keeps running; a replacement rejoins from the
 // victim's checkpoint.  Final statistics must not show a trace of any of
-// it.
+// it.  The survivor starts only once the victim has run its first
+// episode, so the victim holds shard 0 (7 episodes at 400/64) and the
+// kill after its 5th episode always lands inside it.
 func TestChaosGateWorkerKill(t *testing.T) {
 	c := newCoordinator(t, gateSpec())
 	ckpt := filepath.Join(t.TempDir(), "victim.json")
 
 	var wg sync.WaitGroup
 	var survivorErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, survivorErr = dist.RunWorker(chaosWorker(c, "survivor", Config{Request: disturb.IID{DropProb: 0.1}}))
-	}()
-
+	var startSurvivor sync.Once
+	kill := KillAfter(5)
 	victim := chaosWorker(c, "victim", Config{})
 	victim.CheckpointPath = ckpt
-	victim.AfterEpisode = KillAfter(9)
+	victim.AfterEpisode = func(shard, next int) error {
+		startSurvivor.Do(func() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, survivorErr = dist.RunWorker(chaosWorker(c, "survivor", Config{Request: disturb.IID{DropProb: 0.1}}))
+			}()
+		})
+		return kill(shard, next)
+	}
 	if _, err := dist.RunWorker(victim); !errors.Is(err, ErrInjected) {
 		t.Fatalf("victim survived its kill script: %v", err)
 	}
@@ -334,18 +343,18 @@ func TestChaosConnCountersFire(t *testing.T) {
 }
 
 // TestCorruptFileShapes: every corruption seed really changes the file,
-// and the worker checkpoint loader classifies the damage as corrupt (or,
-// for a lucky value-preserving flip, loads something parseable) — it
-// must never panic.
+// and the checkpoint loader classifies the damage as corrupt (or, for a
+// lucky value-preserving flip, loads the intact resume point) — it must
+// never panic.
 func TestCorruptFileShapes(t *testing.T) {
 	spec := gateSpec()
 	fp := spec.Fingerprint()
+	want := campaign.Checkpoint{Partial: &campaign.PartialShard{
+		Shard: 1, NextEpisode: 9, Stats: &campaign.ShardStats{Episodes: 2, Reached: 2},
+	}}
 	for seed := int64(0); seed < 20; seed++ {
 		path := filepath.Join(t.TempDir(), "ck.json")
-		if err := dist.SaveWorkerCheckpoint(path, dist.WorkerCheckpoint{
-			Fingerprint: fp, Shard: 1, NextEpisode: 9,
-			Stats: &campaign.ShardStats{Episodes: 3, Reached: 3},
-		}); err != nil {
+		if err := campaign.SaveCheckpoint(path, fp, want); err != nil {
 			t.Fatal(err)
 		}
 		pristine, err := os.ReadFile(path)
@@ -365,25 +374,24 @@ func TestCorruptFileShapes(t *testing.T) {
 					t.Fatalf("seed %d: loader panicked on corrupt checkpoint: %v", seed, r)
 				}
 			}()
-			ck, err := dist.LoadWorkerCheckpoint(path, fp)
+			ck, err := campaign.LoadCheckpoint(path, fp)
 			if bytes.Equal(pristine, damaged) {
 				return // the truncation landed at full length: no damage
 			}
-			if err == nil && ck != nil {
+			switch {
+			case err == nil:
 				// Only content-preserving damage (a flip in JSON
 				// whitespace) may load cleanly — the checksum rejects any
 				// flip that changes a decoded value.
-				if ck.NextEpisode != 9 || ck.Shard != 1 || ck.Stats.Episodes != 3 {
-					t.Fatalf("seed %d: corrupted values loaded as clean: %+v", seed, ck)
+				if !reflect.DeepEqual(ck, want) {
+					t.Fatalf("seed %d: corrupted values loaded as clean: %+v", seed, ck.Partial)
 				}
-				return
-			}
-			if !errors.Is(err, campaign.ErrCorruptCheckpoint) && err != nil && ck == nil && !errors.Is(err, os.ErrNotExist) {
-				// Fingerprint-mismatch (flip inside the fingerprint) is
-				// also an accepted loud outcome.
-				if !bytes.Contains([]byte(err.Error()), []byte("belongs to campaign")) {
-					t.Fatalf("seed %d: unclassified corruption outcome: %v", seed, err)
-				}
+			case errors.Is(err, campaign.ErrCorruptCheckpoint):
+			case strings.Contains(err.Error(), "belongs to campaign"):
+				// An intact file of another campaign is the one other
+				// loud outcome.
+			default:
+				t.Fatalf("seed %d: unclassified corruption outcome: %v", seed, err)
 			}
 		}()
 	}

@@ -108,8 +108,8 @@ type Coordinator struct {
 	// flight); closed guards the single close.
 	finished chan struct{}
 	closed   bool
-	// sinceSave counts accepted shards since the last checkpoint write.
-	sinceSave int
+	// ckpt saves accepted shards at the spec's checkpoint cadence.
+	ckpt campaign.Checkpointer
 }
 
 // NewCoordinator validates the campaign, resumes from the spec's
@@ -150,17 +150,15 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		sums:     make(map[int]string, n),
 		workers:  make(map[string]int64),
 		finished: make(chan struct{}),
+		ckpt:     spec.Checkpointer(),
 	}
 	c.ctr.ShardsTotal = int64(n)
 	if spec.CheckpointPath != "" {
-		loaded, err := campaign.LoadShardCheckpoint(spec.CheckpointPath, c.fp)
+		ck, err := campaign.LoadCheckpoint(spec.CheckpointPath, c.fp)
 		if err != nil {
 			return nil, err
 		}
-		for i, agg := range loaded {
-			if i >= n {
-				continue
-			}
+		for i, agg := range ck.Shards {
 			c.shards[i].state = shardDone
 			c.done[i] = agg
 			c.sums[i] = ShardSum(agg)
@@ -471,7 +469,7 @@ func (c *Coordinator) SubmitResult(req Request) Response {
 	c.ctr.ShardsDone++
 	c.ctr.EpisodesDone += req.Stats.Episodes
 	complete := int(c.ctr.ShardsDone) == len(c.shards)
-	if err := c.maybeCheckpointLocked(complete); err != nil {
+	if err := c.ckpt.ShardDone(c.done); err != nil {
 		c.failed = fmt.Errorf("dist: campaign %q: checkpoint: %w", c.cfg.Spec.Name, err)
 		c.closeFinishedLocked()
 		return Response{Op: OpResult, OK: false, Reason: ReasonBadRequest, Error: c.failed.Error()}
@@ -483,24 +481,6 @@ func (c *Coordinator) SubmitResult(req Request) Response {
 		c.maybeQuiesceLocked()
 	}
 	return Response{Op: OpResult, OK: true, Done: complete}
-}
-
-// maybeCheckpointLocked persists accepted shards per the spec's
-// checkpoint cadence.  Caller holds c.mu.
-func (c *Coordinator) maybeCheckpointLocked(force bool) error {
-	if c.cfg.Spec.CheckpointPath == "" {
-		return nil
-	}
-	c.sinceSave++
-	every := c.cfg.Spec.CheckpointEvery
-	if every == 0 {
-		every = 1
-	}
-	if !force && c.sinceSave < every {
-		return nil
-	}
-	c.sinceSave = 0
-	return campaign.SaveShardCheckpoint(c.cfg.Spec.CheckpointPath, c.fp, c.done)
 }
 
 // Failed reports whether the campaign has been poisoned, and by what.

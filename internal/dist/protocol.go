@@ -185,12 +185,6 @@ func ShardSum(s *campaign.ShardStats) string {
 		// unreachable short of memory corruption.
 		panic(err)
 	}
-	return sumBytes(raw)
-}
-
-// sumBytes is the hex SHA-256 shared by the result fingerprint and the
-// worker-checkpoint checksum.
-func sumBytes(raw []byte) string {
 	h := sha256.Sum256(raw)
 	return hex.EncodeToString(h[:])
 }

@@ -80,12 +80,10 @@ type WorkerConfig struct {
 	// Required.
 	Resolve Resolver
 
-	// CheckpointPath, when set, persists a mid-shard resume point so a
-	// restarted worker continues at the exact episode it left off.
-	// CheckpointEvery is the save cadence in episodes (0 saves after
-	// every episode).
-	CheckpointPath  string
-	CheckpointEvery int
+	// CheckpointPath, when set, persists a mid-shard resume point after
+	// every episode (campaign.Checkpoint.Partial) so a restarted worker
+	// continues at the exact episode it left off.
+	CheckpointPath string
 
 	// HeartbeatEvery renews the lease after this many episodes; 0
 	// selects DefaultHeartbeatEvery.
@@ -248,18 +246,19 @@ func (w *worker) run() error {
 	w.fp = info.Fingerprint
 
 	// Resume: a mid-shard checkpoint names the shard to ask for first.
-	var ck *WorkerCheckpoint
+	var ck *campaign.PartialShard
 	if w.cfg.CheckpointPath != "" {
-		ck, err = LoadWorkerCheckpoint(w.cfg.CheckpointPath, w.fp)
+		loaded, err := campaign.LoadCheckpoint(w.cfg.CheckpointPath, w.fp)
 		if errors.Is(err, campaign.ErrCorruptCheckpoint) {
 			// Corrupt on disk: discard and recompute.  Correctness never
 			// depends on the checkpoint, only restart cost does.
 			os.Remove(w.cfg.CheckpointPath)
-			ck, err = nil, nil
+			err = nil
 		}
 		if err != nil {
 			return fmt.Errorf("dist: worker %s: %w", w.cfg.ID, err)
 		}
+		ck = loaded.Partial
 	}
 
 	for {
@@ -306,16 +305,17 @@ func (w *worker) run() error {
 }
 
 // runShard executes one leased shard — resuming from a matching
-// checkpoint — and submits its aggregate.
-func (w *worker) runShard(spec campaign.Spec, episode campaign.EpisodeFunc, a Assignment, ck *WorkerCheckpoint) error {
+// checkpoint, whose next episode the loader has checked against the
+// shard's range — and submits its aggregate.
+func (w *worker) runShard(spec campaign.Spec, episode campaign.EpisodeFunc, a Assignment, ck *campaign.PartialShard) error {
 	agg := &campaign.ShardStats{}
 	from := a.Lo
-	if ck != nil && ck.Shard == a.Shard && ck.NextEpisode >= a.Lo && ck.NextEpisode <= a.Hi {
+	if ck != nil && ck.Shard == a.Shard {
 		agg = ck.Stats
 		from = ck.NextEpisode
 		w.sum.Resumed = true
 	}
-	sinceSave, sinceBeat := 0, 0
+	sinceBeat := 0
 	err := campaign.RunShard(spec, episode, a.Shard, from, agg, func(next int) error {
 		w.sum.EpisodesRun++
 		if w.cfg.AfterEpisode != nil {
@@ -324,14 +324,10 @@ func (w *worker) runShard(spec campaign.Spec, episode campaign.EpisodeFunc, a As
 			}
 		}
 		if w.cfg.CheckpointPath != "" {
-			sinceSave++
-			if sinceSave > w.cfg.CheckpointEvery || next == a.Hi {
-				sinceSave = 0
-				if err := SaveWorkerCheckpoint(w.cfg.CheckpointPath, WorkerCheckpoint{
-					Fingerprint: w.fp, Shard: a.Shard, NextEpisode: next, Stats: agg,
-				}); err != nil {
-					return err
-				}
+			if err := campaign.SaveCheckpoint(w.cfg.CheckpointPath, w.fp, campaign.Checkpoint{
+				Partial: &campaign.PartialShard{Shard: a.Shard, NextEpisode: next, Stats: agg},
+			}); err != nil {
+				return err
 			}
 		}
 		if sinceBeat++; sinceBeat >= w.cfg.HeartbeatEvery && next < a.Hi {

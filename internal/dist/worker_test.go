@@ -133,12 +133,14 @@ func TestDistByteIdenticalClean(t *testing.T) {
 // crashes mid-shard (the AfterEpisode seam), a replacement with the same
 // checkpoint path waits out the dead lease, resumes at the exact episode
 // the checkpoint recorded, and the finished campaign is byte-identical
-// to an undisturbed single-process run.
+// to an undisturbed single-process run.  The coordinator runs on a fake
+// clock, so only the explicit Advance expires a lease.
 func TestWorkerCrashCheckpointResume(t *testing.T) {
 	spec := campaign.Spec{Name: "crash-resume", Episodes: 60, BaseSeed: 3, Shards: 3}
+	clock := NewFakeClock(time.Unix(0, 0))
 	c, err := NewCoordinator(Config{
 		Spec: spec, Workload: "synthetic",
-		LeaseTTL: 50 * time.Millisecond, RetryAfter: 5 * time.Millisecond,
+		LeaseTTL: 50 * time.Millisecond, RetryAfter: 5 * time.Millisecond, Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,18 +161,18 @@ func TestWorkerCrashCheckpointResume(t *testing.T) {
 	if !errors.Is(err, crash) {
 		t.Fatalf("crashed worker returned %v", err)
 	}
-	ck, err := LoadWorkerCheckpoint(ckpt, spec.Fingerprint())
-	if err != nil || ck == nil {
-		t.Fatalf("no resume point after crash: %v %v", ck, err)
+	ck, err := campaign.LoadCheckpoint(ckpt, spec.Fingerprint())
+	if err != nil || ck.Partial == nil {
+		t.Fatalf("no resume point after crash: %+v %v", ck, err)
 	}
-	if ck.Shard != 0 || ck.NextEpisode != 6 {
+	if p := ck.Partial; p.Shard != 0 || p.NextEpisode != 6 || len(ck.Shards) != 0 {
 		// The crash fired before episode 7's checkpoint was written, so
 		// the durable resume point is the previous episode boundary.
-		t.Fatalf("resume point %+v, want shard 0 next 6", ck)
+		t.Fatalf("resume point %+v, want shard 0 next 6 and no completed shards", ck)
 	}
 
 	// The dead worker's lease must expire before the shard is grantable.
-	time.Sleep(60 * time.Millisecond)
+	clock.Advance(60 * time.Millisecond)
 
 	sum, err := RunWorker(WorkerConfig{
 		ID: "revived", Dial: localDial(c), Resolve: synthResolver,
@@ -233,17 +235,27 @@ func TestWorkerDiscardsCorruptCheckpoint(t *testing.T) {
 	}
 	assertStatsIdentical(t, rep.Stats, got)
 
-	// Wrong-campaign checkpoint: loud, distinct error.
+	// Wrong-campaign checkpoint: the worker fails loudly, with a distinct
+	// error, and leaves the file alone.
 	other := spec
 	other.BaseSeed = 99
-	if err := SaveWorkerCheckpoint(ckpt, WorkerCheckpoint{
-		Fingerprint: other.Fingerprint(), Shard: 0, NextEpisode: 5, Stats: &campaign.ShardStats{Episodes: 5},
+	if err := campaign.SaveCheckpoint(ckpt, other.Fingerprint(), campaign.Checkpoint{
+		Partial: &campaign.PartialShard{Shard: 0, NextEpisode: 5, Stats: &campaign.ShardStats{Episodes: 5}},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = LoadWorkerCheckpoint(ckpt, spec.Fingerprint())
+	c2, err := NewCoordinator(Config{Spec: spec, Workload: "synthetic", RetryAfter: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunWorker(WorkerConfig{
+		ID: "w", Dial: localDial(c2), Resolve: synthResolver, CheckpointPath: ckpt,
+	})
 	if err == nil || errors.Is(err, campaign.ErrCorruptCheckpoint) || !strings.Contains(err.Error(), "belongs to campaign") {
 		t.Fatalf("wrong-campaign checkpoint: %v, want a distinct fingerprint error", err)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("wrong-campaign checkpoint removed: %v", err)
 	}
 }
 
