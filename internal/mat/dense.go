@@ -160,19 +160,6 @@ func MulTransInto(dst, a, b *Dense) {
 	}
 }
 
-// MulBTransInto computes dst = a·bᵀ without materializing the transpose.
-func MulBTransInto(dst, a, b *Dense) {
-	if a.cols != b.cols {
-		panic("mat: MulBTrans shape mismatch")
-	}
-	if dst.rows != a.rows || dst.cols != b.rows {
-		panic("mat: MulBTrans dst shape mismatch")
-	}
-	for i := 0; i < a.rows; i++ {
-		DotRowsInto(dst.data[i*dst.cols:(i+1)*dst.cols], a.data[i*a.cols:(i+1)*a.cols], b.data)
-	}
-}
-
 // AddInPlace computes m += n element-wise.
 func (m *Dense) AddInPlace(n *Dense) {
 	m.sameShape(n)

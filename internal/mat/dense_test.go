@@ -120,14 +120,13 @@ func TestMulTransInto(t *testing.T) {
 	}
 }
 
-func TestMulBTransInto(t *testing.T) {
-	a := NewDenseFrom([][]float64{{1, 2}})         // 1×2
-	b := NewDenseFrom([][]float64{{3, 4}, {5, 6}}) // 2×2
-	dst := NewDense(1, 2)
-	MulBTransInto(dst, a, b) // a·bᵀ
-	want := NewDenseFrom([][]float64{{1*3 + 2*4, 1*5 + 2*6}})
-	if !dst.Equal(want, 0) {
-		t.Fatalf("MulBTransInto = %+v", dst.Data())
+// TestDotRowsIntoSmall is a worked case of DotRowsInto: x·wᵀ + b for a
+// 1×2 row and a 2×2 matrix.
+func TestDotRowsIntoSmall(t *testing.T) {
+	dst := make([]float64, 2)
+	DotRowsInto(dst, []float64{1, 2}, []float64{3, 4, 5, 6}, []float64{0.5, -1})
+	if want := []float64{1*3 + 2*4 + 0.5, 1*5 + 2*6 - 1}; dst[0] != want[0] || dst[1] != want[1] {
+		t.Fatalf("DotRowsInto = %v, want %v", dst, want)
 	}
 }
 
@@ -138,7 +137,7 @@ func TestDotRowsPanicsOnShortWeights(t *testing.T) {
 			t.Fatal("short weight slice did not panic")
 		}
 	}()
-	DotRowsInto(make([]float64, 3), make([]float64, 4), make([]float64, 11))
+	DotRowsInto(make([]float64, 3), make([]float64, 4), make([]float64, 11), make([]float64, 3))
 }
 
 func TestTransMulAgainstReference(t *testing.T) {

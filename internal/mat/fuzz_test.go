@@ -63,12 +63,14 @@ func FuzzMidRadInto(f *testing.F) {
 	})
 }
 
-// FuzzDotRowsInto compares DotRowsInto with the naive loop bit for bit on
-// m = out mod 36 outputs at every input width up to in mod 68: the
-// weights of width k are the first k columns of an m×(in mod 68) matrix.
-// Operands cycle through the decoded values: x, then the weights row by
-// row.  The committed corpus (testdata/fuzz/FuzzDotRowsInto) runs widths
-// 0–67 at m = 1, 7, 32 and 35, on finite values and on specials.
+// FuzzDotRowsInto compares DotRowsInto with the naive loop plus the bias
+// bit for bit on m = out mod 36 outputs at every input width up to
+// in mod 68: the weights of width k are the first k columns of an
+// m×(in mod 68) matrix.  Operands cycle through the decoded values: x,
+// then the weights row by row, then the m biases.  The committed corpus
+// (testdata/fuzz/FuzzDotRowsInto) runs widths 0–67 at m = 1, 7, 32 and
+// 35, on finite values and on specials, and biases of +0 and −0, NaN
+// payloads and ±Inf on the 16-output blocks and on the Go tail (bias-*).
 func FuzzDotRowsInto(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, in, out uint8) {
 		vals := floatsOf(data)
@@ -79,9 +81,12 @@ func FuzzDotRowsInto(f *testing.F) {
 			}
 			return vals[i%len(vals)]
 		}
-		x := make([]float64, n)
+		x, b := make([]float64, n), make([]float64, m)
 		for k := range x {
 			x[k] = at(k)
+		}
+		for j := range b {
+			b[j] = at(n + m*n + j)
 		}
 		for k := 0; k <= n; k++ {
 			w := make([]float64, m*k)
@@ -90,7 +95,7 @@ func FuzzDotRowsInto(f *testing.F) {
 					w[j*k+q] = at(n + j*n + q)
 				}
 			}
-			checkDotRows(t, x[:k], w, m)
+			checkDotRows(t, x[:k], w, b, m)
 		}
 	})
 }

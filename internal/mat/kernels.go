@@ -5,20 +5,21 @@ import (
 	"math"
 )
 
-// The kernels below serve the certified step.  DotRowsInto is the dot
-// kernel of Network.Predict1 and of training (MulBTransInto), over the
-// row-major weights nn.Dense holds; MidRadInto runs the IBP weight passes
+// The kernels below serve the certified step.  DotRowsInto is the affine
+// kernel of every nn.Dense forward pass (Network.Predict1 and training):
+// it multiplies by the row-major weights the layer holds and adds the
+// bias as it stores each output.  MidRadInto runs the IBP weight passes
 // over a transposed (in × out) weight snapshot; TanhInto is the
-// activation of Predict1's tanh layers.  Each has a portable Go twin, and
-// on amd64 an AVX2 version that is bitwise equal to it.  The AVX2
-// versions take blocks of 16 outputs (DotRowsInto) or of four outputs
-// or values (the others) when a one-time CPU check allows
-// (kernels_amd64.go); the twins take the rest, and everything off amd64
-// or under -tags purego.  The differential tests and fuzz targets check
-// both paths against an independent oracle: the naive
-// one-accumulator loop for DotRowsInto, DotRowsInto on the transposed
-// weights for MidRadInto, math.Tanh for TanhInto.  Under -tags purego
-// they check the twins, the portable path, against that same oracle.
+// activation of the tanh layers.  Each has a portable Go twin, and on
+// amd64 an AVX2 version that is bitwise equal to it.  The AVX2 versions
+// take blocks of 16 outputs (DotRowsInto) or of four outputs or values
+// (the others) when a one-time CPU check allows (kernels_amd64.go); the
+// twins take the rest, and everything off amd64 or under -tags purego.
+// The differential tests and fuzz targets check both paths against an
+// independent oracle: the naive one-accumulator loop plus the bias for
+// DotRowsInto, DotRowsInto on the transposed weights with a zero bias for
+// MidRadInto, math.Tanh for TanhInto.  Under -tags purego they check the
+// twins, the portable path, against that same oracle.
 
 // AVX2 reports whether this build and CPU run the package's AVX2 kernels,
 // by the one-time check of kernels_amd64.go: false off amd64, under
@@ -27,30 +28,37 @@ import (
 // (the IBP's tanh epilogue) dispatch on it.
 func AVX2() bool { return useAsm }
 
-// DotRowsInto sets dst[j] = Σ_k x[k]·w[j·n+k] for every j < len(dst),
-// with n = len(x): the row vector x times the transpose of the
-// len(dst)×n row-major matrix w.  It is the dot kernel behind
-// MulBTransInto (so Network.Predict1 and training), and the reference that
-// MidRadInto, the IBP passes over transposed weights, equals bit for bit.
+// DotRowsInto sets dst[j] = Σ_k x[k]·w[j·n+k] + b[j] for every
+// j < len(dst), with n = len(x): the row vector x times the transpose of
+// the len(dst)×n row-major matrix w, plus the bias b.  It is the affine
+// step of nn.Dense.Forward (so Network.Predict1 and training), and, with
+// a zero bias, the reference that MidRadInto, the IBP passes over
+// transposed weights, equals bit for bit.
 //
 // Every output accumulates s += x[k]·w[j·n+k] from +0 in k-ascending
-// order, so the result is bitwise the naive loop, its oracle.  The AVX2
+// order and then stores s + b[j], so the result is bitwise the naive loop
+// followed by the bias add, its oracle.  A sum that starts from +0 is
+// never −0, so a zero bias of either sign leaves it unchanged.  The AVX2
 // version keeps one output per lane: it transposes 4×4 tiles of four
 // weight rows in registers, multiplies and adds separately (never a fused
-// multiply-add) and runs four groups of four outputs at once, so the
-// dependent adds of one output do not set the pace.  The Go twin takes
-// the last len(dst) mod 16 outputs.
-func DotRowsInto(dst, x, w []float64) {
+// multiply-add), runs four groups of four outputs at once, so the
+// dependent adds of one output do not set the pace, and adds the bias
+// with one VADDPD per group before the store.  The Go twin takes the last
+// len(dst) mod 16 outputs.
+func DotRowsInto(dst, x, w, b []float64) {
 	n := len(x)
 	if len(w) < len(dst)*n {
 		panic(fmt.Sprintf("mat: DotRowsInto weights hold %d values, want %d×%d", len(w), len(dst), n))
 	}
+	if len(b) < len(dst) {
+		panic(fmt.Sprintf("mat: DotRowsInto bias holds %d values, want %d", len(b), len(dst)))
+	}
 	j := 0
 	if useAsm && len(dst) >= 16 {
 		j = len(dst) &^ 15
-		dotRowsAsm(dst[:j], x, w)
+		dotRowsAsm(dst[:j], x, w, b)
 	}
-	dotRowsGo(dst, x, w, j)
+	dotRowsGo(dst, x, w, b, j)
 }
 
 // MidRadInto runs the two IBP passes of a layer in one sweep over wt, the
@@ -101,8 +109,9 @@ func TanhInto(dst, src []float64) {
 // four outputs share one pass over x, each with its own accumulator,
 // which hides the latency of the dependent adds; a scalar loop finishes
 // the last len(dst) mod 4.
-func dotRowsGo(dst, x, w []float64, j0 int) {
+func dotRowsGo(dst, x, w, b []float64, j0 int) {
 	n := len(x)
+	b = b[:len(dst)]
 	j := j0
 	for ; j+4 <= len(dst); j += 4 {
 		w0 := w[j*n:][:n]
@@ -116,7 +125,7 @@ func dotRowsGo(dst, x, w []float64, j0 int) {
 			s2 += xk * w2[k]
 			s3 += xk * w3[k]
 		}
-		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0+b[j], s1+b[j+1], s2+b[j+2], s3+b[j+3]
 	}
 	for ; j < len(dst); j++ {
 		wj := w[j*n:][:n]
@@ -124,7 +133,7 @@ func dotRowsGo(dst, x, w []float64, j0 int) {
 		for k, xk := range x {
 			s += xk * wj[k]
 		}
-		dst[j] = s
+		dst[j] = s + b[j]
 	}
 }
 

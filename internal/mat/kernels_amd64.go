@@ -69,10 +69,10 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // dotRowsAsm is DotRowsInto's AVX2 kernel for len(dst) a multiple of 16,
-// over the len(dst)×len(x) row-major weights w.
+// over the len(dst)×len(x) row-major weights w and the bias b.
 //
 //go:noescape
-func dotRowsAsm(dst, x, w []float64)
+func dotRowsAsm(dst, x, w, b []float64)
 
 // midRadAsm is MidRadInto's AVX2 kernel for len(c2) a multiple of 4, over
 // a weight matrix with row stride stride.

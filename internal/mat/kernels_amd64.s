@@ -74,16 +74,18 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VBROADCASTSD 16(SI), Y14; \
 	VBROADCASTSD 24(SI), Y15
 
-// func dotRowsAsm(dst, x, w []float64)
+// func dotRowsAsm(dst, x, w, b []float64)
 //
 // Blocks of 16 outputs, four groups of four rows with one accumulator
 // each (R10–R13 walk the groups' first rows along k).  Each block runs
 // len(x)/4 four-step tiles and then the last len(x) mod 4 steps one at a
-// time.
-TEXT ·dotRowsAsm(SB), NOSPLIT, $0-72
+// time, and adds the block's 16 biases (AX) to the sums as it stores
+// them, the sum as the first operand.
+TEXT ·dotRowsAsm(SB), NOSPLIT, $0-96
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ w_base+48(FP), DX
+	MOVQ b_base+72(FP), AX
 	MOVQ x_len+32(FP), R8
 	SHLQ $3, R8
 	LEAQ (R8)(R8*2), R9
@@ -130,14 +132,19 @@ dr16t:
 	JNZ  dr16t
 
 dr16store:
+	VADDPD (AX), Y0, Y0
+	VADDPD 32(AX), Y1, Y1
+	VADDPD 64(AX), Y2, Y2
+	VADDPD 96(AX), Y3, Y3
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
 	VMOVUPD Y3, 96(DI)
 	ADDQ $128, DI
-	LEAQ (R8)(R8*1), AX
-	SHLQ $3, AX
-	ADDQ AX, DX
+	ADDQ $128, AX
+	MOVQ R8, R10
+	SHLQ $4, R10
+	ADDQ R10, DX
 	SUBQ $16, CX
 	JMP  dr16
 

@@ -38,18 +38,18 @@ func sameBits(got, want float64) bool {
 
 // checkDotKernels runs MidRadInto on the first k inputs of x and r and
 // the first k rows of wt (n×m, n = len(x)), and compares every output j
-// with DotRowsInto on the first k entries of row j of w = wtᵀ and
-// aw = |wt|ᵀ (m×n, from transpose).
+// with DotRowsInto, at a zero bias, on the first k entries of row j of
+// w = wtᵀ and aw = |wt|ᵀ (m×n, from transpose).
 func checkDotKernels(t testing.TB, x, r, wt, w, aw []float64, m, k int) {
 	t.Helper()
 	n := len(x)
 	gotC := make([]float64, m)
 	gotR := make([]float64, m)
 	MidRadInto(gotC, gotR, x[:k], r[:k], wt[:k*m])
-	var wantC, wantR [1]float64
+	var wantC, wantR, zero [1]float64
 	for j := 0; j < m; j++ {
-		DotRowsInto(wantC[:], x[:k], w[j*n:j*n+k])
-		DotRowsInto(wantR[:], r[:k], aw[j*n:j*n+k])
+		DotRowsInto(wantC[:], x[:k], w[j*n:j*n+k], zero[:])
+		DotRowsInto(wantR[:], r[:k], aw[j*n:j*n+k], zero[:])
 		if !sameBits(gotC[j], wantC[0]) {
 			t.Fatalf("k=%d m=%d: MidRadInto centre %d = %v (%#x), DotRowsInto %v (%#x)",
 				k, m, j, gotC[j], math.Float64bits(gotC[j]), wantC[0], math.Float64bits(wantC[0]))
@@ -105,32 +105,63 @@ func TestMidRadMatchDotRows(t *testing.T) {
 	}
 }
 
-// checkDotRows compares DotRowsInto on x and the m×len(x) row-major
-// weights w with the naive one-accumulator loop, its oracle, bit for bit
-// (any NaN matching any NaN, see sameBits).
-func checkDotRows(t testing.TB, x, w []float64, m int) {
+// checkDotRows compares DotRowsInto on x, the m×len(x) row-major
+// weights w and the bias b with the naive one-accumulator loop plus the
+// bias, its oracle, bit for bit (any NaN matching any NaN, see sameBits).
+func checkDotRows(t testing.TB, x, w, b []float64, m int) {
 	t.Helper()
 	n := len(x)
 	got := make([]float64, m)
-	DotRowsInto(got, x, w)
+	DotRowsInto(got, x, w, b)
 	for j := 0; j < m; j++ {
 		var s float64
 		for k := 0; k < n; k++ {
 			s += x[k] * w[j*n+k]
 		}
+		s += b[j]
 		if !sameBits(got[j], s) {
-			t.Fatalf("n=%d m=%d: dst[%d] = %v (%#x), naive %v (%#x)",
-				n, m, j, got[j], math.Float64bits(got[j]), s, math.Float64bits(s))
+			t.Fatalf("n=%d m=%d: dst[%d] = %v (%#x), naive %v (%#x), bias %v (%#x)",
+				n, m, j, got[j], math.Float64bits(got[j]), s, math.Float64bits(s), b[j], math.Float64bits(b[j]))
+		}
+	}
+}
+
+// dotBias fills b with one of six bias patterns: finite values, +0, −0,
+// specialFloats (±0, ±Inf, NaN payloads, overflowing magnitudes), finite
+// values mixed with specialFloats, and alternating ±Inf and NaNs.
+func dotBias(rng *rand.Rand, b []float64, pattern int, draw func(bool) float64) {
+	nans := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff00000000abcde)}
+	for j := range b {
+		switch pattern % 6 {
+		case 0:
+			b[j] = draw(false)
+		case 1:
+			b[j] = 0
+		case 2:
+			b[j] = math.Copysign(0, -1)
+		case 3:
+			b[j] = specialFloats[rng.Intn(len(specialFloats))]
+		case 4:
+			b[j] = draw(true)
+		default:
+			if j%2 == 0 {
+				b[j] = math.Inf(1 - 2*(j/2%2))
+			} else {
+				b[j] = nans[j/2%len(nans)]
+			}
 		}
 	}
 }
 
 // TestDotRowsMatchesNaive pins DotRowsInto bit for bit to the naive
-// loop for every input width 0–67 (the four-step tiles and every k tail)
-// and every output count 0–35 (the 16-output blocks and the Go twin's
-// tail), which holds the planners' 5×32, 32×32 and 32×1 layers.
-// Even repetitions stay finite, so the rounding of long sums shows; odd
-// ones mix in specialFloats, whose sums overflow and cancel.
+// loop plus the bias for every input width 0–67 (the four-step tiles and
+// every k tail) and every output count 0–35 (the 16-output blocks and the
+// Go twin's tail), which holds the planners' 5×32, 32×32 and 32×1
+// layers.  Even repetitions keep the operands finite, so the rounding of
+// long sums shows; odd ones mix in specialFloats, whose sums overflow and
+// cancel.  The six repetitions take the six bias patterns of dotBias, so
+// zero and signed-zero biases, NaN payloads and ±Inf reach the 16-output
+// blocks and the Go tail alike, on top of finite and special sums.
 func TestDotRowsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	draw := func(specials bool) float64 {
@@ -141,16 +172,18 @@ func TestDotRowsMatchesNaive(t *testing.T) {
 	}
 	for n := 0; n <= 67; n++ {
 		for m := 0; m <= 35; m++ {
-			for rep := 0; rep < 4; rep++ {
+			for rep := 0; rep < 6; rep++ {
 				x := make([]float64, n)
 				w := make([]float64, m*n)
+				b := make([]float64, m)
 				for k := range x {
 					x[k] = draw(rep%2 == 1)
 				}
 				for k := range w {
 					w[k] = draw(rep%2 == 1)
 				}
-				checkDotRows(t, x, w, m)
+				dotBias(rng, b, rep, draw)
+				checkDotRows(t, x, w, b, m)
 			}
 		}
 	}
@@ -162,8 +195,11 @@ func TestKernelShapePanics(t *testing.T) {
 		"MidRadInto short wt": func() {
 			MidRadInto(make([]float64, 3), make([]float64, 3), make([]float64, 4), make([]float64, 4), make([]float64, 11))
 		},
-		"MidRadInto r2":  func() { MidRadInto(make([]float64, 3), make([]float64, 2), nil, nil, nil) },
-		"MidRadInto r":   func() { MidRadInto(nil, nil, make([]float64, 2), make([]float64, 1), nil) },
+		"MidRadInto r2": func() { MidRadInto(make([]float64, 3), make([]float64, 2), nil, nil, nil) },
+		"MidRadInto r":  func() { MidRadInto(nil, nil, make([]float64, 2), make([]float64, 1), nil) },
+		"DotRowsInto short bias": func() {
+			DotRowsInto(make([]float64, 3), make([]float64, 4), make([]float64, 12), make([]float64, 2))
+		},
 		"TanhInto short": func() { TanhInto(make([]float64, 3), make([]float64, 4)) },
 	} {
 		func() {
@@ -291,16 +327,17 @@ func benchOperands(in, out int) (x, r, wt []float64) {
 	return x, r, wt
 }
 
-// BenchmarkDotRowsInto times Predict1's dot kernel on the planners'
-// layer shapes, in×out: 5×32, 32×32 and the 32×1 output layer (the Go
-// tail alone).
+// BenchmarkDotRowsInto times Predict1's affine kernel, the bias add
+// included, on the planners' layer shapes, in×out: 5×32, 32×32 and the
+// 32×1 output layer (the Go tail alone).
 func BenchmarkDotRowsInto(b *testing.B) {
 	for _, s := range []struct{ in, out int }{{5, 32}, {32, 32}, {32, 1}} {
 		b.Run(fmt.Sprintf("%dx%d", s.in, s.out), func(b *testing.B) {
 			x, _, w := benchOperands(s.in, s.out)
+			bias, _, _ := benchOperands(s.out, 0)
 			dst := make([]float64, s.out)
 			for i := 0; i < b.N; i++ {
-				DotRowsInto(dst, x, w)
+				DotRowsInto(dst, x, w, bias)
 			}
 		})
 	}

@@ -71,12 +71,11 @@ func (l *Dense) Forward(x *mat.Dense) *mat.Dense {
 		l.z = mat.NewDense(n, l.Out)
 		l.aOut = mat.NewDense(n, l.Out)
 	}
-	mat.MulBTransInto(l.z, x, l.W) // z = x·Wᵀ
+	// z = x·Wᵀ + b, one row at a time: a batch and Predict1's single
+	// sample take the same kernel, which adds the bias as it stores.
+	w := l.W.Data()
 	for i := 0; i < n; i++ {
-		zr := l.z.Row(i)
-		for j := range zr {
-			zr[j] += l.B[j]
-		}
+		mat.DotRowsInto(l.z.Row(i), x.Row(i), w, l.B)
 	}
 	// Tanh layers take the vector kernel, bitwise math.Tanh; the others
 	// apply their activation unit by unit.

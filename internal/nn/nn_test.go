@@ -117,6 +117,40 @@ func TestPredict1Allocs(t *testing.T) {
 	}
 }
 
+// TestForwardBatchMatchesPredict1 pins each row of a batch forward pass
+// to Predict1 on that row, bit for bit: both run Dense.Forward one row at
+// a time through mat.DotRowsInto, bias included.  The hidden widths 32
+// and 35 take the kernel's 16-output blocks and its Go tail; the biases
+// are random, so the fused bias add is exercised.
+func TestForwardBatchMatchesPredict1(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, c := range []struct {
+		act   Activation
+		sizes []int
+	}{
+		{Tanh{}, []int{5, 32, 32, 1}},
+		{Tanh{}, []int{5, 35, 17, 1}},
+		{ReLU{}, []int{7, 35, 1}},
+	} {
+		n := NewMLP(rng, c.act, c.sizes...)
+		for _, l := range n.Layers {
+			for j := range l.B {
+				l.B[j] = rng.NormFloat64()
+			}
+		}
+		x := mat.NewDense(37, c.sizes[0])
+		x.Randomize(rng, 3)
+		batch := n.ForwardBatch(x).Clone()
+		for i := 0; i < x.Rows(); i++ {
+			got, want := batch.At(i, 0), n.Predict1(x.Row(i))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s %v row %d: batch %v (%#x), Predict1 %v (%#x)",
+					c.act.Name(), c.sizes, i, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 // Numerical gradient check: the backprop gradients must match finite
 // differences of the loss with respect to every parameter.
 func TestGradientCheck(t *testing.T) {
