@@ -73,6 +73,15 @@ type certifier struct {
 	monFused   bool
 	mon        monitor.Monitor
 
+	// shared is set at construction when the guard's envelope hook
+	// assesses exactly the verdict the clamp needs: a guard runs, and the
+	// agent's monitor is the engine's, on the sound estimate.  The hook
+	// then stores track 0's verdict in verdict and sets have, and rangeAt
+	// takes it instead of assessing again; have is cleared every step.
+	shared  bool
+	have    bool
+	verdict monitor.Outcome
+
 	scr *ibp.Scratch
 	box [leftturn.FeatureCount]interval.Interval
 	out [1]interval.Interval
@@ -120,23 +129,23 @@ func (c *certifier) init(cfg *CertifyConfig, ego dynamics.Limits, agent core.Age
 // rangeAt computes the certified command range for the current step: the
 // feature box over the sound estimate is propagated through the network,
 // clamped by the actuation limits exactly as the planner clamps its
-// output, and — for the compound agent — clipped by the recomputed
-// monitor verdict (Outcome.Apply is a monotone clip, so containment is
-// preserved).  ok=false when the executed command is not κ_n's to
-// certify (the compound monitor demanded κ_e this step).
-func (c *certifier) rangeAt(t float64, ego dynamics.State, sc *leftturn.Config, know core.Knowledge) (lo, hi float64, ok bool) {
+// output, and — for the compound agent — clipped by the monitor verdict
+// (Outcome.Apply is a monotone clip, so containment is preserved).  The
+// verdict is the envelope hook's when it stored one this step (shared),
+// and is assessed here otherwise.  ok=false when the executed command is
+// not κ_n's to certify (the compound monitor demanded κ_e this step).
+func (c *certifier) rangeAt(t float64, ego dynamics.State, sc *leftturn.Config, know *core.Knowledge) (lo, hi float64, ok bool) {
 	if c.clamp {
-		monEst := know.Sound
-		if c.monFused {
-			monEst = know.Fused
+		if !c.have {
+			monEst := know.Sound
+			if c.monFused {
+				monEst = know.Fused
+			}
+			c.verdict = c.mon.Assess(ego, sc.ConservativeWindow(monEst))
 		}
-		verdict := c.mon.Assess(ego, sc.ConservativeWindow(monEst))
-		if verdict.Emergency {
+		if c.verdict.Emergency {
 			return 0, 0, false
 		}
-		defer func() {
-			lo, hi = verdict.Apply(lo), verdict.Apply(hi)
-		}()
 	}
 	sc.FeatureBoxInto(c.box[:], t, ego, know.Sound, c.aggressive)
 	c.prop.PredictIntervalInto(c.out[:], c.box[:], c.scr)
@@ -152,6 +161,9 @@ func (c *certifier) rangeAt(t float64, ego dynamics.State, sc *leftturn.Config, 
 	}
 	if hi > c.lim.AMax {
 		hi = c.lim.AMax
+	}
+	if c.clamp {
+		lo, hi = c.verdict.Apply(lo), c.verdict.Apply(hi)
 	}
 	return lo, hi, true
 }

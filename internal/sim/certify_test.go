@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"safeplan/internal/core"
 	"safeplan/internal/dynamics"
+	"safeplan/internal/faultinject"
 	"safeplan/internal/guard"
 	"safeplan/internal/nn"
 	"safeplan/internal/nn/ibp"
@@ -120,6 +122,88 @@ func TestCertifyDoesNotPerturbEpisode(t *testing.T) {
 		if !reflect.DeepEqual(plain, verified) {
 			t.Fatalf("seed %d: result diverged:\nplain    %+v\nverified %+v", seed, plain, verified)
 		}
+	}
+}
+
+// TestCertifyVerdictSharing pins when the certifier takes the guard's
+// envelope verdict instead of assessing its own (certifier.shared): only
+// on guarded runs whose compound monitor is monitor.New over the sound
+// estimate.  Where it shares, every step's certified range and the whole
+// result must equal a run with sharing switched off, also under planner
+// faults that drive the guard's fallback paths.
+func TestCertifyVerdictSharing(t *testing.T) {
+	p, prop := certifyPlanner(t, 3)
+	sc := DefaultConfig().Scenario
+	gcfg := guard.DefaultConfig(sc.Ego)
+	worst, err := faultinject.Preset("worst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := core.NewUltimate(sc, p)
+	fused.MonitorOnFused = true
+	inflated := core.NewUltimate(sc, p)
+	inflated.Monitor.WindowInflation = 0.5
+	cases := []struct {
+		name   string
+		agent  core.Agent
+		guard  bool
+		fault  faultinject.Model
+		shared bool
+	}{
+		{"ultimate_guarded", core.NewUltimate(sc, p), true, nil, true},
+		{"basic_guarded", core.NewBasic(sc, p), true, nil, true},
+		{"ultimate_guarded_faults", core.NewUltimate(sc, p), true, worst, true},
+		{"ultimate_unguarded", core.NewUltimate(sc, p), false, nil, false},
+		{"fused_guarded", fused, true, nil, false},
+		{"inflation_guarded", inflated, true, nil, false},
+		{"pure_guarded", &core.PureNN{Cfg: sc, Planner: p}, true, nil, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.InfoFilter = true
+			cfg.Certify = &CertifyConfig{Prop: prop}
+			cfg.PlannerFault = tc.fault
+			if tc.guard {
+				cfg.Guard = &gcfg
+			}
+			for seed := int64(0); seed < 10; seed++ {
+				run := func(share bool) (Result, []certRange) {
+					st, err := NewStepper(cfg, tc.agent, Options{Seed: seed, Trace: true, Scratch: NewScratch()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := st.eng.cert.shared; got != tc.shared {
+						t.Fatalf("shared = %v, want %v", got, tc.shared)
+					}
+					st.eng.cert.shared = share && tc.shared
+					var ranges []certRange
+					for !st.Done() {
+						if _, err := st.Step(StepInput{}); err != nil {
+							t.Fatal(err)
+						}
+						c := &st.eng.cert
+						ranges = append(ranges, certRange{Lo: c.lo, Hi: c.hi, OK: c.ok})
+					}
+					res, err := st.Finish()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res, ranges
+				}
+				res, ranges := run(true)
+				if !tc.shared {
+					continue
+				}
+				ref, refRanges := run(false)
+				if fmt.Sprintf("%+v", res) != fmt.Sprintf("%+v", ref) {
+					t.Fatalf("seed %d: result with the shared verdict diverged:\nshared %+v\nown    %+v", seed, res, ref)
+				}
+				if !reflect.DeepEqual(ranges, refRanges) {
+					t.Fatalf("seed %d: certified ranges diverged with the shared verdict", seed)
+				}
+			}
+		})
 	}
 }
 

@@ -262,6 +262,12 @@ func newEngine(cfg MultiConfig, multi core.MultiAgent, single core.Agent, opts O
 		st.eng.certOn = true
 		if st.eng.gs != nil {
 			st.eng.gs.SetCertifiedRange(st.eng.certFn)
+			// The guard runs the envelope hook, st.mon on track 0's sound
+			// estimate, before every certified-range call; when the
+			// compound's monitor is that one on that estimate, the
+			// certifier takes the hook's verdict.
+			c := &st.eng.cert
+			c.shared = c.clamp && !c.monFused && c.mon == st.mon
 		}
 	}
 	return st, nil
@@ -273,8 +279,9 @@ func (st *MultiStepper) hooks() Hooks {
 	// Verified mode exists for the left turn alone (MultiConfig refuses
 	// Certify), so the range is track 0's.
 	st.eng.certFn = func() (float64, float64, bool) {
-		st.eng.cert.lo, st.eng.cert.hi, st.eng.cert.ok = st.eng.cert.rangeAt(st.eng.t, st.ego, &st.sc, st.ks[0])
-		return st.eng.cert.lo, st.eng.cert.hi, st.eng.cert.ok
+		c := &st.eng.cert
+		c.lo, c.hi, c.ok = c.rangeAt(st.eng.t, st.ego, &st.sc, &st.ks[0])
+		return c.lo, c.hi, c.ok
 	}
 	return Hooks{
 		Plan:      func() (float64, bool) { return st.agent.Accel(st.eng.t, st.ego, st.ks) },
@@ -282,11 +289,16 @@ func (st *MultiStepper) hooks() Hooks {
 		// Per-track envelopes intersect: the ego must satisfy every
 		// vehicle's commitment guard at once, exactly as the multi-vehicle
 		// compound resolves them (an empty intersection or any emergency
-		// verdict admits only κ_e).
+		// verdict admits only κ_e).  Track 0's verdict is handed to the
+		// certifier when it shares it (certifier.shared).
 		Envelope: func() (float64, float64, bool) {
 			lo, hi := st.sc.Ego.AMin, st.sc.Ego.AMax
-			for _, k := range st.ks {
-				tlo, thi, ok := st.mon.Assess(st.ego, st.sc.ConservativeWindow(k.Sound)).Envelope(st.sc.Ego)
+			for i := range st.ks {
+				v := st.mon.Assess(st.ego, st.sc.ConservativeWindow(st.ks[i].Sound))
+				if i == 0 && st.eng.cert.shared {
+					st.eng.cert.verdict, st.eng.cert.have = v, true
+				}
+				tlo, thi, ok := v.Envelope(st.sc.Ego)
 				if !ok {
 					return 0, 0, false
 				}
