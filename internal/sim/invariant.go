@@ -300,16 +300,18 @@ type MonitorConsistency struct {
 }
 
 // NewMonitorConsistency builds the checker with the default monitor tuning
-// (the one core.NewBasic / core.NewUltimate install).
-func NewMonitorConsistency(cfg leftturn.Config) MonitorConsistency {
-	return MonitorConsistency{Cfg: cfg, Mon: monitor.New(cfg)}
+// (the one core.NewBasic / core.NewUltimate install).  It returns a
+// pointer, so the two scenario configurations it holds are not copied
+// through the Invariant interface on every step.
+func NewMonitorConsistency(cfg leftturn.Config) *MonitorConsistency {
+	return &MonitorConsistency{Cfg: cfg, Mon: monitor.New(cfg)}
 }
 
 // Name implements Invariant.
-func (MonitorConsistency) Name() string { return "monitor-iff-boundary" }
+func (*MonitorConsistency) Name() string { return "monitor-iff-boundary" }
 
 // CheckStep implements Invariant.
-func (c MonitorConsistency) CheckStep(s *StepInfo) error {
+func (c *MonitorConsistency) CheckStep(s *StepInfo) error {
 	est := leftturn.OncomingEstimate{
 		P: s.Est.SoundP, V: s.Est.SoundV,
 		PointP: s.Est.PointP, PointV: s.Est.PointV,
