@@ -158,10 +158,12 @@ func main() {
 		if coll != nil {
 			c = coll
 		}
-		rs, err := sim.RunCampaign(*episodes, sim.CampaignOptions{
-			Options:  sim.Options{Collector: c},
-			BaseSeed: *seed,
-			Workers:  *workers,
+		rs, err := campaign.Results(campaign.Spec{
+			Name:      agent.Name(),
+			Episodes:  *episodes,
+			BaseSeed:  *seed,
+			Workers:   *workers,
+			Collector: c,
 		}, campaign.LeftTurn(cfg, agent))
 		if err != nil {
 			log.Fatal(err)

@@ -3,6 +3,7 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -23,16 +24,18 @@ import (
 const DefaultShards = 64
 
 // EpisodeFunc runs one episode under the given options (the campaign
-// runner fills in Seed, Collector, and Invariants).  The scenario
+// runner fills in Seed, Collector, Invariants and Scratch).  The scenario
 // adapters — LeftTurn, MultiVehicle, CarFollow, Platoon — wrap the
 // engine's episode runners; custom workloads can supply their own.
-// sim.RunCampaign takes the same shape, so the adapters serve both
-// campaign runners.
 type EpisodeFunc func(opts sim.Options) (sim.Result, error)
 
-// LeftTurn adapts the single-vehicle left-turn runner.  The agent is
-// shared across workers and must be stateless across episodes (every
-// agent in this repository is).
+// LeftTurn adapts the single-vehicle left-turn runner.  Every adapter
+// shares its agent across Run's workers, so results are independent of
+// the worker count only for agents that hold no mutable state across
+// calls.  The analytic experts and the compound designs around them
+// qualify; the NN planners do not (planner.NNPlanner keeps its feature
+// scratch, nn.Network.Predict1 its input and layer caches), so an NN
+// campaign is reproducible only at one worker.
 func LeftTurn(cfg sim.Config, agent core.Agent) EpisodeFunc {
 	return func(opts sim.Options) (sim.Result, error) { return sim.Run(cfg, agent, opts) }
 }
@@ -240,6 +243,11 @@ func FoldShards(spec Spec, done map[int]*ShardStats) (Stats, error) {
 // (FoldShards), so Stats is bit-identical for any worker count (Perf is
 // wall-clock data and is not).  With a CheckpointPath set, completed shards
 // persist to disk and an interrupted campaign resumes where it left off.
+//
+// A failing campaign reports the error of the lowest-numbered shard that
+// failed: a failure stops only the shards above it, so every shard below
+// still runs to its own end or its own error, and the report names the
+// same shard and seed whatever the worker count or the timing.
 func Run(spec Spec, episode EpisodeFunc) (*Report, error) {
 	if episode == nil {
 		return nil, fmt.Errorf("campaign: nil episode function")
@@ -280,16 +288,27 @@ func Run(spec Spec, episode EpisodeFunc) (*Report, error) {
 	epHist := telemetry.NewHistogram(episodeLatencyBounds...)
 
 	var (
-		mu       sync.Mutex // guards done + ckpt
+		mu       sync.Mutex // guards done, ckpt and failErr
 		ckpt     = spec.Checkpointer()
-		firstErr atomic.Pointer[error]
+		failLo   atomic.Int64 // first episode of the lowest failed shard
+		failErr  error
 		progress atomic.Int64
 		ranSteps atomic.Int64
 	)
+	failLo.Store(math.MaxInt64)
 	progress.Store(resumedEpisodes)
-	// fail keeps the first error.  Only its own parameter escapes, so a
-	// shard that succeeds allocates no error slot.
-	fail := func(err error) { firstErr.CompareAndSwap(nil, &err) }
+	// fail records err for the shard whose episodes start at lo and keeps
+	// the lowest such shard's error.  Shards are contiguous, so "a lower
+	// shard failed" is failLo < lo for a shard about to start and
+	// failLo < next for a running one.
+	fail := func(lo int, err error) {
+		mu.Lock()
+		if int64(lo) < failLo.Load() {
+			failLo.Store(int64(lo))
+			failErr = err
+		}
+		mu.Unlock()
+	}
 
 	// timed feeds Perf: the latency histograms and the executed steps.
 	timed := func(opts sim.Options) (sim.Result, error) {
@@ -306,39 +325,42 @@ func Run(spec Spec, episode EpisodeFunc) (*Report, error) {
 		ranSteps.Add(int64(r.Steps))
 		return r, nil
 	}
-	after := func(int) error {
+	after := func(next int) error {
 		if spec.Collector != nil {
 			spec.Collector.OnProgress(progress.Add(1), int64(spec.Episodes))
 		}
-		if firstErr.Load() != nil {
+		if failLo.Load() < int64(next) {
 			return errSiblingFailed
 		}
 		return nil
 	}
 
 	start := time.Now()
-	sim.ParallelForWorkers(workers, len(pending), func(k int) {
-		if firstErr.Load() != nil {
-			return // a shard or a save failed; drain the queue
-		}
+	parallelFor(workers, len(pending), func(k int) {
 		shard := pending[k]
 		lo, _ := shardRange(spec.Episodes, shards, shard)
+		if failLo.Load() < int64(lo) {
+			return // a lower shard or its save failed; drain the queue
+		}
 		agg := &ShardStats{}
 		if err := RunShard(spec, timed, shard, lo, agg, after); err != nil {
-			fail(err)
+			if err != errSiblingFailed {
+				fail(lo, err)
+			}
 			return
 		}
 		mu.Lock()
 		done[shard] = agg
-		if err := ckpt.ShardDone(done); err != nil {
-			fail(fmt.Errorf("campaign %q: checkpoint: %w", spec.Name, err))
-		}
+		err := ckpt.ShardDone(done)
 		mu.Unlock()
+		if err != nil {
+			fail(lo, fmt.Errorf("campaign %q: checkpoint: %w", spec.Name, err))
+		}
 	})
 	wall := time.Since(start)
 
-	if ep := firstErr.Load(); ep != nil {
-		return nil, *ep
+	if failErr != nil {
+		return nil, failErr
 	}
 
 	stats, err := FoldShards(spec, done)
@@ -375,6 +397,56 @@ func Run(spec Spec, episode EpisodeFunc) (*Report, error) {
 	}, nil
 }
 
+// Results runs the campaign through Run and returns every episode's
+// result in seed order, for callers that aggregate per-episode data Stats
+// does not carry (eval.Aggregate's paired η for the winning percentage,
+// per-link platoon gaps).  Each episode stores its result at index
+// Seed − BaseSeed, so concurrent writes never share a slot.  Resumed
+// shards carry aggregates only, so a CheckpointPath is refused.
+func Results(spec Spec, episode EpisodeFunc) ([]sim.Result, error) {
+	if episode == nil {
+		return nil, fmt.Errorf("campaign: nil episode function")
+	}
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	if spec.CheckpointPath != "" {
+		return nil, fmt.Errorf("campaign: Results cannot resume from checkpoint %q", spec.CheckpointPath)
+	}
+	rs := make([]sim.Result, spec.Episodes)
+	_, err := Run(spec, func(opts sim.Options) (sim.Result, error) {
+		r, err := episode(opts)
+		rs[opts.Seed-spec.BaseSeed] = r
+		return r, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// parallelFor runs f(0) … f(n−1) across min(workers, n) goroutines and
+// waits for completion.  f must only write to index-disjoint state.
+func parallelFor(workers, n int, f func(i int)) {
+	workers = min(workers, n)
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				f(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+}
+
 // scratchPool recycles episode arenas across shards.  sync.Pool is safe
 // here precisely because the pool boundary is the shard, never the
 // episode: within a shard one goroutine owns one arena for the whole
@@ -382,8 +454,8 @@ func Run(spec Spec, episode EpisodeFunc) (*Report, error) {
 var scratchPool = sync.Pool{New: func() any { return sim.NewScratch() }}
 
 // errSiblingFailed stops a shard once an episode or a checkpoint save of
-// the same Run has failed; Run reports that first failure, never this
-// error.
+// a lower shard of the same Run has failed; Run reports the lowest
+// shard's own failure, never this error.
 var errSiblingFailed = errors.New("campaign: sibling shard failed")
 
 // countingInvariants wraps the spec's checkers so violations tally into

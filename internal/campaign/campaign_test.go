@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -348,5 +349,101 @@ func TestCampaignScratchPoolUnderRace(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("repeated pooled campaigns diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestRunReportsLowestShardError: a failing campaign reports the lowest
+// failed shard's own error, identical on every run whatever the timing —
+// never a sibling stop, never whichever shard happened to fail first.
+func TestRunReportsLowestShardError(t *testing.T) {
+	cases := []struct {
+		name string
+		fail func(e int64) bool // fails episode e = seed − BaseSeed
+		want string
+	}{
+		// Every shard fails on its first episode.
+		{"every-seed", func(int64) bool { return true },
+			`campaign "fails": shard 0 seed 40: seed 40 failed`},
+		// Shard 0 fails only on its last episode, after the shards above
+		// it have long failed on their first.
+		{"late-shard-0", func(e int64) bool { return e == 9 || e >= 10 },
+			`campaign "fails": shard 0 seed 49: seed 49 failed`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{Name: "fails", Episodes: 640, BaseSeed: 40, Workers: 8}
+			ep := func(opts sim.Options) (sim.Result, error) {
+				if tc.fail(opts.Seed - spec.BaseSeed) {
+					return sim.Result{}, fmt.Errorf("seed %d failed", opts.Seed)
+				}
+				return syntheticEpisode(opts)
+			}
+			for i := 0; i < 20; i++ {
+				_, err := Run(spec, ep)
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("run %d: error %v, want %s", i, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestResultsWorkerParity: Results returns every episode in seed order,
+// equal to a serial loop over the same episode func, and its marshalled
+// form is byte-identical at 1, 4 and 16 workers.  It covers the expert
+// left turn and the expert multi-vehicle stream under delayed comms.
+func TestResultsWorkerParity(t *testing.T) {
+	const n, base = 96, 17 // 96 episodes over 64 shards: uneven shards
+	lt, _ := leftTurnFixture()
+	lt.InfoFilter = true
+	mv := sim.DefaultMultiConfig()
+	mv.Comms = comms.Delayed(0.25, 0.5)
+	mv.Horizon = 12
+	mv.InfoFilter = true
+	eps := map[string]EpisodeFunc{
+		"left-turn": LeftTurn(lt, core.NewUltimate(lt.Scenario, planner.AggressiveExpert(lt.Scenario))),
+		"multi":     MultiVehicle(mv, core.NewMultiUltimate(mv.Scenario, planner.ConservativeExpert(mv.Scenario))),
+	}
+	for name, ep := range eps {
+		t.Run(name, func(t *testing.T) {
+			serial := make([]sim.Result, n)
+			for i := range serial {
+				r, err := ep(sim.Options{Seed: base + int64(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				serial[i] = r
+			}
+			want, err := json.Marshal(serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{1, 4, 16} {
+				rs, err := Results(Spec{Name: name, Episodes: n, BaseSeed: base, Workers: w}, ep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(rs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Fatalf("%d workers: results differ from the serial loop", w)
+				}
+			}
+		})
+	}
+}
+
+func TestResultsRejects(t *testing.T) {
+	if _, err := Results(Spec{Episodes: 4}, nil); err == nil {
+		t.Error("nil episode function accepted")
+	}
+	if _, err := Results(Spec{Episodes: 0}, syntheticEpisode); err == nil {
+		t.Error("zero episodes accepted")
+	}
+	spec := Spec{Episodes: 4, CheckpointPath: filepath.Join(t.TempDir(), "ckpt.json")}
+	if _, err := Results(spec, syntheticEpisode); err == nil {
+		t.Error("checkpoint path accepted")
 	}
 }

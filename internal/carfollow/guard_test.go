@@ -18,17 +18,11 @@ func TestGuardedCampaignParity(t *testing.T) {
 	cfg := simCfg()
 	cfg.InfoFilter = true
 	agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
-	plain, err := sim.RunCampaign(episodes, sim.CampaignOptions{BaseSeed: 7}, episodeFunc(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := runSeeds(t, cfg, agent, episodes, 7)
 
 	gc := guard.DefaultConfig(cfg.Scenario.Ego)
 	cfg.Guard = &gc
-	a, err := sim.RunCampaign(episodes, sim.CampaignOptions{BaseSeed: 7}, episodeFunc(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runSeeds(t, cfg, agent, episodes, 7)
 	for i := range a {
 		g := a[i]
 		if g.Guard.Faults != 0 || g.Guard.WorstState != guard.Nominal {

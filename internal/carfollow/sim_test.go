@@ -1,20 +1,27 @@
 package carfollow
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 
 	"safeplan/internal/comms"
-	"safeplan/internal/disturb"
 	"safeplan/internal/eval"
 	"safeplan/internal/sensor"
 	"safeplan/internal/sim"
 )
 
-// episodeFunc adapts RunEpisode to sim.RunCampaign's episode func.
-func episodeFunc(cfg SimConfig, agent Agent) func(sim.Options) (sim.Result, error) {
-	return func(o sim.Options) (sim.Result, error) { return RunEpisode(cfg, agent, o) }
+// runSeeds runs n episodes with seeds base … base+n−1, one after another.
+func runSeeds(t *testing.T, cfg SimConfig, agent Agent, n int, base int64) []sim.Result {
+	t.Helper()
+	rs := make([]sim.Result, n)
+	for i := range rs {
+		r, err := RunEpisode(cfg, agent, sim.Options{Seed: base + int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs[i] = r
+	}
+	return rs
 }
 
 func simCfg() SimConfig { return DefaultSimConfig() }
@@ -130,43 +137,16 @@ func TestUltimateFasterThanBasic(t *testing.T) {
 	cfg := simCfg()
 	cfg.Comms = comms.Delayed(0.25, 0.5)
 	const n = 60
-	basicRs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: 100}, episodeFunc(cfg, NewBasic(cfg.Scenario, AggressiveExpert(cfg.Scenario))))
-	if err != nil {
-		t.Fatal(err)
-	}
+	basicRs := runSeeds(t, cfg, NewBasic(cfg.Scenario, AggressiveExpert(cfg.Scenario)), n, 100)
 	ultCfg := cfg
 	ultCfg.InfoFilter = true
-	ultRs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: 100}, episodeFunc(ultCfg, NewUltimate(ultCfg.Scenario, AggressiveExpert(ultCfg.Scenario))))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ultRs := runSeeds(t, ultCfg, NewUltimate(ultCfg.Scenario, AggressiveExpert(ultCfg.Scenario)), n, 100)
 	bs, us := eval.Aggregate(basicRs), eval.Aggregate(ultRs)
 	if bs.SafeRate() != 1 || us.SafeRate() != 1 {
 		t.Fatalf("compound designs unsafe: basic=%v ultimate=%v", bs.SafeRate(), us.SafeRate())
 	}
 	if us.MeanReachTimeSafe >= bs.MeanReachTimeSafe {
 		t.Fatalf("ultimate %v not faster than basic %v", us.MeanReachTimeSafe, bs.MeanReachTimeSafe)
-	}
-}
-
-func TestRunCampaignPairsSeeds(t *testing.T) {
-	cfg := simCfg()
-	agent := &Pure{Cfg: cfg.Scenario, Planner: ConservativeExpert(cfg.Scenario)}
-	rs, err := sim.RunCampaign(5, sim.CampaignOptions{BaseSeed: 30}, episodeFunc(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rs {
-		single, err := RunEpisode(cfg, agent, sim.Options{Seed: 30 + int64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.ReachTime != single.ReachTime {
-			t.Fatalf("episode %d differs from direct run", i)
-		}
-	}
-	if _, err := sim.RunCampaign(0, sim.CampaignOptions{}, episodeFunc(cfg, agent)); err == nil {
-		t.Fatal("zero episodes accepted")
 	}
 }
 
@@ -199,54 +179,5 @@ func TestQuickCarFollowEndToEnd(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRunCampaignDeterministic pins campaign determinism under an
-// adversarial disturbance: identical invocations must yield identical
-// results.
-func TestRunCampaignDeterministic(t *testing.T) {
-	cfg := simCfg()
-	m, err := disturb.Preset("worst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Comms = comms.Disturbed(m)
-	cfg.SensorDisturb = disturb.BiasDrift{Max: 1, Period: 12}
-	cfg.InfoFilter = true
-	agent := NewUltimate(cfg.Scenario, AggressiveExpert(cfg.Scenario))
-	a, err := sim.RunCampaign(24, sim.CampaignOptions{BaseSeed: 7}, episodeFunc(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sim.RunCampaign(24, sim.CampaignOptions{BaseSeed: 7}, episodeFunc(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("car-following campaign not deterministic")
-	}
-}
-
-// TestCampaignDeterministicAcrossWorkers: the worker count must not leak
-// into any episode's random streams.
-func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
-	cfg := simCfg()
-	m, err := disturb.Preset("worst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Comms = comms.Disturbed(m)
-	cfg.SensorDisturb = disturb.SensorDropout{PGoodBad: 0.04, PBadGood: 0.15, DropBad: 0.95}
-	run := func(workers int) []sim.Result {
-		agent := NewBasic(cfg.Scenario, ConservativeExpert(cfg.Scenario))
-		rs, err := sim.RunCampaign(24, sim.CampaignOptions{BaseSeed: 7, Workers: workers}, episodeFunc(cfg, agent))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rs
-	}
-	if a, b := run(1), run(8); !reflect.DeepEqual(a, b) {
-		t.Fatal("car-following campaign differs between 1 and 8 workers")
 	}
 }

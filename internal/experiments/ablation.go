@@ -68,7 +68,7 @@ func Ablations(pl Planners, n int, seed int64) ([]AblationRow, error) {
 
 	var rows []AblationRow
 	for _, v := range variants {
-		rs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: seed}, campaign.LeftTurn(v.cfg, v.agent))
+		rs, err := campaign.Results(campaign.Spec{Episodes: n, BaseSeed: seed}, campaign.LeftTurn(v.cfg, v.agent))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation %s: %w", v.name, err)
 		}

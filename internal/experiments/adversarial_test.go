@@ -6,7 +6,6 @@ import (
 
 	"safeplan/internal/campaign"
 	"safeplan/internal/core"
-	"safeplan/internal/sim"
 )
 
 func TestAdversarialSettingsValid(t *testing.T) {
@@ -57,7 +56,7 @@ func TestAdversarialSafetyInvariant(t *testing.T) {
 				ultCfg := adversarialSim(s)
 				ultCfg.InfoFilter = true
 				ult := core.NewUltimate(ultCfg.Scenario, pl.Pick(kind))
-				rs, err := sim.RunCampaign(episodes, sim.CampaignOptions{BaseSeed: testSeed}, campaign.LeftTurn(ultCfg, ult))
+				rs, err := campaign.Results(campaign.Spec{Episodes: episodes, BaseSeed: testSeed}, campaign.LeftTurn(ultCfg, ult))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -73,7 +72,7 @@ func TestAdversarialSafetyInvariant(t *testing.T) {
 				// threading.
 				basicCfg := adversarialSim(s)
 				basic := core.NewBasic(basicCfg.Scenario, pl.Pick(kind))
-				rs, err = sim.RunCampaign(episodes, sim.CampaignOptions{BaseSeed: testSeed}, campaign.LeftTurn(basicCfg, basic))
+				rs, err = campaign.Results(campaign.Spec{Episodes: episodes, BaseSeed: testSeed}, campaign.LeftTurn(basicCfg, basic))
 				if err != nil {
 					t.Fatal(err)
 				}

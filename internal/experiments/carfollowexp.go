@@ -6,7 +6,6 @@ import (
 	"safeplan/internal/campaign"
 	"safeplan/internal/carfollow"
 	"safeplan/internal/eval"
-	"safeplan/internal/sim"
 )
 
 // CarFollowRow is one line of the car-following case-study table.
@@ -48,7 +47,7 @@ func CarFollowTable(n int, seed int64) ([]CarFollowRow, error) {
 		for _, d := range designs {
 			cfg := base
 			cfg.InfoFilter = d.info
-			rs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: seed}, campaign.CarFollow(cfg, d.agent))
+			rs, err := campaign.Results(campaign.Spec{Episodes: n, BaseSeed: seed}, campaign.CarFollow(cfg, d.agent))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: carfollow %s/%s: %w", s.Name, d.label, err)
 			}

@@ -175,7 +175,7 @@ func Table(kind PlannerKind, pl Planners, n int, seed int64) ([]TableRow, error)
 		stats := make([]eval.Stats, 3)
 		ags := agents(base.Scenario, p, base)
 		for i, ag := range ags {
-			rs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: seed}, campaign.LeftTurn(ag.Cfg, ag.Agent))
+			rs, err := campaign.Results(campaign.Spec{Episodes: n, BaseSeed: seed}, campaign.LeftTurn(ag.Cfg, ag.Agent))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%s: %w", s.Name, ag.Label, err)
 			}

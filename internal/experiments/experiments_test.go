@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"safeplan/internal/leftturn"
@@ -32,6 +34,27 @@ func TestStandardSettings(t *testing.T) {
 func TestPlannerKindString(t *testing.T) {
 	if Conservative.String() != "conservative" || Aggressive.String() != "aggressive" {
 		t.Fatal("kind names wrong")
+	}
+}
+
+// TestTableWorkerParity pins the table pipeline end to end for the
+// stateless expert planners: Table's rows, paired winning % included, are
+// byte-identical at GOMAXPROCS 1 and 4 (its campaigns run at one worker
+// per core).
+func TestTableWorkerParity(t *testing.T) {
+	const n = 40
+	rowsAt := func(procs int, kind PlannerKind) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rows, err := Table(kind, testPlanners(), n, testSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%+v", rows)
+	}
+	for _, kind := range []PlannerKind{Conservative, Aggressive} {
+		if one, four := rowsAt(1, kind), rowsAt(4, kind); one != four {
+			t.Fatalf("%s table differs between GOMAXPROCS 1 and 4:\n1: %s\n4: %s", kind, one, four)
+		}
 	}
 }
 

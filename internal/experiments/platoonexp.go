@@ -78,7 +78,7 @@ func PlatoonTable(n int, seed int64) ([]PlatoonRow, error) {
 	for _, e := range entries {
 		sc := e.cfg.LinkScenario()
 		agent := carfollow.NewUltimate(sc, carfollow.AggressiveExpert(sc))
-		rs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: seed}, campaign.Platoon(e.cfg, agent))
+		rs, err := campaign.Results(campaign.Spec{Episodes: n, BaseSeed: seed}, campaign.Platoon(e.cfg, agent))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: platoon %s: %w", e.label, err)
 		}

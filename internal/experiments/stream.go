@@ -55,7 +55,7 @@ func StreamTable(pl Planners, n int, seed int64) ([]StreamRow, error) {
 		for _, d := range designs {
 			cfg := base
 			cfg.InfoFilter = d.info
-			rs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: seed}, campaign.MultiVehicle(cfg, d.agent))
+			rs, err := campaign.Results(campaign.Spec{Episodes: n, BaseSeed: seed}, campaign.MultiVehicle(cfg, d.agent))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: stream %d/%s: %w", vehicles, d.label, err)
 			}

@@ -26,7 +26,7 @@ func sweepAt(x float64, base sim.Config, pl Planners, kind PlannerKind, n int, s
 	pt := SweepPoint{X: x}
 	p := pl.Pick(kind)
 	for i, ag := range agents(base.Scenario, p, base) {
-		rs, err := sim.RunCampaign(n, sim.CampaignOptions{BaseSeed: seed}, campaign.LeftTurn(ag.Cfg, ag.Agent))
+		rs, err := campaign.Results(campaign.Spec{Episodes: n, BaseSeed: seed}, campaign.LeftTurn(ag.Cfg, ag.Agent))
 		if err != nil {
 			return pt, fmt.Errorf("experiments: sweep x=%v %s: %w", x, ag.Label, err)
 		}

@@ -13,11 +13,6 @@ import (
 
 // ultimate builds the NN-slot compound agent against the effective link
 // scenario (so TimeGap configs monitor on the DDefault floor).
-// episodeFunc adapts RunEpisode to sim.RunCampaign's episode func.
-func episodeFunc(cfg SimConfig, agent carfollow.Agent) func(sim.Options) (sim.Result, error) {
-	return func(o sim.Options) (sim.Result, error) { return RunEpisode(cfg, agent, o) }
-}
-
 func ultimate(cfg SimConfig) carfollow.Agent {
 	sc := cfg.LinkScenario()
 	return carfollow.NewUltimate(sc, carfollow.AggressiveExpert(sc))
@@ -248,34 +243,5 @@ func TestEngineScoresGapViolation(t *testing.T) {
 		if spec == TimeGap && collided == 0 {
 			t.Fatal("no time-gap breach scored — the speed term is not exercised")
 		}
-	}
-}
-
-// TestCampaignDeterministicAcrossWorkers: the worker count must not leak
-// into any platoon episode's random streams.
-func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
-	cfg := DefaultSimConfig()
-	m, err := disturb.Preset("worst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.LinkComms = []comms.Config{
-		comms.NoDisturbance(), comms.Disturbed(m), comms.Delayed(0.25, 0.5),
-	}
-	cfg.SensorDisturb = disturb.SensorDropout{PGoodBad: 0.04, PBadGood: 0.15, DropBad: 0.95}
-	agent := ultimate(cfg)
-	run := func(workers int) string {
-		rs, err := sim.RunCampaign(24, sim.CampaignOptions{BaseSeed: 7, Workers: workers}, episodeFunc(cfg, agent))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts := make([]string, len(rs))
-		for i, r := range rs {
-			parts[i] = pDump(r)
-		}
-		return strings.Join(parts, "\n")
-	}
-	if a, b := run(1), run(8); a != b {
-		t.Fatal("platoon campaign differs between 1 and 8 workers")
 	}
 }

@@ -227,6 +227,21 @@ func TestRunMultiGuarded(t *testing.T) {
 	}
 }
 
+// runSeeds runs n left-turn episodes with seeds base … base+n−1, one
+// after another.
+func runSeeds(t *testing.T, cfg Config, agent core.Agent, n int, base int64) []Result {
+	t.Helper()
+	rs := make([]Result, n)
+	for i := range rs {
+		r, err := Run(cfg, agent, Options{Seed: base + int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs[i] = r
+	}
+	return rs
+}
+
 // TestGuardedCampaignMatchesUnguarded pins the guard's transparency at
 // campaign scale: with a guard enabled and no fault model, every
 // per-episode outcome must be identical to the unguarded campaign once
@@ -236,17 +251,11 @@ func TestGuardedCampaignMatchesUnguarded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InfoFilter = true
 	agent := ultimateAgent(cfg)
-	plain, err := RunCampaign(episodes, CampaignOptions{BaseSeed: 7}, leftTurn(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := runSeeds(t, cfg, agent, episodes, 7)
 
 	gc := guard.DefaultConfig(cfg.Scenario.Ego)
 	cfg.Guard = &gc
-	a, err := RunCampaign(episodes, CampaignOptions{BaseSeed: 7}, leftTurn(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runSeeds(t, cfg, agent, episodes, 7)
 	for i := range a {
 		g := a[i]
 		if g.Guard.Faults != 0 || g.Guard.WorstState != guard.Nominal {
@@ -270,14 +279,8 @@ func TestFaultInjectedCampaignDeterministic(t *testing.T) {
 	}
 	cfg.PlannerFault = m
 	agent := ultimateAgent(cfg)
-	a, err := RunCampaign(16, CampaignOptions{BaseSeed: 7}, leftTurn(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCampaign(16, CampaignOptions{BaseSeed: 7}, leftTurn(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runSeeds(t, cfg, agent, 16, 7)
+	b := runSeeds(t, cfg, agent, 16, 7)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("fault-injected campaign not deterministic")
 	}

@@ -70,7 +70,7 @@ type Invariant interface {
 }
 
 // ViolationError reports an invariant violation.  Episode runners wrap it
-// with seed context; campaign runners unwrap it (errors.As) to count
+// with seed context; the campaign runner unwraps it (errors.As) to count
 // violations by invariant name.
 type ViolationError struct {
 	// Invariant is the Name of the violated checker.

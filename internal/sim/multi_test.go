@@ -148,29 +148,6 @@ func TestRunMultiSingleVehicleMatchesShape(t *testing.T) {
 	}
 }
 
-func TestRunMultiCampaignPairsSeeds(t *testing.T) {
-	cfg := multiConfig()
-	rs, err := RunCampaign(6, CampaignOptions{BaseSeed: 50}, multiVehicle(cfg, multiUltimate(cfg, true)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 6 {
-		t.Fatalf("results = %d", len(rs))
-	}
-	for i, r := range rs {
-		single, err := RunMulti(cfg, multiUltimate(cfg, true), Options{Seed: 50 + int64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.ReachTime != single.ReachTime {
-			t.Fatalf("episode %d differs from direct run", i)
-		}
-	}
-	if _, err := RunCampaign(0, CampaignOptions{}, multiVehicle(cfg, multiUltimate(cfg, true))); err == nil {
-		t.Fatal("zero episodes accepted")
-	}
-}
-
 // Property: the multi-vehicle compound planner stays safe across random
 // disturbance settings and stream sizes — the multi-vehicle version of the
 // headline guarantee.

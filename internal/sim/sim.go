@@ -306,15 +306,15 @@ type Options struct {
 
 	// Collector receives telemetry probes (per-step, per-episode).  Nil
 	// disables telemetry: the loop then pays one nil-check per probe
-	// site and skips the wall-clock reads entirely.  Campaign runners
-	// share one collector across workers, so it must be concurrency-safe
+	// site and skips the wall-clock reads entirely.  The campaign runner
+	// shares one collector across workers, so it must be concurrency-safe
 	// (telemetry.Metrics is).
 	Collector telemetry.Collector
 
 	// Invariants are runtime checkers evaluated once per control step
 	// (per observed vehicle) and once per finished episode.  A violation
 	// aborts the episode with a *ViolationError.  Checkers must be
-	// stateless: campaign runners share them across workers.
+	// stateless: the campaign runner shares them across workers.
 	Invariants []Invariant
 
 	// Scratch is the episode-scoped arena the runner draws per-episode

@@ -194,49 +194,6 @@ func TestEmergencyFrequency(t *testing.T) {
 	}
 }
 
-// leftTurn and multiVehicle adapt the closed run loops to RunCampaign's
-// episode func (campaign.LeftTurn and campaign.MultiVehicle, which this
-// package cannot import).
-func leftTurn(cfg Config, agent core.Agent) func(Options) (Result, error) {
-	return func(o Options) (Result, error) { return Run(cfg, agent, o) }
-}
-
-func multiVehicle(cfg MultiConfig, agent core.MultiAgent) func(Options) (Result, error) {
-	return func(o Options) (Result, error) { return RunMulti(cfg, agent, o) }
-}
-
-func TestRunCampaignPairsSeeds(t *testing.T) {
-	cfg := baseConfig()
-	rs, err := RunCampaign(8, CampaignOptions{BaseSeed: 100}, leftTurn(cfg, consAgent(cfg)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 8 {
-		t.Fatalf("got %d results", len(rs))
-	}
-	// Each result must equal an individual run with the same seed.
-	for i, r := range rs {
-		single, err := Run(cfg, consAgent(cfg), Options{Seed: 100 + int64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.ReachTime != single.ReachTime || r.Steps != single.Steps {
-			t.Fatalf("episode %d differs from single run", i)
-		}
-	}
-}
-
-func TestRunCampaignRejects(t *testing.T) {
-	cfg := baseConfig()
-	if _, err := RunCampaign(0, CampaignOptions{BaseSeed: 1}, leftTurn(cfg, consAgent(cfg))); err == nil {
-		t.Fatal("zero episodes accepted")
-	}
-	cfg.DtM = 0
-	if _, err := RunCampaign(1, CampaignOptions{BaseSeed: 1}, leftTurn(cfg, consAgent(cfg))); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-}
-
 // Property: under arbitrary disturbance settings, the ultimate compound
 // planner never collides and the sound estimate never misses the truth.
 func TestQuickEndToEndSafety(t *testing.T) {

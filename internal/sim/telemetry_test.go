@@ -1,11 +1,13 @@
-package sim
+package sim_test
 
 import (
 	"testing"
 
+	"safeplan/internal/campaign"
 	"safeplan/internal/core"
 	"safeplan/internal/leftturn"
 	"safeplan/internal/planner"
+	"safeplan/internal/sim"
 	"safeplan/internal/telemetry"
 )
 
@@ -13,7 +15,7 @@ import (
 // campaign (exercised with -race in CI via `make check`) and cross-checks
 // the collector's counters against the returned results.
 func TestRunCampaignCollector(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.InfoFilter = true
 	sc := leftturn.DefaultConfig()
 	agent := core.NewUltimate(sc, planner.ConservativeExpert(sc))
@@ -21,10 +23,7 @@ func TestRunCampaignCollector(t *testing.T) {
 	agent.SetCollector(m)
 
 	const n = 64
-	rs, err := RunCampaign(n, CampaignOptions{Options: Options{Collector: m}, BaseSeed: 100}, leftTurn(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := results(t, campaign.Spec{Episodes: n, BaseSeed: 100, Collector: m}, campaign.LeftTurn(cfg, agent))
 	var steps, emergency, reached int
 	for _, r := range rs {
 		steps += r.Steps
@@ -66,28 +65,22 @@ func TestRunCampaignCollector(t *testing.T) {
 }
 
 func TestRunCampaignRejectsNegativeWorkers(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.DefaultConfig()
 	sc := leftturn.DefaultConfig()
 	agent := &core.PureNN{Cfg: sc, Planner: planner.ConservativeExpert(sc)}
-	if _, err := RunCampaign(4, CampaignOptions{Workers: -1}, leftTurn(cfg, agent)); err == nil {
+	if _, err := campaign.Results(campaign.Spec{Episodes: 4, Workers: -1}, campaign.LeftTurn(cfg, agent)); err == nil {
 		t.Fatal("negative worker count accepted")
 	}
 }
 
 func TestRunCampaignWorkerBound(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.DefaultConfig()
 	sc := leftturn.DefaultConfig()
 	agent := &core.PureNN{Cfg: sc, Planner: planner.ConservativeExpert(sc)}
 	// Sequential (Workers: 1) must agree with the parallel default —
 	// episodes are seed-deterministic and index-disjoint.
-	seq, err := RunCampaign(8, CampaignOptions{BaseSeed: 7, Workers: 1}, leftTurn(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunCampaign(8, CampaignOptions{BaseSeed: 7}, leftTurn(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := results(t, campaign.Spec{Episodes: 8, BaseSeed: 7, Workers: 1}, campaign.LeftTurn(cfg, agent))
+	par := results(t, campaign.Spec{Episodes: 8, BaseSeed: 7}, campaign.LeftTurn(cfg, agent))
 	for i := range seq {
 		if seq[i].Eta != par[i].Eta || seq[i].Steps != par[i].Steps {
 			t.Fatalf("episode %d differs across worker counts: %+v vs %+v", i, seq[i], par[i])
@@ -96,7 +89,7 @@ func TestRunCampaignWorkerBound(t *testing.T) {
 }
 
 func TestRunMultiCampaignCollector(t *testing.T) {
-	cfg := DefaultMultiConfig()
+	cfg := sim.DefaultMultiConfig()
 	cfg.Vehicles = 2
 	cfg.InfoFilter = true
 	sc := leftturn.DefaultConfig()
@@ -104,10 +97,7 @@ func TestRunMultiCampaignCollector(t *testing.T) {
 	m := telemetry.NewMetrics()
 	agent.SetCollector(m)
 
-	rs, err := RunCampaign(8, CampaignOptions{Options: Options{Collector: m}, BaseSeed: 3}, multiVehicle(cfg, agent))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := results(t, campaign.Spec{Episodes: 8, BaseSeed: 3, Collector: m}, campaign.MultiVehicle(cfg, agent))
 	var steps int
 	for _, r := range rs {
 		steps += r.Steps

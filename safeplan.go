@@ -449,13 +449,16 @@ func (s runSettings) attach(agent any) {
 	}
 }
 
-// campaign runs n seed-paired episodes of ep under the campaign settings
-// (collector, worker bound) and aggregates the paper's statistics.
-func (s runSettings) campaign(n int, baseSeed int64, ep campaign.EpisodeFunc) (CampaignStats, error) {
-	rs, err := sim.RunCampaign(n, sim.CampaignOptions{
-		Options:  sim.Options{Collector: s.collector},
-		BaseSeed: baseSeed,
-		Workers:  s.workers,
+// campaign runs n seed-paired episodes of ep through campaign.Results
+// under the campaign settings (collector, worker bound) and aggregates
+// the paper's statistics.
+func (s runSettings) campaign(name string, n int, baseSeed int64, ep campaign.EpisodeFunc) (CampaignStats, error) {
+	rs, err := campaign.Results(campaign.Spec{
+		Name:      name,
+		Episodes:  n,
+		BaseSeed:  baseSeed,
+		Workers:   s.workers,
+		Collector: s.collector,
 	}, ep)
 	if err != nil {
 		return CampaignStats{}, wrapErr(err)
@@ -523,7 +526,9 @@ func RunEpisode(cfg SimConfig, agent Agent, seed int64, opts ...RunOption) (Epis
 // parallel and aggregates the paper's statistics.  Options select
 // campaign behaviour: WithCollector attaches a shared telemetry collector
 // (fed per-step probes, episode outcomes, and campaign progress),
-// WithWorkers bounds the parallelism.
+// WithWorkers bounds the parallelism.  Every worker shares agent; an NN
+// planner keeps per-call scratch and is not safe for concurrent use, so a
+// campaign with a loaded model is reproducible only under WithWorkers(1).
 func RunCampaign(cfg SimConfig, agent Agent, n int, baseSeed int64, opts ...RunOption) (CampaignStats, error) {
 	s, err := applySettings(opts)
 	if err != nil {
@@ -531,7 +536,7 @@ func RunCampaign(cfg SimConfig, agent Agent, n int, baseSeed int64, opts ...RunO
 	}
 	s.attach(agent)
 	s.applySim(&cfg)
-	return s.campaign(n, baseSeed, campaign.LeftTurn(cfg, agent))
+	return s.campaign("left-turn", n, baseSeed, campaign.LeftTurn(cfg, agent))
 }
 
 // Sharded Monte-Carlo campaign engine (internal/campaign): deterministic
@@ -702,7 +707,7 @@ func RunMultiCampaign(cfg MultiSimConfig, agent MultiAgent, n int, baseSeed int6
 	}
 	s.attach(agent)
 	s.applySim(&cfg.Config)
-	return s.campaign(n, baseSeed, campaign.MultiVehicle(cfg, agent))
+	return s.campaign("multi-vehicle", n, baseSeed, campaign.MultiVehicle(cfg, agent))
 }
 
 // Car-following case study (the paper's §II-A distance-gap unsafe set):
@@ -776,7 +781,7 @@ func RunCarFollowCampaign(cfg CarFollowSimConfig, agent CarFollowAgent, n int, b
 		return CampaignStats{}, err
 	}
 	s.attach(agent)
-	return s.campaign(n, baseSeed, campaign.CarFollow(cfg, agent))
+	return s.campaign("car-following", n, baseSeed, campaign.CarFollow(cfg, agent))
 }
 
 // Platoon extension (the ReachMM platooning setting over the paper's
@@ -841,7 +846,7 @@ func RunPlatoonCampaign(cfg PlatoonSimConfig, agent CarFollowAgent, n int, baseS
 		return CampaignStats{}, err
 	}
 	s.attach(agent)
-	return s.campaign(n, baseSeed, campaign.Platoon(cfg, agent))
+	return s.campaign("platoon", n, baseSeed, campaign.Platoon(cfg, agent))
 }
 
 // Session API: the closed Run* loops above are thin wrappers over
