@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench-check bench bench-campaign bench-seed bench-guard bench-ibp bench-platoon campaign-smoke guard-smoke platoon-smoke alloc-gate serve-smoke dist-smoke ibp-gate golden fuzz-smoke lint-extra
+.PHONY: build test check bench-check bench bench-campaign bench-seed bench-guard bench-ibp bench-platoon campaign-smoke guard-smoke platoon-smoke alloc-gate serve-smoke dist-smoke ibp-gate golden fuzz-smoke lint-extra loc-delta
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,13 @@ lint-extra:
 	./scripts/lint_determinism.sh
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || echo "staticcheck not installed; skipping"
 	@command -v govulncheck >/dev/null 2>&1 && govulncheck ./... || echo "govulncheck not installed; skipping"
+
+# Net non-test Go line delta of the working tree against BASE (a commit,
+# branch or tag), with the perfbench module on its own line:
+# `make loc-delta BASE=main`.  See scripts/loc_delta.sh for what counts.
+loc-delta:
+	@test -n "$(BASE)" || { echo "usage: make loc-delta BASE=<ref>" >&2; exit 2; }
+	./scripts/loc_delta.sh $(BASE)
 
 # Allocation-regression gate: a warmed scratch arena, whose pooled engines
 # keep their hooks and per-link storage, must keep the episode hot path of
