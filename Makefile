@@ -88,11 +88,11 @@ loc-delta:
 # sim.MultiStepper, car following and the platoon on carfollow.Stepper,
 # both on the shared sim.Engine step skeleton) allocation-free with their
 # campaign invariant sets attached (budget in
-# internal/sim/alloc_test.go), the arena path must stay
-# bit-identical to the allocate-per-episode path, and an IBP propagation
-# with a reused scratch (interval and point boxes, on the fused
-# centre/radius and the point kernels) and a warm Network.Predict1 (with
-# its vector tanh) must not allocate.
+# internal/sim/alloc_test.go; 0 for the car-following NN planner), the
+# arena path must stay bit-identical to the allocate-per-episode path,
+# and an IBP propagation with a reused scratch (interval and point boxes,
+# on the fused centre/radius and the point kernels) and Network.Predict1
+# (stack activations, vector tanh) must not allocate.
 alloc-gate:
 	$(GO) test -run 'TestEpisodeAllocs|TestMultiEpisodeAllocs|TestScratchParity|TestCertifyEpisodeAllocs' ./internal/sim -v
 	$(GO) test -run TestCarFollowEpisodeAllocs ./internal/carfollow -v

@@ -53,27 +53,12 @@ type ibpCampaignReport struct {
 	Report *campaign.Report `json:"report"`
 }
 
-// ibpWorkload is one certification campaign: a verified-mode config plus
-// a per-worker agent factory (NN planners carry per-call scratch and
-// network caches, so unlike the expert planners they cannot be shared
-// across campaign workers).
+// ibpWorkload is one certification campaign: a verified-mode config and
+// the agent every campaign worker shares.
 type ibpWorkload struct {
-	name     string
-	cfg      sim.Config
-	newAgent func() core.Agent
-}
-
-// pooledEpisodes adapts a workload to an EpisodeFunc that draws a
-// per-worker agent from a sync.Pool.  Agents are built from cloned
-// networks with identical weights, so the campaign stats stay
-// byte-identical at any worker count.
-func pooledEpisodes(wl ibpWorkload) campaign.EpisodeFunc {
-	pool := &sync.Pool{New: func() any { return wl.newAgent() }}
-	return func(opts sim.Options) (sim.Result, error) {
-		ag := pool.Get().(core.Agent)
-		defer pool.Put(ag)
-		return sim.Run(wl.cfg, ag, opts)
-	}
+	name  string
+	cfg   sim.Config
+	agent core.Agent
 }
 
 // certWidths aggregates telemetry.StepProbe.CertWidth over the certified
@@ -111,12 +96,6 @@ func (c *certWidths) OnStep(p telemetry.StepProbe) {
 
 // mean returns the mean certified width.
 func (c *certWidths) mean() float64 { return float64(c.sum) * widthQuantum / float64(c.n) }
-
-// clonePlanner returns an independent copy of an NN planner: deep-copied
-// network (fresh forward caches), shared read-only normalizer.
-func clonePlanner(p *planner.NNPlanner) *planner.NNPlanner {
-	return &planner.NNPlanner{Label: p.Label, Net: p.Net.Clone(), Norm: p.Norm, Limits: p.Limits}
-}
 
 // runIBPSweep is the -ibp mode: the offline certification sweep over the
 // scenario state space (ibpSweep), written to BENCH_ibp.json.
@@ -158,26 +137,18 @@ func ibpSweep(n, w int, seed int64, modelDir string) *ibpBenchReport {
 		log.Fatalf("propagator (aggr): %v", err)
 	}
 
-	mk := func(name string, prop *ibp.Propagator, newAgent func() core.Agent) ibpWorkload {
+	mk := func(name string, prop *ibp.Propagator, agent core.Agent) ibpWorkload {
 		cfg := sim.DefaultConfig()
 		cfg.InfoFilter = true
 		cfg.Certify = &sim.CertifyConfig{Prop: prop}
-		return ibpWorkload{name: name, cfg: cfg, newAgent: newAgent}
+		return ibpWorkload{name: name, cfg: cfg, agent: agent}
 	}
 	sc := base.Scenario
 	workloads := []ibpWorkload{
-		mk("certify/pure-nn-cons", consProp, func() core.Agent {
-			return &core.PureNN{Cfg: sc, Planner: clonePlanner(cons)}
-		}),
-		mk("certify/basic-nn-cons", consProp, func() core.Agent {
-			return core.NewBasic(sc, clonePlanner(cons))
-		}),
-		mk("certify/ultimate-nn-cons", consProp, func() core.Agent {
-			return core.NewUltimate(sc, clonePlanner(cons))
-		}),
-		mk("certify/ultimate-nn-aggr", aggrProp, func() core.Agent {
-			return core.NewUltimate(sc, clonePlanner(aggr))
-		}),
+		mk("certify/pure-nn-cons", consProp, &core.PureNN{Cfg: sc, Planner: cons}),
+		mk("certify/basic-nn-cons", consProp, core.NewBasic(sc, cons)),
+		mk("certify/ultimate-nn-cons", consProp, core.NewUltimate(sc, cons)),
+		mk("certify/ultimate-nn-aggr", aggrProp, core.NewUltimate(sc, aggr)),
 	}
 
 	report := &ibpBenchReport{
@@ -202,7 +173,7 @@ func ibpSweep(n, w int, seed int64, modelDir string) *ibpBenchReport {
 			Invariants:      []sim.Invariant{sim.SoundEstimate{}},
 			CountViolations: true,
 		}
-		rep, err := campaign.Run(spec, pooledEpisodes(wl))
+		rep, err := campaign.Run(spec, campaign.LeftTurn(wl.cfg, wl.agent))
 		if err != nil {
 			log.Fatalf("campaign %s: %v", wl.name, err)
 		}
@@ -210,7 +181,7 @@ func ibpSweep(n, w int, seed int64, modelDir string) *ibpBenchReport {
 		// collector attached, so the timed run above carries no telemetry.
 		widths := &certWidths{}
 		spec.Collector = widths
-		if _, err := campaign.Run(spec, pooledEpisodes(wl)); err != nil {
+		if _, err := campaign.Run(spec, campaign.LeftTurn(wl.cfg, wl.agent)); err != nil {
 			log.Fatalf("campaign %s (widths): %v", wl.name, err)
 		}
 		if rep.Stats.CertifiedSteps == 0 {

@@ -32,10 +32,8 @@ type EpisodeFunc func(opts sim.Options) (sim.Result, error)
 // LeftTurn adapts the single-vehicle left-turn runner.  Every adapter
 // shares its agent across Run's workers, so results are independent of
 // the worker count only for agents that hold no mutable state across
-// calls.  The analytic experts and the compound designs around them
-// qualify; the NN planners do not (planner.NNPlanner keeps its feature
-// scratch, nn.Network.Predict1 its input and layer caches), so an NN
-// campaign is reproducible only at one worker.
+// calls.  The analytic experts, the NN planners (their inference reads
+// only the weights) and the compound designs around them qualify.
 func LeftTurn(cfg sim.Config, agent core.Agent) EpisodeFunc {
 	return func(opts sim.Options) (sim.Result, error) { return sim.Run(cfg, agent, opts) }
 }

@@ -224,12 +224,12 @@ const noLeadGap = 1e3
 // Features assembles the 5-dimensional NN-planner input for car following:
 // (gap to worst-case lead, ego speed, lead speed estimate, lead accel
 // estimate, required gap under the planner's braking assumption).
-func (c *Config) Features(ego dynamics.State, lead LeadEstimate, assumedBrake float64) []float64 {
+func (c *Config) Features(ego dynamics.State, lead LeadEstimate, assumedBrake float64) [FeatureCount]float64 {
 	gap := noLeadGap
 	if !lead.P.IsEmpty() {
 		gap = lead.P.Lo - ego.P - c.PGap
 	}
-	return []float64{
+	return [FeatureCount]float64{
 		gap,
 		ego.V,
 		lead.PointV,

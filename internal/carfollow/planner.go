@@ -80,13 +80,14 @@ type NNPlanner struct {
 // Name implements Planner.
 func (p *NNPlanner) Name() string { return p.Label }
 
-// Accel implements Planner.
+// Accel implements Planner.  It writes nothing to p, so one planner may
+// serve concurrent campaign workers.
 func (p *NNPlanner) Accel(_ float64, ego dynamics.State, lead LeadEstimate, assumedBrake float64) float64 {
 	feats := p.Cfg.Features(ego, lead, assumedBrake)
 	if p.Norm != nil {
-		p.Norm.Apply(feats)
+		p.Norm.Apply(feats[:])
 	}
-	a := p.Net.Predict1(feats)
+	a := p.Net.Predict1(feats[:])
 	return max(p.Cfg.Ego.AMin, min(p.Cfg.Ego.AMax, a))
 }
 
@@ -138,7 +139,8 @@ func TrainNNPlanner(cfg Config, expert Planner, label string, opts TrainOptions)
 		} else {
 			assumed = cfg.AggressiveAssumedBrake(leadA)
 		}
-		copy(x.Row(i), cfg.Features(ego, lead, assumed))
+		feats := cfg.Features(ego, lead, assumed)
+		copy(x.Row(i), feats[:])
 		y.Set(i, 0, expert.Accel(0, ego, lead, assumed))
 	}
 	ds, err := nn.NewDataset(x, y)

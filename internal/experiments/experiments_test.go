@@ -37,23 +37,35 @@ func TestPlannerKindString(t *testing.T) {
 	}
 }
 
-// TestTableWorkerParity pins the table pipeline end to end for the
-// stateless expert planners: Table's rows, paired winning % included, are
-// byte-identical at GOMAXPROCS 1 and 4 (its campaigns run at one worker
-// per core).
+// TestTableWorkerParity pins the table pipeline end to end: Table's rows,
+// paired winning % included, are byte-identical at GOMAXPROCS 1 and 4 (its
+// campaigns run at one worker per core), for the expert planners and for
+// the committed NN models, which every worker shares.
 func TestTableWorkerParity(t *testing.T) {
-	const n = 40
-	rowsAt := func(procs int, kind PlannerKind) string {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		rows, err := Table(kind, testPlanners(), n, testSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%+v", rows)
+	models, err := LoadPlanners("../../models", leftturn.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, kind := range []PlannerKind{Conservative, Aggressive} {
-		if one, four := rowsAt(1, kind), rowsAt(4, kind); one != four {
-			t.Fatalf("%s table differs between GOMAXPROCS 1 and 4:\n1: %s\n4: %s", kind, one, four)
+	for _, c := range []struct {
+		name string
+		pl   Planners
+		n    int
+	}{
+		{"expert", testPlanners(), 40},
+		{"nn", models, 200},
+	} {
+		rowsAt := func(procs int, kind PlannerKind) string {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			rows, err := Table(kind, c.pl, c.n, testSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprintf("%+v", rows)
+		}
+		for _, kind := range []PlannerKind{Conservative, Aggressive} {
+			if one, four := rowsAt(1, kind), rowsAt(4, kind); one != four {
+				t.Fatalf("%s %s table differs between GOMAXPROCS 1 and 4:\n1: %s\n4: %s", c.name, kind, one, four)
+			}
 		}
 	}
 }

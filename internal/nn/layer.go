@@ -16,7 +16,7 @@ type Dense struct {
 	B       []float64  // out
 	Act     Activation
 
-	// Forward caches (batch mode), reused by Backward.
+	// Forward caches (batch mode), reused by Backward; training only.
 	x    *mat.Dense // input (n × in)
 	z    *mat.Dense // pre-activation (n × out)
 	aOut *mat.Dense // activation output (n × out)
@@ -77,17 +77,21 @@ func (l *Dense) Forward(x *mat.Dense) *mat.Dense {
 	for i := 0; i < n; i++ {
 		mat.DotRowsInto(l.z.Row(i), x.Row(i), w, l.B)
 	}
-	// Tanh layers take the vector kernel, bitwise math.Tanh; the others
-	// apply their activation unit by unit.
-	z, a := l.z.Data(), l.aOut.Data()
+	l.activate(l.aOut.Data(), l.z.Data())
+	return l.aOut
+}
+
+// activate writes act(z) into a, which may alias z.  Tanh layers take the
+// vector kernel, bitwise math.Tanh; the others apply their activation
+// unit by unit.
+func (l *Dense) activate(a, z []float64) {
 	if _, ok := l.Act.(Tanh); ok {
 		mat.TanhInto(a, z)
-	} else {
-		for j, v := range z {
-			a[j] = l.Act.Apply(v)
-		}
+		return
 	}
-	return l.aOut
+	for j, v := range z {
+		a[j] = l.Act.Apply(v)
+	}
 }
 
 // Backward consumes dL/dOut (n × out) and returns dL/dIn (n × in),

@@ -10,8 +10,6 @@ import (
 // Network is a feed-forward multilayer perceptron for regression.
 type Network struct {
 	Layers []*Dense
-
-	in1 *mat.Dense // Predict1 input scratch, lazily sized to 1×InputDim
 }
 
 // NewMLP builds a network with the given layer sizes, e.g.
@@ -62,10 +60,15 @@ func (n *Network) Predict(in []float64) []float64 {
 	return res
 }
 
-// Predict1 evaluates a single-output network on one input vector.  Unlike
-// Predict it reuses network-owned scratch (the layer activations plus a
-// cached 1-row input matrix), so steady-state calls do not allocate.  Like
-// ForwardBatch it is not safe for concurrent use.
+// predictWidth is the widest layer Predict1 evaluates in its stack
+// buffers; a wider layer takes a per-call allocation instead.
+const predictWidth = 64
+
+// Predict1 evaluates a single-output network on one input vector.  It
+// reads only the weights, keeping its activations on the stack, so it is
+// safe for concurrent use and does not allocate for layers of at most
+// predictWidth units.  It runs the kernel and activation of Dense.Forward,
+// so it agrees bit for bit with ForwardBatch on the same row.
 func (n *Network) Predict1(in []float64) float64 {
 	if len(in) != n.InputDim() {
 		panic(fmt.Sprintf("nn: Predict1 expects %d inputs, got %d", n.InputDim(), len(in)))
@@ -73,11 +76,20 @@ func (n *Network) Predict1(in []float64) float64 {
 	if n.OutputDim() != 1 {
 		panic("nn: Predict1 on multi-output network")
 	}
-	if n.in1 == nil || n.in1.Cols() != len(in) {
-		n.in1 = mat.NewDense(1, len(in))
+	var bufA, bufB [predictWidth]float64
+	x, next, spare := in, bufA[:], bufB[:]
+	for _, l := range n.Layers {
+		var z []float64
+		if l.Out <= predictWidth {
+			z = next[:l.Out]
+		} else {
+			z = make([]float64, l.Out)
+		}
+		mat.DotRowsInto(z, x, l.W.Data(), l.B)
+		l.activate(z, z)
+		x, next, spare = z, spare, next
 	}
-	copy(n.in1.Row(0), in)
-	return n.ForwardBatch(n.in1).Row(0)[0]
+	return x[0]
 }
 
 // MSE computes the mean-squared error of predictions pred against targets y

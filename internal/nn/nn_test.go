@@ -102,8 +102,8 @@ func TestPredictDeterministic(t *testing.T) {
 }
 
 // TestPredict1Allocs is the point-evaluation budget wired into make
-// alloc-gate: once warm, Predict1 reuses the network's own buffers and
-// must not allocate at all.
+// alloc-gate: Predict1 keeps its activations in stack arrays and must not
+// allocate at all.
 func TestPredict1Allocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate is not meaningful with -short")
@@ -118,10 +118,12 @@ func TestPredict1Allocs(t *testing.T) {
 }
 
 // TestForwardBatchMatchesPredict1 pins each row of a batch forward pass
-// to Predict1 on that row, bit for bit: both run Dense.Forward one row at
-// a time through mat.DotRowsInto, bias included.  The hidden widths 32
-// and 35 take the kernel's 16-output blocks and its Go tail; the biases
-// are random, so the fused bias add is exercised.
+// (Dense.Forward, which training runs) to Predict1's inference loop on
+// that row, bit for bit: both run mat.DotRowsInto, bias included, and
+// Dense.activate.  The hidden widths 32 and 35 take the kernel's
+// 16-output blocks and its Go tail; a layer wider than predictWidth takes
+// Predict1's heap fallback; the biases are random, so the fused bias add
+// is exercised.
 func TestForwardBatchMatchesPredict1(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, c := range []struct {
@@ -131,6 +133,8 @@ func TestForwardBatchMatchesPredict1(t *testing.T) {
 		{Tanh{}, []int{5, 32, 32, 1}},
 		{Tanh{}, []int{5, 35, 17, 1}},
 		{ReLU{}, []int{7, 35, 1}},
+		{Sigmoid{}, []int{6, 24, 8, 1}},
+		{Tanh{}, []int{5, predictWidth + 6, 24, 1}},
 	} {
 		n := NewMLP(rng, c.act, c.sizes...)
 		for _, l := range n.Layers {

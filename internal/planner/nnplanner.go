@@ -18,21 +18,20 @@ type NNPlanner struct {
 	Net    *nn.Network
 	Norm   *nn.Normalizer  // input standardization baked in at training time
 	Limits dynamics.Limits // ego envelope for output clamping
-
-	feats [leftturn.FeatureCount]float64 // per-call feature scratch
 }
 
 // Name implements Planner.
 func (p *NNPlanner) Name() string { return p.Label }
 
-// Accel implements Planner.
+// Accel implements Planner.  It writes nothing to p, so one planner may
+// serve concurrent campaign workers.
 func (p *NNPlanner) Accel(t float64, ego dynamics.State, oncoming interval.Interval) float64 {
-	feats := p.feats[:]
-	leftturn.FeaturesInto(feats, t, ego, oncoming)
+	var x [leftturn.FeatureCount]float64 // network input, on the stack
+	leftturn.FeaturesInto(x[:], t, ego, oncoming)
 	if p.Norm != nil {
-		p.Norm.Apply(feats)
+		p.Norm.Apply(x[:])
 	}
-	a := p.Net.Predict1(feats)
+	a := p.Net.Predict1(x[:])
 	if a > p.Limits.AMax {
 		a = p.Limits.AMax
 	}

@@ -526,9 +526,10 @@ func RunEpisode(cfg SimConfig, agent Agent, seed int64, opts ...RunOption) (Epis
 // parallel and aggregates the paper's statistics.  Options select
 // campaign behaviour: WithCollector attaches a shared telemetry collector
 // (fed per-step probes, episode outcomes, and campaign progress),
-// WithWorkers bounds the parallelism.  Every worker shares agent; an NN
-// planner keeps per-call scratch and is not safe for concurrent use, so a
-// campaign with a loaded model is reproducible only under WithWorkers(1).
+// WithWorkers bounds the parallelism.  Every worker shares agent, so it
+// must hold no mutable state across calls; the expert and NN planners and
+// the compound designs around them qualify, so the stats do not depend on
+// the worker count.
 func RunCampaign(cfg SimConfig, agent Agent, n int, baseSeed int64, opts ...RunOption) (CampaignStats, error) {
 	s, err := applySettings(opts)
 	if err != nil {
