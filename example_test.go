@@ -101,8 +101,8 @@ func TestCarFollowFacade(t *testing.T) {
 	if st.SafeRate() != 1 {
 		t.Fatalf("car-following compound unsafe: %v", st.SafeRate())
 	}
-	r, err := safeplan.RunCarFollowEpisode(cfg, safeplan.BuildCarFollowPure(sc,
-		safeplan.NewCarFollowConservativeExpert(sc)), 3)
+	r, err := safeplan.CarFollowCampaign(cfg, safeplan.BuildCarFollowPure(sc,
+		safeplan.NewCarFollowConservativeExpert(sc)))(safeplan.EpisodeOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,10 @@ func TestGuardedTraceParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	guarded := cfg
 	gc := DefaultGuardConfig(VehicleLimits{}) // zero limits inherit the scenario's
-	opt, err := RunEpisode(cfg, agent, 42, WithTrace(), WithGuard(gc))
+	guarded.Guard = &gc
+	opt, err := RunEpisode(guarded, agent, 42, WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +55,18 @@ func TestGuardedTraceParity(t *testing.T) {
 }
 
 // TestWithPlannerFaultOptions exercises the facade's fault-injection
-// plumbing end to end: an invalid model is rejected with the safeplan:
-// prefix, a preset reaches the runner (faults observed, guard
-// auto-installed), and the run still completes safely.
+// plumbing end to end through SimConfig.PlannerFault: an invalid model is
+// rejected with the safeplan: prefix, a preset reaches the runner (faults
+// observed, guard auto-installed), and the run still completes safely.
 func TestWithPlannerFaultOptions(t *testing.T) {
 	sc := DefaultScenario()
 	cfg := DefaultSimConfig()
 	cfg.InfoFilter = true
 	agent := BuildUltimate(sc, NewConservativeExpert(sc))
 
-	if _, err := RunEpisode(cfg, agent, 1, WithPlannerFault(faultinject.PanicP{P: 2})); err == nil ||
+	bad := cfg
+	bad.PlannerFault = faultinject.PanicP{P: 2}
+	if _, err := RunEpisode(bad, agent, 1); err == nil ||
 		!strings.HasPrefix(err.Error(), "safeplan:") {
 		t.Fatalf("invalid fault model accepted: %v", err)
 	}
@@ -71,9 +75,10 @@ func TestWithPlannerFaultOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.PlannerFault = m
 	sawFault := false
 	for seed := int64(0); seed < 8; seed++ {
-		res, err := RunEpisode(cfg, agent, seed, WithPlannerFault(m))
+		res, err := RunEpisode(cfg, agent, seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -90,15 +95,11 @@ func TestWithPlannerFaultOptions(t *testing.T) {
 	if !sawFault {
 		t.Fatal("worst preset never fired over 8 seeds")
 	}
-
-	// The caller's config must stay untouched (options copy semantics).
-	if cfg.Guard != nil || cfg.PlannerFault != nil {
-		t.Fatal("RunEpisode mutated the caller's config")
-	}
 }
 
 // TestCarFollowPlannerFaultOption checks the second scenario's facade
-// wiring for guard and fault injection.
+// wiring for guard and fault injection through CarFollowSimConfig's
+// PlannerFault field and the CarFollowCampaign adapter.
 func TestCarFollowPlannerFaultOption(t *testing.T) {
 	sc := DefaultCarFollowScenario()
 	cfg := DefaultCarFollowSimConfig()
@@ -109,7 +110,8 @@ func TestCarFollowPlannerFaultOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCarFollowEpisode(cfg, agent, 5, WithPlannerFault(m))
+	cfg.PlannerFault = m
+	res, err := CarFollowCampaign(cfg, agent)(EpisodeOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +165,9 @@ func TestFaultInvariantsCatalogue(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsNonFinite is the satellite's table-driven check:
-// every float field of the simulation configs rejects NaN and ±Inf with
-// a prefixed, field-naming error.
+// TestValidateRejectsNonFinite is a table-driven check: every float
+// field of the simulation configs rejects NaN and ±Inf with a
+// field-naming error, which RunEpisode returns with the safeplan: prefix.
 func TestValidateRejectsNonFinite(t *testing.T) {
 	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	simCases := []struct {
@@ -180,15 +182,17 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"OncomingSpeedMin", func(c *SimConfig, v float64) { c.OncomingSpeedMin = v }},
 		{"OncomingSpeedMax", func(c *SimConfig, v float64) { c.OncomingSpeedMax = v }},
 	}
+	sc := DefaultScenario()
+	agent := BuildPure(sc, NewConservativeExpert(sc))
 	for _, tc := range simCases {
 		for _, v := range vals {
 			cfg := DefaultSimConfig()
 			tc.set(&cfg, v)
-			err := Validate(cfg)
+			_, err := RunEpisode(cfg, agent, 1)
 			if err == nil || !strings.HasPrefix(err.Error(), "safeplan:") ||
 				!strings.Contains(err.Error(), tc.field) ||
 				!strings.Contains(err.Error(), "finite") {
-				t.Errorf("SimConfig.%s = %v: Validate() = %v", tc.field, v, err)
+				t.Errorf("SimConfig.%s = %v: RunEpisode error = %v", tc.field, v, err)
 			}
 		}
 	}
@@ -217,13 +221,14 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 }
 
 // TestValidateRejectsBadGuardConfig: guard misconfiguration surfaces
-// through the public Validate with the safeplan: prefix.
+// through RunEpisode with the safeplan: prefix.
 func TestValidateRejectsBadGuardConfig(t *testing.T) {
+	sc := DefaultScenario()
 	cfg := DefaultSimConfig()
 	gc := DefaultGuardConfig(VehicleLimits{})
 	gc.StepBudget = math.NaN()
 	cfg.Guard = &gc
-	err := Validate(cfg)
+	_, err := RunEpisode(cfg, BuildPure(sc, NewConservativeExpert(sc)), 1)
 	if err == nil || !strings.HasPrefix(err.Error(), "safeplan:") ||
 		!strings.Contains(err.Error(), "budget") {
 		t.Fatalf("NaN step budget accepted: %v", err)

@@ -47,7 +47,13 @@ func (n *Network) ForwardBatch(x *mat.Dense) *mat.Dense {
 	return out
 }
 
-// Predict evaluates the network on a single input vector.
+// Predict evaluates the network on a single input vector through
+// ForwardBatch.  It writes the layers' training caches and allocates a
+// 1×n input matrix and the result slice on every call, so it is not safe
+// for concurrent use and is not an inference path; planners call
+// Predict1.  It stays because the ibp tests use it as their reference
+// forward pass: it runs Dense.Forward, as training does, not Predict1's
+// stack buffers.
 func (n *Network) Predict(in []float64) []float64 {
 	if len(in) != n.InputDim() {
 		panic(fmt.Sprintf("nn: Predict expects %d inputs, got %d", n.InputDim(), len(in)))

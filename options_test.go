@@ -73,9 +73,6 @@ func TestErrorsArePrefixed(t *testing.T) {
 	badMulti := DefaultMultiSimConfig()
 	badMulti.Vehicles = 0
 	magent := BuildMultiPure(sc, NewConservativeExpert(sc))
-	if _, err := RunMultiEpisode(badMulti, magent, 1); err == nil || !strings.HasPrefix(err.Error(), "safeplan:") {
-		t.Errorf("RunMultiEpisode: %v", err)
-	}
 	if _, err := RunMultiCampaign(badMulti, magent, 4, 1); err == nil || !strings.HasPrefix(err.Error(), "safeplan:") {
 		t.Errorf("RunMultiCampaign: %v", err)
 	}
@@ -83,14 +80,11 @@ func TestErrorsArePrefixed(t *testing.T) {
 	badCF := DefaultCarFollowSimConfig()
 	badCF.DtM = -1
 	cfAgent := BuildCarFollowPure(cfsc, NewCarFollowConservativeExpert(cfsc))
-	if _, err := RunCarFollowEpisode(badCF, cfAgent, 1); err == nil || !strings.HasPrefix(err.Error(), "safeplan:") {
-		t.Errorf("RunCarFollowEpisode: %v", err)
-	}
 	if _, err := RunCarFollowCampaign(badCF, cfAgent, 4, 1); err == nil || !strings.HasPrefix(err.Error(), "safeplan:") {
 		t.Errorf("RunCarFollowCampaign: %v", err)
 	}
-	if _, err := WinningPercentage([]float64{1}, []float64{1, 2}); err == nil || !strings.HasPrefix(err.Error(), "safeplan:") {
-		t.Errorf("WinningPercentage: %v", err)
+	if _, err := NewStepper(bad, agent, 1); err == nil || !strings.HasPrefix(err.Error(), "safeplan:") {
+		t.Errorf("NewStepper: %v", err)
 	}
 }
 
@@ -138,15 +132,16 @@ func TestCampaignCollector(t *testing.T) {
 	}
 }
 
-// TestCarFollowCollectorAndTrace exercises the second scenario through
-// the same options: trace recording and monitor-reason telemetry.
+// TestCarFollowCollectorAndTrace exercises the second scenario: trace
+// recording through the CarFollowCampaign adapter and monitor-reason
+// telemetry through RunCarFollowCampaign's options.
 func TestCarFollowCollectorAndTrace(t *testing.T) {
 	sc := DefaultCarFollowScenario()
 	cfg := DefaultCarFollowSimConfig()
 	cfg.InfoFilter = true
 	agent := BuildCarFollowUltimate(sc, NewCarFollowAggressiveExpert(sc))
 
-	r, err := RunCarFollowEpisode(cfg, agent, 3, WithTrace())
+	r, err := CarFollowCampaign(cfg, agent)(EpisodeOptions{Seed: 3, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,20 +169,24 @@ func TestCarFollowCollectorAndTrace(t *testing.T) {
 	}
 }
 
-// TestWithDisturbanceOption checks the disturbance options end to end:
-// an invalid model is rejected with the safeplan: prefix, a valid preset
-// changes the episode relative to the clean channel, and the option is
-// equivalent to setting the config field directly.
+// TestWithDisturbanceOption checks the disturbance config fields end to
+// end: an invalid channel or sensing model is rejected with the safeplan:
+// prefix, and a valid preset on Comms.Model changes the episode relative
+// to the clean channel without breaking safety.
 func TestWithDisturbanceOption(t *testing.T) {
 	sc := DefaultScenario()
 	cfg := DefaultSimConfig()
 	agent := BuildBasic(sc, NewConservativeExpert(sc))
 
-	if _, err := RunEpisode(cfg, agent, 1, WithDisturbance(BurstLoss{PGoodBad: 2})); err == nil ||
+	bad := cfg
+	bad.Comms.Model = BurstLoss{PGoodBad: 2}
+	if _, err := RunEpisode(bad, agent, 1); err == nil ||
 		!strings.HasPrefix(err.Error(), "safeplan:") {
 		t.Fatalf("invalid disturbance model accepted: %v", err)
 	}
-	if _, err := RunEpisode(cfg, agent, 1, WithSensorDisturbance(SensorBiasDrift{Max: 2})); err == nil ||
+	bad = cfg
+	bad.SensorDisturb = SensorBiasDrift{Max: 2}
+	if _, err := RunEpisode(bad, agent, 1); err == nil ||
 		!strings.HasPrefix(err.Error(), "safeplan:") {
 		t.Fatalf("invalid sensor disturbance accepted: %v", err)
 	}
@@ -200,7 +199,9 @@ func TestWithDisturbanceOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disturbed, err := RunEpisode(cfg, agent, 3, WithDisturbance(m))
+	disturbedCfg := cfg
+	disturbedCfg.Comms.Model = m
+	disturbed, err := RunEpisode(disturbedCfg, agent, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,16 +210,6 @@ func TestWithDisturbanceOption(t *testing.T) {
 	}
 	if disturbed.ReachTime == clean.ReachTime && disturbed.Steps == clean.Steps {
 		t.Fatal("blackout disturbance had no effect on the episode")
-	}
-
-	direct := cfg
-	direct.Comms = CommsConfig{Model: m}
-	viaField, err := RunEpisode(direct, agent, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaField.Eta != disturbed.Eta || viaField.Steps != disturbed.Steps {
-		t.Fatalf("option and config-field forms diverge: %+v vs %+v", disturbed, viaField)
 	}
 }
 
@@ -242,24 +233,31 @@ func TestDisturbancePresetsResolve(t *testing.T) {
 	}
 }
 
-// TestWithDisturbanceDoesNotMutateConfig: options apply to a local copy;
-// the caller's config must stay untouched across entry points.
-func TestWithDisturbanceDoesNotMutateConfig(t *testing.T) {
+// TestCollectorDetachedOnReuse: a compound agent reused after a run with
+// WithCollector must stop reporting into that collector once a later run
+// attaches none.
+func TestCollectorDetachedOnReuse(t *testing.T) {
 	sc := DefaultScenario()
 	cfg := DefaultSimConfig()
-	agent := BuildBasic(sc, NewConservativeExpert(sc))
-	m, err := DisturbancePreset("burst")
+	cfg.InfoFilter = true
+	agent := BuildUltimate(sc, NewAggressiveExpert(sc))
+
+	m := NewMetrics()
+	if _, err := RunCampaign(cfg, agent, 20, 1, WithCollector(m)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := m.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := SensorDisturbancePreset("bias")
+	if _, err := RunCampaign(cfg, agent, 20, 100); err != nil {
+		t.Fatal(err)
+	}
+	after, err := m.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunEpisode(cfg, agent, 1, WithDisturbance(m), WithSensorDisturbance(sm)); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Comms.Model != nil || cfg.SensorDisturb != nil {
-		t.Fatal("RunEpisode mutated the caller's config")
+	if !bytes.Equal(before, after) {
+		t.Fatalf("a run without WithCollector still reported into the earlier collector:\nbefore: %s\nafter:  %s", before, after)
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"safeplan/internal/disturb"
 	"safeplan/internal/dynamics"
 	"safeplan/internal/eval"
-	"safeplan/internal/experiments"
 	"safeplan/internal/faultinject"
 	"safeplan/internal/guard"
 	"safeplan/internal/interval"
@@ -44,14 +43,13 @@ import (
 	"safeplan/internal/planner"
 	"safeplan/internal/platoon"
 	"safeplan/internal/sensor"
-	"safeplan/internal/serve"
 	"safeplan/internal/sim"
 	"safeplan/internal/telemetry"
 	"safeplan/internal/traffic"
 )
 
 // wrapErr gives every public entry point the same "safeplan:" error
-// prefix that Validate uses, so callers can match on it uniformly.
+// prefix, so callers can match on it uniformly.
 func wrapErr(err error) error {
 	if err == nil {
 		return nil
@@ -104,7 +102,11 @@ type (
 	// DriverConfig shapes the oncoming vehicle's random behaviour.
 	DriverConfig = traffic.DriverConfig
 
-	// SimConfig assembles one simulation campaign.
+	// SimConfig assembles one simulation campaign.  Beyond the paper's
+	// settings, its Comms.Model and SensorDisturb fields select a
+	// disturbance model, Guard and PlannerFault the planner guard and
+	// injected compute faults, and Certify verified mode; Validate checks
+	// every one of them.
 	SimConfig = sim.Config
 	// EpisodeResult scores one closed-loop episode.
 	EpisodeResult = sim.Result
@@ -241,7 +243,7 @@ type (
 	// the scalar forward pass bit for bit.
 	IBPPropagator = ibp.Propagator
 	// CertifyConfig enables verified mode on a left-turn simulation
-	// config (see SimConfig.Certify and WithCertify).
+	// config through SimConfig.Certify.
 	CertifyConfig = sim.CertifyConfig
 )
 
@@ -311,7 +313,11 @@ func NewMetrics() *Metrics { return telemetry.NewMetrics() }
 // ProgressFunc driving a console progress line).
 func MultiCollector(cs ...Collector) Collector { return telemetry.Multi(cs...) }
 
-// RunOption customizes the Run* entry points (functional options).
+// RunOption customizes the Run* entry points and NewStepper (functional
+// options).  Options select only how a run is observed and scheduled;
+// what is simulated — channel and sensing disturbance, the planner guard,
+// injected planner faults, verified mode — is a field of the config the
+// entry point takes, checked by that config's Validate.
 type RunOption func(*runSettings)
 
 type runSettings struct {
@@ -319,11 +325,6 @@ type runSettings struct {
 	collector  telemetry.Collector
 	workers    int
 	workersSet bool
-	disturb    disturb.Model
-	sensorDist disturb.SensorModel
-	guard      *guard.Config
-	fault      faultinject.Model
-	certify    *sim.CertifyConfig
 }
 
 // WithTrace records the per-step trace in the episode result.  It is
@@ -333,9 +334,12 @@ func WithTrace() RunOption { return func(s *runSettings) { s.trace = true } }
 
 // WithCollector attaches a telemetry collector to the run.  The engine
 // feeds it per-step probes and episode outcomes; compound agents
-// additionally report their runtime-monitor selections.  Campaigns share
-// the collector across workers, so it must be concurrency-safe
-// (telemetry.Metrics is).
+// additionally report their runtime-monitor selections.  A compound
+// agent holds the collector itself: every entry point sets it, nil for a
+// run without WithCollector, so a reused agent reports into its current
+// run's collector only, and two entry-point calls must not share one
+// compound agent at the same time.  Campaigns share the collector across
+// workers, so it must be concurrency-safe (telemetry.Metrics is).
 func WithCollector(c Collector) RunOption { return func(s *runSettings) { s.collector = c } }
 
 // WithWorkers bounds a campaign's episode-level parallelism to n
@@ -349,104 +353,36 @@ func WithWorkers(n int) RunOption {
 	}
 }
 
-// WithDisturbance overrides the run's V2V channel with a composable
-// disturbance model (burst loss, delay jitter with reordering, stale
-// replay, scripted phase schedules).  The model supersedes the config's
-// Delay/DropProb pair; Lost and the outage window still apply first.
-//
-//	m, _ := safeplan.DisturbancePreset("burst")
-//	stats, err := safeplan.RunCampaign(cfg, agent, 1000, 1, safeplan.WithDisturbance(m))
-func WithDisturbance(m DisturbanceModel) RunOption {
-	return func(s *runSettings) { s.disturb = m }
-}
-
-// WithSensorDisturbance injects adversarial sensing faults (bias drift,
-// bursty dropout).  Biased readings remain inside the sound ±δ envelope,
-// so the safety guarantee is unaffected.
-func WithSensorDisturbance(m SensorDisturbanceModel) RunOption {
-	return func(s *runSettings) { s.sensorDist = m }
-}
-
-// WithGuard wraps every planner invocation in the compute-fault guard:
-// panics are recovered, non-finite or out-of-envelope commands rejected,
-// the per-step compute budget enforced, and a validated fallback (the
-// last good command or κ_e) substituted.  With a healthy planner the
-// guard is a bit-exact pass-through — traces and statistics are
-// unchanged.  Leave cfg.Limits zero to inherit the scenario's envelope.
-//
-//	gc := safeplan.DefaultGuardConfig(safeplan.VehicleLimits{})
-//	res, err := safeplan.RunEpisode(cfg, agent, 1, safeplan.WithGuard(gc))
-func WithGuard(cfg GuardConfig) RunOption {
-	return func(s *runSettings) { s.guard = &cfg }
-}
-
-// WithCertify enables IBP verified mode on left-turn entry points: every
-// executed κ_n command is cross-checked against the certified output
-// range and counted in EpisodeResult.CertifiedSteps /
-// CertifiedRangeMisses.  Verified mode is observation-only — it never
-// changes the episode.  The multi-vehicle, car-following and platoon
-// entry points do not implement it yet and return an error rather than
-// run unverified.
-//
-//	prop, _ := safeplan.NewIBPPropagator(kn)
-//	res, err := safeplan.RunEpisode(cfg, agent, 1, safeplan.WithCertify(safeplan.CertifyConfig{Prop: prop}))
-func WithCertify(cfg CertifyConfig) RunOption {
-	return func(s *runSettings) { s.certify = &cfg }
-}
-
-// WithPlannerFault injects compute faults into every planner invocation
-// (inside the guard, so injected panics and latencies are contained and
-// accounted like genuine ones).  A fault model without an explicit
-// WithGuard installs the default guard — injected panics never escape.
-//
-//	m, _ := safeplan.PlannerFaultPreset("worst")
-//	stats, err := safeplan.RunCampaign(cfg, agent, 1000, 1, safeplan.WithPlannerFault(m))
-func WithPlannerFault(m PlannerFaultModel) RunOption {
-	return func(s *runSettings) { s.fault = m }
-}
-
-// applySettings folds the options and validates them.
-func applySettings(opts []RunOption) (runSettings, error) {
-	var s runSettings
-	for _, o := range opts {
-		o(&s)
-	}
-	if s.workersSet && s.workers < 1 {
-		return s, fmt.Errorf("safeplan: WithWorkers(%d): worker count must be >= 1", s.workers)
-	}
-	if s.disturb != nil {
-		if err := s.disturb.Validate(); err != nil {
-			return s, fmt.Errorf("safeplan: WithDisturbance: %w", err)
-		}
-	}
-	if s.sensorDist != nil {
-		if err := s.sensorDist.Validate(); err != nil {
-			return s, fmt.Errorf("safeplan: WithSensorDisturbance: %w", err)
-		}
-	}
-	if s.fault != nil {
-		if err := s.fault.Validate(); err != nil {
-			return s, fmt.Errorf("safeplan: WithPlannerFault: %w", err)
-		}
-	}
-	return s, nil
-}
-
 // instrumentable is the optional agent contract behind WithCollector: the
 // compound planners implement it to report monitor selections.
 type instrumentable interface {
 	SetCollector(telemetry.Collector)
 }
 
-// attach hands the collector to the agent when it supports
-// instrumentation (pure agents have no monitor to report on).
-func (s runSettings) attach(agent any) {
-	if s.collector == nil {
-		return
+// run is the one skeleton behind every entry point: it folds the
+// options, checks the worker count, hands the run's collector to the
+// agent when it supports instrumentation (nil included, so a reused
+// agent stops reporting into an earlier run's collector), then makes the
+// one call and prefixes its error.
+func run[T any](agent any, opts []RunOption, call func(runSettings) (T, error)) (T, error) {
+	var s runSettings
+	for _, o := range opts {
+		o(&s)
+	}
+	if s.workersSet && s.workers < 1 {
+		var zero T
+		return zero, fmt.Errorf("safeplan: WithWorkers(%d): worker count must be >= 1", s.workers)
 	}
 	if ia, ok := agent.(instrumentable); ok {
 		ia.SetCollector(s.collector)
 	}
+	r, err := call(s)
+	return r, wrapErr(err)
+}
+
+// episode is the per-episode options of a single-episode entry point.
+func (s runSettings) episode(seed int64) sim.Options {
+	return sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector}
 }
 
 // campaign runs n seed-paired episodes of ep through campaign.Results
@@ -461,65 +397,18 @@ func (s runSettings) campaign(name string, n int, baseSeed int64, ep campaign.Ep
 		Collector: s.collector,
 	}, ep)
 	if err != nil {
-		return CampaignStats{}, wrapErr(err)
+		return CampaignStats{}, err
 	}
 	return eval.Aggregate(rs), nil
-}
-
-// applySim folds the disturbance options into a (local copy of a) left-turn
-// simulation config.
-func (s runSettings) applySim(cfg *sim.Config) {
-	if s.disturb != nil {
-		cfg.Comms.Model = s.disturb
-	}
-	if s.sensorDist != nil {
-		cfg.SensorDisturb = s.sensorDist
-	}
-	if s.guard != nil {
-		cfg.Guard = s.guard
-	}
-	if s.fault != nil {
-		cfg.PlannerFault = s.fault
-	}
-	if s.certify != nil {
-		cfg.Certify = s.certify
-	}
-}
-
-// applyCarFollow folds the disturbance options into a car-following
-// config.  The chain engine has no verified mode, so WithCertify is
-// refused rather than dropped.
-func (s runSettings) applyCarFollow(cfg *carfollow.SimConfig) error {
-	if s.certify != nil {
-		return fmt.Errorf("safeplan: WithCertify: verified mode is not implemented for car following or the platoon")
-	}
-	if s.disturb != nil {
-		cfg.Comms.Model = s.disturb
-	}
-	if s.sensorDist != nil {
-		cfg.SensorDisturb = s.sensorDist
-	}
-	if s.guard != nil {
-		cfg.Guard = s.guard
-	}
-	if s.fault != nil {
-		cfg.PlannerFault = s.fault
-	}
-	return nil
 }
 
 // RunEpisode simulates one closed-loop episode.  Options select per-run
 // behaviour: WithTrace records the per-step trace, WithCollector attaches
 // a telemetry collector.
 func RunEpisode(cfg SimConfig, agent Agent, seed int64, opts ...RunOption) (EpisodeResult, error) {
-	s, err := applySettings(opts)
-	if err != nil {
-		return EpisodeResult{}, err
-	}
-	s.attach(agent)
-	s.applySim(&cfg)
-	r, err := sim.Run(cfg, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
-	return r, wrapErr(err)
+	return run(agent, opts, func(s runSettings) (EpisodeResult, error) {
+		return sim.Run(cfg, agent, s.episode(seed))
+	})
 }
 
 // RunCampaign simulates n episodes over seeds baseSeed…baseSeed+n−1 in
@@ -531,13 +420,9 @@ func RunEpisode(cfg SimConfig, agent Agent, seed int64, opts ...RunOption) (Epis
 // the compound designs around them qualify, so the stats do not depend on
 // the worker count.
 func RunCampaign(cfg SimConfig, agent Agent, n int, baseSeed int64, opts ...RunOption) (CampaignStats, error) {
-	s, err := applySettings(opts)
-	if err != nil {
-		return CampaignStats{}, err
-	}
-	s.attach(agent)
-	s.applySim(&cfg)
-	return s.campaign("left-turn", n, baseSeed, campaign.LeftTurn(cfg, agent))
+	return run(agent, opts, func(s runSettings) (CampaignStats, error) {
+		return s.campaign("left-turn", n, baseSeed, campaign.LeftTurn(cfg, agent))
+	})
 }
 
 // Sharded Monte-Carlo campaign engine (internal/campaign): deterministic
@@ -557,7 +442,9 @@ type (
 	// EpisodeOptions is the per-episode options payload a campaign hands an
 	// episode function (seed and invariants filled by the runner).  Named
 	// here so custom CampaignEpisodeFunc implementations — not just the
-	// three scenario adapters — can be written against the facade.
+	// four scenario adapters — can be written against the facade, and so
+	// one episode of any scenario runs as
+	// PlatoonCampaign(cfg, agent)(EpisodeOptions{Seed: seed, Trace: true}).
 	EpisodeOptions = sim.Options
 
 	// EpisodeScratch is the reusable per-episode arena behind the
@@ -609,48 +496,6 @@ func StandardInvariants(sc Scenario) []Invariant {
 	}
 }
 
-// WinningPercentage compares two paired η series (see eval).
-func WinningPercentage(a, b []float64) (float64, error) {
-	w, err := eval.WinningPercentage(a, b)
-	return w, wrapErr(err)
-}
-
-// Experiment entry points (Tables I–II, Fig. 5–6, RMSE, ablations); see
-// internal/experiments for the row/point types.
-type (
-	// TableRow is one line of Table I/II.
-	TableRow = experiments.TableRow
-	// SweepPoint is one x-position of a Fig. 5 sweep.
-	SweepPoint = experiments.SweepPoint
-	// ExperimentPlanners bundles the κ_n pair used by the harness.
-	ExperimentPlanners = experiments.Planners
-)
-
-// NewExpertExperimentPlanners bundles the analytic experts as κ_n.
-func NewExpertExperimentPlanners(sc Scenario) ExperimentPlanners {
-	return experiments.ExpertPlanners(sc)
-}
-
-// ReproduceTable1 regenerates Table I (conservative κ_n).
-func ReproduceTable1(pl ExperimentPlanners, n int, seed int64) ([]TableRow, error) {
-	rows, err := experiments.Table(experiments.Conservative, pl, n, seed)
-	return rows, wrapErr(err)
-}
-
-// ReproduceTable2 regenerates Table II (aggressive κ_n).
-func ReproduceTable2(pl ExperimentPlanners, n int, seed int64) ([]TableRow, error) {
-	rows, err := experiments.Table(experiments.Aggressive, pl, n, seed)
-	return rows, wrapErr(err)
-}
-
-// Validate sanity-checks a user-assembled simulation configuration.
-func Validate(cfg SimConfig) error {
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("safeplan: %w", err)
-	}
-	return nil
-}
-
 // Multi-vehicle API: the paper's system model includes messages from
 // several other vehicles (§II-A, i = 1 … n−1); these entry points run the
 // compound planner against a stream of oncoming vehicles crossing the
@@ -660,6 +505,8 @@ type (
 	// vehicles.
 	MultiAgent = core.MultiAgent
 	// MultiSimConfig extends SimConfig with the oncoming-stream layout.
+	// Its Validate refuses Certify: the multi-vehicle engine has no
+	// verified mode.
 	MultiSimConfig = sim.MultiConfig
 	// MultiCompoundPlanner is the multi-vehicle κ_c.
 	MultiCompoundPlanner = core.MultiCompound
@@ -685,30 +532,13 @@ func BuildMultiUltimate(sc Scenario, kn Planner) *MultiCompoundPlanner {
 	return core.NewMultiUltimate(sc, kn)
 }
 
-// RunMultiEpisode simulates one episode against an oncoming stream.
-// It accepts the same options as RunEpisode.
-func RunMultiEpisode(cfg MultiSimConfig, agent MultiAgent, seed int64, opts ...RunOption) (EpisodeResult, error) {
-	s, err := applySettings(opts)
-	if err != nil {
-		return EpisodeResult{}, err
-	}
-	s.attach(agent)
-	s.applySim(&cfg.Config)
-	r, err := sim.RunMulti(cfg, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
-	return r, wrapErr(err)
-}
-
 // RunMultiCampaign simulates n seed-paired episodes against oncoming
 // streams and aggregates the statistics.  It accepts the same options as
 // RunCampaign.
 func RunMultiCampaign(cfg MultiSimConfig, agent MultiAgent, n int, baseSeed int64, opts ...RunOption) (CampaignStats, error) {
-	s, err := applySettings(opts)
-	if err != nil {
-		return CampaignStats{}, err
-	}
-	s.attach(agent)
-	s.applySim(&cfg.Config)
-	return s.campaign("multi-vehicle", n, baseSeed, campaign.MultiVehicle(cfg, agent))
+	return run(agent, opts, func(s runSettings) (CampaignStats, error) {
+		return s.campaign("multi-vehicle", n, baseSeed, campaign.MultiVehicle(cfg, agent))
+	})
 }
 
 // Car-following case study (the paper's §II-A distance-gap unsafe set):
@@ -756,33 +586,12 @@ func BuildCarFollowUltimate(sc CarFollowScenario, kn CarFollowPlanner) CarFollow
 	return carfollow.NewUltimate(sc, kn)
 }
 
-// RunCarFollowEpisode simulates one car-following episode.  It accepts
-// the same options as RunEpisode.
-func RunCarFollowEpisode(cfg CarFollowSimConfig, agent CarFollowAgent, seed int64, opts ...RunOption) (EpisodeResult, error) {
-	s, err := applySettings(opts)
-	if err != nil {
-		return EpisodeResult{}, err
-	}
-	if err := s.applyCarFollow(&cfg); err != nil {
-		return EpisodeResult{}, err
-	}
-	s.attach(agent)
-	r, err := carfollow.RunEpisode(cfg, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
-	return r, wrapErr(err)
-}
-
 // RunCarFollowCampaign simulates n seed-paired car-following episodes and
 // aggregates the statistics.  It accepts the same options as RunCampaign.
 func RunCarFollowCampaign(cfg CarFollowSimConfig, agent CarFollowAgent, n int, baseSeed int64, opts ...RunOption) (CampaignStats, error) {
-	s, err := applySettings(opts)
-	if err != nil {
-		return CampaignStats{}, err
-	}
-	if err := s.applyCarFollow(&cfg); err != nil {
-		return CampaignStats{}, err
-	}
-	s.attach(agent)
-	return s.campaign("car-following", n, baseSeed, campaign.CarFollow(cfg, agent))
+	return run(agent, opts, func(s runSettings) (CampaignStats, error) {
+		return s.campaign("car-following", n, baseSeed, campaign.CarFollow(cfg, agent))
+	})
 }
 
 // Platoon extension (the ReachMM platooning setting over the paper's
@@ -791,7 +600,11 @@ func RunCarFollowCampaign(cfg CarFollowSimConfig, agent CarFollowAgent, n int, b
 // analytic followers behind it, and a chained V2V link — channel, sensor
 // stream, fusion filter, optional disturbance — per vehicle pair.  A
 // two-vehicle platoon reproduces the car-following episode byte for byte
-// at matched config and seed.
+// at matched config and seed.  The agent drives the NN-controlled vehicle
+// and should be built against cfg.LinkScenario() so its monitoring
+// matches the engine's.  PlatoonCampaign runs one episode
+// (PlatoonCampaign(cfg, agent)(EpisodeOptions{Seed: seed})) or, through
+// RunShardedCampaign, a campaign.
 type (
 	// PlatoonSimConfig assembles a platoon campaign.  It embeds
 	// CarFollowSimConfig and adds the chain structure: vehicle count,
@@ -819,119 +632,28 @@ const (
 // DefaultPlatoonSimConfig returns the four-vehicle platoon defaults.
 func DefaultPlatoonSimConfig() PlatoonSimConfig { return platoon.DefaultSimConfig() }
 
-// RunPlatoonEpisode simulates one platoon episode.  The agent drives the
-// NN-controlled vehicle and should be constructed against
-// cfg.LinkScenario() so its monitoring matches the engine's.  It accepts
-// the same options as RunEpisode.
-func RunPlatoonEpisode(cfg PlatoonSimConfig, agent CarFollowAgent, seed int64, opts ...RunOption) (EpisodeResult, error) {
-	s, err := applySettings(opts)
-	if err != nil {
-		return EpisodeResult{}, err
-	}
-	if err := s.applyCarFollow(&cfg.SimConfig); err != nil {
-		return EpisodeResult{}, err
-	}
-	s.attach(agent)
-	r, err := platoon.RunEpisode(cfg, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
-	return r, wrapErr(err)
-}
-
-// RunPlatoonCampaign simulates n seed-paired platoon episodes and
-// aggregates the statistics.  It accepts the same options as RunCampaign.
-func RunPlatoonCampaign(cfg PlatoonSimConfig, agent CarFollowAgent, n int, baseSeed int64, opts ...RunOption) (CampaignStats, error) {
-	s, err := applySettings(opts)
-	if err != nil {
-		return CampaignStats{}, err
-	}
-	if err := s.applyCarFollow(&cfg.SimConfig); err != nil {
-		return CampaignStats{}, err
-	}
-	s.attach(agent)
-	return s.campaign("platoon", n, baseSeed, campaign.Platoon(cfg, agent))
-}
-
-// Session API: the closed Run* loops above are thin wrappers over
-// resumable stepper engines that keep every piece of episode state —
+// Session API: every closed episode loop above is a thin loop over a
+// resumable stepper engine that keeps every piece of episode state —
 // channel, filters, guard state machine, RNG streams — inside one object,
-// so a caller (a streaming server, an interactive tool, a co-simulation)
-// can drive episodes one control step at a time and inject externally
-// streamed V2V messages and sensor readings between steps.  The serve
-// vocabulary hosts many such engines as concurrent network sessions; see
-// cmd/serve for the daemon and load generator.
+// so a caller (an interactive tool, a co-simulation) can drive an episode
+// one control step at a time and inject externally streamed V2V messages
+// and sensor readings between steps.  cmd/serve hosts many such engines
+// as concurrent network sessions.
 type (
 	// Stepper is the resumable left-turn episode engine: the oncoming
-	// stream with one vehicle, the same type as MultiStepper.
+	// stream engine with one vehicle.
 	Stepper = sim.MultiStepper
-	// MultiStepper is the resumable oncoming-stream episode engine.
-	MultiStepper = sim.MultiStepper
-	// CarFollowStepper is the resumable car-following episode engine.
-	CarFollowStepper = carfollow.Stepper
 	// StepInput carries externally streamed events into one engine step.
 	StepInput = sim.StepInput
 	// StepOutcome reports one engine step's observable state.
 	StepOutcome = sim.StepOutcome
-
-	// ServeConfig tunes the streaming session server (shards, admission
-	// cap, mailbox bound, idle timeout).
-	ServeConfig = serve.Config
-	// Server hosts concurrent planner sessions over line-delimited JSON
-	// and doubles as the /metrics + /healthz http.Handler.
-	Server = serve.Server
-	// ServerStats is the server's point-in-time counter snapshot.
-	ServerStats = serve.Stats
-	// SessionRequest is one line of the session protocol's client input.
-	SessionRequest = serve.Request
-	// SessionResponse is one line of the session protocol's server output.
-	SessionResponse = serve.Response
-	// SessionResult is the wire summary of a finished episode.
-	SessionResult = serve.ResultSummary
 )
 
 // NewStepper builds a resumable left-turn episode engine.  It accepts the
 // same options as RunEpisode; drive it with Step and settle it with
 // Finish (mid-episode Finish yields the partial result).
 func NewStepper(cfg SimConfig, agent Agent, seed int64, opts ...RunOption) (*Stepper, error) {
-	s, err := applySettings(opts)
-	if err != nil {
-		return nil, err
-	}
-	s.attach(agent)
-	s.applySim(&cfg)
-	st, err := sim.NewStepper(cfg, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
-	return st, wrapErr(err)
-}
-
-// NewMultiStepper builds a resumable oncoming-stream episode engine.
-func NewMultiStepper(cfg MultiSimConfig, agent MultiAgent, seed int64, opts ...RunOption) (*MultiStepper, error) {
-	s, err := applySettings(opts)
-	if err != nil {
-		return nil, err
-	}
-	s.attach(agent)
-	s.applySim(&cfg.Config)
-	st, err := sim.NewMultiStepper(cfg, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
-	return st, wrapErr(err)
-}
-
-// NewCarFollowStepper builds a resumable car-following episode engine.
-func NewCarFollowStepper(cfg CarFollowSimConfig, agent CarFollowAgent, seed int64, opts ...RunOption) (*CarFollowStepper, error) {
-	s, err := applySettings(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.applyCarFollow(&cfg); err != nil {
-		return nil, err
-	}
-	s.attach(agent)
-	st, err := carfollow.NewStepper(cfg, agent, sim.Options{Seed: seed, Trace: s.trace, Collector: s.collector})
-	return st, wrapErr(err)
-}
-
-// NewServer builds a streaming session server and starts its shard
-// workers; call Serve (or ListenAndServe) to accept the session protocol,
-// mount the Server on an http.Server for /metrics and /healthz, and Close
-// to release it.
-func NewServer(cfg ServeConfig) (*Server, error) {
-	srv, err := serve.New(cfg)
-	return srv, wrapErr(err)
+	return run(agent, opts, func(s runSettings) (*Stepper, error) {
+		return sim.NewStepper(cfg, agent, s.episode(seed))
+	})
 }

@@ -2,6 +2,7 @@ package safeplan
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -10,16 +11,18 @@ func TestDefaultsValid(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("scenario: %v", err)
 	}
-	if err := Validate(DefaultSimConfig()); err != nil {
+	if err := DefaultSimConfig().Validate(); err != nil {
 		t.Fatalf("sim config: %v", err)
 	}
 }
 
 func TestValidateRejects(t *testing.T) {
+	sc := DefaultScenario()
 	cfg := DefaultSimConfig()
 	cfg.DtM = -1
-	if Validate(cfg) == nil {
-		t.Fatal("invalid config accepted")
+	_, err := RunEpisode(cfg, BuildPure(sc, NewConservativeExpert(sc)), 1)
+	if err == nil || !strings.HasPrefix(err.Error(), "safeplan:") {
+		t.Fatalf("invalid config: RunEpisode error = %v", err)
 	}
 }
 
@@ -115,31 +118,6 @@ func TestTrainAndUsePlanner(t *testing.T) {
 	}
 }
 
-func TestWinningPercentageExported(t *testing.T) {
-	w, err := WinningPercentage([]float64{1, 0}, []float64{0, 1})
-	if err != nil || w != 0.5 {
-		t.Fatalf("WinningPercentage = %v, %v", w, err)
-	}
-}
-
-func TestReproduceTablesSmoke(t *testing.T) {
-	pl := NewExpertExperimentPlanners(DefaultScenario())
-	t1, err := ReproduceTable1(pl, 20, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t1) != 9 {
-		t.Fatalf("table 1 rows = %d", len(t1))
-	}
-	t2, err := ReproduceTable2(pl, 20, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t2) != 9 {
-		t.Fatalf("table 2 rows = %d", len(t2))
-	}
-}
-
 func TestMultiVehicleFacade(t *testing.T) {
 	sc := DefaultScenario()
 	cfg := DefaultMultiSimConfig()
@@ -147,7 +125,7 @@ func TestMultiVehicleFacade(t *testing.T) {
 	cfg.Comms = DelayedComms(0.25, 0.5)
 	cfg.InfoFilter = true
 	agent := BuildMultiUltimate(sc, NewAggressiveExpert(sc))
-	r, err := RunMultiEpisode(cfg, agent, 5)
+	r, err := MultiVehicleCampaign(cfg, agent)(EpisodeOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

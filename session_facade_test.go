@@ -2,13 +2,12 @@ package safeplan
 
 import (
 	"encoding/json"
-	"net"
 	"testing"
 )
 
-// TestStepperFacadeParity pins that the facade's stepper constructors
-// reproduce the corresponding Run* entry points exactly, including the
-// functional options (trace recording flows through).
+// TestStepperFacadeParity pins that the facade's stepper constructor
+// reproduces RunEpisode exactly, including the functional options (trace
+// recording flows through).
 func TestStepperFacadeParity(t *testing.T) {
 	sc := DefaultScenario()
 	kn := NewConservativeExpert(sc)
@@ -40,87 +39,5 @@ func TestStepperFacadeParity(t *testing.T) {
 	}
 	if len(got.Trace) == 0 {
 		t.Fatal("WithTrace did not flow through the stepper constructor")
-	}
-
-	cf := DefaultCarFollowSimConfig()
-	cfAgent := BuildCarFollowUltimate(cf.Scenario, NewCarFollowConservativeExpert(cf.Scenario))
-	cfWant, err := RunCarFollowEpisode(cf, cfAgent, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfSt, err := NewCarFollowStepper(cf, cfAgent, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !cfSt.Done() {
-		if _, err := cfSt.Step(StepInput{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfGot, err := cfSt.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, _ = json.Marshal(cfWant)
-	gb, _ = json.Marshal(cfGot)
-	if string(wb) != string(gb) {
-		t.Fatalf("facade car-follow stepper diverged from RunCarFollowEpisode\nrun:     %s\nstepper: %s", wb, gb)
-	}
-}
-
-// TestServerFacade smoke-tests the serve vocabulary end to end through
-// the public names only: NewServer, one session's open → step → close.
-func TestServerFacade(t *testing.T) {
-	srv, err := NewServer(ServeConfig{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
-	do := func(req SessionRequest) SessionResponse {
-		t.Helper()
-		if err := enc.Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		var resp SessionResponse
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	if resp := do(SessionRequest{Op: "open", SID: "f", Seed: 2}); !resp.OK {
-		t.Fatalf("open: %+v", resp)
-	}
-	var result *SessionResult
-	for i := 0; i < 1000; i++ {
-		resp := do(SessionRequest{Op: "step", SID: "f", Steps: 50})
-		if !resp.OK {
-			t.Fatalf("step: %+v", resp)
-		}
-		if resp.Done {
-			result = resp.Result
-			break
-		}
-	}
-	if result == nil || !result.Reached || result.Collided {
-		t.Fatalf("facade session episode: %+v", result)
-	}
-	if resp := do(SessionRequest{Op: "close", SID: "f"}); !resp.OK {
-		t.Fatalf("close: %+v", resp)
-	}
-	var st ServerStats = srv.Stats()
-	if st.EpisodesFinished != 1 || st.LiveSessions != 0 {
-		t.Fatalf("facade stats: %+v", st)
 	}
 }
