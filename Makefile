@@ -105,9 +105,9 @@ alloc-gate:
 # boxes and the two-sided reference within their stated width bounds, the
 # shipped planners' widening, the leftturn/carfollow feature brackets, the
 # monitor edge cases), the bitwise tests of the kernels IBP and Predict1
-# run on (DotRowsInto against the naive loop, MidRadInto against
-# DotRowsInto, TanhInto against math.Tanh, the tanh epilogue against its
-# Go twin),
+# run on (VecMatInto against the naive loop, MidRadInto against
+# VecMatInto, TanhInto against math.Tanh, each on every kernel tier the
+# CPU supports, and the tanh epilogue against its Go twin),
 # the committed fuzz corpus replay, and a quick
 # certification sweep over the trained models asserting zero
 # certified-range misses on the clean canonical scenario.  The purego

@@ -118,9 +118,11 @@ func NewChannel(cfg Config, rng *rand.Rand) (*Channel, error) {
 }
 
 // Reset re-initialises the channel in place for a new episode, reusing the
-// queue backing array and the two derived rand streams.  It draws from rng
-// in exactly the order NewChannel does (drop seed, then delay seed), so a
-// reset channel is bit-identical to a freshly constructed one.
+// queue backing array, the two derived rand streams and, through
+// disturb.Renew, the disturbance process when the model keeps its kind.
+// It draws from rng in exactly the order NewChannel does (drop seed, then
+// delay seed), so a reset channel is bit-identical to a freshly
+// constructed one.
 func (c *Channel) Reset(cfg Config, rng *rand.Rand) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -136,9 +138,10 @@ func (c *Channel) Reset(cfg Config, rng *rand.Rand) error {
 		c.delay.Seed(rng.Int63())
 	}
 	c.cfg = cfg
-	c.proc = nil
-	if cfg.Model != nil {
-		c.proc = cfg.Model.New(c.drop, c.delay)
+	if cfg.Model == nil {
+		c.proc = nil
+	} else {
+		c.proc = disturb.Renew(c.proc, cfg.Model, c.drop, c.delay)
 	}
 	c.queue = c.queue[:0]
 	c.sent, c.dropped, c.delivered, c.replayed = 0, 0, 0, 0

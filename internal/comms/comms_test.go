@@ -324,3 +324,66 @@ func TestQuickLosslessConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// episodeTrace drives ch through a 10 s episode at the 0.1 s message
+// cadence, polling every 0.05 s, and returns each delivery (poll time,
+// timestamp, payload) followed by the channel's counters.
+func episodeTrace(ch *Channel) []float64 {
+	var out []float64
+	for i := 0; i < 200; i++ {
+		now := float64(i) * 0.05
+		if i%2 == 0 {
+			ch.Send(Message{Sender: 1, T: now, P: float64(i)})
+		}
+		for _, m := range ch.Poll(now) {
+			out = append(out, now, m.T, m.P)
+		}
+	}
+	sent, dropped, delivered := ch.Stats()
+	return append(out, float64(sent), float64(dropped), float64(delivered), float64(ch.Replayed()))
+}
+
+// TestResetMatchesFresh checks that a channel reset for a new episode
+// delivers exactly what a fresh channel with the same seed delivers, for
+// every disturb preset, both when the reset keeps the preset (its process
+// is renewed in place) and when it switches from another preset, and that
+// a reset that keeps the preset allocates nothing.
+func TestResetMatchesFresh(t *testing.T) {
+	names := disturb.PresetNames()
+	cfgOf := func(name string) Config {
+		m, err := disturb.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Disturbed(m)
+	}
+	for i, name := range names {
+		cfg := cfgOf(name)
+		want := episodeTrace(newCh(t, cfg, 7))
+		for _, prev := range []string{name, names[(i+1)%len(names)]} {
+			ch := newCh(t, cfgOf(prev), 3)
+			episodeTrace(ch)
+			if err := ch.Reset(cfg, rand.New(rand.NewSource(7))); err != nil {
+				t.Fatal(err)
+			}
+			got := episodeTrace(ch)
+			if len(got) != len(want) {
+				t.Fatalf("%s after %s: reset channel traced %d values, fresh %d", name, prev, len(got), len(want))
+			}
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%s after %s: reset channel differs from a fresh one at value %d: %v vs %v", name, prev, k, got[k], want[k])
+				}
+			}
+		}
+		ch := newCh(t, cfg, 3)
+		rng := rand.New(rand.NewSource(8))
+		if avg := testing.AllocsPerRun(10, func() {
+			if err := ch.Reset(cfg, rng); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%s: Reset with an unchanged model allocates %.1f times", name, avg)
+		}
+	}
+}

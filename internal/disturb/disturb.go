@@ -66,6 +66,28 @@ type Model interface {
 	New(dropRng, delayRng *rand.Rand) Process
 }
 
+// renewer is a process that can reset itself in place for a new episode.
+type renewer interface {
+	// renew puts the process in the state m.New(dropRng, delayRng) would
+	// build, drawing from the two streams in the same order, and reports
+	// whether it could: false when m is not a model of the process's own
+	// kind.
+	renew(m Model, dropRng, delayRng *rand.Rand) bool
+}
+
+// Renew returns m's process for a new episode: p reset in place when it
+// is a process of the same kind of model as m, else m.New(dropRng,
+// delayRng).  Either way the result, and what it draws from the streams,
+// equal a fresh m.New, so a channel that calls Renew every episode
+// allocates its process only when the model's kind changes.  p may be
+// nil.
+func Renew(p Process, m Model, dropRng, delayRng *rand.Rand) Process {
+	if r, ok := p.(renewer); ok && r.renew(m, dropRng, delayRng) {
+		return p
+	}
+	return m.New(dropRng, delayRng)
+}
+
 // validDelay rejects non-finite or negative latencies.
 func validDelay(name string, d float64) error {
 	if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
@@ -146,6 +168,14 @@ type iidProcess struct {
 	drop *rand.Rand
 }
 
+func (p *iidProcess) renew(m Model, dropRng, _ *rand.Rand) bool {
+	mm, ok := m.(IID)
+	if ok {
+		*p = iidProcess{m: mm, drop: dropRng}
+	}
+	return ok
+}
+
 func (p *iidProcess) Next(float64) Decision {
 	d := Decision{Delay: p.m.Delay}
 	if p.m.DropProb > 0 && p.drop.Float64() < p.m.DropProb {
@@ -199,6 +229,14 @@ type geProcess struct {
 	m    GilbertElliott
 	drop *rand.Rand
 	bad  bool
+}
+
+func (p *geProcess) renew(m Model, dropRng, _ *rand.Rand) bool {
+	mm, ok := m.(GilbertElliott)
+	if ok {
+		*p = geProcess{m: mm, drop: dropRng, bad: mm.StartBad}
+	}
+	return ok
 }
 
 func (p *geProcess) Next(float64) Decision {
@@ -262,6 +300,14 @@ func (m Jitter) New(dropRng, delayRng *rand.Rand) Process {
 type jitterProcess struct {
 	m           Jitter
 	drop, delay *rand.Rand
+}
+
+func (p *jitterProcess) renew(m Model, dropRng, delayRng *rand.Rand) bool {
+	mm, ok := m.(Jitter)
+	if ok {
+		*p = jitterProcess{m: mm, drop: dropRng, delay: delayRng}
+	}
+	return ok
 }
 
 func (p *jitterProcess) Next(float64) Decision {
@@ -332,6 +378,14 @@ type replayProcess struct {
 	drop, delay *rand.Rand
 }
 
+func (p *replayProcess) renew(m Model, dropRng, delayRng *rand.Rand) bool {
+	mm, ok := m.(Replay)
+	if ok {
+		*p = replayProcess{m: mm, inner: Renew(p.inner, mm.inner(), dropRng, delayRng), drop: dropRng, delay: delayRng}
+	}
+	return ok
+}
+
 func (p *replayProcess) Next(t float64) Decision {
 	d := p.inner.Next(t)
 	if d.Drop || p.m.Prob <= 0 {
@@ -394,20 +448,39 @@ func (m Schedule) Validate() error {
 
 // New implements Model.
 func (m Schedule) New(dropRng, delayRng *rand.Rand) Process {
-	p := &scheduleProcess{m: m, procs: make([]Process, len(m.Phases))}
+	n := len(m.Phases)
+	p := &scheduleProcess{m: m, procs: make([]Process, n), drops: make([]*rand.Rand, n), delays: make([]*rand.Rand, n)}
 	for i, ph := range m.Phases {
 		// Derive per-phase substreams up front, in phase order, so each
 		// phase's randomness is a pure function of (seed, phase index).
-		drop := xrand.New(dropRng.Int63())
-		delay := xrand.New(delayRng.Int63())
-		p.procs[i] = ph.Model.New(drop, delay)
+		p.drops[i] = xrand.New(dropRng.Int63())
+		p.delays[i] = xrand.New(delayRng.Int63())
+		p.procs[i] = ph.Model.New(p.drops[i], p.delays[i])
 	}
 	return p
 }
 
 type scheduleProcess struct {
-	m     Schedule
-	procs []Process
+	m             Schedule
+	procs         []Process
+	drops, delays []*rand.Rand // per-phase substreams
+}
+
+// renew reseeds the per-phase substreams in place (xrand streams reseed
+// bit-identically to fresh ones) and renews each phase's process, so it
+// needs only the same number of phases.
+func (p *scheduleProcess) renew(m Model, dropRng, delayRng *rand.Rand) bool {
+	mm, ok := m.(Schedule)
+	if !ok || len(mm.Phases) != len(p.procs) {
+		return false
+	}
+	p.m = mm
+	for i, ph := range mm.Phases {
+		p.drops[i].Seed(dropRng.Int63())
+		p.delays[i].Seed(delayRng.Int63())
+		p.procs[i] = Renew(p.procs[i], ph.Model, p.drops[i], p.delays[i])
+	}
+	return true
 }
 
 func (p *scheduleProcess) Next(t float64) Decision {

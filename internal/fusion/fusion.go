@@ -226,7 +226,10 @@ func (f *Filter) EstimateInto(est *Estimate, t float64) {
 	est.PointP, est.PointV = set.P.Mid(), set.V.Mid()
 
 	if f.kf != nil && f.kf.Initialized() {
-		kp, kv := f.kf.IntervalAt(t, f.sigmaK)
+		// One extrapolation of the Kalman state serves the interval join
+		// and the point estimate.
+		x, p := f.kf.EstimateAt(t)
+		kp, kv := kalman.Interval(x, p, f.sigmaK)
 		kv = kv.ClampTo(lim.VMin, lim.VMax)
 		joined := reach.Set{P: set.P.Intersect(kp), V: set.V.Intersect(kv)}
 		if !joined.IsEmpty() {
@@ -234,7 +237,6 @@ func (f *Filter) EstimateInto(est *Estimate, t float64) {
 			est.P, est.V = set.P, set.V
 		}
 		// Point estimate from the KF mean, clamped into the sound set.
-		x, _ := f.kf.EstimateAt(t)
 		if !set.P.IsEmpty() {
 			est.PointP = set.P.Clamp(x.X)
 		}

@@ -246,6 +246,14 @@ func (f *Filter) IntervalAt(t, k float64) (pos, vel interval.Interval) {
 		return interval.Entire(), interval.Entire()
 	}
 	x, p := f.EstimateAt(t)
+	return Interval(x, p, k)
+}
+
+// Interval returns the k-sigma confidence intervals for position and
+// velocity of the estimate x with covariance p, as IntervalAt does for
+// EstimateAt(t); a caller that needs both the estimate and its intervals
+// extrapolates once.
+func Interval(x mat.Vec2, p mat.Mat2, k float64) (pos, vel interval.Interval) {
 	sp := k * math.Sqrt(max(p.A, 0))
 	sv := k * math.Sqrt(max(p.D, 0))
 	return interval.New(x.X-sp, x.X+sp), interval.New(x.Y-sv, x.Y+sv)

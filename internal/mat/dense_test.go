@@ -120,24 +120,24 @@ func TestMulTransInto(t *testing.T) {
 	}
 }
 
-// TestDotRowsIntoSmall is a worked case of DotRowsInto: x·wᵀ + b for a
-// 1×2 row and a 2×2 matrix.
-func TestDotRowsIntoSmall(t *testing.T) {
+// TestVecMatIntoSmall is a worked case of VecMatInto: x·wt + b for a
+// 1×2 row and the 2×2 transposed weights of [[3 4] [5 6]].
+func TestVecMatIntoSmall(t *testing.T) {
 	dst := make([]float64, 2)
-	DotRowsInto(dst, []float64{1, 2}, []float64{3, 4, 5, 6}, []float64{0.5, -1})
+	VecMatInto(dst, []float64{1, 2}, []float64{3, 5, 4, 6}, []float64{0.5, -1})
 	if want := []float64{1*3 + 2*4 + 0.5, 1*5 + 2*6 - 1}; dst[0] != want[0] || dst[1] != want[1] {
-		t.Fatalf("DotRowsInto = %v, want %v", dst, want)
+		t.Fatalf("VecMatInto = %v, want %v", dst, want)
 	}
 }
 
-// TestDotRowsPanicsOnShortWeights pins the shape check.
-func TestDotRowsPanicsOnShortWeights(t *testing.T) {
+// TestVecMatPanicsOnShortWeights pins the shape check.
+func TestVecMatPanicsOnShortWeights(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("short weight slice did not panic")
 		}
 	}()
-	DotRowsInto(make([]float64, 3), make([]float64, 4), make([]float64, 11), make([]float64, 3))
+	VecMatInto(make([]float64, 3), make([]float64, 4), make([]float64, 11), make([]float64, 3))
 }
 
 func TestTransMulAgainstReference(t *testing.T) {

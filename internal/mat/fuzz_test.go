@@ -16,30 +16,36 @@ func floatsOf(data []byte) []float64 {
 	return xs
 }
 
-// FuzzTanhInto compares TanhInto with math.Tanh bit for bit on all the
-// decoded values and on every prefix of up to 67 of them, so one input
-// covers every length up to 67 and every tail of the four-lane kernel
-// (longer prefixes would make the check quadratic in the input).  The
-// committed corpus (testdata/fuzz/FuzzTanhInto) holds ±0, ±Inf, NaN
-// payloads, subnormals, the branch edges 0.625 and 0.5·MAXLOG with their
-// neighbours, at lengths up to 67.
+// FuzzTanhInto compares TanhInto with math.Tanh bit for bit, on every
+// tier, on all the decoded values and on every prefix of up to 67 of
+// them, so one input covers every length up to 67 and every tail of the
+// eight- and four-lane kernels (longer prefixes would make the check
+// quadratic in the input).  The committed corpus
+// (testdata/fuzz/FuzzTanhInto) holds ±0, ±Inf, NaN payloads, subnormals,
+// the branch edges 0.625 and 0.5·MAXLOG with their neighbours, at lengths
+// up to 67.
 func FuzzTanhInto(f *testing.F) {
+	tiers := hostTiers(f, tanhTier)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		xs := floatsOf(data)
-		checkTanh(t, xs)
-		for n := 0; n <= min(len(xs), 67); n++ {
-			checkTanh(t, xs[:n])
+		for _, tr := range tiers {
+			checkTanh(t, tr, xs)
+			for n := 0; n <= min(len(xs), 67); n++ {
+				checkTanh(t, tr, xs[:n])
+			}
 		}
 	})
 }
 
-// FuzzMidRadInto compares MidRadInto with DotRowsInto on the transposed
-// weights (and on |w|) for m = out mod 33 outputs and every input width
-// up to in mod 68.  Operands cycle through the decoded
-// values: x, then r, then the in×m weights row by row.  The committed
-// corpus (testdata/fuzz/FuzzMidRadInto) runs widths 0–67 at m = 1, 24
-// and 32 (and the tails at 7), on finite values and on specials.
+// FuzzMidRadInto compares MidRadInto, on every tier, with VecMatInto on
+// the same weights (and on |w|) at a zero bias for m = out mod 33 outputs
+// and every input width up to in mod 68.  Operands cycle through the
+// decoded values: x, then r, then the in×m weights row by row.  The
+// committed corpus (testdata/fuzz/FuzzMidRadInto) runs widths 0–67 at
+// m = 1, 24 and 32 (and the tails at 7), on finite values and on
+// specials.
 func FuzzMidRadInto(f *testing.F) {
+	tiers := hostTiers(f, dotTier)
 	f.Fuzz(func(t *testing.T, data []byte, in, out uint8) {
 		vals := floatsOf(data)
 		n, m := int(in)%68, int(out)%33
@@ -56,22 +62,29 @@ func FuzzMidRadInto(f *testing.F) {
 		for i := range wt {
 			wt[i] = at(2*n + i)
 		}
-		w, aw := transpose(wt, n, m, false), transpose(wt, n, m, true)
-		for k := 0; k <= n; k++ {
-			checkDotKernels(t, x, r, wt, w, aw, m, k)
+		aw := absAll(wt)
+		for _, tr := range tiers {
+			for k := 0; k <= n; k++ {
+				checkMidRad(t, tr, x, r, wt, aw, m, k)
+			}
 		}
 	})
 }
 
-// FuzzDotRowsInto compares DotRowsInto with the naive loop plus the bias
-// bit for bit on m = out mod 36 outputs at every input width up to
-// in mod 68: the weights of width k are the first k columns of an
-// m×(in mod 68) matrix.  Operands cycle through the decoded values: x,
-// then the weights row by row, then the m biases.  The committed corpus
-// (testdata/fuzz/FuzzDotRowsInto) runs widths 0–67 at m = 1, 7, 32 and
-// 35, on finite values and on specials, and biases of +0 and −0, NaN
-// payloads and ±Inf on the 16-output blocks and on the Go tail (bias-*).
+// FuzzDotRowsInto compares VecMatInto, on every tier, with the naive
+// loop plus the bias bit for bit on m = out mod 36 outputs at every input
+// width up to in mod 68: the weights of width k are the first k rows of
+// an (in mod 68)×m matrix wt.  Operands cycle through the decoded values:
+// x, then the weights column by column (wt[q·m+j] is value n + j·n + q,
+// the operand order of the row-major DotRowsInto that VecMatInto
+// replaced with the same bits), then the m biases.  The target keeps
+// that kernel's name, so its committed corpus
+// (testdata/fuzz/FuzzDotRowsInto) and its inputs keep their meaning: it
+// runs widths 0–67 at m = 1, 7, 32 and 35, on finite values and on
+// specials, and biases of +0 and −0, NaN payloads and ±Inf on the vector
+// blocks and on the Go tail (bias-*).
 func FuzzDotRowsInto(f *testing.F) {
+	tiers := hostTiers(f, dotTier)
 	f.Fuzz(func(t *testing.T, data []byte, in, out uint8) {
 		vals := floatsOf(data)
 		n, m := int(in)%68, int(out)%36
@@ -81,21 +94,20 @@ func FuzzDotRowsInto(f *testing.F) {
 			}
 			return vals[i%len(vals)]
 		}
-		x, b := make([]float64, n), make([]float64, m)
+		x, wt, b := make([]float64, n), make([]float64, n*m), make([]float64, m)
 		for k := range x {
 			x[k] = at(k)
 		}
-		for j := range b {
+		for j := 0; j < m; j++ {
+			for q := 0; q < n; q++ {
+				wt[q*m+j] = at(n + j*n + q)
+			}
 			b[j] = at(n + m*n + j)
 		}
-		for k := 0; k <= n; k++ {
-			w := make([]float64, m*k)
-			for j := 0; j < m; j++ {
-				for q := 0; q < k; q++ {
-					w[j*k+q] = at(n + j*n + q)
-				}
+		for _, tr := range tiers {
+			for k := 0; k <= n; k++ {
+				checkVecMat(t, tr, x[:k], wt[:k*m], b, m)
 			}
-			checkDotRows(t, x[:k], w, b, m)
 		}
 	})
 }

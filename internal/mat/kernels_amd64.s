@@ -2,12 +2,13 @@
 
 #include "textflag.h"
 
-// AVX2 kernels behind DotRowsInto, MidRadInto and TanhInto.  Each is
-// bitwise equal to its Go twin in kernels.go: the dot kernels keep one
-// output per lane, start every accumulator at +0 and add the products in
-// k-ascending order with separate VMULPD/VADDPD (never a fused
-// multiply-add); the tanh kernel replays math.Tanh's branches, with
-// math.Exp's FMA path (exp_amd64.s) for the exponential.
+// AVX2 and AVX-512 kernels behind VecMatInto, MidRadInto and TanhInto.
+// Each is bitwise equal to its Go twin in kernels.go: the dot kernels keep
+// one output per lane, start every accumulator at +0 and add the products
+// in k-ascending order with separate VMULPD/VADDPD (never a fused
+// multiply-add); the tanh kernels replay math.Tanh's branches, with
+// math.Exp's FMA path (exp_amd64.s) for the exponential.  The AVX-512
+// kernels use AVX512F instructions only, and registers Z0–Z15 and K1.
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -28,110 +29,51 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// DOT4x4 adds four k steps of the four weight rows at P (row stride R8,
-// R9 = 3·R8) to ACC, one output per lane.  Two 128-bit loads per pair
-// of rows and two unpacks transpose each 2×4 half-tile, so lane i of
-// column q holds w[row i][k+q]; Y12–Y15 hold x[k]…x[k+3].
-#define DOT4x4(P, ACC) \
-	VMOVUPD (P), X4; \
-	VINSERTF128 $1, (P)(R8*2), Y4, Y4; \
-	VMOVUPD (P)(R8*1), X5; \
-	VINSERTF128 $1, (P)(R9*1), Y5, Y5; \
-	VMOVUPD 16(P), X6; \
-	VINSERTF128 $1, 16(P)(R8*2), Y6, Y6; \
-	VMOVUPD 16(P)(R8*1), X7; \
-	VINSERTF128 $1, 16(P)(R9*1), Y7, Y7; \
-	VUNPCKLPD Y5, Y4, Y8; \
-	VUNPCKHPD Y5, Y4, Y9; \
-	VUNPCKLPD Y7, Y6, Y10; \
-	VUNPCKHPD Y7, Y6, Y11; \
-	VMULPD Y12, Y8, Y8; \
-	VADDPD Y8, ACC, ACC; \
-	VMULPD Y13, Y9, Y9; \
-	VADDPD Y9, ACC, ACC; \
-	VMULPD Y14, Y10, Y10; \
-	VADDPD Y10, ACC, ACC; \
-	VMULPD Y15, Y11, Y11; \
-	VADDPD Y11, ACC, ACC; \
-	ADDQ $32, P
-
-// DOT4x1 adds one k step of the four weight rows at P to ACC; Y12 holds
-// x[k].
-#define DOT4x1(P, ACC) \
-	VMOVSD (P), X4; \
-	VMOVHPD (P)(R8*1), X4, X4; \
-	VMOVSD (P)(R8*2), X5; \
-	VMOVHPD (P)(R9*1), X5, X5; \
-	VINSERTF128 $1, X5, Y4, Y4; \
-	VMULPD Y12, Y4, Y4; \
-	VADDPD Y4, ACC, ACC; \
-	ADDQ $8, P
-
-// BCAST4 broadcasts x[k]…x[k+3] from SI into Y12–Y15.
-#define BCAST4 \
-	VBROADCASTSD (SI), Y12; \
-	VBROADCASTSD 8(SI), Y13; \
-	VBROADCASTSD 16(SI), Y14; \
-	VBROADCASTSD 24(SI), Y15
-
-// func dotRowsAsm(dst, x, w, b []float64)
+// func vecMatAVX2(dst, x, wt, b []float64, stride int)
 //
-// Blocks of 16 outputs, four groups of four rows with one accumulator
-// each (R10–R13 walk the groups' first rows along k).  Each block runs
-// len(x)/4 four-step tiles and then the last len(x) mod 4 steps one at a
-// time, and adds the block's 16 biases (AX) to the sums as it stores
-// them, the sum as the first operand.
-TEXT ·dotRowsAsm(SB), NOSPLIT, $0-96
+// Blocks of 16 outputs (four accumulators), then blocks of 4.  Input k
+// reads the block's run of row k, 8·stride·k bytes after the block's start
+// in wt; each block adds its biases (AX) to the sums as it stores them,
+// the sum as the first operand.
+TEXT ·vecMatAVX2(SB), NOSPLIT, $0-104
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
-	MOVQ w_base+48(FP), DX
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), BX
+	MOVQ wt_base+48(FP), DX
 	MOVQ b_base+72(FP), AX
-	MOVQ x_len+32(FP), R8
+	MOVQ stride+96(FP), R8
 	SHLQ $3, R8
-	LEAQ (R8)(R8*2), R9
 
-dr16:
+vm16:
 	CMPQ CX, $16
-	JLT  drdone
+	JLT  vm4
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	MOVQ x_base+24(FP), SI
+	XORQ R9, R9
 	MOVQ DX, R10
-	LEAQ (R10)(R8*4), R11
-	LEAQ (R11)(R8*4), R12
-	LEAQ (R12)(R8*4), R13
-	MOVQ x_len+32(FP), BX
-	SHRQ $2, BX
-	JZ   dr16tail
+	MOVQ BX, R11
+	TESTQ R11, R11
+	JZ   vm16store
 
-dr16k:
-	BCAST4
-	DOT4x4(R10, Y0)
-	DOT4x4(R11, Y1)
-	DOT4x4(R12, Y2)
-	DOT4x4(R13, Y3)
-	ADDQ $32, SI
-	DECQ BX
-	JNZ  dr16k
+vm16k:
+	VBROADCASTSD (SI)(R9*1), Y4
+	VMULPD (R10), Y4, Y5
+	VADDPD Y5, Y0, Y0
+	VMULPD 32(R10), Y4, Y6
+	VADDPD Y6, Y1, Y1
+	VMULPD 64(R10), Y4, Y7
+	VADDPD Y7, Y2, Y2
+	VMULPD 96(R10), Y4, Y8
+	VADDPD Y8, Y3, Y3
+	ADDQ $8, R9
+	ADDQ R8, R10
+	DECQ R11
+	JNZ  vm16k
 
-dr16tail:
-	MOVQ x_len+32(FP), BX
-	ANDQ $3, BX
-	JZ   dr16store
-
-dr16t:
-	VBROADCASTSD (SI), Y12
-	DOT4x1(R10, Y0)
-	DOT4x1(R11, Y1)
-	DOT4x1(R12, Y2)
-	DOT4x1(R13, Y3)
-	ADDQ $8, SI
-	DECQ BX
-	JNZ  dr16t
-
-dr16store:
+vm16store:
 	VADDPD (AX), Y0, Y0
 	VADDPD 32(AX), Y1, Y1
 	VADDPD 64(AX), Y2, Y2
@@ -142,24 +84,111 @@ dr16store:
 	VMOVUPD Y3, 96(DI)
 	ADDQ $128, DI
 	ADDQ $128, AX
-	MOVQ R8, R10
-	SHLQ $4, R10
-	ADDQ R10, DX
+	ADDQ $128, DX
 	SUBQ $16, CX
-	JMP  dr16
+	JMP  vm16
 
-drdone:
+vm4:
+	CMPQ CX, $4
+	JLT  vmdone
+	VXORPD Y0, Y0, Y0
+	XORQ R9, R9
+	MOVQ DX, R10
+	MOVQ BX, R11
+	TESTQ R11, R11
+	JZ   vm4store
+
+vm4k:
+	VBROADCASTSD (SI)(R9*1), Y4
+	VMULPD (R10), Y4, Y5
+	VADDPD Y5, Y0, Y0
+	ADDQ $8, R9
+	ADDQ R8, R10
+	DECQ R11
+	JNZ  vm4k
+
+vm4store:
+	VADDPD (AX), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, AX
+	ADDQ $32, DX
+	SUBQ $4, CX
+	JMP  vm4
+
+vmdone:
+	VZEROUPPER
+	RET
+
+// func vecMatAVX512(dst, x, wt, b []float64, stride int)
+//
+// Blocks of 32 outputs, four ZMM accumulators, laid out as vecMatAVX2's
+// 16-output blocks.
+TEXT ·vecMatAVX512(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), BX
+	MOVQ wt_base+48(FP), DX
+	MOVQ b_base+72(FP), AX
+	MOVQ stride+96(FP), R8
+	SHLQ $3, R8
+
+vz32:
+	CMPQ CX, $32
+	JLT  vzdone
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	XORQ R9, R9
+	MOVQ DX, R10
+	MOVQ BX, R11
+	TESTQ R11, R11
+	JZ   vz32store
+
+vz32k:
+	VBROADCASTSD (SI)(R9*1), Z4
+	VMULPD (R10), Z4, Z5
+	VADDPD Z5, Z0, Z0
+	VMULPD 64(R10), Z4, Z6
+	VADDPD Z6, Z1, Z1
+	VMULPD 128(R10), Z4, Z7
+	VADDPD Z7, Z2, Z2
+	VMULPD 192(R10), Z4, Z8
+	VADDPD Z8, Z3, Z3
+	ADDQ $8, R9
+	ADDQ R8, R10
+	DECQ R11
+	JNZ  vz32k
+
+vz32store:
+	VADDPD (AX), Z0, Z0
+	VADDPD 64(AX), Z1, Z1
+	VADDPD 128(AX), Z2, Z2
+	VADDPD 192(AX), Z3, Z3
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	ADDQ $256, DI
+	ADDQ $256, AX
+	ADDQ $256, DX
+	SUBQ $32, CX
+	JMP  vz32
+
+vzdone:
 	VZEROUPPER
 	RET
 
 DATA absmask<>+0(SB)/8, $0x7fffffffffffffff
 GLOBL absmask<>(SB), RODATA|NOPTR, $8
 
-// func midRadAsm(c2, r2, c, r, wt []float64, stride int)
+// func midRadAVX2(c2, r2, c, r, wt []float64, stride int)
 //
 // Blocks of 8 outputs (two centre and two radius accumulators), then
 // blocks of 4.  |w| clears the sign bit, as math.Abs does.
-TEXT ·midRadAsm(SB), NOSPLIT, $0-128
+TEXT ·midRadAVX2(SB), NOSPLIT, $0-128
 	MOVQ c2_base+0(FP), DI
 	MOVQ c2_len+8(FP), CX
 	MOVQ r2_base+24(FP), R12
@@ -253,6 +282,70 @@ mrdone:
 	VZEROUPPER
 	RET
 
+// func midRadAVX512(c2, r2, c, r, wt []float64, stride int)
+//
+// Blocks of 16 outputs: two centre and two radius ZMM accumulators.
+// VPANDQ clears the sign bit for |w|.
+TEXT ·midRadAVX512(SB), NOSPLIT, $0-128
+	MOVQ c2_base+0(FP), DI
+	MOVQ c2_len+8(FP), CX
+	MOVQ r2_base+24(FP), R12
+	MOVQ c_base+48(FP), SI
+	MOVQ c_len+56(FP), BX
+	MOVQ r_base+72(FP), R13
+	MOVQ wt_base+96(FP), DX
+	MOVQ stride+120(FP), R8
+	SHLQ $3, R8
+	VPBROADCASTQ absmask<>(SB), Z15
+
+mz16:
+	CMPQ CX, $16
+	JLT  mzdone
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	XORQ R9, R9
+	MOVQ DX, R10
+	MOVQ BX, R11
+	TESTQ R11, R11
+	JZ   mz16store
+
+mz16k:
+	VBROADCASTSD (SI)(R9*1), Z4
+	VBROADCASTSD (R13)(R9*1), Z5
+	VMOVUPD (R10), Z6
+	VMOVUPD 64(R10), Z7
+	VMULPD Z6, Z4, Z8
+	VADDPD Z8, Z0, Z0
+	VMULPD Z7, Z4, Z9
+	VADDPD Z9, Z1, Z1
+	VPANDQ Z15, Z6, Z6
+	VPANDQ Z15, Z7, Z7
+	VMULPD Z6, Z5, Z10
+	VADDPD Z10, Z2, Z2
+	VMULPD Z7, Z5, Z11
+	VADDPD Z11, Z3, Z3
+	ADDQ $8, R9
+	ADDQ R8, R10
+	DECQ R11
+	JNZ  mz16k
+
+mz16store:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (R12)
+	VMOVUPD Z3, 64(R12)
+	ADDQ $128, DI
+	ADDQ $128, R12
+	ADDQ $128, DX
+	SUBQ $16, CX
+	JMP  mz16
+
+mzdone:
+	VZEROUPPER
+	RET
+
 // Constants of math.Tanh (tanh.go) and of math.Exp's FMA path
 // (exp_amd64.s), written as the Go sources write them.
 DATA tanhdata<>+0(SB)/8, $0x7fffffffffffffff // sign-bit mask
@@ -280,7 +373,7 @@ DATA tanhdata<>+168(SB)/8, $4.84406305325125486048e3
 DATA tanhdata<>+176(SB)/8, $0x3ff // exponent bias
 GLOBL tanhdata<>(SB), RODATA|NOPTR, $184
 
-// func tanhAsm(dst, src []float64)
+// func tanhAVX2(dst, src []float64)
 //
 // Per four lanes x, with z = |x| (the names follow tanh.go):
 //   z > 0.5·MAXLOG:  ±1 with the sign of x
@@ -289,7 +382,7 @@ GLOBL tanhdata<>(SB), RODATA|NOPTR, $184
 //   otherwise:       x + x·s·P(s)/Q(s), s = x·x
 // Every lane evaluates the last three and the blends pick one; NaN fails
 // every comparison and so takes the rational branch, as in tanh.go.
-TEXT ·tanhAsm(SB), NOSPLIT, $0-48
+TEXT ·tanhAVX2(SB), NOSPLIT, $0-48
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ src_len+32(FP), CX
@@ -393,5 +486,117 @@ thloop:
 	JNZ  thloop
 
 thdone:
+	VZEROUPPER
+	RET
+
+// func tanhAVX512(dst, src []float64)
+//
+// tanhAVX2 on eight lanes: the same instructions on ZMM registers, except
+// that each blend compares into K1 and picks with VBLENDMPD, and the bit
+// operations take their AVX512F integer forms.
+TEXT ·tanhAVX512(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	VPBROADCASTQ tanhdata<>+0(SB), Z15
+	VBROADCASTSD tanhdata<>+8(SB), Z14
+	VBROADCASTSD tanhdata<>+16(SB), Z13
+	SHRQ $3, CX
+	JZ   tzdone
+
+tzloop:
+	VMOVUPD (SI), Z0          // x
+	VPANDQ  Z15, Z0, Z1       // z = |x|
+	VPANDNQ Z0, Z15, Z6       // sign bit of x
+
+	// Exp(2z), as archExp's avxfma path.
+	VADDPD Z1, Z1, Z2         // a = 2z
+	VBROADCASTSD tanhdata<>+40(SB), Z3
+	VMULPD Z2, Z3, Z3         // LOG2E·a
+	VCVTPD2DQ Z3, Y4          // k, rounded to nearest
+	VCVTDQ2PD Y4, Z3
+	VBROADCASTSD tanhdata<>+48(SB), Z5
+	VFNMADD231PD Z5, Z3, Z2   // a −= k·LN2U
+	VBROADCASTSD tanhdata<>+56(SB), Z5
+	VFNMADD231PD Z5, Z3, Z2   // a −= k·LN2L
+	VBROADCASTSD tanhdata<>+64(SB), Z5
+	VMULPD Z5, Z2, Z2         // a *= 1/16
+	VBROADCASTSD tanhdata<>+72(SB), Z3
+	VBROADCASTSD tanhdata<>+80(SB), Z5
+	VFMADD213PD Z5, Z2, Z3    // p = p·a + c
+	VBROADCASTSD tanhdata<>+88(SB), Z5
+	VFMADD213PD Z5, Z2, Z3
+	VBROADCASTSD tanhdata<>+96(SB), Z5
+	VFMADD213PD Z5, Z2, Z3
+	VBROADCASTSD tanhdata<>+104(SB), Z5
+	VFMADD213PD Z5, Z2, Z3
+	VBROADCASTSD tanhdata<>+112(SB), Z5
+	VFMADD213PD Z5, Z2, Z3
+	VBROADCASTSD tanhdata<>+120(SB), Z5
+	VFMADD213PD Z5, Z2, Z3
+	VFMADD213PD Z14, Z2, Z3
+	VMULPD Z3, Z2, Z2         // a *= p
+	VADDPD Z13, Z2, Z3        // undo the 1/16: a *= a + 2, four times
+	VMULPD Z3, Z2, Z2
+	VADDPD Z13, Z2, Z3
+	VMULPD Z3, Z2, Z2
+	VADDPD Z13, Z2, Z3
+	VMULPD Z3, Z2, Z2
+	VADDPD Z13, Z2, Z3
+	VFMADD213PD Z14, Z3, Z2   // the last one fused with + 1
+	VPMOVSXDQ Y4, Z4          // scale by 2^k: (k + 1023) << 52
+	VPBROADCASTQ tanhdata<>+176(SB), Z5
+	VPADDQ Z5, Z4, Z4
+	VPSLLQ $52, Z4, Z4
+	VMULPD Z4, Z2, Z2         // s = Exp(2z)
+
+	// 1 − 2/(s+1), signed.
+	VADDPD Z14, Z2, Z2
+	VDIVPD Z2, Z13, Z2
+	VSUBPD Z2, Z14, Z2
+	VPORQ  Z6, Z2, Z2
+
+	// x + x·s·P(s)/Q(s).
+	VMULPD Z0, Z0, Z7         // s = x·x
+	VBROADCASTSD tanhdata<>+128(SB), Z8
+	VMULPD Z7, Z8, Z8
+	VBROADCASTSD tanhdata<>+136(SB), Z9
+	VADDPD Z9, Z8, Z8
+	VMULPD Z7, Z8, Z8
+	VBROADCASTSD tanhdata<>+144(SB), Z9
+	VADDPD Z9, Z8, Z8         // P(s)
+	VBROADCASTSD tanhdata<>+152(SB), Z9
+	VADDPD Z9, Z7, Z9
+	VMULPD Z7, Z9, Z9
+	VBROADCASTSD tanhdata<>+160(SB), Z10
+	VADDPD Z10, Z9, Z9
+	VMULPD Z7, Z9, Z9
+	VBROADCASTSD tanhdata<>+168(SB), Z10
+	VADDPD Z10, Z9, Z9        // Q(s)
+	VMULPD Z7, Z0, Z10        // x·s
+	VMULPD Z8, Z10, Z10
+	VDIVPD Z9, Z10, Z10
+	VADDPD Z10, Z0, Z10
+
+	// Blend: x where x == 0, the exp branch where z ≥ 0.625, ±1 where
+	// z > 0.5·MAXLOG.
+	VPXORQ Z11, Z11, Z11
+	VCMPPD $0x00, Z11, Z0, K1 // EQ_OQ
+	VBLENDMPD Z0, Z10, K1, Z10
+	VBROADCASTSD tanhdata<>+24(SB), Z11
+	VCMPPD $0x1d, Z11, Z1, K1 // GE_OQ
+	VBLENDMPD Z2, Z10, K1, Z10
+	VBROADCASTSD tanhdata<>+32(SB), Z11
+	VCMPPD $0x1e, Z11, Z1, K1 // GT_OQ
+	VPORQ  Z6, Z14, Z11
+	VBLENDMPD Z11, Z10, K1, Z10
+	VMOVUPD Z10, (DI)
+
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  tzloop
+
+tzdone:
 	VZEROUPPER
 	RET

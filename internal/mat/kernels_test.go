@@ -10,25 +10,31 @@ import (
 	"testing"
 )
 
-// transpose returns the m×n row-major transpose of the n×m matrix wt,
-// optionally taking |w|.
-func transpose(wt []float64, n, m int, abs bool) []float64 {
-	w := make([]float64, m*n)
-	for k := 0; k < n; k++ {
-		for j := 0; j < m; j++ {
-			v := wt[k*m+j]
-			if abs {
-				v = math.Abs(v)
-			}
-			w[j*n+k] = v
-		}
+// hostTiers returns the tiers from tierGo up to top that this build and
+// CPU run, and logs them, so a test's output shows which kernels it
+// checked.
+func hostTiers(t testing.TB, top tier) []tier {
+	t.Helper()
+	var ts []tier
+	for tr := tierGo; tr <= top; tr++ {
+		ts = append(ts, tr)
 	}
-	return w
+	t.Logf("kernel tiers run: %v", ts)
+	return ts
+}
+
+// absAll returns |w| element-wise.
+func absAll(w []float64) []float64 {
+	a := make([]float64, len(w))
+	for i, v := range w {
+		a[i] = math.Abs(v)
+	}
+	return a
 }
 
 // sameBits reports whether got and want are the same float64, bit for bit,
-// except that any NaN matches any NaN: DotRowsInto leaves the payload of
-// a NaN formed from two NaN operands to the compiler's operand order.
+// except that any NaN matches any NaN: the kernels leave the payload of a
+// NaN formed from two NaN operands to the operand order.
 func sameBits(got, want float64) bool {
 	if math.IsNaN(got) && math.IsNaN(want) {
 		return true
@@ -36,27 +42,27 @@ func sameBits(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want)
 }
 
-// checkDotKernels runs MidRadInto on the first k inputs of x and r and
-// the first k rows of wt (n×m, n = len(x)), and compares every output j
-// with DotRowsInto, at a zero bias, on the first k entries of row j of
-// w = wtᵀ and aw = |wt|ᵀ (m×n, from transpose).
-func checkDotKernels(t testing.TB, x, r, wt, w, aw []float64, m, k int) {
+// checkMidRad runs MidRadInto on tier tr over the first k inputs of x and
+// r and the first k rows of wt (len(x)×m), and compares every output with
+// VecMatInto, at a zero bias, on the same rows of wt and of aw = |wt|.
+func checkMidRad(t testing.TB, tr tier, x, r, wt, aw []float64, m, k int) {
 	t.Helper()
-	n := len(x)
 	gotC := make([]float64, m)
 	gotR := make([]float64, m)
-	MidRadInto(gotC, gotR, x[:k], r[:k], wt[:k*m])
-	var wantC, wantR, zero [1]float64
+	midRad(tr, gotC, gotR, x[:k], r[:k], wt[:k*m])
+	wantC := make([]float64, m)
+	wantR := make([]float64, m)
+	zero := make([]float64, m)
+	VecMatInto(wantC, x[:k], wt[:k*m], zero)
+	VecMatInto(wantR, r[:k], aw[:k*m], zero)
 	for j := 0; j < m; j++ {
-		DotRowsInto(wantC[:], x[:k], w[j*n:j*n+k], zero[:])
-		DotRowsInto(wantR[:], r[:k], aw[j*n:j*n+k], zero[:])
-		if !sameBits(gotC[j], wantC[0]) {
-			t.Fatalf("k=%d m=%d: MidRadInto centre %d = %v (%#x), DotRowsInto %v (%#x)",
-				k, m, j, gotC[j], math.Float64bits(gotC[j]), wantC[0], math.Float64bits(wantC[0]))
+		if !sameBits(gotC[j], wantC[j]) {
+			t.Fatalf("%v k=%d m=%d: MidRadInto centre %d = %v (%#x), VecMatInto %v (%#x)",
+				tr, k, m, j, gotC[j], math.Float64bits(gotC[j]), wantC[j], math.Float64bits(wantC[j]))
 		}
-		if !sameBits(gotR[j], wantR[0]) {
-			t.Fatalf("k=%d m=%d: MidRadInto radius %d = %v (%#x), DotRowsInto on |w| %v (%#x)",
-				k, m, j, gotR[j], math.Float64bits(gotR[j]), wantR[0], math.Float64bits(wantR[0]))
+		if !sameBits(gotR[j], wantR[j]) {
+			t.Fatalf("%v k=%d m=%d: MidRadInto radius %d = %v (%#x), VecMatInto on |w| %v (%#x)",
+				tr, k, m, j, gotR[j], math.Float64bits(gotR[j]), wantR[j], math.Float64bits(wantR[j]))
 		}
 	}
 }
@@ -72,12 +78,13 @@ var specialFloats = []float64{
 	1e308, -1e308, 1, -1,
 }
 
-// TestMidRadMatchDotRows pins MidRadInto bit for bit to DotRowsInto on
-// the transposed weights (and on |w|), for every input width 0–9 plus 24
-// and 32 and every output count 0–35 (the 8- and 4-wide blocks and the
-// scalar tail), on finite operands whose long sums
-// round and on operands mixed with specialFloats: 4.25M operands in all.
-func TestMidRadMatchDotRows(t *testing.T) {
+// TestMidRadMatchesVecMat pins MidRadInto bit for bit to VecMatInto on
+// the same weights (and on |w|), on every tier, for every input width 0–9
+// plus 24 and 32 and every output count 0–35 (the 16-, 8- and 4-wide
+// blocks and the scalar tail), on finite operands whose long sums round
+// and on operands mixed with specialFloats: 4.25M operands per tier.
+func TestMidRadMatchesVecMat(t *testing.T) {
+	tiers := hostTiers(t, dotTier)
 	rng := rand.New(rand.NewSource(21))
 	draw := func(specials bool) float64 {
 		if specials && rng.Intn(8) == 0 {
@@ -99,29 +106,32 @@ func TestMidRadMatchDotRows(t *testing.T) {
 				for k := range wt {
 					wt[k] = draw(specials)
 				}
-				checkDotKernels(t, x, r, wt, transpose(wt, n, m, false), transpose(wt, n, m, true), m, n)
+				aw := absAll(wt)
+				for _, tr := range tiers {
+					checkMidRad(t, tr, x, r, wt, aw, m, n)
+				}
 			}
 		}
 	}
 }
 
-// checkDotRows compares DotRowsInto on x, the m×len(x) row-major
-// weights w and the bias b with the naive one-accumulator loop plus the
-// bias, its oracle, bit for bit (any NaN matching any NaN, see sameBits).
-func checkDotRows(t testing.TB, x, w, b []float64, m int) {
+// checkVecMat compares VecMatInto on tier tr, over x, the len(x)×m
+// row-major weights wt and the bias b, with the naive one-accumulator
+// loop plus the bias, its oracle, bit for bit (any NaN matching any NaN,
+// see sameBits).
+func checkVecMat(t testing.TB, tr tier, x, wt, b []float64, m int) {
 	t.Helper()
-	n := len(x)
 	got := make([]float64, m)
-	DotRowsInto(got, x, w, b)
+	vecMat(tr, got, x, wt, b)
 	for j := 0; j < m; j++ {
 		var s float64
-		for k := 0; k < n; k++ {
-			s += x[k] * w[j*n+k]
+		for k, xk := range x {
+			s += xk * wt[k*m+j]
 		}
 		s += b[j]
 		if !sameBits(got[j], s) {
-			t.Fatalf("n=%d m=%d: dst[%d] = %v (%#x), naive %v (%#x), bias %v (%#x)",
-				n, m, j, got[j], math.Float64bits(got[j]), s, math.Float64bits(s), b[j], math.Float64bits(b[j]))
+			t.Fatalf("%v n=%d m=%d: dst[%d] = %v (%#x), naive %v (%#x), bias %v (%#x)",
+				tr, len(x), m, j, got[j], math.Float64bits(got[j]), s, math.Float64bits(s), b[j], math.Float64bits(b[j]))
 		}
 	}
 }
@@ -153,16 +163,18 @@ func dotBias(rng *rand.Rand, b []float64, pattern int, draw func(bool) float64) 
 	}
 }
 
-// TestDotRowsMatchesNaive pins DotRowsInto bit for bit to the naive
-// loop plus the bias for every input width 0–67 (the four-step tiles and
-// every k tail) and every output count 0–35 (the 16-output blocks and the
-// Go twin's tail), which holds the planners' 5×32, 32×32 and 32×1
-// layers.  Even repetitions keep the operands finite, so the rounding of
-// long sums shows; odd ones mix in specialFloats, whose sums overflow and
-// cancel.  The six repetitions take the six bias patterns of dotBias, so
-// zero and signed-zero biases, NaN payloads and ±Inf reach the 16-output
-// blocks and the Go tail alike, on top of finite and special sums.
-func TestDotRowsMatchesNaive(t *testing.T) {
+// TestVecMatMatchesNaive pins VecMatInto bit for bit to the naive loop
+// plus the bias, on every tier, for every input width 0–67 and every
+// output count 0–35, plus 51, 55 and 67 (the 32-, 16- and 4-output blocks
+// in every combination with the Go twin's tail), which holds the
+// planners' 5×32, 32×32 and 32×1 layers.  Even repetitions keep the
+// operands finite, so the rounding of long sums shows; odd ones mix in
+// specialFloats, whose sums overflow and cancel.  The six repetitions take
+// the six bias patterns of dotBias, so zero and signed-zero biases, NaN
+// payloads and ±Inf reach the vector blocks and the Go tail alike, on top
+// of finite and special sums.
+func TestVecMatMatchesNaive(t *testing.T) {
+	tiers := hostTiers(t, dotTier)
 	rng := rand.New(rand.NewSource(9))
 	draw := func(specials bool) float64 {
 		if specials && rng.Intn(8) == 0 {
@@ -170,20 +182,26 @@ func TestDotRowsMatchesNaive(t *testing.T) {
 		}
 		return (rng.Float64()*2 - 1) * math.Pow(10, float64(rng.Intn(9)-4))
 	}
+	outs := []int{51, 55, 67}
+	for m := 35; m >= 0; m-- {
+		outs = append([]int{m}, outs...)
+	}
 	for n := 0; n <= 67; n++ {
-		for m := 0; m <= 35; m++ {
+		for _, m := range outs {
 			for rep := 0; rep < 6; rep++ {
 				x := make([]float64, n)
-				w := make([]float64, m*n)
+				wt := make([]float64, n*m)
 				b := make([]float64, m)
 				for k := range x {
 					x[k] = draw(rep%2 == 1)
 				}
-				for k := range w {
-					w[k] = draw(rep%2 == 1)
+				for k := range wt {
+					wt[k] = draw(rep%2 == 1)
 				}
 				dotBias(rng, b, rep, draw)
-				checkDotRows(t, x, w, b, m)
+				for _, tr := range tiers {
+					checkVecMat(t, tr, x, wt, b, m)
+				}
 			}
 		}
 	}
@@ -197,8 +215,8 @@ func TestKernelShapePanics(t *testing.T) {
 		},
 		"MidRadInto r2": func() { MidRadInto(make([]float64, 3), make([]float64, 2), nil, nil, nil) },
 		"MidRadInto r":  func() { MidRadInto(nil, nil, make([]float64, 2), make([]float64, 1), nil) },
-		"DotRowsInto short bias": func() {
-			DotRowsInto(make([]float64, 3), make([]float64, 4), make([]float64, 12), make([]float64, 2))
+		"VecMatInto short bias": func() {
+			VecMatInto(make([]float64, 3), make([]float64, 4), make([]float64, 12), make([]float64, 2))
 		},
 		"TanhInto short": func() { TanhInto(make([]float64, 3), make([]float64, 4)) },
 	} {
@@ -216,29 +234,30 @@ func TestKernelShapePanics(t *testing.T) {
 // tanhEdges are math.Tanh's branch points, 0.625 and 0.5·MAXLOG.
 var tanhEdges = []float64{0.625, 0.5 * 8.8029691931113054295988e+01}
 
-// checkTanh compares TanhInto with math.Tanh bit for bit, NaN payloads
-// included.
-func checkTanh(t testing.TB, xs []float64) {
+// checkTanh compares TanhInto on tier tr with math.Tanh bit for bit, NaN
+// payloads included.
+func checkTanh(t testing.TB, tr tier, xs []float64) {
 	t.Helper()
 	got := make([]float64, len(xs))
-	TanhInto(got, xs)
+	tanh(tr, got, xs)
 	for i, x := range xs {
 		if want := math.Tanh(x); math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("TanhInto(%v [%#x]) = %v (%#x), math.Tanh %v (%#x)",
-				x, math.Float64bits(x), got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			t.Fatalf("%v: TanhInto(%v [%#x]) = %v (%#x), math.Tanh %v (%#x)",
+				tr, x, math.Float64bits(x), got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
 		}
 	}
 }
 
 // TestTanhIntoMatchesMathTanh is the 4M-input differential test of
-// TanhInto against math.Tanh: uniform bit patterns (every NaN payload,
-// subnormals, ±Inf), uniform values over both branches and beyond
-// 0.5·MAXLOG, and the neighbourhoods of the branch edges.
+// TanhInto against math.Tanh, on every tier: uniform bit patterns (every
+// NaN payload, subnormals, ±Inf), uniform values over both branches and
+// beyond 0.5·MAXLOG, and the neighbourhoods of the branch edges.
 func TestTanhIntoMatchesMathTanh(t *testing.T) {
 	const total = 1 << 22
 	if testing.Short() {
 		t.Skip("4M-input sweep skipped with -short")
 	}
+	tiers := hostTiers(t, tanhTier)
 	rng := rand.New(rand.NewSource(22))
 	xs := make([]float64, 1<<12)
 	for done := 0; done < total; done += len(xs) {
@@ -262,10 +281,14 @@ func TestTanhIntoMatchesMathTanh(t *testing.T) {
 				xs[i] = -xs[i]
 			}
 		}
-		checkTanh(t, xs)
+		for _, tr := range tiers {
+			checkTanh(t, tr, xs)
+		}
 	}
-	for n := 0; n <= 9; n++ {
-		checkTanh(t, xs[1:1+n])
+	for _, tr := range tiers {
+		for n := 0; n <= 17; n++ {
+			checkTanh(t, tr, xs[1:1+n])
+		}
 	}
 }
 
@@ -273,7 +296,7 @@ func TestTanhIntoMatchesMathTanh(t *testing.T) {
 // with GODEBUG=cpu.fma=off, which moves math.Exp off its FMA path: the
 // probe in kernels_amd64.go must then fall back to math.Tanh.
 func TestTanhIntoWithoutMathFMA(t *testing.T) {
-	if !useAsm || testing.Short() {
+	if dotTier == tierGo || testing.Short() {
 		t.Skip("needs the vector kernels and the full sweep")
 	}
 	cmd := exec.Command(os.Args[0], "-test.run=^TestTanhIntoMatchesMathTanh$", "-test.count=1")
@@ -284,30 +307,29 @@ func TestTanhIntoWithoutMathFMA(t *testing.T) {
 }
 
 // TestTanhIntoAliases pins the in-place form TanhInto(x, x) that
-// nn.Dense.Forward relies on.
+// nn.Dense.Forward relies on, on every tier.
 func TestTanhIntoAliases(t *testing.T) {
-	xs := []float64{-3, -0.7, -0.1, 0, 0.2, 0.65, 1.5, 45, 0.3}
-	want := make([]float64, len(xs))
-	for i, x := range xs {
-		want[i] = math.Tanh(x)
-	}
-	TanhInto(xs, xs)
-	for i := range xs {
-		if xs[i] != want[i] {
-			t.Fatalf("in place: [%d] = %v, want %v", i, xs[i], want[i])
+	in := []float64{-3, -0.7, -0.1, 0, 0.2, 0.65, 1.5, 45, 0.3, -2, 0.9, 7, -0.01}
+	for _, tr := range hostTiers(t, tanhTier) {
+		xs := append([]float64(nil), in...)
+		tanh(tr, xs, xs)
+		for i, x := range in {
+			if want := math.Tanh(x); xs[i] != want {
+				t.Fatalf("%v in place: [%d] = %v, want %v", tr, i, xs[i], want)
+			}
 		}
 	}
 }
 
-// TestVectorTanhSelected fails when a CPU that runs the vector dot
-// kernels leaves the tanh kernel off: its probe disagreeing with
+// TestVectorTanhSelected fails when a CPU that runs a tier of vector dot
+// kernels leaves that tier's tanh kernel off: its probe disagreeing with
 // math.Tanh would mean math.Exp left the FMA path the kernel replays.
 func TestVectorTanhSelected(t *testing.T) {
-	if !useAsm || strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+	if dotTier == tierGo || strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
 		t.Skip("no vector kernels on this build or CPU, or CPU features masked by GODEBUG")
 	}
-	if !useAsmTanh {
-		t.Fatal("the AVX2 tanh kernel disagrees with math.Tanh on its probe inputs")
+	if tanhTier != dotTier {
+		t.Fatalf("the %v tanh kernel disagrees with math.Tanh on its probe inputs (tanh tier %v)", dotTier, tanhTier)
 	}
 }
 
@@ -327,17 +349,17 @@ func benchOperands(in, out int) (x, r, wt []float64) {
 	return x, r, wt
 }
 
-// BenchmarkDotRowsInto times Predict1's affine kernel, the bias add
+// BenchmarkVecMatInto times Predict1's affine kernel, the bias add
 // included, on the planners' layer shapes, in×out: 5×32, 32×32 and the
 // 32×1 output layer (the Go tail alone).
-func BenchmarkDotRowsInto(b *testing.B) {
+func BenchmarkVecMatInto(b *testing.B) {
 	for _, s := range []struct{ in, out int }{{5, 32}, {32, 32}, {32, 1}} {
 		b.Run(fmt.Sprintf("%dx%d", s.in, s.out), func(b *testing.B) {
 			x, _, w := benchOperands(s.in, s.out)
 			bias, _, _ := benchOperands(s.out, 0)
 			dst := make([]float64, s.out)
 			for i := 0; i < b.N; i++ {
-				DotRowsInto(dst, x, w, bias)
+				VecMatInto(dst, x, w, bias)
 			}
 		})
 	}

@@ -8,13 +8,13 @@
 // the image holds the normalized float input Predict1 sees) and becomes
 // the centre c = lo/2 + hi/2 and radius r = hi/2 − lo/2, which cannot
 // overflow for finite bounds.  A dense layer y = act(W·x + b) maps it in
-// one sweep of mat.MidRadInto over the transposed weights Wᵀ that New
-// snapshots:
+// one sweep of mat.MidRadInto over a snapshot of the layer's transposed
+// weights Wᵀ (nn.Dense.WT, the layout Predict1 reads):
 //
 //	c' = W·c + b,   r' = |W|·r + margin,   z ∈ [c' − r', c' + r'],
 //
 // where the kernel takes |w| from the sign bit and keeps the centre and
-// radius sums apart, each in the k order of Predict1's mat.DotRowsInto,
+// radius sums apart, each in the k order of Predict1's mat.VecMatInto,
 // so both are bitwise the two separate passes.  In real arithmetic
 // c' ± |W|·r is exactly the sign-split bound.  The per-row margin covers
 // every rounding error in float64: Predict1's own dot product, the centre
@@ -48,9 +48,11 @@
 // DESIGN.md §15 for the error tally.  An input so large that a
 // pre-activation might overflow gets the whole real line.
 //
-// A Propagator is immutable after New (weights are snapshotted, so later
-// training of the source network is not reflected) and safe for
-// concurrent use; per-call state lives in a caller-supplied Scratch.
+// A Propagator is immutable after New (weights are snapshotted: it keeps
+// each layer's Wᵀ, which nn replaces rather than rewrites when the weights
+// change, so later training of the source network is not reflected) and
+// safe for concurrent use; per-call state lives in a caller-supplied
+// Scratch.
 package ibp
 
 import (
@@ -322,7 +324,7 @@ func New(net *nn.Network, norm *nn.Normalizer) (*Propagator, error) {
 		}
 		sl := layer{
 			in: l.In, out: l.Out,
-			wt:     make([]float64, l.In*l.Out),
+			wt:     l.WT(), // a snapshot: nn never writes a built Wᵀ
 			b:      append([]float64(nil), l.B...),
 			rowsum: make([]float64, l.Out),
 			gb:     make([]float64, l.Out),
@@ -338,8 +340,7 @@ func New(net *nn.Network, norm *nn.Normalizer) (*Propagator, error) {
 		}
 		for j := 0; j < l.Out; j++ {
 			var s float64
-			for k, w := range l.W.Row(j) {
-				sl.wt[k*l.Out+j] = w
+			for _, w := range l.W.Row(j) {
 				s += math.Abs(w)
 			}
 			sl.rowsum[j] = s

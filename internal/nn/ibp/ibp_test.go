@@ -10,6 +10,7 @@ import (
 	"safeplan/internal/dynamics"
 	"safeplan/internal/interval"
 	"safeplan/internal/leftturn"
+	"safeplan/internal/mat"
 	"safeplan/internal/nn"
 )
 
@@ -598,8 +599,9 @@ func TestIBPRejectsBadNormalizer(t *testing.T) {
 	}
 }
 
-// TestIBPSnapshot pins the snapshot semantics: training the source network
-// after New must not move the propagator's bounds.
+// TestIBPSnapshot pins the snapshot semantics: changing the source
+// network's biases after New, or training it (which replaces the Wᵀ the
+// propagator keeps), must not move the propagator's bounds.
 func TestIBPSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := nn.NewMLP(rng, nn.Tanh{}, 2, 4, 1)
@@ -611,6 +613,12 @@ func TestIBPSnapshot(t *testing.T) {
 	before := p.PredictInterval1(box, nil)
 	for _, l := range net.Layers {
 		l.B[0] += 10
+	}
+	x, y := mat.NewDense(8, 2), mat.NewDense(8, 1)
+	x.Randomize(rng, 1)
+	y.Randomize(rng, 1)
+	for i := 0; i < 3; i++ {
+		net.TrainBatch(x, y, &nn.SGD{LR: 0.5})
 	}
 	after := p.PredictInterval1(box, nil)
 	if before != after {

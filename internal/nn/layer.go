@@ -10,11 +10,22 @@ import (
 
 // Dense is a fully connected layer: y = act(x·Wᵀ + b) with W of shape
 // (out × in) and b of length out.
+//
+// W is the layer's weights for the model file and the gradients.  The
+// forward passes read wt, a row-major in × out copy of Wᵀ, which every
+// writer of W in this package rebuilds (syncWT): NewDense, UnmarshalModel,
+// TrainBatch after the optimizer step and FitAdvanced's early-stopping
+// restore.  Code in this package that writes W must call syncWT before
+// the next forward pass; code outside it only reads W.  A built wt is
+// never written again, so Clone shares it with its copy and ibp.New with
+// its propagator.
 type Dense struct {
 	In, Out int
 	W       *mat.Dense // out × in
 	B       []float64  // out
 	Act     Activation
+
+	wt []float64 // Wᵀ, in × out, row-major
 
 	// Forward caches (batch mode), reused by Backward; training only.
 	x    *mat.Dense // input (n × in)
@@ -56,8 +67,27 @@ func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 	}
 	scale := math.Sqrt(6.0 / float64(in+out))
 	l.W.Randomize(rng, scale)
+	l.syncWT()
 	return l
 }
+
+// syncWT rebuilds wt from W into a fresh slice, never into the old one,
+// which a clone or a propagator may share.
+func (l *Dense) syncWT() {
+	wt := make([]float64, l.In*l.Out)
+	for j := 0; j < l.Out; j++ {
+		for k, w := range l.W.Row(j) {
+			wt[k*l.Out+j] = w
+		}
+	}
+	l.wt = wt
+}
+
+// WT returns the layer's Wᵀ, the row-major in × out copy of W that the
+// forward passes read.  It is never written after it is built (a change
+// to W gets a new copy), so a caller may keep it as a snapshot of the
+// current weights, but must not modify it.
+func (l *Dense) WT() []float64 { return l.wt }
 
 // Forward computes the layer output for a batch x (n × in), caching the
 // values Backward needs.
@@ -73,9 +103,8 @@ func (l *Dense) Forward(x *mat.Dense) *mat.Dense {
 	}
 	// z = x·Wᵀ + b, one row at a time: a batch and Predict1's single
 	// sample take the same kernel, which adds the bias as it stores.
-	w := l.W.Data()
 	for i := 0; i < n; i++ {
-		mat.DotRowsInto(l.z.Row(i), x.Row(i), w, l.B)
+		mat.VecMatInto(l.z.Row(i), x.Row(i), l.wt, l.B)
 	}
 	l.activate(l.aOut.Data(), l.z.Data())
 	return l.aOut

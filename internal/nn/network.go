@@ -71,9 +71,9 @@ func (n *Network) Predict(in []float64) []float64 {
 const predictWidth = 64
 
 // Predict1 evaluates a single-output network on one input vector.  It
-// reads only the weights, keeping its activations on the stack, so it is
-// safe for concurrent use and does not allocate for layers of at most
-// predictWidth units.  It runs the kernel and activation of Dense.Forward,
+// reads only the weights (each layer's Wᵀ and bias), keeping its
+// activations on the stack, so it is safe for concurrent use and does not
+// allocate for layers of at most predictWidth units.  It runs the kernel and activation of Dense.Forward,
 // so it agrees bit for bit with ForwardBatch on the same row.
 func (n *Network) Predict1(in []float64) float64 {
 	if len(in) != n.InputDim() {
@@ -91,7 +91,7 @@ func (n *Network) Predict1(in []float64) float64 {
 		} else {
 			z = make([]float64, l.Out)
 		}
-		mat.DotRowsInto(z, x, l.W.Data(), l.B)
+		mat.VecMatInto(z, x, l.wt, l.B)
 		l.activate(z, z)
 		x, next, spare = z, spare, next
 	}
@@ -134,12 +134,16 @@ func (n *Network) TrainBatch(x, y *mat.Dense, opt Optimizer) float64 {
 		d = n.Layers[i].Backward(d)
 	}
 	opt.Step(n)
+	for _, l := range n.Layers {
+		l.syncWT()
+	}
 	return loss
 }
 
 // Clone returns a deep copy of the network: weights only.  Forward caches
 // start fresh, and the gradient buffers are allocated only if the copy
-// is trained.
+// is trained.  The copies share each layer's Wᵀ, which neither writes in
+// place: training either one gives it a Wᵀ of its own.
 func (n *Network) Clone() *Network {
 	out := &Network{}
 	for _, l := range n.Layers {
@@ -149,6 +153,7 @@ func (n *Network) Clone() *Network {
 			W:   l.W.Clone(),
 			B:   append([]float64(nil), l.B...),
 			Act: l.Act,
+			wt:  l.wt, // never written in place; see Dense
 		}
 		out.Layers = append(out.Layers, nl)
 	}

@@ -119,11 +119,11 @@ func TestPredict1Allocs(t *testing.T) {
 
 // TestForwardBatchMatchesPredict1 pins each row of a batch forward pass
 // (Dense.Forward, which training runs) to Predict1's inference loop on
-// that row, bit for bit: both run mat.DotRowsInto, bias included, and
-// Dense.activate.  The hidden widths 32 and 35 take the kernel's
-// 16-output blocks and its Go tail; a layer wider than predictWidth takes
-// Predict1's heap fallback; the biases are random, so the fused bias add
-// is exercised.
+// that row, bit for bit: both run mat.VecMatInto on the layer's Wᵀ, bias
+// included, and Dense.activate.  The hidden widths 32 and 35 take the
+// kernel's vector blocks and its scalar tail; a layer wider than
+// predictWidth takes Predict1's heap fallback; the biases are random, so
+// the fused bias add is exercised.
 func TestForwardBatchMatchesPredict1(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, c := range []struct {
@@ -188,10 +188,13 @@ func TestGradientCheck(t *testing.T) {
 		for k := 0; k < len(wd); k += 3 { // sample every third weight
 			orig := wd[k]
 			wd[k] = orig + h
+			l.syncWT()
 			lp := loss()
 			wd[k] = orig - h
+			l.syncWT()
 			lm := loss()
 			wd[k] = orig
+			l.syncWT()
 			num := (lp - lm) / (2 * h)
 			if math.Abs(num-gd[k]) > 1e-4*(1+math.Abs(num)) {
 				t.Fatalf("layer %d weight %d: analytic %v, numeric %v", li, k, gd[k], num)
@@ -278,10 +281,19 @@ func TestClone(t *testing.T) {
 	if n.Predict1(in) != c.Predict1(in) {
 		t.Fatal("clone predicts differently")
 	}
-	// Mutating the clone must not affect the original.
+	// Mutating the clone must not affect the original, in W or in the
+	// Wᵀ that Predict1 reads.
+	want := n.Predict1(in)
 	c.Layers[0].W.Set(0, 0, 99)
+	c.Layers[0].syncWT()
 	if n.Layers[0].W.At(0, 0) == 99 {
 		t.Fatal("clone shares weight storage")
+	}
+	if got := n.Predict1(in); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("original predicts %v after the clone's weight changed, want %v", got, want)
+	}
+	if c.Predict1(in) == want {
+		t.Fatal("clone predicts as before after its weight changed")
 	}
 }
 

@@ -95,6 +95,7 @@ func UnmarshalModel(data []byte) (*Network, *Normalizer, error) {
 			}
 			copy(l.W.Row(r), row)
 		}
+		l.syncWT()
 		if i > 0 && n.Layers[i-1].Out != l.In {
 			return nil, nil, fmt.Errorf("nn: layer %d input %d does not match previous output %d",
 				i, l.In, n.Layers[i-1].Out)

@@ -151,6 +151,7 @@ func (n *Network) FitAdvanced(ds *Dataset, opt Optimizer, cfg AdvancedTrainConfi
 		for i, l := range n.Layers {
 			copy(l.W.Data(), bestNet.Layers[i].W.Data())
 			copy(l.B, bestNet.Layers[i].B)
+			l.syncWT()
 		}
 		res.RestoredBest = true
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -212,4 +213,81 @@ func TestLazyGradientsTrainBitwise(t *testing.T) {
 			}
 		}
 	}
+}
+
+// naivePredict evaluates a single-output network from W and B alone: each
+// output sums x[k]·W[j][k] from +0 in k order, adds the bias and applies
+// the activation (math.Tanh for tanh layers, which mat.TanhInto equals
+// bit for bit).  It never reads Wᵀ, so it shows whether that copy is
+// stale.
+func naivePredict(n *Network, in []float64) float64 {
+	x := in
+	for _, l := range n.Layers {
+		z := make([]float64, l.Out)
+		for j := range z {
+			var s float64
+			for k, w := range l.W.Row(j) {
+				s += x[k] * w
+			}
+			z[j] = l.Act.Apply(s + l.B[j])
+		}
+		x = z
+	}
+	return x[0]
+}
+
+// TestWTTracksW checks that every writer of W in this package rebuilds
+// the Wᵀ copy the forward passes read: after NewMLP, Clone, a model round
+// trip, each of several TrainBatch steps and FitAdvanced's early-stopping
+// restore, Predict1 equals the matching ForwardBatch row and a naive
+// forward pass from W, bit for bit.
+func TestWTTracksW(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	x := mat.NewDense(9, 2)
+	y := mat.NewDense(9, 1)
+	x.Randomize(rng, 2)
+	y.Randomize(rng, 1)
+	check := func(stage string, n *Network) {
+		t.Helper()
+		batch := n.ForwardBatch(x)
+		for i := 0; i < x.Rows(); i++ {
+			got := n.Predict1(x.Row(i))
+			if want := batch.At(i, 0); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s, row %d: Predict1 %v, ForwardBatch %v", stage, i, got, want)
+			}
+			if want := naivePredict(n, x.Row(i)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s, row %d: Predict1 %v, naive forward pass from W %v", stage, i, got, want)
+			}
+		}
+	}
+	n := NewMLP(rng, Tanh{}, 2, 35, 33, 1)
+	for _, l := range n.Layers {
+		for j := range l.B {
+			l.B[j] = rng.NormFloat64()
+		}
+	}
+	check("NewMLP", n)
+	check("Clone", n.Clone())
+	data, err := MarshalModel(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := UnmarshalModel(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("UnmarshalModel", loaded)
+	opt := &Adam{LR: 0.05}
+	for step := 1; step <= 4; step++ {
+		n.TrainBatch(x, y, opt)
+		check(fmt.Sprintf("TrainBatch step %d", step), n)
+	}
+	ds := makeQuadraticDataset(300, 42)
+	res := n.FitAdvanced(ds, &Adam{LR: 0.05}, AdvancedTrainConfig{
+		Epochs: 200, BatchSize: 16, Seed: 43, ValFrac: 0.3, Patience: 2,
+	})
+	if !res.StoppedEarly || !res.RestoredBest {
+		t.Fatalf("FitAdvanced stopped early %v, restored %v: the restore is not exercised", res.StoppedEarly, res.RestoredBest)
+	}
+	check("early-stopping restore", n)
 }

@@ -11,8 +11,10 @@ import (
 
 // episodeAllocBudget is the allocation gate's budget (see
 // internal/sim/alloc_test.go for the rationale).  A chain longer than two
-// vehicles publishes Result.Links, one allocation per episode.
-const episodeAllocBudget = 2
+// vehicles publishes Result.Links, one allocation per episode.  The burst
+// link's Gilbert–Elliott process adds none: comms.Channel.Reset renews it
+// in place (disturb.Renew).
+const episodeAllocBudget = 1
 
 // TestPlatoonEpisodeAllocs is the platoon allocation gate: a warm
 // four-vehicle chain with the burst preset on its middle link and the
