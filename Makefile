@@ -75,7 +75,7 @@ lint-extra:
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || echo "staticcheck not installed; skipping"
 	@command -v govulncheck >/dev/null 2>&1 && govulncheck ./... || echo "govulncheck not installed; skipping"
 
-# Net non-test Go line delta of the working tree against BASE (a commit,
+# Net line delta of the working tree against BASE (a commit,
 # branch or tag), with the perfbench module on its own line:
 # `make loc-delta BASE=main`.  See scripts/loc_delta.sh for what counts.
 loc-delta:

@@ -87,7 +87,8 @@ func main() {
 		log.Fatal("missing -workload (see -list for registered names)")
 	}
 	// Validate the name now, against the same registry workers use: a typo
-	// should fail here, not as unknown-workload on every joining worker.
+	// should fail here, not on every joining worker (each would fail to
+	// resolve it, say bye and exit with a local error).
 	wl, err := workloads.Lookup(*workload)
 	if err != nil {
 		log.Fatal(err)

@@ -263,8 +263,8 @@ func TestCampaignProgressAndTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, total := m.Progress()
-	if done != 1_000 || total != 1_000 {
+	s := m.Snapshot()
+	if done, total := s.ProgressDone, s.ProgressTotal; done != 1_000 || total != 1_000 {
 		t.Fatalf("progress %d/%d, want 1000/1000", done, total)
 	}
 	if rep.Perf.EpisodesPerSec <= 0 || rep.Perf.WallSeconds <= 0 {

@@ -206,12 +206,6 @@ func (c *Config) RequiredGap(egoV, leadV, assumedBrake float64) float64 {
 	return g
 }
 
-// Violation reports whether the true states violate the unsafe set — the
-// scored safety outcome of an episode.
-func (c *Config) Violation(ego, lead dynamics.State) bool {
-	return lead.P-ego.P < c.PGap
-}
-
 // ReachedGoal reports whether the ego has covered the episode distance.
 func (c *Config) ReachedGoal(ego dynamics.State) bool { return ego.P >= c.Goal }
 
@@ -236,13 +230,6 @@ func (c *Config) Features(ego dynamics.State, lead LeadEstimate, assumedBrake fl
 		lead.A,
 		c.RequiredGap(ego.V, lead.PointV, assumedBrake),
 	}
-}
-
-// FeatureBox returns a fresh interval feature box; see FeatureBoxInto.
-func (c *Config) FeatureBox(ego dynamics.State, sound LeadEstimate, assumedBrake float64) []interval.Interval {
-	dst := make([]interval.Interval, FeatureCount)
-	c.FeatureBoxInto(dst, ego, sound, assumedBrake)
-	return dst
 }
 
 // FeatureBoxInto is the interval twin of Features: it writes into dst

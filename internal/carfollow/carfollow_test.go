@@ -281,3 +281,9 @@ func TestTrainNNPlannerImitates(t *testing.T) {
 		t.Fatalf("behavioural RMSE %v too high", rmse)
 	}
 }
+
+// Violation reports whether the true states violate the unsafe set — the
+// scored safety outcome of an episode.
+func (c *Config) Violation(ego, lead dynamics.State) bool {
+	return lead.P-ego.P < c.PGap
+}

@@ -101,7 +101,7 @@ type Channel struct {
 	delay *rand.Rand      // latency draws only
 	queue []pending
 
-	sent, dropped, delivered, replayed int
+	sent, dropped, delivered int
 }
 
 // NewChannel creates a channel with the given disturbance configuration.
@@ -144,7 +144,7 @@ func (c *Channel) Reset(cfg Config, rng *rand.Rand) error {
 		c.proc = disturb.Renew(c.proc, cfg.Model, c.drop, c.delay)
 	}
 	c.queue = c.queue[:0]
-	c.sent, c.dropped, c.delivered, c.replayed = 0, 0, 0, 0
+	c.sent, c.dropped, c.delivered = 0, 0, 0
 	return nil
 }
 
@@ -166,7 +166,6 @@ func (c *Channel) Send(m Message) {
 		}
 		c.enqueue(m.T+d.Delay, m)
 		for _, extra := range d.Dup {
-			c.replayed++
 			c.enqueue(m.T+extra, m)
 		}
 		return
@@ -180,7 +179,7 @@ func (c *Channel) Send(m Message) {
 
 // enqueue inserts one delivery, keeping the queue sorted by delivery time
 // (jitter models enqueue out of order; the stable sort keeps ties in send
-// order, so Poll output is deterministic).
+// order, so PollAppend output is deterministic).
 func (c *Channel) enqueue(at float64, m Message) {
 	c.queue = append(c.queue, pending{deliverAt: at, msg: m})
 	if n := len(c.queue); n > 1 && c.queue[n-2].deliverAt > c.queue[n-1].deliverAt {
@@ -190,17 +189,10 @@ func (c *Channel) enqueue(at float64, m Message) {
 	}
 }
 
-// Poll returns, in delivery order, every message whose delivery time is
-// ≤ now, removing them from the queue.  It allocates a fresh slice per
-// call; hot paths should hold a scratch buffer and use PollAppend.
-func (c *Channel) Poll(now float64) []Message {
-	return c.PollAppend(now, nil)
-}
-
-// PollAppend is the allocation-free form of Poll: due messages are appended
-// to buf (which may be nil or a reused scratch slice) and the extended
-// slice is returned.  Delivery order and side effects are identical to
-// Poll.
+// PollAppend removes from the queue every message whose delivery time is
+// ≤ now and appends them, in delivery order, to buf (which may be nil or
+// a reused scratch slice, so the steady state does not allocate); it
+// returns the extended slice.
 func (c *Channel) PollAppend(now float64, buf []Message) []Message {
 	i := 0
 	for ; i < len(c.queue); i++ {
@@ -216,17 +208,10 @@ func (c *Channel) PollAppend(now float64, buf []Message) []Message {
 	return buf
 }
 
-// Pending returns how many messages are in flight.
-func (c *Channel) Pending() int { return len(c.queue) }
-
 // Stats returns the lifetime counters (sent, dropped, delivered).
 func (c *Channel) Stats() (sent, dropped, delivered int) {
 	return c.sent, c.dropped, c.delivered
 }
-
-// Replayed returns how many stale duplicate deliveries the disturbance
-// model has enqueued.
-func (c *Channel) Replayed() int { return c.replayed }
 
 // Ticker generates the periodic broadcast/sensing instants of the paper
 // (every Δt_m or Δt_s seconds).  It counts periods with an integer index so

@@ -45,11 +45,11 @@ func TestNewChannelRejectsNilRNG(t *testing.T) {
 func TestPerfectDeliveryImmediate(t *testing.T) {
 	ch := newCh(t, NoDisturbance(), 1)
 	ch.Send(Message{Sender: 1, T: 0.5, P: 10})
-	got := ch.Poll(0.5)
+	got := ch.PollAppend(0.5, nil)
 	if len(got) != 1 || got[0].P != 10 {
-		t.Fatalf("Poll = %v", got)
+		t.Fatalf("PollAppend = %v", got)
 	}
-	if len(ch.Poll(1)) != 0 {
+	if len(ch.PollAppend(1, nil)) != 0 {
 		t.Fatal("message delivered twice")
 	}
 }
@@ -57,12 +57,12 @@ func TestPerfectDeliveryImmediate(t *testing.T) {
 func TestDelayHoldsMessage(t *testing.T) {
 	ch := newCh(t, Delayed(0.25, 0), 1)
 	ch.Send(Message{T: 1.0, V: 7})
-	if got := ch.Poll(1.2); len(got) != 0 {
+	if got := ch.PollAppend(1.2, nil); len(got) != 0 {
 		t.Fatalf("message delivered before delay elapsed: %v", got)
 	}
-	got := ch.Poll(1.25)
+	got := ch.PollAppend(1.25, nil)
 	if len(got) != 1 || got[0].V != 7 {
-		t.Fatalf("Poll after delay = %v", got)
+		t.Fatalf("PollAppend after delay = %v", got)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestLostDropsEverything(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		ch.Send(Message{T: float64(i)})
 	}
-	if got := ch.Poll(math.Inf(1)); len(got) != 0 {
+	if got := ch.PollAppend(math.Inf(1), nil); len(got) != 0 {
 		t.Fatalf("lost channel delivered %d messages", len(got))
 	}
 	sent, dropped, delivered := ch.Stats()
@@ -98,19 +98,16 @@ func TestPollOrderAndPartialDrain(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ch.Send(Message{T: float64(i), P: float64(i)})
 	}
-	got := ch.Poll(2.5) // delivers T=0,1,2 (deliverAt 0.5,1.5,2.5)
+	got := ch.PollAppend(2.5, nil) // delivers T=0,1,2 (deliverAt 0.5,1.5,2.5)
 	if len(got) != 3 {
-		t.Fatalf("Poll delivered %d messages, want 3", len(got))
+		t.Fatalf("PollAppend delivered %d messages, want 3", len(got))
 	}
 	for i, m := range got {
 		if m.P != float64(i) {
 			t.Fatalf("out of order: %v", got)
 		}
 	}
-	if ch.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", ch.Pending())
-	}
-	rest := ch.Poll(math.Inf(1))
+	rest := ch.PollAppend(math.Inf(1), nil)
 	if len(rest) != 2 || rest[0].P != 3 || rest[1].P != 4 {
 		t.Fatalf("remaining = %v", rest)
 	}
@@ -151,7 +148,7 @@ func TestModelDrivesChannel(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ch.Send(Message{T: float64(i)})
 	}
-	if got := ch.Poll(math.Inf(1)); len(got) != 0 {
+	if got := ch.PollAppend(math.Inf(1), nil); len(got) != 0 {
 		t.Fatalf("blackout delivered %d messages", len(got))
 	}
 }
@@ -162,7 +159,7 @@ func TestModelJitterDeliversInArrivalOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ch.Send(Message{T: float64(i) * 0.1, P: float64(i)})
 	}
-	got := ch.Poll(math.Inf(1))
+	got := ch.PollAppend(math.Inf(1), nil)
 	if len(got) != n {
 		t.Fatalf("delivered %d, want %d", len(got), n)
 	}
@@ -184,10 +181,7 @@ func TestModelReplayDeliversStaleDuplicates(t *testing.T) {
 	ch := newCh(t, Disturbed(disturb.Replay{Prob: 1, ExtraMin: 0.5, ExtraMax: 0.5}), 1)
 	ch.Send(Message{T: 1, P: 10})
 	ch.Send(Message{T: 2, P: 20})
-	if ch.Replayed() != 2 {
-		t.Fatalf("Replayed = %d, want 2", ch.Replayed())
-	}
-	got := ch.Poll(math.Inf(1))
+	got := ch.PollAppend(math.Inf(1), nil)
 	// Originals at 1, 2 plus duplicates at 1.5, 2.5 → T order 1, 1, 2, 2.
 	if len(got) != 4 {
 		t.Fatalf("delivered %d messages, want 4", len(got))
@@ -307,9 +301,9 @@ func TestQuickLosslessConservation(t *testing.T) {
 		}
 		var got []Message
 		for now := 0.0; now < 10; now += 0.05 {
-			got = append(got, ch.Poll(now)...)
+			got = append(got, ch.PollAppend(now, nil)...)
 		}
-		got = append(got, ch.Poll(math.Inf(1))...)
+		got = append(got, ch.PollAppend(math.Inf(1), nil)...)
 		if len(got) != n {
 			return false
 		}
@@ -335,12 +329,12 @@ func episodeTrace(ch *Channel) []float64 {
 		if i%2 == 0 {
 			ch.Send(Message{Sender: 1, T: now, P: float64(i)})
 		}
-		for _, m := range ch.Poll(now) {
+		for _, m := range ch.PollAppend(now, nil) {
 			out = append(out, now, m.T, m.P)
 		}
 	}
 	sent, dropped, delivered := ch.Stats()
-	return append(out, float64(sent), float64(dropped), float64(delivered), float64(ch.Replayed()))
+	return append(out, float64(sent), float64(dropped), float64(delivered))
 }
 
 // TestResetMatchesFresh checks that a channel reset for a new episode

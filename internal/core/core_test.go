@@ -186,8 +186,8 @@ func TestQuickCompoundSafetyBlurredKnowledge(t *testing.T) {
 			dp, dv := rng.Float64()*3, rng.Float64()*2
 			op, ov := (rng.Float64()*2-1)*dp, (rng.Float64()*2-1)*dv
 			sound := leftturn.OncomingEstimate{
-				P:      interval.New(onc.P-dp+op, onc.P+dp+op).Hull(interval.Point(onc.P)),
-				V:      interval.New(onc.V-dv+ov, onc.V+dv+ov).Hull(interval.Point(onc.V)).ClampTo(c.Oncoming.VMin, c.Oncoming.VMax),
+				P:      interval.New(math.Min(onc.P-dp+op, onc.P), math.Max(onc.P+dp+op, onc.P)),
+				V:      interval.New(math.Min(onc.V-dv+ov, onc.V), math.Max(onc.V+dv+ov, onc.V)).ClampTo(c.Oncoming.VMin, c.Oncoming.VMax),
 				PointP: onc.P + op,
 				PointV: math.Max(0, onc.V+ov),
 				A:      oncA,

@@ -185,38 +185,3 @@ func (c *MultiCompound) Accel(t float64, ego dynamics.State, ks []Knowledge) (fl
 	}
 	return a, false
 }
-
-// SingleAsMulti adapts a single-vehicle Agent to the MultiAgent interface
-// for campaigns that mix vehicle counts; it considers only the most
-// constraining vehicle, which is NOT safe in general — it exists for
-// baseline comparisons in the multi-vehicle experiments.
-type SingleAsMulti struct {
-	Cfg   leftturn.Config
-	Agent Agent
-}
-
-// Name implements MultiAgent.
-func (s *SingleAsMulti) Name() string { return s.Agent.Name() + "+nearest" }
-
-// Accel implements MultiAgent.
-func (s *SingleAsMulti) Accel(t float64, ego dynamics.State, ks []Knowledge) (float64, bool) {
-	if len(ks) == 0 {
-		return s.Agent.Accel(t, ego, Knowledge{
-			Sound: emptyEstimate(), Fused: emptyEstimate(),
-		})
-	}
-	// Pick the vehicle with the earliest sound entry.
-	best := 0
-	bestLo := math.Inf(1)
-	for i, k := range ks {
-		w := s.Cfg.ConservativeWindow(k.Sound)
-		if !w.IsEmpty() && w.Lo < bestLo {
-			best, bestLo = i, w.Lo
-		}
-	}
-	return s.Agent.Accel(t, ego, ks[best])
-}
-
-func emptyEstimate() leftturn.OncomingEstimate {
-	return leftturn.OncomingEstimate{P: interval.Empty(), V: interval.Empty()}
-}

@@ -45,9 +45,6 @@ func TestMultiNames(t *testing.T) {
 	if got := (&MultiCompound{Cfg: c, Planner: p}).Name(); got != "compound-multi:expert-conservative" {
 		t.Fatalf("zero-value MultiCompound name = %q", got)
 	}
-	if got := (&SingleAsMulti{Cfg: c, Agent: NewBasic(c, p)}).Name(); got != "basic:expert-conservative+nearest" {
-		t.Fatalf("SingleAsMulti name = %q", got)
-	}
 }
 
 func TestMultiMatchesSingleForOneVehicle(t *testing.T) {
@@ -114,40 +111,6 @@ func TestMultiNoVehicles(t *testing.T) {
 	if a != c.Ego.AMax {
 		t.Fatalf("empty road should be full throttle, got %v", a)
 	}
-}
-
-func TestSingleAsMultiPicksNearest(t *testing.T) {
-	c := scenario()
-	var seen leftturn.OncomingEstimate
-	spy := PlannerFuncAgent{fn: func(_ float64, _ dynamics.State, k Knowledge) (float64, bool) {
-		seen = k.Sound
-		return 0, false
-	}}
-	adapter := &SingleAsMulti{Cfg: c, Agent: spy}
-	near := exactKnowledge(dynamics.State{P: -10, V: 12}, 0)
-	far := exactKnowledge(dynamics.State{P: -80, V: 5}, 0)
-	adapter.Accel(0, dynamics.State{P: -30, V: 8}, []Knowledge{far, near})
-	if !seen.P.Contains(-10) {
-		t.Fatalf("adapter did not pick the nearest vehicle: %v", seen.P)
-	}
-	// Empty list: must not panic and must pass an empty estimate.
-	adapter.Accel(0, dynamics.State{P: -30, V: 8}, nil)
-	if !seen.P.IsEmpty() {
-		t.Fatalf("empty list should yield empty estimate, got %v", seen.P)
-	}
-}
-
-// PlannerFuncAgent adapts a function to Agent for tests.
-type PlannerFuncAgent struct {
-	fn func(float64, dynamics.State, Knowledge) (float64, bool)
-}
-
-// Name implements Agent.
-func (PlannerFuncAgent) Name() string { return "spy" }
-
-// Accel implements Agent.
-func (a PlannerFuncAgent) Accel(t float64, ego dynamics.State, k Knowledge) (float64, bool) {
-	return a.fn(t, ego, k)
 }
 
 // Multi-vehicle safety property: the compound planner never collides with

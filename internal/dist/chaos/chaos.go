@@ -1,12 +1,12 @@
 // Package chaos is the crash-injection harness for the distributed
 // campaign tier: it wraps a worker's protocol transport with scripted
 // message faults (drop, delay, duplicate — driven by the same
-// internal/disturb channel models the simulator uses for V2V traffic),
-// corrupts result payloads in flight, kills workers at a chosen episode,
-// and corrupts checkpoints on disk.  The differential gate in this
-// package's tests proves the tier's headline property: final campaign
-// statistics are byte-identical to a single-process run under EVERY
-// injected failure mode.
+// internal/disturb channel models the simulator uses for V2V traffic) and
+// corrupts result payloads in flight; this package's tests add killing
+// workers at a chosen episode and corrupting checkpoints on disk.  The
+// differential gate in those tests proves the tier's headline property:
+// final campaign statistics are byte-identical to a single-process run
+// under EVERY injected failure mode.
 //
 // Faults are injected at the transport seam (dist.Conn), so the
 // coordinator and worker under test run their real code paths — retry,
@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"safeplan/internal/dist"
@@ -185,36 +184,3 @@ func (c *Conn) Do(req dist.Request) (dist.Response, error) {
 
 // Close implements dist.Conn.
 func (c *Conn) Close() error { return c.inner.Close() }
-
-// KillAfter builds a dist worker AfterEpisode hook that crashes the
-// worker after it has run n episodes (across shards), leaving whatever
-// mid-shard state exists on disk — the kill-worker-at-step-N injection.
-func KillAfter(n int) func(shard, next int) error {
-	ran := 0
-	return func(shard, next int) error {
-		ran++
-		if ran >= n {
-			return fmt.Errorf("%w: worker killed after %d episodes (shard %d, next %d)", ErrInjected, ran, shard, next)
-		}
-		return nil
-	}
-}
-
-// CorruptFile damages a file on disk in a seed-selected way — truncation
-// or a bit flip — simulating a torn write or media corruption under a
-// crashed worker.  Checkpoint loaders must detect the damage
-// (campaign.ErrCorruptCheckpoint) and recompute, never fold the bytes.
-func CorruptFile(path string, seed int64) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	switch {
-	case len(raw) == 0 || rng.Intn(2) == 0:
-		raw = raw[:rng.Intn(len(raw)+1)] // torn write: cut at a random offset
-	default:
-		raw[rng.Intn(len(raw))] ^= 1 << uint(rng.Intn(8)) // media bit flip
-	}
-	return os.WriteFile(path, raw, 0o644)
-}

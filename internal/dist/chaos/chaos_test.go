@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -395,4 +396,37 @@ func TestCorruptFileShapes(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// KillAfter builds a dist worker AfterEpisode hook that crashes the
+// worker after it has run n episodes (across shards), leaving whatever
+// mid-shard state exists on disk — the kill-worker-at-step-N injection.
+func KillAfter(n int) func(shard, next int) error {
+	ran := 0
+	return func(shard, next int) error {
+		ran++
+		if ran >= n {
+			return fmt.Errorf("%w: worker killed after %d episodes (shard %d, next %d)", ErrInjected, ran, shard, next)
+		}
+		return nil
+	}
+}
+
+// CorruptFile damages a file on disk in a seed-selected way — truncation
+// or a bit flip — simulating a torn write or media corruption under a
+// crashed worker.  Checkpoint loaders must detect the damage
+// (campaign.ErrCorruptCheckpoint) and recompute, never fold the bytes.
+func CorruptFile(path string, seed int64) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	switch {
+	case len(raw) == 0 || rng.Intn(2) == 0:
+		raw = raw[:rng.Intn(len(raw)+1)] // torn write: cut at a random offset
+	default:
+		raw[rng.Intn(len(raw))] ^= 1 << uint(rng.Intn(8)) // media bit flip
+	}
+	return os.WriteFile(path, raw, 0o644)
 }

@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock is the package's single wall-clock seam.  Everything in
 // internal/dist that needs time — lease expiry, heartbeat cadence,
@@ -33,65 +30,3 @@ func (RealClock) Sleep(d time.Duration) { time.Sleep(d) }
 
 // After implements Clock.
 func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// FakeClock is a manually-advanced Clock for deterministic tests.  Sleep
-// and After complete when Advance moves the clock past their deadline.
-type FakeClock struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []fakeWaiter
-}
-
-type fakeWaiter struct {
-	at time.Time
-	ch chan time.Time
-}
-
-// NewFakeClock starts a fake clock at the given instant.
-func NewFakeClock(at time.Time) *FakeClock { return &FakeClock{now: at} }
-
-// Now implements Clock.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Sleep implements Clock: it blocks until Advance passes the deadline.
-func (c *FakeClock) Sleep(d time.Duration) { <-c.After(d) }
-
-// After implements Clock.
-func (c *FakeClock) After(d time.Duration) <-chan time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	at := c.now.Add(d)
-	if d <= 0 {
-		ch <- c.now
-		return ch
-	}
-	c.waiters = append(c.waiters, fakeWaiter{at: at, ch: ch})
-	return ch
-}
-
-// Advance moves the clock forward, releasing every sleeper whose
-// deadline has passed.
-func (c *FakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	now := c.now
-	keep := c.waiters[:0]
-	var fire []chan time.Time
-	for _, w := range c.waiters {
-		if !w.at.After(now) {
-			fire = append(fire, w.ch)
-		} else {
-			keep = append(keep, w)
-		}
-	}
-	c.waiters = keep
-	c.mu.Unlock()
-	for _, ch := range fire {
-		ch <- now
-	}
-}

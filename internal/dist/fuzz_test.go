@@ -20,7 +20,7 @@ const fuzzDeadline = 5 * time.Second
 // knownReasons are the machine-readable rejection classes of the worker
 // protocol.
 var knownReasons = map[string]bool{
-	ReasonBadRequest: true, ReasonUnknownWorkload: true, ReasonLeaseLost: true,
+	ReasonBadRequest: true, ReasonLeaseLost: true,
 	ReasonBadSum: true, ReasonStatsMismatch: true, ReasonFingerprint: true,
 }
 

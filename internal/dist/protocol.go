@@ -62,10 +62,6 @@ const (
 const (
 	// ReasonBadRequest: malformed JSON, unknown op, or missing fields.
 	ReasonBadRequest = "bad-request"
-	// ReasonUnknownWorkload: the coordinator's workload name is not in
-	// this worker's registry — a version or deployment skew.  Terminal
-	// for the worker.
-	ReasonUnknownWorkload = "unknown-workload"
 	// ReasonLeaseLost: the renewing or submitting worker no longer holds
 	// the shard's lease (it expired and was reassigned, or the shard was
 	// completed by another worker).  The worker abandons the shard.

@@ -207,31 +207,13 @@ func Table(kind PlannerKind, pl Planners, n int, seed int64) ([]TableRow, error)
 	return rows, nil
 }
 
-// Model file names used by SavePlanners/LoadPlanners (and cmd/train).
+// Model file names that cmd/train writes and LoadPlanners reads.
 const (
 	ConsModelFile = "nn-cons.json"
 	AggrModelFile = "nn-aggr.json"
 )
 
-// SavePlanners writes both NN planners to dir.  It fails if either planner
-// is not an *planner.NNPlanner (experts have nothing to save).
-func SavePlanners(pl Planners, dir string) error {
-	for _, m := range []struct {
-		p    planner.Planner
-		name string
-	}{{pl.Cons, ConsModelFile}, {pl.Aggr, AggrModelFile}} {
-		nnp, ok := m.p.(*planner.NNPlanner)
-		if !ok {
-			return fmt.Errorf("experiments: %T is not an NN planner", m.p)
-		}
-		if err := nnp.Save(filepath.Join(dir, m.name)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadPlanners reads the two NN planners saved by SavePlanners from dir.
+// LoadPlanners reads the two NN planners cmd/train saved to dir.
 func LoadPlanners(dir string, cfg leftturn.Config) (Planners, error) {
 	cons, err := planner.LoadNNPlanner(filepath.Join(dir, ConsModelFile), "nn-cons", cfg.Ego)
 	if err != nil {

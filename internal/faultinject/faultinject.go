@@ -396,46 +396,6 @@ func (s stackProcess) Next(t float64) Decision {
 	return out
 }
 
-// Script replays an explicit per-call decision sequence (fuzzing and
-// regression fixtures search fault schedules directly); beyond its end
-// the process is clean.
-type Script struct {
-	Steps []Decision
-}
-
-// Name implements Model.
-func (Script) Name() string { return "script" }
-
-// Validate implements Model.
-func (m Script) Validate() error {
-	for i, d := range m.Steps {
-		if math.IsNaN(d.Bias) || math.IsInf(d.Bias, 0) {
-			return fmt.Errorf("faultinject: script: step %d bias %v", i, d.Bias)
-		}
-		if math.IsNaN(d.Latency) || math.IsInf(d.Latency, 0) || d.Latency < 0 {
-			return fmt.Errorf("faultinject: script: step %d latency %v", i, d.Latency)
-		}
-	}
-	return nil
-}
-
-// New implements Model.
-func (m Script) New(_, _ *rand.Rand) Process { return &scriptProcess{steps: m.Steps} }
-
-type scriptProcess struct {
-	steps []Decision
-	i     int
-}
-
-func (s *scriptProcess) Next(float64) Decision {
-	if s.i >= len(s.steps) {
-		return Decision{}
-	}
-	d := s.steps[s.i]
-	s.i++
-	return d
-}
-
 // PanicError is the payload of an injected planner panic, so guard
 // reports can distinguish injected crashes from genuine planner bugs.
 type PanicError struct {

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -231,4 +232,43 @@ func TestValidateRejectsBadParams(t *testing.T) {
 			t.Errorf("case %d (%s): bad model validated", i, m.Name())
 		}
 	}
+}
+
+// Script replays an explicit per-call decision sequence, so a test can
+// place each fault exactly; beyond its end the process is clean.
+type Script struct {
+	Steps []Decision
+}
+
+// Name implements Model.
+func (Script) Name() string { return "script" }
+
+// Validate implements Model.
+func (m Script) Validate() error {
+	for i, d := range m.Steps {
+		if math.IsNaN(d.Bias) || math.IsInf(d.Bias, 0) {
+			return fmt.Errorf("faultinject: script: step %d bias %v", i, d.Bias)
+		}
+		if math.IsNaN(d.Latency) || math.IsInf(d.Latency, 0) || d.Latency < 0 {
+			return fmt.Errorf("faultinject: script: step %d latency %v", i, d.Latency)
+		}
+	}
+	return nil
+}
+
+// New implements Model.
+func (m Script) New(_, _ *rand.Rand) Process { return &scriptProcess{steps: m.Steps} }
+
+type scriptProcess struct {
+	steps []Decision
+	i     int
+}
+
+func (s *scriptProcess) Next(float64) Decision {
+	if s.i >= len(s.steps) {
+		return Decision{}
+	}
+	d := s.steps[s.i]
+	s.i++
+	return d
 }

@@ -16,7 +16,6 @@ package fusion
 
 import (
 	"fmt"
-	"math"
 
 	"safeplan/internal/comms"
 	"safeplan/internal/dynamics"
@@ -244,13 +243,4 @@ func (f *Filter) EstimateInto(est *Estimate, t float64) {
 			est.PointV = set.V.Clamp(x.Y)
 		}
 	}
-}
-
-// MessageAge returns t minus the timestamp of the newest message, or +Inf
-// when no message has ever arrived.
-func (f *Filter) MessageAge(t float64) float64 {
-	if !f.haveMsg {
-		return math.Inf(1)
-	}
-	return t - f.msg.T
 }

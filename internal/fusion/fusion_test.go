@@ -49,9 +49,6 @@ func TestNoInformation(t *testing.T) {
 	if est.V.Lo != lim.VMin || est.V.Hi != lim.VMax {
 		t.Fatalf("velocity should be the physical envelope, got %v", est.V)
 	}
-	if !math.IsInf(f.MessageAge(5), 1) {
-		t.Fatal("MessageAge should be +Inf without messages")
-	}
 }
 
 // TestEstimateIntoOverwritesSlot pins the in-place contract the steppers
@@ -90,9 +87,6 @@ func TestInitExactPinsState(t *testing.T) {
 	if est.A != 0.5 {
 		t.Fatalf("A = %v", est.A)
 	}
-	if f.MessageAge(1) != 1 {
-		t.Fatalf("MessageAge = %v", f.MessageAge(1))
-	}
 }
 
 func TestMessageReachabilityGrowth(t *testing.T) {
@@ -109,9 +103,6 @@ func TestStaleMessageIgnored(t *testing.T) {
 	f := newFilter(t, false, 1)
 	f.OnMessage(comms.Message{T: 2, P: 10, V: 8})
 	f.OnMessage(comms.Message{T: 1, P: 0, V: 0}) // older — ignore
-	if f.MessageAge(2) != 0 {
-		t.Fatal("stale message overwrote newer one")
-	}
 	est := f.EstimateAt(2)
 	if !est.P.Contains(10) {
 		t.Fatalf("estimate lost the newer message: %v", est.P)

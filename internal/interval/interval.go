@@ -26,20 +26,8 @@ type Interval struct {
 }
 
 // New returns the interval [lo, hi].  If lo > hi the result is empty, which
-// mirrors intersection semantics; callers that consider reversed bounds a
-// programming error should use MustNew.
+// mirrors intersection semantics.
 func New(lo, hi float64) Interval { return Interval{Lo: lo, Hi: hi} }
-
-// MustNew returns [lo, hi] and panics if lo > hi or either bound is NaN.
-func MustNew(lo, hi float64) Interval {
-	if math.IsNaN(lo) || math.IsNaN(hi) {
-		panic(fmt.Sprintf("interval: NaN bound [%v, %v]", lo, hi))
-	}
-	if lo > hi {
-		panic(fmt.Sprintf("interval: reversed bounds [%v, %v]", lo, hi))
-	}
-	return Interval{Lo: lo, Hi: hi}
-}
 
 // Point returns the degenerate interval [x, x].
 func Point(x float64) Interval { return Interval{Lo: x, Hi: x} }
@@ -52,9 +40,6 @@ func Entire() Interval { return Interval{Lo: math.Inf(-1), Hi: math.Inf(1)} }
 
 // IsEmpty reports whether the interval contains no points.
 func (iv Interval) IsEmpty() bool { return iv.Lo > iv.Hi }
-
-// IsPoint reports whether the interval is a single point.
-func (iv Interval) IsPoint() bool { return iv.Lo == iv.Hi }
 
 // Width returns Hi-Lo, or 0 for an empty interval.
 func (iv Interval) Width() float64 {
@@ -75,18 +60,6 @@ func (iv Interval) Mid() float64 {
 // Contains reports whether x lies in the interval.
 func (iv Interval) Contains(x float64) bool { return iv.Lo <= x && x <= iv.Hi }
 
-// ContainsInterval reports whether other ⊆ iv.  The empty interval is a
-// subset of everything.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	if other.IsEmpty() {
-		return true
-	}
-	if iv.IsEmpty() {
-		return false
-	}
-	return iv.Lo <= other.Lo && other.Hi <= iv.Hi
-}
-
 // Intersect returns iv ∩ other (possibly empty).
 func (iv Interval) Intersect(other Interval) Interval {
 	if iv.IsEmpty() || other.IsEmpty() {
@@ -106,17 +79,6 @@ func (iv Interval) Intersects(other Interval) bool {
 	return !iv.Intersect(other).IsEmpty()
 }
 
-// Hull returns the smallest interval containing both operands.
-func (iv Interval) Hull(other Interval) Interval {
-	if iv.IsEmpty() {
-		return other
-	}
-	if other.IsEmpty() {
-		return iv
-	}
-	return Interval{Lo: minf(iv.Lo, other.Lo), Hi: maxf(iv.Hi, other.Hi)}
-}
-
 // Add returns the Minkowski sum [a.Lo+b.Lo, a.Hi+b.Hi].
 func (iv Interval) Add(other Interval) Interval {
 	if iv.IsEmpty() || other.IsEmpty() {
@@ -131,22 +93,6 @@ func (iv Interval) Sub(other Interval) Interval {
 		return Empty()
 	}
 	return Interval{Lo: iv.Lo - other.Hi, Hi: iv.Hi - other.Lo}
-}
-
-// Neg returns [-Hi, -Lo].
-func (iv Interval) Neg() Interval {
-	if iv.IsEmpty() {
-		return iv
-	}
-	return Interval{Lo: -iv.Hi, Hi: -iv.Lo}
-}
-
-// AddScalar shifts the interval by x.
-func (iv Interval) AddScalar(x float64) Interval {
-	if iv.IsEmpty() {
-		return iv
-	}
-	return Interval{Lo: iv.Lo + x, Hi: iv.Hi + x}
 }
 
 // Scale multiplies both bounds by k, swapping them when k < 0.

@@ -24,7 +24,7 @@ func TestNewAndAccessors(t *testing.T) {
 
 func TestPoint(t *testing.T) {
 	p := Point(3.5)
-	if !p.IsPoint() || p.Width() != 0 || !p.Contains(3.5) {
+	if p.Lo != 3.5 || p.Hi != 3.5 || p.Width() != 0 || !p.Contains(3.5) {
 		t.Fatalf("Point(3.5) = %v", p)
 	}
 }
@@ -52,23 +52,6 @@ func TestEntire(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"reversed": func() { MustNew(2, 1) },
-		"nan-lo":   func() { MustNew(math.NaN(), 1) },
-		"nan-hi":   func() { MustNew(0, math.NaN()) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		})
-	}
-}
-
 func TestNewReversedIsEmpty(t *testing.T) {
 	if !New(2, 1).IsEmpty() {
 		t.Fatal("New(2,1) should be empty")
@@ -87,25 +70,6 @@ func TestContains(t *testing.T) {
 		if got := iv.Contains(c.x); got != c.want {
 			t.Errorf("Contains(%v) = %v, want %v", c.x, got, c.want)
 		}
-	}
-}
-
-func TestContainsInterval(t *testing.T) {
-	big := New(0, 10)
-	if !big.ContainsInterval(New(2, 3)) {
-		t.Error("[0,10] should contain [2,3]")
-	}
-	if !big.ContainsInterval(big) {
-		t.Error("interval should contain itself")
-	}
-	if big.ContainsInterval(New(-1, 3)) {
-		t.Error("[0,10] should not contain [-1,3]")
-	}
-	if !big.ContainsInterval(Empty()) {
-		t.Error("every interval contains the empty interval")
-	}
-	if Empty().ContainsInterval(big) {
-		t.Error("empty interval contains nothing nonempty")
 	}
 }
 
@@ -131,19 +95,6 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestHull(t *testing.T) {
-	got := New(0, 1).Hull(New(4, 5))
-	if got.Lo != 0 || got.Hi != 5 {
-		t.Fatalf("Hull = %v, want [0,5]", got)
-	}
-	if got := Empty().Hull(New(1, 2)); got.Lo != 1 || got.Hi != 2 {
-		t.Fatalf("Hull with empty = %v", got)
-	}
-	if got := New(1, 2).Hull(Empty()); got.Lo != 1 || got.Hi != 2 {
-		t.Fatalf("Hull with empty (rhs) = %v", got)
-	}
-}
-
 func TestArithmetic(t *testing.T) {
 	a := New(1, 2)
 	b := New(-3, 4)
@@ -152,12 +103,6 @@ func TestArithmetic(t *testing.T) {
 	}
 	if got := a.Sub(b); got.Lo != -3 || got.Hi != 5 {
 		t.Errorf("Sub = %v", got)
-	}
-	if got := a.Neg(); got.Lo != -2 || got.Hi != -1 {
-		t.Errorf("Neg = %v", got)
-	}
-	if got := a.AddScalar(10); got.Lo != 11 || got.Hi != 12 {
-		t.Errorf("AddScalar = %v", got)
 	}
 	if got := a.Scale(-2); got.Lo != -4 || got.Hi != -2 {
 		t.Errorf("Scale(-2) = %v", got)
@@ -178,9 +123,7 @@ func TestEmptyPropagation(t *testing.T) {
 		"Sub":       e.Sub(a),
 		"Mul":       a.Mul(e),
 		"Intersect": a.Intersect(e),
-		"Neg":       e.Neg(),
 		"Scale":     e.Scale(2),
-		"AddScalar": e.AddScalar(1),
 	}
 	for name, got := range ops {
 		if !got.IsEmpty() {
@@ -266,18 +209,7 @@ func TestQuickIntersectSubset(t *testing.T) {
 	f := func(a, b, c, d float64) bool {
 		x, y := genInterval(a, b), genInterval(c, d)
 		got := x.Intersect(y)
-		return x.ContainsInterval(got) && y.ContainsInterval(got)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickHullSuperset(t *testing.T) {
-	f := func(a, b, c, d float64) bool {
-		x, y := genInterval(a, b), genInterval(c, d)
-		h := x.Hull(y)
-		return h.ContainsInterval(x) && h.ContainsInterval(y)
+		return subset(got, x) && subset(got, y)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -307,12 +239,8 @@ func TestQuickInclusionAdd(t *testing.T) {
 	}
 }
 
-func TestQuickNegInvolution(t *testing.T) {
-	f := func(a, b float64) bool {
-		x := genInterval(a, b)
-		return x.Neg().Neg() == x
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+// subset reports whether inner ⊆ outer; the empty interval is a subset of
+// every interval.
+func subset(inner, outer Interval) bool {
+	return inner.IsEmpty() || (!outer.IsEmpty() && outer.Lo <= inner.Lo && inner.Hi <= outer.Hi)
 }

@@ -29,7 +29,7 @@ func drawInterval(rng *rand.Rand) Interval {
 
 // drawIn returns a uniformly drawn point of iv.
 func drawIn(rng *rand.Rand, iv Interval) float64 {
-	if iv.IsPoint() {
+	if iv.Lo == iv.Hi {
 		return iv.Lo
 	}
 	return iv.Lo + rng.Float64()*(iv.Hi-iv.Lo)
@@ -54,7 +54,7 @@ func TestPropSubNegConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	for i := 0; i < propCases; i++ {
 		a, b := drawInterval(rng), drawInterval(rng)
-		if a.Sub(b) != a.Add(b.Neg()) {
+		if a.Sub(b) != a.Add(b.Scale(-1)) {
 			t.Fatalf("a−b ≠ a+(−b) for %v, %v", a, b)
 		}
 		x, y := drawIn(rng, a), drawIn(rng, b)
@@ -89,13 +89,13 @@ func TestPropInclusionMonotone(t *testing.T) {
 		// a' ⊆ a, b' ⊆ b drawn by shrinking.
 		aa := New(drawIn(rng, a), a.Hi)
 		bb := New(b.Lo, drawIn(rng, b))
-		if !a.Add(b).ContainsInterval(aa.Add(bb)) {
+		if !subset(aa.Add(bb), a.Add(b)) {
 			t.Fatalf("Add not inclusion-monotone: %v⊆%v, %v⊆%v", aa, a, bb, b)
 		}
-		if !a.Mul(b).ContainsInterval(aa.Mul(bb)) {
+		if !subset(aa.Mul(bb), a.Mul(b)) {
 			t.Fatalf("Mul not inclusion-monotone: %v⊆%v, %v⊆%v", aa, a, bb, b)
 		}
-		if got := aa.Intersect(a); !got.IsEmpty() && !a.ContainsInterval(got) {
+		if got := aa.Intersect(a); !subset(got, a) {
 			t.Fatalf("Intersect escapes its operand: %v ∩ %v = %v", aa, a, got)
 		}
 	}
@@ -105,10 +105,6 @@ func TestPropIntersectHull(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	for i := 0; i < propCases; i++ {
 		a, b := drawInterval(rng), drawInterval(rng)
-		h := a.Hull(b)
-		if !h.ContainsInterval(a) || !h.ContainsInterval(b) {
-			t.Fatalf("Hull(%v, %v) = %v does not contain both operands", a, b, h)
-		}
 		x := drawIn(rng, a)
 		in := a.Intersect(b)
 		if b.Contains(x) != in.Contains(x) {
@@ -133,7 +129,7 @@ func TestPropScaleExpand(t *testing.T) {
 		}
 		r := rng.Float64() * 3
 		e := a.Expand(r)
-		if !e.ContainsInterval(a) || math.Abs(e.Width()-(a.Width()+2*r)) > 1e-9 {
+		if !subset(a, e) || math.Abs(e.Width()-(a.Width()+2*r)) > 1e-9 {
 			t.Fatalf("Expand(%v, %v) = %v", a, r, e)
 		}
 	}
@@ -145,9 +141,6 @@ func TestPropEmptyAbsorbs(t *testing.T) {
 		a := drawInterval(rng)
 		if !Empty().Intersect(a).IsEmpty() || !a.Intersect(Empty()).IsEmpty() {
 			t.Fatalf("intersection with ∅ not empty for %v", a)
-		}
-		if h := a.Hull(Empty()); h != a {
-			t.Fatalf("Hull(%v, ∅) = %v, want the operand back", a, h)
 		}
 		if Empty().Contains(drawIn(rng, a)) {
 			t.Fatal("∅ contains a point")

@@ -6,7 +6,7 @@ import (
 )
 
 // The reference operations below are the math.Max/math.Min formulations
-// Intersect, Hull and Mul are defined by; the inlined helpers must agree
+// Intersect and Mul are defined by; the inlined helpers must agree
 // with them on every special value.
 
 func refIntersect(a, b Interval) Interval {
@@ -19,16 +19,6 @@ func refIntersect(a, b Interval) Interval {
 		return Empty()
 	}
 	return Interval{Lo: lo, Hi: hi}
-}
-
-func refHull(a, b Interval) Interval {
-	if a.IsEmpty() {
-		return b
-	}
-	if b.IsEmpty() {
-		return a
-	}
-	return Interval{Lo: math.Min(a.Lo, b.Lo), Hi: math.Max(a.Hi, b.Hi)}
 }
 
 func refMul(a, b Interval) Interval {
@@ -52,7 +42,7 @@ func sameFloat(x, y float64) bool {
 
 func sameInterval(a, b Interval) bool { return sameFloat(a.Lo, b.Lo) && sameFloat(a.Hi, b.Hi) }
 
-// TestMinMaxSpecialValues runs Intersect, Hull, Mul and ClampTo over every
+// TestMinMaxSpecialValues runs Intersect, Mul and ClampTo over every
 // pair of intervals whose bounds come from the special values — signed
 // zeros, infinities, NaN, the largest finite magnitudes and a subnormal —
 // in either order, reversed (empty) bounds included, and checks each
@@ -74,9 +64,6 @@ func TestMinMaxSpecialValues(t *testing.T) {
 		for _, b := range ivs {
 			if g, w := a.Intersect(b), refIntersect(a, b); !sameInterval(g, w) {
 				t.Fatalf("%v.Intersect(%v) = %v, want %v", a, b, g, w)
-			}
-			if g, w := a.Hull(b), refHull(a, b); !sameInterval(g, w) {
-				t.Fatalf("%v.Hull(%v) = %v, want %v", a, b, g, w)
 			}
 			if g, w := a.Mul(b), refMul(a, b); !sameInterval(g, w) {
 				t.Fatalf("%v.Mul(%v) = %v, want %v", a, b, g, w)

@@ -237,22 +237,11 @@ func (f *Filter) EstimateAt(t float64) (mat.Vec2, mat.Mat2) {
 	return x, p
 }
 
-// IntervalAt returns k-sigma confidence intervals for position and velocity
-// at time t (extrapolated if t is past the last update).  This is the
-// Kalman-side input to the information filter's interval join (paper
-// §III-B).  k = 3 covers ≳99.7% under Gaussian assumptions.
-func (f *Filter) IntervalAt(t, k float64) (pos, vel interval.Interval) {
-	if !f.initialized {
-		return interval.Entire(), interval.Entire()
-	}
-	x, p := f.EstimateAt(t)
-	return Interval(x, p, k)
-}
-
 // Interval returns the k-sigma confidence intervals for position and
-// velocity of the estimate x with covariance p, as IntervalAt does for
-// EstimateAt(t); a caller that needs both the estimate and its intervals
-// extrapolates once.
+// velocity of the estimate x with covariance p, e.g. of EstimateAt(t).
+// This is the Kalman-side input to the information filter's interval join
+// (paper §III-B), which takes it only from an Initialized filter.  k = 3
+// covers ≳99.7% under Gaussian assumptions.
 func Interval(x mat.Vec2, p mat.Mat2, k float64) (pos, vel interval.Interval) {
 	sp := k * math.Sqrt(max(p.A, 0))
 	sv := k * math.Sqrt(max(p.D, 0))

@@ -467,13 +467,6 @@ func FeaturesInto(dst []float64, t float64, ego dynamics.State, oncoming interva
 	dst[0], dst[1], dst[2], dst[3], dst[4] = t, ego.P, ego.V, tMin, tMax
 }
 
-// FeatureBox returns a fresh interval feature box; see FeatureBoxInto.
-func (c *Config) FeatureBox(t float64, ego dynamics.State, sound OncomingEstimate, aggressive bool) []interval.Interval {
-	dst := make([]interval.Interval, FeatureCount)
-	c.FeatureBoxInto(dst, t, ego, sound, aggressive)
-	return dst
-}
-
 // FeatureBoxInto is the interval twin of FeaturesInto: it writes into dst
 // (length ≥ FeatureCount) a box guaranteed to contain the feature vector
 // Features(t, ego, W(e)) for *every* oncoming estimate e whose position and

@@ -21,22 +21,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewDenseFrom builds a matrix from a slice of rows.  All rows must have
-// equal length.
-func NewDenseFrom(rows [][]float64) *Dense {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("mat: empty input")
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic(fmt.Sprintf("mat: ragged row %d: %d != %d", i, len(r), m.cols))
-		}
-		copy(m.data[i*m.cols:], r)
-	}
-	return m
-}
-
 // Rows returns the row count.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -83,13 +67,6 @@ func (m *Dense) Clone() *Dense {
 func (m *Dense) Zero() {
 	for i := range m.data {
 		m.data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.data {
-		m.data[i] = v
 	}
 }
 
@@ -160,34 +137,10 @@ func MulTransInto(dst, a, b *Dense) {
 	}
 }
 
-// AddInPlace computes m += n element-wise.
-func (m *Dense) AddInPlace(n *Dense) {
-	m.sameShape(n)
-	for i, v := range n.data {
-		m.data[i] += v
-	}
-}
-
-// SubInPlace computes m -= n element-wise.
-func (m *Dense) SubInPlace(n *Dense) {
-	m.sameShape(n)
-	for i, v := range n.data {
-		m.data[i] -= v
-	}
-}
-
 // ScaleInPlace computes m *= k element-wise.
 func (m *Dense) ScaleInPlace(k float64) {
 	for i := range m.data {
 		m.data[i] *= k
-	}
-}
-
-// AddScaledInPlace computes m += k·n, the axpy used by plain SGD.
-func (m *Dense) AddScaledInPlace(k float64, n *Dense) {
-	m.sameShape(n)
-	for i, v := range n.data {
-		m.data[i] += k * v
 	}
 }
 
@@ -196,23 +149,6 @@ func (m *Dense) Apply(f func(float64) float64) {
 	for i, v := range m.data {
 		m.data[i] = f(v)
 	}
-}
-
-func (m *Dense) sameShape(n *Dense) {
-	if m.rows != n.rows || m.cols != n.cols {
-		panic(fmt.Sprintf("mat: shape mismatch %d×%d vs %d×%d", m.rows, m.cols, n.rows, n.cols))
-	}
-}
-
-// MaxAbs returns the largest absolute entry, 0 for the empty matrix.
-func (m *Dense) MaxAbs() float64 {
-	var max float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // Equal reports element-wise equality within tol.

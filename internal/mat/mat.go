@@ -26,9 +26,6 @@ func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
 // Scale returns k·v.
 func (v Vec2) Scale(k float64) Vec2 { return Vec2{k * v.X, k * v.Y} }
 
-// Dot returns the inner product.
-func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
-
 // Norm returns the Euclidean norm.
 func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 
@@ -95,26 +92,6 @@ func (m Mat2) Inverse() (Mat2, bool) {
 
 // Trace returns A + D.
 func (m Mat2) Trace() float64 { return m.A + m.D }
-
-// IsSymmetric reports whether |B-C| ≤ tol·(1+max|entry|).
-func (m Mat2) IsSymmetric(tol float64) bool {
-	scale := 1 + math.Max(math.Max(math.Abs(m.A), math.Abs(m.D)),
-		math.Max(math.Abs(m.B), math.Abs(m.C)))
-	return math.Abs(m.B-m.C) <= tol*scale
-}
-
-// IsPSD reports whether the symmetric part of m is positive semi-definite,
-// up to the tolerance tol on the eigenvalue test.  Kalman covariance
-// matrices must satisfy this at every step.
-func (m Mat2) IsPSD(tol float64) bool {
-	// Symmetrize first; covariance updates can introduce tiny asymmetry.
-	b := (m.B + m.C) / 2
-	tr := m.A + m.D
-	det := m.A*m.D - b*b
-	// Eigenvalues of [[A,b],[b,D]] are (tr ± sqrt(tr²-4det))/2; PSD iff both ≥ 0,
-	// i.e. tr ≥ 0 and det ≥ 0 (within tolerance).
-	return tr >= -tol && det >= -tol*(1+tr*tr)
-}
 
 // String implements fmt.Stringer.
 func (m Mat2) String() string {

@@ -18,9 +18,6 @@ func TestVec2Ops(t *testing.T) {
 	if got := v.Scale(2); got != (Vec2{2, 4}) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := v.Dot(w); got != 3-8 {
-		t.Errorf("Dot = %v", got)
-	}
 	if got := w.Norm(); got != 5 {
 		t.Errorf("Norm = %v", got)
 	}
@@ -92,31 +89,6 @@ func TestMat2AddSubScale(t *testing.T) {
 	}
 	if got := m.Scale(2); got != (Mat2{2, 4, 6, 8}) {
 		t.Errorf("Scale = %v", got)
-	}
-}
-
-func TestMat2PSD(t *testing.T) {
-	if !Diag2(1, 2).IsPSD(1e-12) {
-		t.Error("diag(1,2) should be PSD")
-	}
-	if !Diag2(0, 0).IsPSD(1e-12) {
-		t.Error("zero matrix should be PSD")
-	}
-	if Diag2(-1, 2).IsPSD(1e-12) {
-		t.Error("diag(-1,2) should not be PSD")
-	}
-	// Symmetric indefinite.
-	if (Mat2{1, 3, 3, 1}).IsPSD(1e-12) {
-		t.Error("[[1,3],[3,1]] should not be PSD")
-	}
-}
-
-func TestMat2Symmetric(t *testing.T) {
-	if !(Mat2{1, 2, 2, 3}).IsSymmetric(1e-12) {
-		t.Error("symmetric matrix rejected")
-	}
-	if (Mat2{1, 2, 3, 4}).IsSymmetric(1e-12) {
-		t.Error("asymmetric matrix accepted")
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package nn is a from-scratch feed-forward neural-network substrate: dense
-// layers, common activations, mean-squared-error training with SGD or Adam,
+// layers, common activations, mean-squared-error training with Adam,
 // and JSON serialization.  It exists so the repository can *train* the
 // NN-based planners (κ_n) that the safety framework wraps — the paper
 // obtains them with the method of its reference [6]; here they are learned

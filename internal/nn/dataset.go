@@ -41,37 +41,6 @@ func swapRows(m *mat.Dense, i, j int) {
 	}
 }
 
-// Split partitions the dataset into a training set with frac of the samples
-// and a validation set with the rest.  frac is clamped to (0, 1].
-func (d *Dataset) Split(frac float64) (train, val *Dataset) {
-	if frac <= 0 {
-		frac = 0.5
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	n := d.Len()
-	k := int(float64(n) * frac)
-	if k == 0 {
-		k = 1
-	}
-	train = &Dataset{X: sliceRows(d.X, 0, k), Y: sliceRows(d.Y, 0, k)}
-	if k >= n {
-		// Empty validation set is represented as nil.
-		return train, nil
-	}
-	val = &Dataset{X: sliceRows(d.X, k, n), Y: sliceRows(d.Y, k, n)}
-	return train, val
-}
-
-func sliceRows(m *mat.Dense, from, to int) *mat.Dense {
-	out := mat.NewDense(to-from, m.Cols())
-	for i := from; i < to; i++ {
-		copy(out.Row(i-from), m.Row(i))
-	}
-	return out
-}
-
 // Batch copies samples [from, to) into the provided scratch matrices
 // (allocating if nil or mis-sized) and returns them.
 func (d *Dataset) Batch(from, to int, bx, by *mat.Dense) (*mat.Dense, *mat.Dense) {
@@ -179,10 +148,4 @@ func (n *Network) Fit(ds *Dataset, opt Optimizer, cfg TrainConfig) float64 {
 		}
 	}
 	return last
-}
-
-// Evaluate returns the MSE of the network over the dataset.
-func (n *Network) Evaluate(ds *Dataset) float64 {
-	pred := n.ForwardBatch(ds.X)
-	return MSE(pred, ds.Y)
 }

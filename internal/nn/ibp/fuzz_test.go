@@ -62,7 +62,7 @@ func FuzzIBPContainment(f *testing.F) {
 			box[k] = interval.New(c-w, c+w)
 		}
 		scr := p.NewScratch()
-		out := p.PredictInterval1(box, scr)
+		out := predict1(p, box, scr)
 		if out.IsEmpty() || math.IsNaN(out.Lo) || math.IsNaN(out.Hi) {
 			t.Fatalf("bad certified interval %v for box %v", out, box)
 		}
@@ -78,7 +78,7 @@ func FuzzIBPContainment(f *testing.F) {
 			x[k] = box[k].Mid()
 			point[k] = interval.Point(x[k])
 		}
-		pout := p.PredictInterval1(point, scr)
+		pout := predict1(p, point, scr)
 		checkContains(t, "point box", []interval.Interval{pout}, predictIn(net, norm, x))
 		if w, bound := pout.Width(), 2*excessBound(net, p, point); w > bound {
 			t.Fatalf("point box %v is %g wide, bound %g", pout, w, bound)

@@ -382,18 +382,10 @@ func (p *Propagator) NewScratch() *Scratch {
 	return s
 }
 
-// PredictInterval propagates box through the network and returns a fresh
-// output box.  It allocates; hot paths should use PredictIntervalInto with
-// a reused Scratch.
-func (p *Propagator) PredictInterval(box []interval.Interval) []interval.Interval {
-	dst := make([]interval.Interval, p.outDim)
-	return p.PredictIntervalInto(dst, box, nil)
-}
-
 // PredictIntervalInto propagates box into dst (length ≥ OutputDim) and
 // returns dst[:OutputDim].  Every input interval must be nonempty with
 // finite bounds (a zero weight times an infinite bound would poison the
-// sums with NaN); violations panic, mirroring Predict's shape panics.  A
+// sums with NaN); violations panic, mirroring Predict1's shape panics.  A
 // nil scr allocates temporary buffers; passing a reused Scratch makes the
 // steady state allocation-free.
 func (p *Propagator) PredictIntervalInto(dst, box []interval.Interval, scr *Scratch) []interval.Interval {
@@ -470,16 +462,4 @@ func (p *Propagator) PredictIntervalInto(dst, box []interval.Interval, scr *Scra
 		c, r, nc, nr = lo, hi, c[:cap(c)], r[:cap(r)]
 	}
 	return dst
-}
-
-// PredictInterval1 propagates box through a single-output network and
-// returns the certified output range — the hot-path twin of
-// Network.Predict1.  It panics on multi-output networks.
-func (p *Propagator) PredictInterval1(box []interval.Interval, scr *Scratch) interval.Interval {
-	if p.outDim != 1 {
-		panic("ibp: PredictInterval1 on multi-output propagator")
-	}
-	var out [1]interval.Interval
-	p.PredictIntervalInto(out[:], box, scr)
-	return out[0]
 }

@@ -58,30 +58,38 @@ var hiddenActs = []struct {
 }
 
 // predictIn evaluates net the way a planner does: normalize x (when norm
-// is set), then Predict.
+// is set), then run the forward pass, here ForwardBatch on a one-row
+// batch, which Predict1 equals bit for bit on a single-output network.
 func predictIn(net *nn.Network, norm *nn.Normalizer, x []float64) []float64 {
-	xn := append([]float64(nil), x...)
+	xn := mat.NewDense(1, len(x))
+	copy(xn.Row(0), x)
 	if norm != nil {
-		norm.Apply(xn)
+		norm.Apply(xn.Row(0))
 	}
-	return net.Predict(xn)
+	return append([]float64(nil), net.ForwardBatch(xn).Row(0)...)
 }
 
-// checkContains fails unless every output of Predict(x) lies in out, with
-// no tolerance.
+// predict1 certifies box through a single-output propagator.
+func predict1(p *Propagator, box []interval.Interval, scr *Scratch) interval.Interval {
+	var out [1]interval.Interval
+	return p.PredictIntervalInto(out[:], box, scr)[0]
+}
+
+// checkContains fails unless every output of the forward pass lies in
+// out, with no tolerance.
 func checkContains(t *testing.T, what string, out []interval.Interval, y []float64) {
 	t.Helper()
 	for j, v := range y {
 		if !(v >= out[j].Lo && v <= out[j].Hi) {
-			t.Fatalf("%s: output %d: Predict = %v escapes certified %v", what, j, v, out[j])
+			t.Fatalf("%s: output %d: forward pass = %v escapes certified %v", what, j, v, out[j])
 		}
 	}
 }
 
 // TestIBPContainment is the core soundness property: for ~200 random
-// networks per activation, Predict1(x) lies inside PredictInterval1(box)
-// for dozens of sampled x ∈ box (thousands of point checks per
-// activation), with no tolerance.
+// networks per activation, the forward pass at x lies inside the
+// certified range of box for dozens of sampled x ∈ box (thousands of
+// point checks per activation), with no tolerance.
 func TestIBPContainment(t *testing.T) {
 	for _, tc := range hiddenActs {
 		tc := tc
@@ -104,7 +112,7 @@ func TestIBPContainment(t *testing.T) {
 					t.Fatalf("case %d: New: %v", caseNo, err)
 				}
 				box := randBox(rng, in)
-				out := p.PredictInterval1(box, nil)
+				out := predict1(p, box, nil)
 				if out.IsEmpty() || math.IsNaN(out.Lo) || math.IsNaN(out.Hi) {
 					t.Fatalf("case %d: bad output interval %v", caseNo, out)
 				}
@@ -240,7 +248,7 @@ func TestIBPPointBoxExact(t *testing.T) {
 					x[k] = rng.Float64()*10 - 5
 					box[k] = interval.Point(x[k])
 				}
-				out := p.PredictInterval(box)
+				out := p.PredictIntervalInto(make([]interval.Interval, p.OutputDim()), box, nil)
 				checkContains(t, tc.name, out, predictIn(net, norm, x))
 				if w, bound := out[0].Width(), 2*excessBound(net, p, box); w > bound {
 					t.Fatalf("case %d: point box %v is %g wide, bound %g", caseNo, out[0], w, bound)
@@ -278,7 +286,7 @@ func TestIBPPointBoxExact(t *testing.T) {
 				continue
 			}
 			found++
-			out := p.PredictInterval(box)
+			out := p.PredictIntervalInto(make([]interval.Interval, p.OutputDim()), box, nil)
 			checkContains(t, "one-ulp box", out, predictIn(net, norm, x))
 			if w, bound := out[0].Width(), 2*excessBound(net, p, box); w > bound {
 				t.Fatalf("case %d: one-ulp box %v is %g wide, bound %g", caseNo, out[0], w, bound)
@@ -291,7 +299,7 @@ func TestIBPPointBoxExact(t *testing.T) {
 
 	// A deeper ReLU network with several outputs: the centre pass runs the
 	// dot kernel's four-wide and tail paths, and every output holds
-	// Predict's.
+	// the forward pass's.
 	t.Run("relu_multi_output", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(14))
 		for caseNo := 0; caseNo < 100; caseNo++ {
@@ -308,7 +316,7 @@ func TestIBPPointBoxExact(t *testing.T) {
 				x[k] = rng.Float64()*10 - 5
 				box[k] = interval.Point(x[k])
 			}
-			got := p.PredictInterval(box)
+			got := p.PredictIntervalInto(make([]interval.Interval, p.OutputDim()), box, nil)
 			checkContains(t, "relu multi-output", got, predictIn(net, norm, x))
 			bound := 2 * excessBound(net, p, box)
 			for j := range got {
@@ -445,7 +453,7 @@ func TestIBPOverflowWholeLine(t *testing.T) {
 		{interval.New(-math.MaxFloat64, math.MaxFloat64), interval.Point(0)},
 		{interval.Point(1e308), interval.Point(-1e308)},
 	} {
-		out := p.PredictInterval1(box, nil)
+		out := predict1(p, box, nil)
 		if !math.IsInf(out.Lo, -1) || !math.IsInf(out.Hi, 1) {
 			t.Fatalf("box %v: got %v, want the whole line", box, out)
 		}
@@ -514,7 +522,7 @@ func TestIBPShippedModels(t *testing.T) {
 		for _, aggressive := range []bool{false, true} {
 			boxes, points := featureBoxes(rand.New(rand.NewSource(18)), 1000, aggressive)
 			for i, box := range boxes {
-				got := p.PredictInterval1(box, scr)
+				got := predict1(p, box, scr)
 				want := twoSidedReference(net, p, box)[0]
 				checkExcess(t, name, []interval.Interval{got}, []interval.Interval{want}, maxWidening/2)
 				worst = max(worst, got.Width()-want.Width())
@@ -525,7 +533,7 @@ func TestIBPShippedModels(t *testing.T) {
 				for k, v := range points[i] {
 					point[k] = interval.Point(v)
 				}
-				pout := p.PredictInterval1(point, scr)
+				pout := predict1(p, point, scr)
 				checkContains(t, name+" point", []interval.Interval{pout}, y)
 				if pout.Width() > maxWidening {
 					t.Fatalf("%s: point box %v is %g wide, bound %g", name, pout, pout.Width(), maxWidening)
@@ -554,12 +562,12 @@ func TestIBPMonotoneWidth(t *testing.T) {
 					t.Fatal(err)
 				}
 				box := randBox(rng, in)
-				out := p.PredictInterval1(box, nil)
+				out := predict1(p, box, nil)
 				wider := make([]interval.Interval, in)
 				for k := range wider {
 					wider[k] = box[k].Expand(rng.Float64())
 				}
-				wout := p.PredictInterval1(wider, nil)
+				wout := predict1(p, wider, nil)
 				tol := tolFor(wout)
 				if out.Lo < wout.Lo-tol || out.Hi > wout.Hi+tol {
 					t.Fatalf("case %d: expansion shrank the bound: %v -> %v (act %s)",
@@ -610,7 +618,7 @@ func TestIBPSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	box := []interval.Interval{interval.New(-1, 1), interval.New(0, 2)}
-	before := p.PredictInterval1(box, nil)
+	before := predict1(p, box, nil)
 	for _, l := range net.Layers {
 		l.B[0] += 10
 	}
@@ -618,9 +626,9 @@ func TestIBPSnapshot(t *testing.T) {
 	x.Randomize(rng, 1)
 	y.Randomize(rng, 1)
 	for i := 0; i < 3; i++ {
-		net.TrainBatch(x, y, &nn.SGD{LR: 0.5})
+		net.TrainBatch(x, y, &nn.Adam{LR: 0.5})
 	}
-	after := p.PredictInterval1(box, nil)
+	after := predict1(p, box, nil)
 	if before != after {
 		t.Fatalf("propagator tracked post-snapshot mutation: %v -> %v", before, after)
 	}
@@ -648,7 +656,7 @@ func TestIBPPanicsOnBadBox(t *testing.T) {
 					t.Fatalf("box %v did not panic", box)
 				}
 			}()
-			p.PredictInterval1(box, nil)
+			predict1(p, box, nil)
 		}()
 	}
 }
@@ -697,10 +705,11 @@ func BenchmarkPredictInterval1(b *testing.B) {
 	}
 	box := randBox(rng, 5)
 	scr := p.NewScratch()
+	dst := make([]interval.Interval, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.PredictInterval1(box, scr)
+		p.PredictIntervalInto(dst, box, scr)
 	}
 }
 
@@ -733,10 +742,11 @@ func BenchmarkPredictInterval1Point(b *testing.B) {
 		box[k] = interval.Point(box[k].Mid())
 	}
 	scr := p.NewScratch()
+	dst := make([]interval.Interval, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.PredictInterval1(box, scr)
+		p.PredictIntervalInto(dst, box, scr)
 	}
 }
 
@@ -766,10 +776,11 @@ func BenchmarkPredictInterval1Model(b *testing.B) {
 	}{{"interval", boxes}, {"point", pointBoxes}} {
 		b.Run(bc.name, func(b *testing.B) {
 			scr := p.NewScratch()
+			dst := make([]interval.Interval, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink = p.PredictInterval1(bc.boxes[i%len(bc.boxes)], scr)
+				benchSink = p.PredictIntervalInto(dst, bc.boxes[i%len(bc.boxes)], scr)[0]
 			}
 		})
 	}

@@ -13,12 +13,11 @@ import (
 //
 // W is the layer's weights for the model file and the gradients.  The
 // forward passes read wt, a row-major in × out copy of Wᵀ, which every
-// writer of W in this package rebuilds (syncWT): NewDense, UnmarshalModel,
-// TrainBatch after the optimizer step and FitAdvanced's early-stopping
-// restore.  Code in this package that writes W must call syncWT before
-// the next forward pass; code outside it only reads W.  A built wt is
-// never written again, so Clone shares it with its copy and ibp.New with
-// its propagator.
+// writer of W in this package rebuilds (syncWT): NewDense, UnmarshalModel
+// and TrainBatch after the optimizer step.  Code in this package that
+// writes W must call syncWT before the next forward pass; code outside it
+// only reads W.  A built wt is never written again, so Clone shares it
+// with its copy and ibp.New with its propagator.
 type Dense struct {
 	In, Out int
 	W       *mat.Dense // out × in

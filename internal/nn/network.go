@@ -47,25 +47,6 @@ func (n *Network) ForwardBatch(x *mat.Dense) *mat.Dense {
 	return out
 }
 
-// Predict evaluates the network on a single input vector through
-// ForwardBatch.  It writes the layers' training caches and allocates a
-// 1×n input matrix and the result slice on every call, so it is not safe
-// for concurrent use and is not an inference path; planners call
-// Predict1.  It stays because the ibp tests use it as their reference
-// forward pass: it runs Dense.Forward, as training does, not Predict1's
-// stack buffers.
-func (n *Network) Predict(in []float64) []float64 {
-	if len(in) != n.InputDim() {
-		panic(fmt.Sprintf("nn: Predict expects %d inputs, got %d", n.InputDim(), len(in)))
-	}
-	x := mat.NewDense(1, len(in))
-	copy(x.Row(0), in)
-	out := n.ForwardBatch(x)
-	res := make([]float64, out.Cols())
-	copy(res, out.Row(0))
-	return res
-}
-
 // predictWidth is the widest layer Predict1 evaluates in its stack
 // buffers; a wider layer takes a per-call allocation instead.
 const predictWidth = 64

@@ -79,9 +79,10 @@ func TestNewMLPShape(t *testing.T) {
 func TestPredictShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := NewMLP(rng, ReLU{}, 3, 4, 2)
-	out := n.Predict([]float64{1, 2, 3})
-	if len(out) != 2 {
-		t.Fatalf("Predict output len = %d", len(out))
+	x := mat.NewDense(1, 3)
+	copy(x.Row(0), []float64{1, 2, 3})
+	if out := n.ForwardBatch(x); out.Rows() != 1 || out.Cols() != 2 {
+		t.Fatalf("ForwardBatch output shape = %d×%d", out.Rows(), out.Cols())
 	}
 	defer func() {
 		if recover() == nil {
@@ -238,7 +239,7 @@ func TestFitLearnsQuadratic(t *testing.T) {
 	ds := makeQuadraticDataset(800, 1)
 	rng := rand.New(rand.NewSource(2))
 	n := NewMLP(rng, Tanh{}, 2, 24, 24, 1)
-	before := n.Evaluate(ds)
+	before := MSE(n.ForwardBatch(ds.X), ds.Y)
 	loss := n.Fit(ds, &Adam{LR: 0.01}, TrainConfig{Epochs: 60, BatchSize: 64, Seed: 5})
 	if loss >= before {
 		t.Fatalf("training did not reduce loss: %v → %v", before, loss)
@@ -249,16 +250,6 @@ func TestFitLearnsQuadratic(t *testing.T) {
 	// Spot generalization.
 	if got, want := n.Predict1([]float64{0.5, 0.5}), 0.5; math.Abs(got-want) > 0.1 {
 		t.Fatalf("Predict(0.5,0.5) = %v, want ≈%v", got, want)
-	}
-}
-
-func TestSGDMomentumLearns(t *testing.T) {
-	ds := makeQuadraticDataset(400, 3)
-	rng := rand.New(rand.NewSource(4))
-	n := NewMLP(rng, Tanh{}, 2, 16, 1)
-	loss := n.Fit(ds, &SGD{LR: 0.05, Momentum: 0.9}, TrainConfig{Epochs: 80, BatchSize: 32, Seed: 6})
-	if loss > 0.01 {
-		t.Fatalf("SGD+momentum final loss %v too high", loss)
 	}
 }
 
@@ -320,18 +311,6 @@ func TestDatasetShuffleKeepsPairs(t *testing.T) {
 	}
 }
 
-func TestDatasetSplit(t *testing.T) {
-	ds := makeQuadraticDataset(100, 12)
-	train, val := ds.Split(0.8)
-	if train.Len() != 80 || val.Len() != 20 {
-		t.Fatalf("split sizes %d/%d", train.Len(), val.Len())
-	}
-	trainAll, valNil := ds.Split(1)
-	if trainAll.Len() != 100 || valNil != nil {
-		t.Fatal("full split wrong")
-	}
-}
-
 func TestNewDatasetMismatch(t *testing.T) {
 	if _, err := NewDataset(mat.NewDense(3, 1), mat.NewDense(4, 1)); err == nil {
 		t.Fatal("row mismatch accepted")
@@ -339,7 +318,10 @@ func TestNewDatasetMismatch(t *testing.T) {
 }
 
 func TestNormalizer(t *testing.T) {
-	x := mat.NewDenseFrom([][]float64{{0, 100}, {10, 100}, {20, 100}})
+	x := mat.NewDense(3, 2)
+	for i, row := range [][]float64{{0, 100}, {10, 100}, {20, 100}} {
+		copy(x.Row(i), row)
+	}
 	nm := FitNormalizer(x)
 	if math.Abs(nm.Mean[0]-10) > 1e-12 {
 		t.Fatalf("Mean[0] = %v", nm.Mean[0])
@@ -376,8 +358,9 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := []float64{0.1, -0.2, 0.3}
-	a, b := n.Predict(in), n2.Predict(in)
+	in := mat.NewDense(1, 3)
+	copy(in.Row(0), []float64{0.1, -0.2, 0.3})
+	a, b := n.ForwardBatch(in).Row(0), n2.ForwardBatch(in).Row(0)
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatalf("round-trip prediction differs: %v vs %v", a, b)

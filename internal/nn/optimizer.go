@@ -9,32 +9,6 @@ type Optimizer interface {
 	Step(n *Network)
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64 // learning rate (required, > 0)
-	Momentum float64 // momentum coefficient in [0, 1)
-
-	vel [][]float64
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(n *Network) {
-	ps := n.params()
-	if s.vel == nil {
-		s.vel = make([][]float64, len(ps))
-		for i, p := range ps {
-			s.vel[i] = make([]float64, len(p.w))
-		}
-	}
-	for i, p := range ps {
-		v := s.vel[i]
-		for j := range p.w {
-			v[j] = s.Momentum*v[j] - s.LR*p.g[j]
-			p.w[j] += v[j]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with standard defaults filled in
 // for zero-valued fields: β1 = 0.9, β2 = 0.999, ε = 1e-8.
 type Adam struct {

@@ -38,7 +38,6 @@ import (
 	"safeplan/internal/carfollow"
 	"safeplan/internal/comms"
 	"safeplan/internal/disturb"
-	"safeplan/internal/dynamics"
 )
 
 // GapSpec selects the pairwise unsafe-set variant.
@@ -211,9 +210,9 @@ func (c SimConfig) spacing() float64 {
 	return c.Scenario.LeadInit.P - c.Scenario.EgoInit.P
 }
 
-// dDefault and tGap resolve the TimeGap constants.  They, RequiredGap and
-// GapViolation take pointer receivers, so a per-step caller does not copy
-// the whole SimConfig each time.
+// dDefault and tGap resolve the TimeGap constants.  They take pointer
+// receivers, so a per-step caller does not copy the whole SimConfig each
+// time.
 func (c *SimConfig) dDefault() float64 {
 	if c.DDefault > 0 {
 		return c.DDefault
@@ -242,22 +241,4 @@ func (c SimConfig) LinkScenario() carfollow.Config {
 		sc.PGap = c.dDefault()
 	}
 	return sc
-}
-
-// RequiredGap returns the minimum admissible bumper gap for a follower
-// moving at speed v under the configured spec.
-func (c *SimConfig) RequiredGap(v float64) float64 {
-	if c.Spec == TimeGap {
-		return c.dDefault() + c.tGap()*v
-	}
-	return c.Scenario.PGap
-}
-
-// GapViolation reports whether the pair (pred, foll) violates the
-// configured pairwise unsafe set — the scored safety outcome, evaluated
-// on true states.  Under FixedGap it is exactly the car-following
-// Violation predicate; the engine scores it through the resolved
-// Chain's TGap (TestEngineScoresGapViolation).
-func (c *SimConfig) GapViolation(pred, foll dynamics.State) bool {
-	return pred.P-foll.P < c.RequiredGap(foll.V)
 }

@@ -8,6 +8,7 @@ import (
 	"safeplan/internal/carfollow"
 	"safeplan/internal/comms"
 	"safeplan/internal/disturb"
+	"safeplan/internal/dynamics"
 	"safeplan/internal/sim"
 )
 
@@ -244,4 +245,22 @@ func TestEngineScoresGapViolation(t *testing.T) {
 			t.Fatal("no time-gap breach scored — the speed term is not exercised")
 		}
 	}
+}
+
+// GapViolation reports whether the pair (pred, foll) violates the
+// configured pairwise unsafe set — the scored safety outcome, evaluated
+// on true states.  Under FixedGap it is exactly the car-following
+// Violation predicate; the engine scores it through the resolved
+// Chain's TGap (TestEngineScoresGapViolation).
+func (c *SimConfig) GapViolation(pred, foll dynamics.State) bool {
+	return pred.P-foll.P < c.RequiredGap(foll.V)
+}
+
+// RequiredGap returns the minimum admissible bumper gap for a follower
+// moving at speed v under the configured spec.
+func (c *SimConfig) RequiredGap(v float64) float64 {
+	if c.Spec == TimeGap {
+		return c.dDefault() + c.tGap()*v
+	}
+	return c.Scenario.PGap
 }

@@ -15,7 +15,7 @@ var lim = dynamics.Limits{VMin: 0, VMax: 15, AMin: -6, AMax: 3}
 func TestAtZeroDelay(t *testing.T) {
 	snap := Snapshot{T: 2, S: dynamics.State{P: 10, V: 5}}
 	got := At(snap, 2, lim)
-	if !got.P.IsPoint() || got.P.Lo != 10 || !got.V.IsPoint() || got.V.Lo != 5 {
+	if got.P != interval.Point(10) || got.V != interval.Point(5) {
 		t.Fatalf("zero-delay reach = %+v", got)
 	}
 }

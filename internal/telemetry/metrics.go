@@ -167,13 +167,6 @@ func (m *Metrics) OnProgress(done, total int64) {
 	m.total.Store(total)
 }
 
-// Progress returns the campaign progress last reported to the collector.
-// It reads two atomics and allocates nothing, so a UI goroutine can poll
-// it at any rate while the campaign runs.
-func (m *Metrics) Progress() (done, total int64) {
-	return m.done.Load(), m.total.Load()
-}
-
 // Snapshot is a point-in-time copy of a Metrics collector, encodable as
 // JSON and renderable as text.
 type Snapshot struct {

@@ -118,6 +118,3 @@ func (d *StopAndGo) Accel(t float64, s dynamics.State) float64 {
 	}
 	return a
 }
-
-// Braking reports whether the driver is in a hard-brake phase (for tests).
-func (d *StopAndGo) Braking() bool { return d.braking }

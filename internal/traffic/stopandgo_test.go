@@ -55,7 +55,7 @@ func TestStopAndGoBrakesSometimes(t *testing.T) {
 	brakeSteps, cruiseSteps := 0, 0
 	for i := 0; i < 4000; i++ { // 200 s
 		a := d.Accel(float64(i)*0.05, s)
-		if d.Braking() {
+		if d.braking {
 			brakeSteps++
 			if a > 0 {
 				t.Fatal("positive accel during a hard-brake phase")
@@ -88,7 +88,7 @@ func TestStopAndGoBrakePhaseEndsAtTarget(t *testing.T) {
 	sawBrake := false
 	for i := 0; i < 2000; i++ {
 		a := d.Accel(float64(i)*0.05, s)
-		if d.Braking() {
+		if d.braking {
 			sawBrake = true
 		} else if sawBrake {
 			// Brake phase ended: speed must be near or below the brake
