@@ -13,11 +13,12 @@ test: build
 # concurrent-campaign telemetry tests), then the golden-trace regressions
 # (left turn, certified-NN left turn, multi-vehicle, car following,
 # platoon),
-# the committed fuzz corpora (guarded planner, IBP containment, the dist
-# wire protocol, the vector kernels against their scalar references, the
-# IBP tanh epilogue against its Go twin and the checkpoint loader), and a
-# short fuzzing smoke pass over the safety invariants, the wire
-# protocols, the kernels and the checkpoint loader,
+# the committed fuzz corpora (guarded planner, IBP containment, the serve
+# and dist wire protocols, the vector kernels against their scalar
+# references, the IBP tanh epilogue against its Go twin and the checkpoint
+# loader), and a short fuzzing smoke pass over the safety invariants, the
+# wire protocols and their shared bounded decoder, the kernels and the
+# checkpoint loader,
 # bench-check, and the determinism lint (scripts/lint_determinism.sh).
 check:
 	$(GO) vet ./...
@@ -28,6 +29,7 @@ check:
 	$(GO) test -run FuzzGuardedPlanner ./internal/sim
 	$(GO) test -run 'FuzzIBPContainment|FuzzTanhEpilogue' ./internal/nn/ibp
 	$(GO) test -run 'FuzzTanhInto|FuzzMidRadInto|FuzzDotRowsInto' ./internal/mat
+	$(GO) test -run FuzzServeProtocol ./internal/serve
 	$(GO) test -run FuzzDistProtocol ./internal/dist
 	$(GO) test -run FuzzCheckpointLoad ./internal/campaign
 	$(MAKE) fuzz-smoke
@@ -47,11 +49,11 @@ bench-check:
 golden:
 	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon -update
 
-# Short fuzzing pass: ~20s per safety target, per wire protocol, per
-# vector kernel and for the checkpoint loader.  The
-# kernels', the dist protocol's and the checkpoint loader's targets cap
-# input minimization at 1000 runs: minimizing their long inputs would otherwise use up the 20s.  The full corpus grows
-# under
+# Short fuzzing pass: ~20s per safety target, per wire protocol, for the
+# wire layer's bounded decoder, per vector kernel and for the checkpoint
+# loader.  The kernels', the dist protocol's and the checkpoint loader's
+# targets cap input minimization at 1000 runs: minimizing their long
+# inputs would otherwise use up the 20s.  The full corpus grows under
 # `go test -fuzz <Target> <pkg>` without a -fuzztime bound.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompoundSafety -fuzztime 20s ./internal/sim
@@ -59,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPlatoonSafety -fuzztime 20s ./internal/platoon
 	$(GO) test -run '^$$' -fuzz FuzzGuardedPlanner -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzServeProtocol -fuzztime 20s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime 20s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzIBPContainment -fuzztime 20s ./internal/nn/ibp
 	$(GO) test -run '^$$' -fuzz FuzzTanhInto -fuzztime 20s -fuzzminimizetime 1000x ./internal/mat
 	$(GO) test -run '^$$' -fuzz FuzzMidRadInto -fuzztime 20s -fuzzminimizetime 1000x ./internal/mat

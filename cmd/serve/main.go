@@ -35,6 +35,7 @@ import (
 
 	"safeplan/internal/serve"
 	"safeplan/internal/telemetry"
+	"safeplan/internal/wire"
 )
 
 func main() {
@@ -152,33 +153,6 @@ type loadgenConfig struct {
 	server   serve.Config
 }
 
-// client is one synchronous protocol connection: one request in flight at
-// a time, so responses need no correlation.
-type client struct {
-	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
-}
-
-func dial(addr string) (*client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &client{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}, nil
-}
-
-func (c *client) do(req serve.Request) (serve.Response, error) {
-	if err := c.enc.Encode(req); err != nil {
-		return serve.Response{}, err
-	}
-	var resp serve.Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return serve.Response{}, err
-	}
-	return resp, nil
-}
-
 func runLoadgen(cfg loadgenConfig) error {
 	if cfg.sessions < 1 || cfg.conns < 1 || cfg.batch < 1 {
 		return fmt.Errorf("loadgen: sessions, conns, and batch must be >= 1")
@@ -215,17 +189,17 @@ func runLoadgen(cfg loadgenConfig) error {
 		go func(ci int) {
 			defer wg.Done()
 			errs[ci] = func() error {
-				cl, err := dial(addr)
+				cl, err := wire.Dial[serve.Request, serve.Response](addr)
 				if err != nil {
 					return err
 				}
-				defer cl.conn.Close()
+				defer cl.Close()
 
 				// This connection's share of the session population.
 				var sids []string
 				for i := ci; i < cfg.sessions; i += cfg.conns {
 					sid := fmt.Sprintf("lg-%d", i)
-					resp, err := cl.do(serve.Request{
+					resp, err := cl.Do(serve.Request{
 						Op: serve.OpOpen, SID: sid,
 						Scenario: cfg.scenario, Design: cfg.design, Planner: cfg.planner,
 						Disturb: cfg.disturb, Seed: cfg.seed + int64(i),
@@ -251,7 +225,7 @@ func runLoadgen(cfg loadgenConfig) error {
 					next := live[:0]
 					for _, sid := range live {
 						t0 := time.Now()
-						resp, err := cl.do(serve.Request{Op: serve.OpStep, SID: sid, Steps: cfg.batch})
+						resp, err := cl.Do(serve.Request{Op: serve.OpStep, SID: sid, Steps: cfg.batch})
 						reqLatency.Observe(float64(time.Since(t0).Nanoseconds()))
 						if err != nil {
 							return err
@@ -273,7 +247,7 @@ func runLoadgen(cfg loadgenConfig) error {
 				}
 
 				for _, sid := range sids {
-					if _, err := cl.do(serve.Request{Op: serve.OpClose, SID: sid}); err != nil {
+					if _, err := cl.Do(serve.Request{Op: serve.OpClose, SID: sid}); err != nil {
 						return err
 					}
 				}
@@ -289,12 +263,12 @@ func runLoadgen(cfg loadgenConfig) error {
 		}
 	}
 
-	cl, err := dial(addr)
+	cl, err := wire.Dial[serve.Request, serve.Response](addr)
 	if err != nil {
 		return err
 	}
-	defer cl.conn.Close()
-	statsResp, err := cl.do(serve.Request{Op: serve.OpStats})
+	defer cl.Close()
+	statsResp, err := cl.Do(serve.Request{Op: serve.OpStats})
 	if err != nil {
 		return err
 	}

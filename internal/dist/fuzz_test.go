@@ -6,10 +6,13 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"safeplan/internal/wire"
 )
 
 // fuzzDeadline bounds every wait in FuzzDistProtocol, so a server that
@@ -27,15 +30,16 @@ var knownReasons = map[string]bool{
 // FuzzDistProtocol feeds arbitrary bytes to one campaignd worker-protocol
 // connection, against a fresh coordinator of a four-shard synthetic
 // campaign, and checks the wire contract: the server never panics; a
-// malformed or wrong-typed line (anything the standard JSON decoder
-// rejects other than an unfinished final line) is answered with a
-// bad-request rejection before the connection drops; every well-formed
-// request before it gets exactly one response; and every rejection
-// carries a known reason.  The input is terminated with a newline, as
-// every line of the protocol is.  The committed corpus
-// (testdata/fuzz/FuzzDistProtocol) runs hello, lease, renew and result in
-// and out of order, duplicate and corrupted results, a fingerprint
-// mismatch and malformed lines.
+// malformed or wrong-typed request (anything the standard JSON decoder
+// rejects other than an unfinished final value, and any value longer
+// than wire.MaxValue) is answered with a bad-request rejection before the
+// connection drops; every well-formed request before it gets exactly one
+// response; and every rejection carries a known reason.  The input is
+// terminated with a newline, as every line of the protocol is.  The
+// committed corpus (testdata/fuzz/FuzzDistProtocol) runs hello, lease,
+// renew and result in and out of order, duplicate and corrupted results,
+// a fingerprint mismatch, malformed lines, an unterminated over-long
+// request and a complete one a byte over the limit.
 func FuzzDistProtocol(f *testing.F) {
 	spec, workload := synthSpec("fuzz", 40, 4)
 	f.Add([]byte(`{"op":"hello","worker":"w"}`))
@@ -77,16 +81,74 @@ func FuzzDistProtocol(f *testing.F) {
 	})
 }
 
+// TestOverlongRequest writes 64 MiB of one unterminated request to a
+// default server.  The server must answer bad-request, hang up, and
+// allocate no more than a small multiple of wire.MaxValue doing so; a
+// decoder with no limit buffers the whole 64 MiB.
+func TestOverlongRequest(t *testing.T) {
+	spec, workload := synthSpec("overlong", 40, 4)
+	c, err := NewCoordinator(Config{Spec: spec, Workload: workload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(c)
+	defer srv.Close()
+	client, server := net.Pipe()
+	defer client.Close()
+	client.SetDeadline(time.Now().Add(30 * time.Second))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	go srv.Serve(newPipeListener(server))
+	go func() {
+		client.Write([]byte(`{"op":"hello","worker":"`))
+		chunk := bytes.Repeat([]byte("a"), 64<<10)
+		for i := 0; i < 1024; i++ {
+			if _, err := client.Write(chunk); err != nil {
+				return // the server hung up
+			}
+		}
+	}()
+	dec := json.NewDecoder(client)
+	var resp Response
+	if err := dec.Decode(&resp); err != nil {
+		t.Fatalf("no answer to the over-long request: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if resp.OK || resp.Reason != ReasonBadRequest || !strings.HasPrefix(resp.Error, "malformed request") {
+		t.Fatalf("over-long request answered %+v, want a malformed-request rejection", resp)
+	}
+	if err := dec.Decode(&resp); err != io.EOF {
+		t.Fatalf("connection still open after the rejection: read %+v, %v", resp, err)
+	}
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %.1f MiB while rejecting", float64(grew)/(1<<20))
+	if grew > 16*wire.MaxValue {
+		t.Fatalf("allocated %d bytes rejecting one request, limit %d", grew, wire.MaxValue)
+	}
+}
+
 // decodeRequests replays the server's stream decoding of data with the
 // standard decoder: the requests decoded before the first error, and
 // whether that error is a malformed line rather than the end of the
-// stream (a clean end or an unfinished final value).
+// stream (a clean end or an unfinished final value).  One rule is the
+// wire layer's own: a value longer than wire.MaxValue, counted from the
+// end of the previous value to its end (or to the end of the data, for
+// an unfinished one), is malformed.
 func decodeRequests(data []byte) (reqs []Request, malformed bool) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	for {
+		start := dec.InputOffset()
 		var req Request
 		err := dec.Decode(&req)
+		end := dec.InputOffset()
+		if err != nil {
+			end = int64(len(data))
+		}
+		if end-start > wire.MaxValue {
+			return reqs, true
+		}
 		if err == nil {
 			reqs = append(reqs, req)
 			continue

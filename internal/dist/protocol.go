@@ -5,7 +5,7 @@
 // input.
 //
 // The coordinator owns a campaign.Spec and its fixed shard plan.  Workers
-// connect over line-delimited JSON (the internal/serve transport style),
+// connect over internal/wire (the transport internal/serve shares),
 // acquire shards under time-bounded leases, heartbeat while they run
 // episodes, and submit per-shard aggregates.  The coordinator folds
 // results with the ordered Chan/Welford merge (campaign.FoldShards), so

@@ -6,45 +6,30 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
+
+	"safeplan/internal/wire"
 )
 
-// Server exposes a Coordinator over TCP: one line-delimited JSON Request
-// per line in, one Response per line out, strictly in order per
-// connection.  It also runs the lease-expiry sweeper (the coordinator
-// itself is passive) and serves /metrics + /healthz as an http.Handler.
+// Server exposes a Coordinator over TCP (internal/wire): one Request in,
+// one Response out, strictly in order per connection.  It also runs the
+// lease-expiry sweeper (the coordinator itself is passive) and serves
+// /metrics + /healthz as an http.Handler.
 type Server struct {
 	coord *Coordinator
-	clock Clock
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closing  bool
-
-	quit     chan struct{}
-	quitOnce sync.Once
-	wg       sync.WaitGroup
+	conns *wire.Server
+	wg    sync.WaitGroup
 }
 
 // NewServer wraps a coordinator and starts its lease sweeper.  Call
 // Close to release it.
 func NewServer(coord *Coordinator) *Server {
-	s := &Server{
-		coord: coord,
-		clock: coord.clock,
-		conns: make(map[net.Conn]struct{}),
-		quit:  make(chan struct{}),
-	}
+	s := &Server{coord: coord, conns: wire.NewServer()}
 	s.wg.Add(1)
 	go s.sweeper()
 	return s
 }
-
-// Coordinator returns the wrapped coordinator.
-func (s *Server) Coordinator() *Coordinator { return s.coord }
 
 // sweeper expires overdue leases on a quarter-TTL cadence so a crashed
 // worker's shard returns to the pool even when no other worker happens
@@ -57,11 +42,11 @@ func (s *Server) sweeper() {
 	}
 	for {
 		select {
-		case <-s.quit:
+		case <-s.conns.Done():
 			return
 		case <-s.coord.Done():
 			return
-		case <-s.clock.After(period):
+		case <-s.coord.clock.After(period):
 			s.coord.ExpireLeases()
 		}
 	}
@@ -79,99 +64,29 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Serve accepts worker connections on ln until Close.  It returns nil
 // after Close, or the first accept error otherwise.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("dist: server closed")
-	}
-	s.listener = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closing := s.closing
-			s.mu.Unlock()
-			if closing {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closing {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handleConn(conn)
-	}
-}
-
-// Addr returns the protocol listener's address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return nil
-	}
-	return s.listener.Addr()
-}
+func (s *Server) Serve(ln net.Listener) error { return s.conns.Serve(ln, s.handleConn) }
 
 // Close stops accepting, drops every connection, stops the sweeper, and
 // waits for all server goroutines to exit.  The coordinator's state —
 // accepted shards, checkpoint file — is untouched.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closing = true
-	ln := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-
-	s.quitOnce.Do(func() { close(s.quit) })
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
+	s.conns.Close()
 	s.wg.Wait()
 	return nil
 }
 
-// handleConn reads one Request per line and answers through the
-// coordinator.  Malformed lines get a bad-request response; a read error
-// ends the connection (the worker's leases survive until they expire —
-// connections carry requests, not ownership).
+// handleConn decodes one Request at a time and answers through the
+// coordinator.  A malformed or over-long request gets a bad-request
+// response; it or a read error ends the connection (the worker's leases
+// survive until they expire — connections carry requests, not ownership).
 func (s *Server) handleConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
 	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
-	dec.DisallowUnknownFields()
+	dec := wire.NewDecoder(conn)
 	for {
 		var req Request
 		if err := dec.Decode(&req); err != nil {
-			var syn *json.SyntaxError
-			var typ *json.UnmarshalTypeError
-			if errors.As(err, &syn) || errors.As(err, &typ) || strings.HasPrefix(err.Error(), "json: unknown field") {
-				enc.Encode(Response{OK: false, Reason: ReasonBadRequest, Error: "malformed request: " + err.Error()})
+			if errors.Is(err, wire.ErrMalformed) {
+				enc.Encode(Response{OK: false, Reason: ReasonBadRequest, Error: err.Error()})
 			}
 			return
 		}

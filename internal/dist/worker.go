@@ -1,17 +1,16 @@
 package dist
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"net"
 	"os"
 	"time"
 
 	"safeplan/internal/campaign"
 	"safeplan/internal/sim"
+	"safeplan/internal/wire"
 )
 
 // Conn is one request/response protocol transport.  The TCP form is
@@ -24,34 +23,15 @@ type Conn interface {
 	Close() error
 }
 
-// tcpConn is the production transport: line-delimited JSON over TCP.
-type tcpConn struct {
-	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
-}
-
-// DialTCP connects a worker transport to a coordinator address.
+// DialTCP connects a worker transport to a coordinator address: the
+// production transport, the worker protocol over TCP.
 func DialTCP(addr string) (Conn, error) {
-	c, err := net.Dial("tcp", addr)
+	c, err := wire.Dial[Request, Response](addr)
 	if err != nil {
 		return nil, err
 	}
-	return &tcpConn{conn: c, enc: json.NewEncoder(c), dec: json.NewDecoder(c)}, nil
+	return c, nil
 }
-
-func (t *tcpConn) Do(req Request) (Response, error) {
-	if err := t.enc.Encode(req); err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	if err := t.dec.Decode(&resp); err != nil {
-		return Response{}, err
-	}
-	return resp, nil
-}
-
-func (t *tcpConn) Close() error { return t.conn.Close() }
 
 // Resolver turns a coordinator's workload name into the episode function
 // and invariant set, via the worker's own registry (internal/workloads in

@@ -3,8 +3,8 @@
 // engine (sim.MultiStepper — the left-turn engine, run as the
 // single-vehicle left turn or the oncoming stream — or carfollow.Stepper,
 // the stop-and-go chain engine, run as its two-vehicle car-following
-// case) fed by streamed V2V/sensor events over a line-delimited JSON
-// protocol.
+// case) fed by streamed V2V/sensor events over internal/wire's JSON
+// request stream.
 //
 // Ownership model: sessions are sharded by SID hash across a fixed pool
 // of worker goroutines.  All engine access happens on the owning shard's
@@ -24,13 +24,13 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"safeplan/internal/sim"
 	"safeplan/internal/telemetry"
+	"safeplan/internal/wire"
 )
 
 // Config tunes a Server.  The zero value selects sensible defaults for
@@ -102,7 +102,7 @@ type Stats struct {
 	// omitted when no request was rejected.
 	Rejections map[string]int64 `json:"rejections,omitempty"`
 
-	// Draining reports a graceful shutdown in progress: opens are
+	// Draining reports a shutdown begun (Shutdown or Close): opens are
 	// rejected, existing sessions run to completion or the deadline.
 	Draining bool `json:"draining,omitempty"`
 
@@ -137,7 +137,7 @@ var stepLatencyBounds = []float64{
 	1e6, 2e6, 5e6, 1e7, 5e7, 1e8, 5e8, 1e9,
 }
 
-// Server hosts streamed planner sessions over line-delimited JSON.  Use
+// Server hosts streamed planner sessions over a JSON request stream.  Use
 // New, then Serve (or ListenAndServe) for the session protocol and the
 // Server itself as an http.Handler for /metrics and /healthz.
 type Server struct {
@@ -164,13 +164,8 @@ type Server struct {
 
 	stepLatency *telemetry.Histogram
 
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closing  bool
-
-	quit chan struct{}
-	wg   sync.WaitGroup
+	conns *wire.Server   // accept loop and connection registry
+	wg    sync.WaitGroup // shard workers and the reaper
 }
 
 // New builds a Server and starts its shard workers (and the idle reaper
@@ -184,8 +179,7 @@ func New(cfg Config) (*Server, error) {
 		metrics:     telemetry.NewMetrics(),
 		rejects:     make([]atomic.Int64, len(reasonNames)),
 		stepLatency: telemetry.NewHistogram(stepLatencyBounds...),
-		conns:       make(map[net.Conn]struct{}),
-		quit:        make(chan struct{}),
+		conns:       wire.NewServer(),
 	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
@@ -250,48 +244,7 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Serve accepts session-protocol connections on ln until Close.  It
 // returns nil after Close, or the first accept error otherwise.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("serve: server closed")
-	}
-	s.listener = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closing := s.closing
-			s.mu.Unlock()
-			if closing {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closing {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handleConn(conn)
-	}
-}
-
-// Addr returns the protocol listener's address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return nil
-	}
-	return s.listener.Addr()
-}
+func (s *Server) Serve(ln net.Listener) error { return s.conns.Serve(ln, s.handleConn) }
 
 // Shutdown drains the server gracefully: new session opens are rejected
 // with ReasonDraining (and /healthz flips to 503 so orchestrators stop
@@ -321,58 +274,28 @@ func (s *Server) Shutdown(deadline time.Duration) (Stats, error) {
 	return st, err
 }
 
-// Close stops accepting, drops every connection, stops the shard workers
-// and reaper, and waits for all server goroutines to exit.  Live session
-// state is discarded (no Finish bookkeeping — the process is going away).
+// Close marks the server draining, stops accepting, drops every
+// connection, stops the shard workers and reaper, and waits for all
+// server goroutines to exit.  Live session state is discarded (no Finish
+// bookkeeping — the process is going away).
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closing = true
-	ln := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-
-	close(s.quit)
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
+	s.draining.Store(true)
+	s.conns.Close()
 	s.wg.Wait()
 	return nil
 }
 
-// handleConn reads one Request per line and dispatches it.  Malformed
-// lines get a bad-request response; a read error ends the connection
-// (its sessions stay live for other connections or the reaper).
+// handleConn decodes one Request at a time and dispatches it.  A
+// malformed or over-long request gets a bad-request response; it or a
+// read error ends the connection (its sessions stay live).
 func (s *Server) handleConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	w := newConnWriter(conn)
-	dec := json.NewDecoder(conn)
-	dec.DisallowUnknownFields()
+	w := &connWriter{enc: json.NewEncoder(conn)}
+	dec := wire.NewDecoder(conn)
 	for {
 		var req Request
 		if err := dec.Decode(&req); err != nil {
-			// Distinguish a malformed line from connection teardown: after
-			// a JSON syntax error the stream offset is unrecoverable, so
-			// reject and drop the connection either way.
-			var syn *json.SyntaxError
-			var typ *json.UnmarshalTypeError
-			if errors.As(err, &syn) || errors.As(err, &typ) || strings.HasPrefix(err.Error(), "json: unknown field") {
-				s.reject(w, Request{}, ReasonBadRequest, "malformed request: "+err.Error())
+			if errors.Is(err, wire.ErrMalformed) {
+				s.reject(w, Request{}, ReasonBadRequest, err.Error())
 			}
 			return
 		}
@@ -533,7 +456,7 @@ func (s *Server) reaper() {
 	var stale []*session
 	for {
 		select {
-		case <-s.quit:
+		case <-s.conns.Done():
 			return
 		case <-tick.C:
 		}
@@ -561,10 +484,7 @@ func (s *Server) reaper() {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/healthz":
-		s.mu.Lock()
-		closing := s.closing
-		s.mu.Unlock()
-		if closing || s.draining.Load() {
+		if s.draining.Load() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
@@ -589,14 +509,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // and a failed connection swallows later sends (the reader side tears the
 // connection down).
 type connWriter struct {
-	mu   sync.Mutex
-	enc  *json.Encoder
-	conn net.Conn
-	err  error
-}
-
-func newConnWriter(conn net.Conn) *connWriter {
-	return &connWriter{enc: json.NewEncoder(conn), conn: conn}
+	mu  sync.Mutex
+	enc *json.Encoder
+	err error
 }
 
 func (w *connWriter) send(resp Response) {
@@ -638,7 +553,7 @@ func (sh *shard) run() {
 	defer sh.srv.wg.Done()
 	for {
 		select {
-		case <-sh.srv.quit:
+		case <-sh.srv.conns.Done():
 			return
 		case sess := <-sh.runq:
 			sh.service(sess)

@@ -676,7 +676,7 @@ func TestTeardownIdempotent(t *testing.T) {
 	defer srv.Close()
 	client, server := net.Pipe()
 	defer client.Close()
-	w := newConnWriter(server)
+	w := &connWriter{enc: json.NewEncoder(server)}
 	replies := make(chan Response, 1)
 	go func() {
 		var r Response
