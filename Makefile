@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench-check bench bench-campaign bench-seed bench-guard bench-ibp bench-platoon campaign-smoke guard-smoke platoon-smoke alloc-gate serve-smoke dist-smoke ibp-gate golden fuzz-smoke lint-extra loc-delta
+.PHONY: build test check bench-check bench bench-campaign bench-seed bench-guard bench-ibp bench-platoon campaign-smoke guard-smoke platoon-smoke alloc-gate serve-smoke dist-smoke ibp-gate golden fuzz-smoke lint-extra loc-delta perf-pairs
 
 build:
 	$(GO) build ./...
@@ -15,8 +15,8 @@ test: build
 # platoon),
 # the committed fuzz corpora (guarded planner, IBP containment, the serve
 # and dist wire protocols, the vector kernels against their scalar
-# references, the IBP tanh epilogue against its Go twin and the checkpoint
-# loader), and a short fuzzing smoke pass over the safety invariants, the
+# references, the IBP tanh epilogue's AVX-512 and AVX2 kernels against
+# their Go twin and the checkpoint loader), and a short fuzzing smoke pass over the safety invariants, the
 # wire protocols and their shared bounded decoder, the kernels and the
 # checkpoint loader,
 # bench-check, and the determinism lint (scripts/lint_determinism.sh).
@@ -85,6 +85,16 @@ loc-delta:
 	@test -n "$(BASE)" || { echo "usage: make loc-delta BASE=<ref>" >&2; exit 2; }
 	./scripts/loc_delta.sh $(BASE)
 
+# Alternating perfbench pairs of BASE against the working tree, BASE
+# first in the first pair, seeds SEED… (default 1), with the median
+# [quartiles] and wins table of EXPERIMENTS.md:
+# `make perf-pairs BASE=main WORKLOAD=campaign-certified-nn PAIRS=10 SECONDS=40`.
+# BASE is checked out in a git worktree under $TMPDIR and removed after;
+# see scripts/perf_pairs.sh.
+perf-pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" -a -n "$(PAIRS)" -a -n "$(SECONDS)" || { echo "usage: make perf-pairs BASE=<ref> WORKLOAD=<w> PAIRS=<n> SECONDS=<s> [SEED=<s>]" >&2; exit 2; }
+	./scripts/perf_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS) $(or $(SEED),1)
+
 # Allocation-regression gate: a warmed scratch arena, whose pooled engines
 # keep their hooks and per-link storage, must keep the episode hot path of
 # all four scenarios (the left turn and the multi-vehicle stream on
@@ -110,7 +120,8 @@ alloc-gate:
 # monitor edge cases), the bitwise tests of the kernels IBP and Predict1
 # run on (VecMatInto against the naive loop, MidRadInto against
 # VecMatInto, TanhInto against math.Tanh, each on every kernel tier the
-# CPU supports, and the tanh epilogue against its Go twin),
+# CPU supports, and the AVX-512 and AVX2 tanh epilogues against their
+# Go twin, also on every tier the CPU supports),
 # the committed fuzz corpus replay, and a quick
 # certification sweep over the trained models asserting zero
 # certified-range misses on the clean canonical scenario.  The purego

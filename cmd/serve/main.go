@@ -20,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -122,15 +121,12 @@ func main() {
 	}
 }
 
-// flushFinalMetrics logs the terminal /metrics payload — the same shape
-// the HTTP endpoint serves — so a scraper that misses the last interval
-// can still recover the final counters from the process log.
+// flushFinalMetrics logs the terminal /metrics payload over the final
+// Stats st — the document the HTTP endpoint serves — so a scraper that
+// misses the last interval can still recover the final counters from the
+// process log.
 func flushFinalMetrics(st serve.Stats, srv *serve.Server) {
-	payload := struct {
-		Server serve.Stats        `json:"server"`
-		Engine telemetry.Snapshot `json:"engine"`
-	}{st, srv.Metrics().Snapshot()}
-	raw, err := json.MarshalIndent(payload, "", "  ")
+	raw, err := srv.MetricsJSON(st)
 	if err != nil {
 		log.Printf("final metrics: %v", err)
 		return

@@ -221,14 +221,8 @@ type Ticker struct {
 	next   int // index of the next tick
 }
 
-// NewTicker returns a ticker firing at 0, period, 2·period, …  A
+// MakeTicker returns a ticker firing at 0, period, 2·period, …  A
 // non-positive period yields a ticker that never fires.
-func NewTicker(period float64) *Ticker {
-	return &Ticker{period: period}
-}
-
-// MakeTicker is the by-value form of NewTicker; episode step loops keep it
-// on the stack instead of heap-allocating a fresh ticker per episode.
 func MakeTicker(period float64) Ticker {
 	return Ticker{period: period}
 }
@@ -248,6 +242,3 @@ func (tk *Ticker) Due(now float64) (float64, bool) {
 	}
 	return 0, false
 }
-
-// Reset rewinds the ticker to fire at 0 again.
-func (tk *Ticker) Reset() { tk.next = 0 }

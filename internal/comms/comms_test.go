@@ -222,7 +222,7 @@ func TestDropSweepLeavesDelaysUntouched(t *testing.T) {
 }
 
 func TestTickerFiresAtMultiples(t *testing.T) {
-	tk := NewTicker(0.1)
+	tk := MakeTicker(0.1)
 	var fired []float64
 	for step := 0; step <= 10; step++ {
 		now := float64(step) * 0.05
@@ -246,7 +246,7 @@ func TestTickerFiresAtMultiples(t *testing.T) {
 }
 
 func TestTickerToleratesFloatDrift(t *testing.T) {
-	tk := NewTicker(0.1)
+	tk := MakeTicker(0.1)
 	// Accumulate 0.05 naively; 0.1 multiples won't be exact.
 	now := 0.0
 	count := 0
@@ -266,20 +266,22 @@ func TestTickerToleratesFloatDrift(t *testing.T) {
 }
 
 func TestTickerNeverFiresNonPositive(t *testing.T) {
-	tk := NewTicker(0)
+	tk := MakeTicker(0)
 	if _, ok := tk.Due(100); ok {
 		t.Fatal("zero-period ticker fired")
 	}
 }
 
+// TestTickerReset pins how an engine re-arms its tickers for the next
+// episode (sim.Engine.Arm): a new MakeTicker fires at 0 again.
 func TestTickerReset(t *testing.T) {
-	tk := NewTicker(1)
+	tk := MakeTicker(1)
 	tk.Due(0)
 	tk.Due(1)
-	tk.Reset()
+	tk = MakeTicker(1)
 	at, ok := tk.Due(0)
 	if !ok || at != 0 {
-		t.Fatal("Reset did not rewind ticker")
+		t.Fatal("a re-armed ticker did not fire at 0")
 	}
 }
 

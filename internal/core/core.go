@@ -130,17 +130,24 @@ func (c *Compound) Name() string {
 }
 
 // Accel implements Agent: the runtime monitor assesses the conservative
-// window over the *sound* estimate; on an emergency verdict κ_e takes over,
-// otherwise κ_n plans against its window over the fused estimate
-// (aggressive when AggressiveSet), subject to the monitor's commitment
-// guards.
+// window over the *sound* estimate (the fused one with MonitorOnFused),
+// and AccelVerdict acts on its verdict.
 func (c *Compound) Accel(t float64, ego dynamics.State, k Knowledge) (float64, bool) {
 	monEst := k.Sound
 	if c.MonitorOnFused {
 		monEst = k.Fused
 	}
-	wSound := c.Cfg.ConservativeWindow(monEst)
-	verdict := c.Monitor.Assess(ego, wSound)
+	return c.AccelVerdict(t, ego, &k, c.Monitor.Assess(ego, c.Cfg.ConservativeWindow(monEst)))
+}
+
+// AccelVerdict is Accel on a verdict the caller has already assessed:
+// it must be c.Monitor's on the conservative window over the estimate
+// Accel would pick.  On an emergency verdict κ_e takes over, otherwise
+// κ_n plans against its window over the fused estimate (aggressive when
+// AggressiveSet), subject to the monitor's commitment guards.  The
+// left-turn engine calls it with the one verdict it assesses per step
+// for the guard and the certifier as well.
+func (c *Compound) AccelVerdict(t float64, ego dynamics.State, k *Knowledge, verdict monitor.Outcome) (float64, bool) {
 	if c.Collector != nil {
 		reason := verdict.Reason
 		if !verdict.Emergency {

@@ -75,9 +75,6 @@ func New(cfg Config) *Filter {
 // Initialized reports whether the filter has processed any information.
 func (f *Filter) Initialized() bool { return f.initialized }
 
-// Time returns the timestamp of the current filtered estimate.
-func (f *Filter) Time() float64 { return f.tf }
-
 // stateTransition returns F(dt) and G(dt).
 func stateTransition(dt float64) (mat.Mat2, mat.Vec2) {
 	return mat.Mat2{A: 1, B: dt, C: 0, D: 1}, mat.Vec2{X: 0.5 * dt * dt, Y: dt}

@@ -53,7 +53,7 @@ func TestUninitializedInterval(t *testing.T) {
 func TestInitExact(t *testing.T) {
 	f := New(defaultCfg())
 	f.InitExact(1, 10, 5, 0.5)
-	if !f.Initialized() || f.Time() != 1 {
+	if !f.Initialized() || f.tf != 1 {
 		t.Fatal("InitExact bookkeeping wrong")
 	}
 	x, p := f.Estimate()
@@ -160,7 +160,7 @@ func TestEstimateAtExtrapolates(t *testing.T) {
 func TestIntervalAtWidthGrowsWithK(t *testing.T) {
 	f := New(defaultCfg())
 	simulateNoisy(t, f, 50, 0.1, 9, nil)
-	x, p := f.EstimateAt(f.Time())
+	x, p := f.EstimateAt(f.tf)
 	p1, v1 := Interval(x, p, 1)
 	p3, v3 := Interval(x, p, 3)
 	if p3.Width() <= p1.Width() || v3.Width() <= v1.Width() {
@@ -202,8 +202,8 @@ func TestApplyMessageSharpensEstimate(t *testing.T) {
 	xAfter, pAfter := f.Estimate()
 	errAfter := math.Abs(xAfter.X - truth.P)
 
-	if f.Time() != snaps[len(snaps)-1].t {
-		t.Fatalf("replay should end at the last measurement time, got %v", f.Time())
+	if f.tf != snaps[len(snaps)-1].t {
+		t.Fatalf("replay should end at the last measurement time, got %v", f.tf)
 	}
 	if pAfter.A >= pBefore.A {
 		t.Fatalf("message should shrink position variance: before=%v after=%v", pBefore.A, pAfter.A)
@@ -217,8 +217,8 @@ func TestApplyMessageNewerThanAllMeasurements(t *testing.T) {
 	f := New(defaultCfg())
 	f.InitExact(0, 0, 5, 0)
 	f.ApplyMessage(2, 11, 6, 0.5)
-	if f.Time() != 2 {
-		t.Fatalf("Time = %v, want 2", f.Time())
+	if f.tf != 2 {
+		t.Fatalf("Time = %v, want 2", f.tf)
 	}
 	x, _ := f.Estimate()
 	if x.X != 11 || x.Y != 6 {
@@ -258,7 +258,7 @@ func TestReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Reset()
-	if f.Initialized() || len(f.hist) != 0 || f.Time() != 0 {
+	if f.Initialized() || len(f.hist) != 0 || f.tf != 0 {
 		t.Fatal("Reset incomplete")
 	}
 }
@@ -285,7 +285,7 @@ func TestQuickIntervalCoverage(t *testing.T) {
 			if err := f.Update(float64(i)*dt, zp, zv, za); err != nil {
 				return false
 			}
-			x, p := f.EstimateAt(f.Time())
+			x, p := f.EstimateAt(f.tf)
 			pos, vel := Interval(x, p, 4)
 			if !pos.Contains(s.P) || !vel.Contains(s.V) {
 				misses++
@@ -318,7 +318,7 @@ func TestQuickCovarianceBounded(t *testing.T) {
 			}
 		}
 		_, p := flt.Estimate()
-		return p.Trace() < 10
+		return p.A+p.D < 10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

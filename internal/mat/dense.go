@@ -106,13 +106,6 @@ func MulInto(dst, a, b *Dense) {
 	}
 }
 
-// Mul returns a·b as a new matrix.
-func Mul(a, b *Dense) *Dense {
-	dst := NewDense(a.rows, b.cols)
-	MulInto(dst, a, b)
-	return dst
-}
-
 // MulTransInto computes dst = aᵀ·b without materializing the transpose.
 func MulTransInto(dst, a, b *Dense) {
 	if a.rows != b.rows {

@@ -196,3 +196,10 @@ func TestEqualShapeMismatch(t *testing.T) {
 		t.Fatal("different shapes reported equal")
 	}
 }
+
+// Mul returns a·b as a new matrix: the tests' reference product.
+func Mul(a, b *Dense) *Dense {
+	dst := NewDense(a.rows, b.cols)
+	MulInto(dst, a, b)
+	return dst
+}

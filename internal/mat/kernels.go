@@ -24,6 +24,10 @@ import (
 //   - tierGo: the twins, which take the rest, and everything off amd64
 //     or under -tags purego.
 //
+// The IBP's tanh epilogue (internal/nn/ibp) follows the same tiers
+// through AVX512 and AVX2: 8 rows per AVX-512 block, then 4 per AVX2
+// block, then its Go twin.
+//
 // The differential tests and fuzz targets run every tier the host
 // supports against an independent oracle: the naive one-accumulator loop
 // plus the bias for VecMatInto, VecMatInto on Wᵀ and |Wᵀ| with a zero
@@ -48,8 +52,14 @@ func (t tier) String() string {
 // -tags purego, or without AVX, AVX2, FMA and OS-saved YMM state.  It
 // stays true on a CPU that also runs the AVX-512 tier, whose tails take
 // the AVX2 kernels.  Kernels outside the package that follow the same
-// bit-exact discipline (the IBP's tanh epilogue) dispatch on it.
+// bit-exact discipline (the IBP's tanh epilogue) dispatch on it and on
+// AVX512.
 func AVX2() bool { return dotTier >= tierAVX2 }
+
+// AVX512 reports whether this build and CPU run the package's AVX-512
+// kernels, by the same check: AVX2 plus AVX512F and OS-saved opmask and
+// ZMM state.
+func AVX512() bool { return dotTier >= tierAVX512 }
 
 // VecMatInto sets dst[j] = Σ_k x[k]·wt[k·m+j] + b[j] for every
 // j < m = len(dst): the row vector x times the len(x)×m row-major matrix
@@ -135,15 +145,8 @@ func midRad(t tier, c2, r2, c, r, wt []float64) {
 	}
 	if m-j < 4 {
 		// A few outputs keep their two sums in registers.
-		r = r[:len(c)]
 		for ; j < m; j++ {
-			var sc, sr float64
-			for k, ck := range c {
-				w := wt[k*m+j]
-				sc += ck * w
-				sr += r[k] * math.Abs(w)
-			}
-			c2[j], r2[j] = sc, sr
+			c2[j], r2[j] = colMidRad(c, r, wt, m, j)
 		}
 		return
 	}
@@ -216,6 +219,28 @@ func colDot(x, wt []float64, m, j int) float64 {
 		s += xk * wt[k*m+j]
 	}
 	return s
+}
+
+// colMidRad returns Σ_k c[k]·wt[k·m+j] and Σ_k r[k]·|wt[k·m+j]|, each
+// summed from +0 in ascending k, over column j of the len(c)×m matrix wt.
+// A one-column matrix (an output layer) is read as one contiguous slice,
+// as colDot reads it.
+func colMidRad(c, r, wt []float64, m, j int) (sc, sr float64) {
+	r = r[:len(c)]
+	if m == 1 {
+		w := wt[:len(c)]
+		for k, ck := range c {
+			sc += ck * w[k]
+			sr += r[k] * math.Abs(w[k])
+		}
+		return sc, sr
+	}
+	for k, ck := range c {
+		w := wt[k*m+j]
+		sc += ck * w
+		sr += r[k] * math.Abs(w)
+	}
+	return sc, sr
 }
 
 // midRadGo is MidRadInto's portable twin for the outputs from j0 on, at

@@ -333,9 +333,9 @@ func TestVectorTanhSelected(t *testing.T) {
 	}
 }
 
-// benchShapes are the layer shapes of the shipped planners and of the
-// IBP benchmark network.
-var benchShapes = []struct{ in, out int }{{5, 32}, {32, 32}, {24, 24}}
+// benchShapes are the layer shapes of the shipped planners (their 32×1
+// output layer included) and of the IBP benchmark network.
+var benchShapes = []struct{ in, out int }{{5, 32}, {32, 32}, {32, 1}, {24, 24}}
 
 func benchOperands(in, out int) (x, r, wt []float64) {
 	rng := rand.New(rand.NewSource(24))

@@ -26,9 +26,6 @@ func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
 // Scale returns k·v.
 func (v Vec2) Scale(k float64) Vec2 { return Vec2{k * v.X, k * v.Y} }
 
-// Norm returns the Euclidean norm.
-func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
-
 // Mat2 is a 2×2 matrix
 //
 //	| A B |
@@ -51,11 +48,6 @@ func (m Mat2) Add(n Mat2) Mat2 {
 // Sub returns m - n.
 func (m Mat2) Sub(n Mat2) Mat2 {
 	return Mat2{m.A - n.A, m.B - n.B, m.C - n.C, m.D - n.D}
-}
-
-// Scale returns k·m.
-func (m Mat2) Scale(k float64) Mat2 {
-	return Mat2{k * m.A, k * m.B, k * m.C, k * m.D}
 }
 
 // Mul returns the matrix product m·n.
@@ -89,9 +81,6 @@ func (m Mat2) Inverse() (Mat2, bool) {
 	inv := 1 / det
 	return Mat2{A: m.D * inv, B: -m.B * inv, C: -m.C * inv, D: m.A * inv}, true
 }
-
-// Trace returns A + D.
-func (m Mat2) Trace() float64 { return m.A + m.D }
 
 // String implements fmt.Stringer.
 func (m Mat2) String() string {

@@ -131,3 +131,16 @@ func TestQuickTransposeProduct(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The helpers below have no caller outside the tests.
+
+// Norm returns the Euclidean norm.
+func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
+
+// Scale returns k·m.
+func (m Mat2) Scale(k float64) Mat2 {
+	return Mat2{k * m.A, k * m.B, k * m.C, k * m.D}
+}
+
+// Trace returns A + D.
+func (m Mat2) Trace() float64 { return m.A + m.D }

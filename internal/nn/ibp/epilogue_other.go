@@ -2,8 +2,12 @@
 
 package ibp
 
-// Off amd64, and under the purego build tag, useAsm is false and the
-// epilogue runs its Go twin.
-func tanhEpilogueAsm(c, r, b, rowsum, gb []float64, s float64, point bool) float64 {
+// Off amd64, and under the purego build tag, epilogueTier is tierGo and
+// the epilogue runs its Go twin.
+func tanhEpilogueAVX2(c, r, b, rowsum, gb []float64, s float64, point bool) float64 {
+	panic("ibp: no vector kernel")
+}
+
+func tanhEpilogueAVX512(c, r, b, rowsum, gb []float64, s float64, point bool) float64 {
 	panic("ibp: no vector kernel")
 }

@@ -15,26 +15,39 @@ func tanhLayer(b, rowsum, gb []float64) *layer {
 	return &layer{out: len(b), b: b, rowsum: rowsum, gb: gb, act: nn.Tanh{}, kind: actTanh}
 }
 
-// checkEpilogue runs layer.epilogue (the AVX2 kernel where the CPU allows,
-// then the Go twin on the tail) and layer.epilogueGo alone on copies of
-// the sums c and r, for a point and an interval box, and requires the
-// centres, radii and returned rmax to agree bit for bit.
-func checkEpilogue(t testing.TB, l *layer, c, r []float64, s float64) {
+// hostTiers returns the epilogue tiers from tierGo up to epilogueTier,
+// the ones this build and CPU run, and logs them, so a test's output
+// shows which kernels it checked.
+func hostTiers(t testing.TB) []tier {
+	t.Helper()
+	var ts []tier
+	for tr := tierGo; tr <= epilogueTier; tr++ {
+		ts = append(ts, tr)
+	}
+	t.Logf("epilogue tiers run: %v", ts)
+	return ts
+}
+
+// checkEpilogue runs layer.epilogue on tier tr (its kernels on their
+// blocks, the lower tiers on the rest) and layer.epilogueGo alone on
+// copies of the sums c and r, for a point and an interval box, and
+// requires the centres, radii and returned rmax to agree bit for bit.
+func checkEpilogue(t testing.TB, tr tier, l *layer, c, r []float64, s float64) {
 	t.Helper()
 	n := len(c)
 	for _, point := range []bool{false, true} {
 		gc, gr := append([]float64(nil), c...), append([]float64(nil), r...)
 		wc, wr := append([]float64(nil), c...), append([]float64(nil), r...)
-		got := l.epilogue(gc, gr, s, point)
+		got := l.epilogue(tr, gc, gr, s, point)
 		want := l.epilogueGo(wc, wr, s, point, 0, 0)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d point=%v: rmax %v (%#x), Go twin %v (%#x)",
-				n, point, got, math.Float64bits(got), want, math.Float64bits(want))
+			t.Fatalf("%v n=%d point=%v: rmax %v (%#x), Go twin %v (%#x)",
+				tr, n, point, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 		for j := 0; j < n; j++ {
 			if math.Float64bits(gc[j]) != math.Float64bits(wc[j]) || math.Float64bits(gr[j]) != math.Float64bits(wr[j]) {
-				t.Fatalf("n=%d point=%v row %d (c %v, r %v, s %v): got (%v, %v) [%#x %#x], Go twin (%v, %v) [%#x %#x]",
-					n, point, j, c[j], r[j], s, gc[j], gr[j], math.Float64bits(gc[j]), math.Float64bits(gr[j]),
+				t.Fatalf("%v n=%d point=%v row %d (c %v, r %v, s %v): got (%v, %v) [%#x %#x], Go twin (%v, %v) [%#x %#x]",
+					tr, n, point, j, c[j], r[j], s, gc[j], gr[j], math.Float64bits(gc[j]), math.Float64bits(gr[j]),
 					wc[j], wr[j], math.Float64bits(wc[j]), math.Float64bits(wr[j]))
 			}
 		}
@@ -59,19 +72,23 @@ func epilogueEdges() []float64 {
 	return xs
 }
 
-// TestTanhEpilogueMatchesGo pins the tanh epilogue to its Go twin bit for
-// bit.  With zero bias, radius, rowsum and margin the pre-activation
-// bounds are the centre sums themselves, so epilogueEdges reach the chord
-// exactly; random rows then add bias, radius and margin, with the
-// scalar tail at every length 0–9.
+// TestTanhEpilogueMatchesGo pins the tanh epilogue on every tier the host
+// runs to its Go twin bit for bit.  With zero bias, radius, rowsum and
+// margin the pre-activation bounds are the centre sums themselves, so
+// epilogueEdges reach the chord exactly; random rows then add bias,
+// radius and margin, at every length 0–19 (the AVX-512 blocks with AVX2
+// and scalar tails) and at 32.
 func TestTanhEpilogueMatchesGo(t *testing.T) {
+	tiers := hostTiers(t)
 	xs := epilogueEdges()
 	zeros := make([]float64, len(xs))
-	checkEpilogue(t, tanhLayer(zeros, zeros, zeros), xs, zeros, 0)
+	for _, tr := range tiers {
+		checkEpilogue(t, tr, tanhLayer(zeros, zeros, zeros), xs, zeros, 0)
+	}
 
 	rng := rand.New(rand.NewSource(23))
-	for rep := 0; rep < 400; rep++ {
-		n := rep % 10
+	for rep := 0; rep < 600; rep++ {
+		n := rep % 20
 		if rep%3 == 0 {
 			n = 32
 		}
@@ -87,12 +104,16 @@ func TestTanhEpilogueMatchesGo(t *testing.T) {
 			rowsum[j] = rng.ExpFloat64() * 4
 			gb[j] = max(math.Abs(b[j])*gamma(4*32+16), marginFloor)
 		}
-		checkEpilogue(t, tanhLayer(b, rowsum, gb), c, r, rng.ExpFloat64()*1e-3)
+		s := rng.ExpFloat64() * 1e-3
+		for _, tr := range tiers {
+			checkEpilogue(t, tr, tanhLayer(b, rowsum, gb), c, r, s)
+		}
 	}
 }
 
-// FuzzTanhEpilogue compares the tanh epilogue with its Go twin bit for
-// bit on the first k rows for every k up to rows mod 36.  Row j reads
+// FuzzTanhEpilogue compares the tanh epilogue on every tier the host runs
+// with its Go twin bit for bit on the first k rows for every k up to
+// rows mod 36.  Row j reads
 // c, r, b, rowsum and gb from the decoded values 5j…5j+4 (cycling), and
 // s from value 5·n.  Non-finite values become 0 and magnitudes are
 // clamped so the pre-activation bounds stay finite, the kernel's
@@ -101,6 +122,7 @@ func TestTanhEpilogueMatchesGo(t *testing.T) {
 // (testdata/fuzz/FuzzTanhEpilogue) holds cell edges, ±0, subnormals,
 // values at and above 20 and near maxReach, at 0–35 rows.
 func FuzzTanhEpilogue(f *testing.F) {
+	tiers := hostTiers(f)
 	f.Fuzz(func(t *testing.T, data []byte, rows uint8) {
 		vals := make([]float64, len(data)/8)
 		for i := range vals {
@@ -125,14 +147,15 @@ func FuzzTanhEpilogue(f *testing.F) {
 		}
 		s := min(math.Abs(at(5*n)), 1)
 		for k := 0; k <= n; k++ {
-			checkEpilogue(t, tanhLayer(b[:k], rowsum[:k], gb[:k]), c[:k], r[:k], s)
+			for _, tr := range tiers {
+				checkEpilogue(t, tr, tanhLayer(b[:k], rowsum[:k], gb[:k]), c[:k], r[:k], s)
+			}
 		}
 	})
 }
 
 // BenchmarkTanhEpilogue times one 32-row tanh layer's epilogue on an
-// interval box: the AVX2 kernel (vector, the Go twin where the CPU or the
-// build has none) and the Go twin alone (go).
+// interval box, on every tier the host runs (go is the Go twin alone).
 func BenchmarkTanhEpilogue(b *testing.B) {
 	rng := rand.New(rand.NewSource(25))
 	const n = 32
@@ -144,18 +167,12 @@ func BenchmarkTanhEpilogue(b *testing.B) {
 	}
 	l := tanhLayer(bias, rowsum, gb)
 	wc, wr := make([]float64, n), make([]float64, n)
-	for _, bc := range []struct {
-		name string
-		run  func()
-	}{
-		{"vector", func() { l.epilogue(wc, wr, 1e-12, false) }},
-		{"go", func() { l.epilogueGo(wc, wr, 1e-12, false, 0, 0) }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
+	for _, tr := range hostTiers(b) {
+		b.Run(tr.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(wc, c)
 				copy(wr, r)
-				bc.run()
+				l.epilogue(tr, wc, wr, 1e-12, false)
 			}
 		})
 	}

@@ -24,9 +24,12 @@
 // κ = γ_{4n+16}, with a floor of 2⁻⁹⁹⁹ for products that underflow.
 //
 // After the weight pass, one epilogue per hidden layer adds the bias and
-// margin, encloses the activation and re-centres the bounds; for tanh
-// layers it runs an AVX2 kernel (epilogue_amd64.s) that is bitwise its
-// Go twin whenever mat.AVX2 reports the vector kernels in use.
+// margin, encloses the activation and re-centres the bounds.  For tanh
+// layers it runs in tiers, as internal/mat's kernels do and on the tier
+// of internal/mat's one CPU check (mat.AVX512, mat.AVX2): an AVX-512
+// kernel on blocks of eight rows, an AVX2 kernel on blocks of four
+// (epilogue_amd64.s), and the Go twin on the rest and under -tags
+// purego; each kernel is bitwise its Go twin.
 //
 // The activations are enclosed outward.  Tanh uses a fixed table of
 // math.Tanh(i/128) on [0, 20]: tanh is concave on x ≥ 0, so the chord
@@ -101,11 +104,34 @@ const (
 	sigmoidFloor = 0x1p-1021
 )
 
-// useAsm selects the AVX2 tanh epilogue (epilogue_amd64.s).
-var useAsm = mat.AVX2()
+// tier is a level of tanh epilogue kernel (epilogue_amd64.s); a higher
+// tier runs its own blocks of rows and hands the rest to the tiers below.
+type tier int
 
-// epilogueConst holds the constants the AVX2 tanh epilogue broadcasts, in
-// its order.
+const (
+	tierGo tier = iota
+	tierAVX2
+	tierAVX512
+)
+
+func (t tier) String() string {
+	return [...]string{"go", "avx2", "avx512"}[t]
+}
+
+// epilogueTier is the highest epilogue tier this build and CPU run,
+// read from internal/mat's one start-up CPU check.
+var epilogueTier = func() tier {
+	switch {
+	case mat.AVX512():
+		return tierAVX512
+	case mat.AVX2():
+		return tierAVX2
+	}
+	return tierGo
+}()
+
+// epilogueConst holds the constants the tanh epilogue kernels broadcast,
+// in their order.
 var epilogueConst = [...]float64{tanhOffHalf, tanhOffMid, tanhRange, tanhCellsPerUnit}
 
 // tanhCell holds, per cell i of the tanh enclosure, y_i = math.Tanh(i/128)
@@ -200,19 +226,30 @@ func (l *layer) enclose(lo, hi []float64, s float64, j0 int) {
 	l.activate(lo[j0:], hi[j0:])
 }
 
-// epilogue finishes a hidden layer in place: enclose on the centre and
-// radius sums in c and r, then the output bounds back to centre and
-// radius.  It returns the largest radius for a point box (the next
-// layer's rmax) and 0 for any other box.  Tanh layers run the AVX2
-// kernel on blocks of four rows when mat.AVX2 allows; epilogueGo is its
-// twin, and runs the remaining rows and every other activation.
-func (l *layer) epilogue(c, r []float64, s float64, point bool) float64 {
-	j0, rmax := 0, 0.0
-	if useAsm && l.kind == actTanh {
-		j0 = len(c) &^ 3
-		rmax = tanhEpilogueAsm(c[:j0], r[:j0], l.b, l.rowsum, l.gb, s, point)
+// epilogue finishes a hidden layer in place, on tier t and below:
+// enclose on the centre and radius sums in c and r, then the output
+// bounds back to centre and radius.  It returns the largest radius for a
+// point box (the next layer's rmax) and 0 for any other box.  Tanh layers
+// run the AVX-512 kernel on blocks of eight rows, then the AVX2 kernel on
+// blocks of four; epilogueGo is their twin, and runs the remaining rows
+// and every other activation.  PredictIntervalInto passes epilogueTier.
+func (l *layer) epilogue(t tier, c, r []float64, s float64, point bool) float64 {
+	j, rmax := 0, 0.0
+	if l.kind == actTanh {
+		if t >= tierAVX512 && len(c) >= 8 {
+			j = len(c) &^ 7
+			rmax = tanhEpilogueAVX512(c[:j], r[:j], l.b, l.rowsum, l.gb, s, point)
+		}
+		if t >= tierAVX2 && len(c)-j >= 4 {
+			j2 := len(c) &^ 3
+			rmax = max(rmax, tanhEpilogueAVX2(c[j:j2], r[j:j2], l.b[j:], l.rowsum[j:], l.gb[j:], s, point))
+			j = j2
+		}
+		if j == len(c) {
+			return rmax
+		}
 	}
-	return l.epilogueGo(c, r, s, point, j0, rmax)
+	return l.epilogueGo(c, r, s, point, j, rmax)
 }
 
 // epilogueGo is epilogue in Go for rows j0 on, continuing the running
@@ -452,7 +489,7 @@ func (p *Propagator) PredictIntervalInto(dst, box []interval.Interval, scr *Scra
 			}
 			return dst
 		}
-		rmax = l.epilogue(lo, hi, s, point)
+		rmax = l.epilogue(epilogueTier, lo, hi, s, point)
 		m = l.outMax
 		if m == 0 {
 			for j, cj := range lo {

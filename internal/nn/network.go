@@ -48,14 +48,18 @@ func (n *Network) ForwardBatch(x *mat.Dense) *mat.Dense {
 }
 
 // predictWidth is the widest layer Predict1 evaluates in its stack
-// buffers; a wider layer takes a per-call allocation instead.
-const predictWidth = 64
+// buffers; a wider layer takes a per-call allocation instead.  It fits
+// every shipped model and the default trainer (hidden layers of 32):
+// Go zeroes the buffers on every call, so a wider bound would clear
+// memory no layer uses.
+const predictWidth = 32
 
 // Predict1 evaluates a single-output network on one input vector.  It
 // reads only the weights (each layer's Wᵀ and bias), keeping its
-// activations on the stack, so it is safe for concurrent use and does not
-// allocate for layers of at most predictWidth units.  It runs the kernel and activation of Dense.Forward,
-// so it agrees bit for bit with ForwardBatch on the same row.
+// activations on the stack, so it is safe for concurrent use and does
+// not allocate for layers of at most predictWidth units.  It runs the
+// kernel and activation of Dense.Forward, so it agrees bit for bit with
+// ForwardBatch on the same row.
 func (n *Network) Predict1(in []float64) float64 {
 	if len(in) != n.InputDim() {
 		panic(fmt.Sprintf("nn: Predict1 expects %d inputs, got %d", n.InputDim(), len(in)))

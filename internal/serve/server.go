@@ -202,9 +202,17 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Metrics returns the engine-side telemetry collector shared by every
-// session (step probes, episode outcomes, sound-violation counters).
-func (s *Server) Metrics() *telemetry.Metrics { return s.metrics }
+// MetricsJSON renders the /metrics document, the server statistics st
+// beside a snapshot of the engine-side telemetry every session shares
+// (step probes, episode outcomes, sound-violation counters), as indented
+// JSON.  ServeHTTP passes the live Stats; a daemon that shuts down logs
+// the final ones Shutdown returned.
+func (s *Server) MetricsJSON(st Stats) ([]byte, error) {
+	return json.MarshalIndent(struct {
+		Server Stats              `json:"server"`
+		Engine telemetry.Snapshot `json:"engine"`
+	}{st, s.metrics.Snapshot()}, "", "  ")
+}
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
@@ -491,14 +499,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	case "/metrics":
-		payload := struct {
-			Server Stats              `json:"server"`
-			Engine telemetry.Snapshot `json:"engine"`
-		}{s.Stats(), s.metrics.Snapshot()}
+		raw, err := s.MetricsJSON(s.Stats())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(payload)
+		w.Write(append(raw, '\n'))
 	default:
 		http.NotFound(w, r)
 	}

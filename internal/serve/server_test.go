@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -422,6 +423,10 @@ func TestMetricsEndpoints(t *testing.T) {
 	if payload.Server.EpisodesFinished != 1 || payload.Engine.Episodes != 1 {
 		t.Fatalf("metrics payload counts: %+v", payload)
 	}
+	// The endpoint serves the document a shutting-down daemon logs.
+	if raw, err := srv.MetricsJSON(srv.Stats()); err != nil || !bytes.Equal(rec.Body.Bytes(), append(raw, '\n')) {
+		t.Fatalf("MetricsJSON (err %v):\n%s\nServeHTTP:\n%s", err, raw, rec.Body.Bytes())
+	}
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/nope", nil))
 	if rec.Code != 404 {
@@ -639,7 +644,7 @@ func TestSoak(t *testing.T) {
 	if p99 := st.StepLatencyNs.Quantile(0.99); p99 > soakStepSLO {
 		t.Fatalf("step latency p99 %.0fns exceeds SLO %.0fns", p99, float64(soakStepSLO))
 	}
-	engine := srv.Metrics().Snapshot()
+	engine := srv.metrics.Snapshot()
 	if engine.SoundViolations != 0 {
 		t.Fatalf("soak produced %d sound violations", engine.SoundViolations)
 	}

@@ -73,15 +73,6 @@ type certifier struct {
 	monFused   bool
 	mon        monitor.Monitor
 
-	// shared is set at construction when the guard's envelope hook
-	// assesses exactly the verdict the clamp needs: a guard runs, and the
-	// agent's monitor is the engine's, on the sound estimate.  The hook
-	// then stores track 0's verdict in verdict and sets have, and rangeAt
-	// takes it instead of assessing again; have is cleared every step.
-	shared  bool
-	have    bool
-	verdict monitor.Outcome
-
 	scr *ibp.Scratch
 	box [leftturn.FeatureCount]interval.Interval
 	out [1]interval.Interval
@@ -130,20 +121,24 @@ func (c *certifier) init(cfg *CertifyConfig, ego dynamics.Limits, agent core.Age
 // feature box over the sound estimate is propagated through the network,
 // clamped by the actuation limits exactly as the planner clamps its
 // output, and — for the compound agent — clipped by the monitor verdict
-// (Outcome.Apply is a monotone clip, so containment is preserved).  The
-// verdict is the envelope hook's when it stored one this step (shared),
-// and is assessed here otherwise.  ok=false when the executed command is
-// not κ_n's to certify (the compound monitor demanded κ_e this step).
-func (c *certifier) rangeAt(t float64, ego dynamics.State, sc *leftturn.Config, know *core.Knowledge) (lo, hi float64, ok bool) {
+// (Outcome.Apply is a monotone clip, so containment is preserved).  v0
+// is the engine's track-0 verdict when the compound shares it
+// (MultiStepper.comp), and nil otherwise, when rangeAt assesses the
+// compound's own.  ok=false when the executed command is not κ_n's to
+// certify (the compound monitor demanded κ_e this step).
+func (c *certifier) rangeAt(t float64, ego dynamics.State, sc *leftturn.Config, know *core.Knowledge, v0 *monitor.Outcome) (lo, hi float64, ok bool) {
+	var verdict monitor.Outcome
 	if c.clamp {
-		if !c.have {
+		if v0 != nil {
+			verdict = *v0
+		} else {
 			monEst := know.Sound
 			if c.monFused {
 				monEst = know.Fused
 			}
-			c.verdict = c.mon.Assess(ego, sc.ConservativeWindow(monEst))
+			verdict = c.mon.Assess(ego, sc.ConservativeWindow(monEst))
 		}
-		if c.verdict.Emergency {
+		if verdict.Emergency {
 			return 0, 0, false
 		}
 	}
@@ -163,7 +158,7 @@ func (c *certifier) rangeAt(t float64, ego dynamics.State, sc *leftturn.Config, 
 		hi = c.lim.AMax
 	}
 	if c.clamp {
-		lo, hi = c.verdict.Apply(lo), c.verdict.Apply(hi)
+		lo, hi = verdict.Apply(lo), verdict.Apply(hi)
 	}
 	return lo, hi, true
 }

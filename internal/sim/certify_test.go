@@ -125,12 +125,13 @@ func TestCertifyDoesNotPerturbEpisode(t *testing.T) {
 	}
 }
 
-// TestCertifyVerdictSharing pins when the certifier takes the guard's
-// envelope verdict instead of assessing its own (certifier.shared): only
-// on guarded runs whose compound monitor is monitor.New over the sound
-// estimate.  Where it shares, every step's certified range and the whole
-// result must equal a run with sharing switched off, also under planner
-// faults that drive the guard's fallback paths.
+// TestCertifyVerdictSharing pins when the left-turn engine assesses one
+// verdict per step for the compound, the guard's envelope and the
+// certifier (MultiStepper.comp): only for a compound whose Cfg is the
+// scenario's and whose monitor is monitor.New over the sound estimate,
+// guarded or not.  Where it shares, every step's certified range and the
+// whole result must equal a run with sharing switched off, also under
+// planner faults that drive the guard's fallback paths.
 func TestCertifyVerdictSharing(t *testing.T) {
 	p, prop := certifyPlanner(t, 3)
 	sc := DefaultConfig().Scenario
@@ -153,7 +154,7 @@ func TestCertifyVerdictSharing(t *testing.T) {
 		{"ultimate_guarded", core.NewUltimate(sc, p), true, nil, true},
 		{"basic_guarded", core.NewBasic(sc, p), true, nil, true},
 		{"ultimate_guarded_faults", core.NewUltimate(sc, p), true, worst, true},
-		{"ultimate_unguarded", core.NewUltimate(sc, p), false, nil, false},
+		{"ultimate_unguarded", core.NewUltimate(sc, p), false, nil, true},
 		{"fused_guarded", fused, true, nil, false},
 		{"inflation_guarded", inflated, true, nil, false},
 		{"pure_guarded", &core.PureNN{Cfg: sc, Planner: p}, true, nil, false},
@@ -173,10 +174,12 @@ func TestCertifyVerdictSharing(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := st.eng.cert.shared; got != tc.shared {
+					if got := st.comp != nil; got != tc.shared {
 						t.Fatalf("shared = %v, want %v", got, tc.shared)
 					}
-					st.eng.cert.shared = share && tc.shared
+					if !share {
+						st.comp = nil
+					}
 					var ranges []certRange
 					for !st.Done() {
 						if _, err := st.Step(StepInput{}); err != nil {
@@ -201,6 +204,115 @@ func TestCertifyVerdictSharing(t *testing.T) {
 				}
 				if !reflect.DeepEqual(ranges, refRanges) {
 					t.Fatalf("seed %d: certified ranges diverged with the shared verdict", seed)
+				}
+			}
+		})
+	}
+}
+
+// ownAssess hides an agent's type from NewStepper, so a compound behind
+// it assesses its own verdict in Accel.
+type ownAssess struct{ core.Agent }
+
+// sharedRun is one traced episode of TestSharedVerdictMatchesOwnAssess:
+// its result, its monitor decisions and every step's certified range.
+type sharedRun struct {
+	res     string
+	reasons []string
+	ranges  []certRange
+}
+
+// runShared runs one traced episode of agent at seed through NewStepper.
+// With hide set the compound assesses its own verdict: behind ownAssess
+// when cfg is not certified (verified mode refuses unknown agent types),
+// and otherwise with the engine's shared verdict switched off after
+// construction.  shared reports whether the engine shared its verdict.
+func runShared(t *testing.T, cfg Config, agent *core.Compound, seed int64, hide bool) (run sharedRun, shared bool) {
+	t.Helper()
+	rec := &reasonRecorder{}
+	agent.SetCollector(rec)
+	defer agent.SetCollector(nil)
+	var a core.Agent = agent
+	if hide && cfg.Certify == nil {
+		a = ownAssess{agent}
+	}
+	st, err := NewStepper(cfg, a, Options{Seed: seed, Trace: true, Scratch: NewScratch()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared = st.comp != nil
+	if hide {
+		st.comp = nil
+	}
+	for !st.Done() {
+		if _, err := st.Step(StepInput{}); err != nil {
+			t.Fatal(err)
+		}
+		c := &st.eng.cert
+		run.ranges = append(run.ranges, certRange{Lo: c.lo, Hi: c.hi, OK: c.ok})
+	}
+	res, err := st.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// %+v prints the trace rows' NaN sentinels alike on both sides.
+	run.res, run.reasons = fmt.Sprintf("%+v", res), rec.reasons
+	return run, shared
+}
+
+// TestSharedVerdictMatchesOwnAssess runs the shipped nn-cons planner in
+// compounds through NewStepper on the certified goldens' seeds, guarded
+// and certified as in certifiedSetup and unguarded without verified
+// mode, once as NewStepper takes it and once with the compound assessing
+// its own verdict.  The results with their trace rows, the monitor
+// decisions and the certified ranges must be identical.  The ultimate
+// and basic compounds share the engine's verdict; the two certified
+// ablations (WindowInflation < 0 and MonitorOnFused) must not, and a
+// shared verdict would change their runs.
+func TestSharedVerdictMatchesOwnAssess(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		build  func(Config, *planner.NNPlanner) *core.Compound
+		shared bool
+	}{
+		{"ultimate", func(c Config, p *planner.NNPlanner) *core.Compound { return core.NewUltimate(c.Scenario, p) }, true},
+		{"basic", func(c Config, p *planner.NNPlanner) *core.Compound { return core.NewBasic(c.Scenario, p) }, true},
+		{"inflation", func(c Config, p *planner.NNPlanner) *core.Compound {
+			a := core.NewUltimate(c.Scenario, p)
+			a.Monitor.WindowInflation = -1
+			return a
+		}, false},
+		{"fused", func(c Config, p *planner.NNPlanner) *core.Compound {
+			a := core.NewUltimate(c.Scenario, p)
+			a.MonitorOnFused = true
+			return a
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			certified, p := certifiedSetup(t, "nn-cons")
+			plain := certified
+			plain.Guard, plain.Certify = nil, nil
+			for _, mode := range []struct {
+				name string
+				cfg  Config
+			}{{"guarded-certified", certified}, {"unguarded", plain}} {
+				for _, seed := range []int64{goldenSeed, 120} {
+					agent := tc.build(mode.cfg, p)
+					got, shared := runShared(t, mode.cfg, agent, seed, false)
+					if shared != tc.shared {
+						t.Fatalf("%s seed %d: shared = %v, want %v", mode.name, seed, shared, tc.shared)
+					}
+					want, _ := runShared(t, mode.cfg, agent, seed, true)
+					if got.res != want.res {
+						t.Fatalf("%s seed %d: result diverged from the compound's own verdict:\ngot  %s\nwant %s",
+							mode.name, seed, got.res, want.res)
+					}
+					if !reflect.DeepEqual(got.reasons, want.reasons) {
+						t.Fatalf("%s seed %d: monitor decisions diverged from the compound's own verdict", mode.name, seed)
+					}
+					if !reflect.DeepEqual(got.ranges, want.ranges) {
+						t.Fatalf("%s seed %d: certified ranges diverged from the compound's own verdict", mode.name, seed)
+					}
 				}
 			}
 		})

@@ -284,7 +284,7 @@ func (e *Engine) Decide() (float64, bool) {
 		start = time.Now()
 	}
 	if e.certOn {
-		e.cert.lo, e.cert.hi, e.cert.ok, e.cert.have = 0, 0, false, false
+		e.cert.lo, e.cert.hi, e.cert.ok = 0, 0, false
 	}
 	e.gres = guard.StepResult{}
 	if e.gs != nil {

@@ -99,6 +99,18 @@ type MultiStepper struct {
 	sc  leftturn.Config
 	mon monitor.Monitor
 
+	// comp is the single agent when it is a *core.Compound whose verdict
+	// is the engine's track-0 verdict: its Cfg and Monitor equal sc and
+	// mon, and its monitor reads the sound estimate.  Plan then hands it
+	// v0 (Compound.AccelVerdict) in place of its own Assess; nil
+	// otherwise.
+	comp *core.Compound
+	// v0 is mon's verdict on track 0's sound estimate for the current
+	// step, assessed on first use (haveV0) by the compound's plan, the
+	// guard's envelope or the certifier, and read by all three.
+	v0     monitor.Outcome
+	haveV0 bool
+
 	// Per-track storage (index i = track i = link i), kept across
 	// episodes by the pooled engine.
 	tracks []oncomingTrack
@@ -250,6 +262,10 @@ func newEngine(cfg MultiConfig, multi core.MultiAgent, single core.Agent, opts O
 	// basis with a soundness guarantee, regardless of any agent-side
 	// monitor ablation).
 	st.mon = monitor.New(sc)
+	st.comp = nil
+	if ag, ok := single.(*core.Compound); ok && ag.Cfg == sc && ag.Monitor == st.mon && !ag.MonitorOnFused {
+		st.comp = ag
+	}
 	st.ks = Zeroed(st.ks, cfg.Vehicles)
 	if st.eng.coll != nil {
 		st.cons = Zeroed(st.cons, cfg.Vehicles)
@@ -262,12 +278,6 @@ func newEngine(cfg MultiConfig, multi core.MultiAgent, single core.Agent, opts O
 		st.eng.certOn = true
 		if st.eng.gs != nil {
 			st.eng.gs.SetCertifiedRange(st.eng.certFn)
-			// The guard runs the envelope hook, st.mon on track 0's sound
-			// estimate, before every certified-range call; when the
-			// compound's monitor is that one on that estimate, the
-			// certifier takes the hook's verdict.
-			c := &st.eng.cert
-			c.shared = c.clamp && !c.monFused && c.mon == st.mon
 		}
 	}
 	return st, nil
@@ -280,23 +290,33 @@ func (st *MultiStepper) hooks() Hooks {
 	// Certify), so the range is track 0's.
 	st.eng.certFn = func() (float64, float64, bool) {
 		c := &st.eng.cert
-		c.lo, c.hi, c.ok = c.rangeAt(st.eng.t, st.ego, &st.sc, &st.ks[0])
+		var v0 *monitor.Outcome
+		if st.comp != nil {
+			v0 = st.verdict0()
+		}
+		c.lo, c.hi, c.ok = c.rangeAt(st.eng.t, st.ego, &st.sc, &st.ks[0], v0)
 		return c.lo, c.hi, c.ok
 	}
 	return Hooks{
-		Plan:      func() (float64, bool) { return st.agent.Accel(st.eng.t, st.ego, st.ks) },
+		Plan: func() (float64, bool) {
+			if st.comp != nil {
+				return st.comp.AccelVerdict(st.eng.t, st.ego, &st.ks[0], *st.verdict0())
+			}
+			return st.agent.Accel(st.eng.t, st.ego, st.ks)
+		},
 		Emergency: func() float64 { return st.sc.EmergencyAccel(st.ego) },
 		// Per-track envelopes intersect: the ego must satisfy every
 		// vehicle's commitment guard at once, exactly as the multi-vehicle
 		// compound resolves them (an empty intersection or any emergency
-		// verdict admits only κ_e).  Track 0's verdict is handed to the
-		// certifier when it shares it (certifier.shared).
+		// verdict admits only κ_e).  Track 0's is the step's v0.
 		Envelope: func() (float64, float64, bool) {
 			lo, hi := st.sc.Ego.AMin, st.sc.Ego.AMax
 			for i := range st.ks {
-				v := st.mon.Assess(st.ego, st.sc.ConservativeWindow(st.ks[i].Sound))
-				if i == 0 && st.eng.cert.shared {
-					st.eng.cert.verdict, st.eng.cert.have = v, true
+				var v monitor.Outcome
+				if i == 0 {
+					v = *st.verdict0()
+				} else {
+					v = st.mon.Assess(st.ego, st.sc.ConservativeWindow(st.ks[i].Sound))
 				}
 				tlo, thi, ok := v.Envelope(st.sc.Ego)
 				if !ok {
@@ -312,6 +332,15 @@ func (st *MultiStepper) hooks() Hooks {
 			return lo, hi, lo <= hi
 		},
 	}
+}
+
+// verdict0 returns the step's v0, assessing it on first use.
+func (st *MultiStepper) verdict0() *monitor.Outcome {
+	if !st.haveV0 {
+		st.v0 = st.mon.Assess(st.ego, st.sc.ConservativeWindow(st.ks[0].Sound))
+		st.haveV0 = true
+	}
+	return &st.v0
 }
 
 // Done reports whether the episode has terminated (or a step invariant
@@ -360,6 +389,7 @@ func (st *MultiStepper) Step(in StepInput) (StepOutcome, error) {
 		k.Fused.PointP, k.Fused.PointV, k.Fused.A = est.PointP, est.PointV, est.A
 	}
 
+	st.haveV0 = false
 	a0, emergency := st.eng.Decide()
 	if st.eng.Probing() {
 		st.eng.Report(multiStepProbe(sc, st.ks, st.cons, st.aggr))
