@@ -35,15 +35,19 @@ check:
 	$(MAKE) fuzz-smoke
 
 # The benchmark module under perfbench/ vetted and tested at tiny size
-# (go test ./... does not reach it: it is its own module), and the
-# committed BENCH_seed.json, BENCH_ibp.json and BENCH_guard_quick.json
-# rerun from their recorded sizes and seeds with every campaign's stats
-# compared byte for byte (cmd/bench -check).  About 15 s.
+# (go test ./... does not reach it: it is its own module), the committed
+# BENCH_seed.json, BENCH_ibp.json and BENCH_guard_quick.json rerun from
+# their recorded sizes and seeds, and a 200-episode four-vehicle platoon
+# report written on one worker to $TMPDIR and rerun on every core, so
+# all four cmd/bench suites are rechecked: every row compared byte for
+# byte apart from its perf timings (cmd/bench -check).  About 20 s.
 bench-check:
 	cd perfbench && $(GO) vet . && $(GO) test -short .
 	$(GO) run ./cmd/bench -check BENCH_seed.json
 	$(GO) run ./cmd/bench -check BENCH_ibp.json
 	$(GO) run ./cmd/bench -check BENCH_guard_quick.json
+	$(GO) run ./cmd/bench -platoon 4 -episodes 200 -workers 1 -out $${TMPDIR:-/tmp}/BENCH_platoon_check.json
+	$(GO) run ./cmd/bench -check $${TMPDIR:-/tmp}/BENCH_platoon_check.json
 
 # Re-bless the golden traces after an intentional behaviour change.
 golden:

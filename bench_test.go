@@ -200,8 +200,8 @@ func BenchmarkEpisodeTelemetry(b *testing.B) {
 	cfg.InfoFilter = true
 	agent := BuildUltimate(cfg.Scenario, planners().Cons)
 	m := NewMetrics()
-	agent.SetCollector(m)
-	defer agent.SetCollector(nil)
+	agent.Collector = m
+	defer func() { agent.Collector = nil }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(cfg, agent, sim.Options{Seed: int64(i), Collector: m}); err != nil {

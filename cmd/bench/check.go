@@ -7,170 +7,122 @@ import (
 	"log"
 	"os"
 	"sort"
-
-	"safeplan/internal/campaign"
-	"safeplan/internal/workloads"
+	"strings"
 )
 
-// checkedRow is the part of one report row that -check compares: the
-// campaign's stats, plus the certified-range columns of a certification
-// row.  Everything else in a report (timings, host, worker count) is
-// left out.
-type checkedRow struct {
-	CertifiedSteps       *int64          `json:"certified_steps,omitempty"`
-	CertifiedRangeMisses *int64          `json:"certified_range_misses,omitempty"`
-	CertWidthMean        *float64        `json:"cert_width_mean,omitempty"`
-	CertWidthMax         *float64        `json:"cert_width_max,omitempty"`
-	Stats                json.RawMessage `json:"stats"`
-}
-
-// committedReport is the layout the checked files share; a campaign row
-// is a campaign.Report (cmd/bench), an ibpCampaignReport (cmd/bench -ibp)
-// or a guardCampaignReport (cmd/bench -guard).
-type committedReport struct {
-	GeneratedBy         string `json:"generated_by"`
-	EpisodesPerCampaign int    `json:"episodes_per_campaign"`
-	BaseSeed            int64  `json:"base_seed"`
-	Campaigns           []struct {
-		Name     string `json:"name"`
-		Design   string `json:"design"`
-		Preset   string `json:"preset"`
-		Episodes int    `json:"episodes"`
-		BaseSeed int64  `json:"base_seed"`
-		checkedRow
-		Report *struct {
-			Stats json.RawMessage `json:"stats"`
-		} `json:"report"`
-	} `json:"campaigns"`
-}
-
-// runCheck is the -check mode: it reruns every campaign the report at
-// path records, from its recorded size and seed on w workers (Stats do
-// not depend on the worker count), and compares each campaign's checked
-// row with the committed one byte for byte.  It logs one line per
-// campaign and fails naming every campaign and field that differs.
-func runCheck(path string, w int, modelDir string) error {
+// runCheck is the -check mode: it finds the suite that generated the
+// report at path, reruns the rows it records at its recorded size, seed
+// and chain length on o.workers workers (rows do not depend on the
+// worker count), and compares each rerun row with the committed one byte
+// for byte, perf timings aside.  It logs one line per matching row and
+// fails naming every row and field that differs.
+func runCheck(path string, o options) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var rep committedReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
+	var committed report
+	if err := json.Unmarshal(raw, &committed); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if len(rep.Campaigns) == 0 {
+	if len(committed.Campaigns) == 0 {
 		return fmt.Errorf("%s: no campaigns to check", path)
 	}
-
-	committed := map[string]checkedRow{}
-	rerun := map[string]checkedRow{}
-	var order []string
-	switch rep.GeneratedBy {
-	case "cmd/bench":
-		for _, c := range rep.Campaigns {
-			wl, err := workloads.Lookup(c.Name)
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			r, err := campaign.Run(matrixSpec(wl, c.Episodes, w, c.BaseSeed), wl.Episode())
-			if err != nil {
-				return fmt.Errorf("campaign %s: %w", c.Name, err)
-			}
-			stats, err := json.Marshal(r.Stats)
-			if err != nil {
-				return err
-			}
-			order = append(order, c.Name)
-			committed[c.Name] = checkedRow{Stats: c.Stats}
-			rerun[c.Name] = checkedRow{Stats: stats}
-		}
-	case "cmd/bench -ibp":
-		for _, c := range rep.Campaigns {
-			if c.Report == nil {
-				return fmt.Errorf("%s: design %s has no report", path, c.Design)
-			}
-			row := c.checkedRow
-			row.Stats = c.Report.Stats
-			order = append(order, c.Design)
-			committed[c.Design] = row
-		}
-		for _, c := range ibpSweep(rep.EpisodesPerCampaign, w, rep.BaseSeed, modelDir).Campaigns {
-			stats, err := json.Marshal(c.Report.Stats)
-			if err != nil {
-				return err
-			}
-			rerun[c.Design] = checkedRow{
-				CertifiedSteps:       &c.CertifiedSteps,
-				CertifiedRangeMisses: &c.CertifiedRangeMisses,
-				CertWidthMean:        &c.CertWidthMean,
-				CertWidthMax:         &c.CertWidthMax,
-				Stats:                stats,
-			}
-		}
-	case "cmd/bench -guard":
-		for _, c := range rep.Campaigns {
-			if c.Report == nil {
-				return fmt.Errorf("%s: preset %s has no report", path, c.Preset)
-			}
-			order = append(order, c.Preset)
-			committed[c.Preset] = checkedRow{Stats: c.Report.Stats}
-		}
-		for _, c := range guardMatrix(rep.EpisodesPerCampaign, w, rep.BaseSeed, "").Campaigns {
-			stats, err := json.Marshal(c.Report.Stats)
-			if err != nil {
-				return err
-			}
-			rerun[c.Preset] = checkedRow{Stats: stats}
-		}
-	default:
-		return fmt.Errorf("%s: cannot check a report generated by %q (only cmd/bench, cmd/bench -ibp and cmd/bench -guard)", path, rep.GeneratedBy)
+	s, err := lookupSuite(committed.GeneratedBy)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-
-	bad := 0
-	for _, name := range order {
-		got, ok := rerun[name]
+	o.quick, o.checkpoint, o.probe = false, "", false
+	o.episodes, o.seed, o.vehicles = committed.EpisodesPerCampaign, committed.BaseSeed, committed.Vehicles
+	all, err := s.rows(o)
+	if err != nil {
+		return err
+	}
+	byName := map[string]row{}
+	for _, r := range all {
+		byName[r.name] = r
+	}
+	names := make([]string, len(committed.Campaigns))
+	var rows []row
+	var mismatches []string
+	for i, c := range committed.Campaigns {
+		if names[i], err = rowName(c); err != nil {
+			return fmt.Errorf("%s: campaign %d: %w", path, i, err)
+		}
+		if r, ok := byName[names[i]]; ok {
+			rows = append(rows, r)
+		} else {
+			mismatches = append(mismatches, fmt.Sprintf("MISMATCH %s: %s has no such campaign", names[i], s.generatedBy))
+		}
+	}
+	rerun, err := s.run(rows, o)
+	if err != nil {
+		return err
+	}
+	got := map[string]json.RawMessage{}
+	for i, r := range rows {
+		got[r.name] = rerun.Campaigns[i]
+	}
+	bad := len(mismatches)
+	for i, name := range names {
+		g, ok := got[name]
 		if !ok {
-			log.Printf("MISMATCH %s: the rerun has no such campaign", name)
-			bad++
 			continue
 		}
-		if diffs := diffRows(committed[name], got); len(diffs) > 0 {
-			for _, d := range diffs {
-				log.Printf("MISMATCH %s: %s", name, d)
-			}
-			bad++
-			continue
+		diffs := diffRows(committed.Campaigns[i], g)
+		for _, d := range diffs {
+			mismatches = append(mismatches, fmt.Sprintf("MISMATCH %s: %s", name, d))
 		}
-		log.Printf("ok %s", name)
+		if len(diffs) > 0 {
+			bad++
+		} else {
+			log.Printf("ok %s", name)
+		}
 	}
 	if bad > 0 {
-		return fmt.Errorf("%s: %d of %d campaigns differ from the committed stats", path, bad, len(order))
+		return fmt.Errorf("%s: %d of %d campaigns differ from the committed report:\n%s",
+			path, bad, len(names), strings.Join(mismatches, "\n"))
 	}
-	log.Printf("%s: all %d campaigns match", path, len(order))
+	log.Printf("%s: all %d campaigns match", path, len(names))
 	return nil
 }
 
-// diffRows compares two checked rows as compact JSON bytes and, when they
-// differ, lists each differing field by its path ("stats.eta.mean:
-// committed 0.16, rerun 0.17").
-func diffRows(want, got checkedRow) []string {
-	wb, err := compactJSON(want)
+// rowName is the campaign name of a written row: its own name, or its
+// campaign report's.
+func rowName(raw json.RawMessage) (string, error) {
+	var r struct {
+		Name   string `json:"name"`
+		Report struct {
+			Name string `json:"name"`
+		} `json:"report"`
+	}
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return "", err
+	}
+	if r.Name == "" {
+		r.Name = r.Report.Name
+	}
+	if r.Name == "" {
+		return "", fmt.Errorf("row has no campaign name")
+	}
+	return r.Name, nil
+}
+
+// diffRows compares two written rows without their perf objects, by the
+// compact JSON of their values with every number's text kept, and, when
+// they differ, lists each differing field by its path
+// ("stats.eta.mean: committed 0.16, rerun 0.17").
+func diffRows(want, got json.RawMessage) []string {
+	wv, wb, err := deterministic(want)
 	if err != nil {
 		return []string{err.Error()}
 	}
-	gb, err := compactJSON(got)
+	gv, gb, err := deterministic(got)
 	if err != nil {
 		return []string{err.Error()}
 	}
 	if bytes.Equal(wb, gb) {
 		return nil
-	}
-	var wv, gv any
-	if err := decodeNumbers(wb, &wv); err != nil {
-		return []string{err.Error()}
-	}
-	if err := decodeNumbers(gb, &gv); err != nil {
-		return []string{err.Error()}
 	}
 	var out []string
 	diffValues("", wv, gv, &out)
@@ -180,23 +132,28 @@ func diffRows(want, got checkedRow) []string {
 	return out
 }
 
-func compactJSON(v any) ([]byte, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, raw); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeNumbers decodes JSON keeping every number's exact text.
-func decodeNumbers(raw []byte, v any) error {
+// deterministic decodes a row keeping every number's exact text, drops
+// its perf objects (timings) at any depth and returns the value with its
+// compact JSON, keys sorted.
+func deterministic(raw []byte) (any, []byte, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()
-	return dec.Decode(v)
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return nil, nil, err
+	}
+	dropPerf(v)
+	b, err := json.Marshal(v)
+	return v, b, err
+}
+
+func dropPerf(v any) {
+	if m, ok := v.(map[string]any); ok {
+		delete(m, "perf")
+		for _, c := range m {
+			dropPerf(c)
+		}
+	}
 }
 
 // diffValues appends one line per leaf that differs between two decoded

@@ -1,32 +1,65 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"safeplan/internal/faultinject"
 )
 
-// TestCheckpointDirMissing runs the guard matrix with -checkpoint naming
-// a directory that does not exist yet, two levels deep: makeCheckpointDir
-// must create it, and every campaign must leave its checkpoint there.
+// TestCheckpointDirMissing runs every suite with -checkpoint naming a
+// directory that does not exist yet, two levels deep: the runner must
+// create it, and every row must leave its checkpoint there.  A second
+// run of the certification sweep resumes each row from its checkpoint,
+// and its certified-width rerun must still run every episode: a resumed
+// width run probes no step and fails the sweep's probe-count gate.
 func TestCheckpointDirMissing(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "missing", "ckpt")
-	if err := makeCheckpointDir(dir); err != nil {
-		t.Fatal(err)
+	for _, s := range suites {
+		t.Run(s.out, func(t *testing.T) {
+			o := tinyOptions(s)
+			o.checkpoint = filepath.Join(t.TempDir(), "missing", "ckpt")
+			path := filepath.Join(t.TempDir(), "report.json")
+			if err := runReport(s, o, path); err != nil {
+				t.Fatal(err)
+			}
+			rows, err := s.rows(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				if _, err := os.Stat(filepath.Join(o.checkpoint, sanitize(r.name)+".json")); err != nil {
+					t.Errorf("row %s: %v", r.name, err)
+				}
+			}
+			if s.generatedBy != "cmd/bench -ibp" {
+				return
+			}
+			first, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := runReport(s, o, path); err != nil {
+				t.Fatalf("resumed sweep: %v", err)
+			}
+			second, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var a, b report
+			if err := json.Unmarshal(first, &a); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(second, &b); err != nil {
+				t.Fatal(err)
+			}
+			for i := range a.Campaigns {
+				if d := diffRows(a.Campaigns[i], b.Campaigns[i]); d != nil {
+					t.Errorf("resumed row %d differs: %v", i, d)
+				}
+			}
+		})
 	}
-	report := guardMatrix(4, 2, 42, dir)
-	for _, c := range report.Campaigns {
-		path := filepath.Join(dir, sanitize("fault-"+c.Preset+"/ultimate-conservative")+".json")
-		if _, err := os.Stat(path); err != nil {
-			t.Errorf("preset %s: %v", c.Preset, err)
-		}
-	}
-	if len(report.Campaigns) != len(faultinject.PresetNames()) {
-		t.Fatalf("%d campaigns for %d presets", len(report.Campaigns), len(faultinject.PresetNames()))
-	}
-	if err := makeCheckpointDir(""); err != nil {
+	if err := runReport(suites[0], options{quick: true, episodes: 1, workers: 1, seed: 42}, filepath.Join(t.TempDir(), "r.json")); err != nil {
 		t.Fatalf("empty -checkpoint: %v", err)
 	}
 }

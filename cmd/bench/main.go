@@ -1,61 +1,38 @@
-// Command bench runs the canonical Monte-Carlo benchmark campaigns through
-// the sharded campaign engine (internal/campaign) and writes a machine-
-// readable report with throughput, latency percentiles, and Wilson-interval
-// outcome rates.
+// Command bench runs the benchmark suites below through the sharded
+// campaign engine (internal/campaign), gates them and writes each as a
+// machine-readable report: throughput and latency, Wilson-interval
+// outcome rates and every invariant checker's violation count.
 //
 // Usage:
 //
-//	bench [-episodes 5000] [-workers 0] [-seed 42] [-out BENCH_campaign.json]
-//	      [-quick] [-smoke] [-guard] [-platoon N] [-checkpoint DIR]
-//	bench -check BENCH_seed.json
+//	bench [-guard | -ibp | -platoon N] [-quick] [-episodes N] [-workers W] [-seed S]
+//	      [-out FILE] [-checkpoint DIR] [-models DIR] [-cpuprofile F] [-memprofile F]
+//	bench -smoke [-guard | -platoon N] [-workers W] [-seed S]
+//	bench -check REPORT [-workers W] [-models DIR]
+//	bench -worker ADDR [-worker-id ID] [-worker-checkpoint FILE] [-worker-kill-after N]
 //
-// The default matrix covers the paper's three communication settings (none,
-// delayed, lost) for both expert planners under the ultimate compound
-// design, plus the bursty Gilbert–Elliott and worst-case adversarial
-// disturbance presets.  Every campaign runs with the full invariant-checker
-// set in counting mode, so the report doubles as a safety audit: the
-// invariant_violations counters must be zero for the guaranteed designs.
+// Suites (the flag is the tail of the report's generated_by):
 //
-// -quick shrinks the matrix for fast regression snapshots (BENCH_seed.json);
-// -smoke runs a single 10k-episode campaign with the checkers in fail mode
-// and exits nonzero on the first violation — the CI safety gate.
-// -guard switches to the compute-fault matrix: one campaign per planner-
-// fault preset under the guarded ultimate design, reporting mean η and the
-// crash-free rate per preset (BENCH_guard.json).  -guard -smoke is the
-// guard's own CI gate: the acceptance worst cases (PanicP and NaNOutput at
-// p = 0.5) over 10k episodes each with the containment checkers in fail
-// mode.
-// -platoon N switches to the N-vehicle chained-link platoon matrix
-// (internal/platoon): every canonical communication setting applied
-// uniformly to all V2V links, plus the adversarial burst preset rotated
-// over each individual link, with the chain's checkers — pairwise
-// no-collision, per-link soundness, true-state slack, string stability —
-// in counting mode (BENCH_platoon.json).  -platoon N -smoke is the
-// platoon's own CI gate: a clean chain and a burst-on-the-middle-link
-// chain over 10k episodes each with the checkers in fail mode.
-// -ibp runs the offline certification sweep: every trained-NN design on
-// the clean canonical scenario in IBP verified mode (internal/nn/ibp),
-// each executed κ_n command cross-checked against the certified output
-// range.  Any certified-range miss fails the process; the report is
-// BENCH_ibp.json.  -models selects the trained-model directory.
+//	flag        default -out         rows                                        gate                     -smoke cases (10k episodes each)
+//	(none)      BENCH_campaign.json  3 settings × 2 experts, burst, worst        none: a safety audit     clean, delayed
+//	-guard      BENCH_guard.json     one guarded campaign per fault preset       zero violations          panic-half, nan-half
+//	-ibp        BENCH_ibp.json       4 trained-NN designs in IBP verified mode   zero certified misses    none
+//	-platoon N  BENCH_platoon.json   3 settings on all links, burst per link     zero violations          clean, burst-mid-link
+//
+// Every row runs its checkers in counting mode; -quick runs 500 episodes
+// per row (5000 by default) and keeps one canonical workload per axis.
+// -smoke runs the suite's smoke cases with every checker in fail mode
+// and no collision or sound-interval violation allowed: the CI gates.
+// -check reruns the rows a committed report of any suite records, at its
+// recorded size, seed and chain length, and compares every row byte for
+// byte apart from its perf timings; a difference names the campaign and
+// the field and exits nonzero.
+// -checkpoint saves each row's completed shards in DIR (created first),
+// so an interrupted run resumes them; a corrupt checkpoint file is
+// discarded with a warning and its campaign restarts fresh.
 // -worker joins a campaignd coordinator as a distributed-campaign worker
-// (internal/dist): it leases shards, runs their episodes through the
-// workload registry, and submits aggregates that fold byte-identically
-// to a local run.  -worker-checkpoint gives the worker a mid-shard
-// resume file so a crashed worker restarts at the exact episode it left.
-// -check FILE reruns the campaigns a committed report records (the
-// canonical matrix of BENCH_seed.json, the certification sweep of
-// BENCH_ibp.json or the fault matrix of BENCH_guard_quick.json), at its
-// recorded sizes and seeds, and compares every
-// campaign's stats object with the file's byte for byte; timings and host
-// fields are ignored.  Any difference names the campaign and the field
-// and exits nonzero.
-// -checkpoint enables per-campaign checkpoint/resume in the given
-// directory, created (with its parents) before any campaign runs: an
-// interrupted bench rerun resumes completed shards instead of redoing
-// them.  A corrupt checkpoint file is discarded with a warning
-// and the campaign restarts fresh — resumption is an optimization, the
-// aggregates are recomputable.
+// (internal/dist) whose shard aggregates fold byte-identically to a local
+// run; -worker-checkpoint resumes a crashed worker mid-shard.
 package main
 
 import (
@@ -71,33 +48,29 @@ import (
 	"strings"
 
 	"safeplan/internal/campaign"
-	"safeplan/internal/core"
 	"safeplan/internal/dist"
-	"safeplan/internal/experiments"
-	"safeplan/internal/faultinject"
-	"safeplan/internal/guard"
-	"safeplan/internal/planner"
 	"safeplan/internal/sim"
 	"safeplan/internal/workloads"
 )
 
-// benchReport is the file layout of BENCH_campaign.json / BENCH_seed.json.
-type benchReport struct {
+// report is the file layout of every suite's report.
+type report struct {
 	GeneratedBy string `json:"generated_by"`
 	GoVersion   string `json:"go_version"`
 	GOOS        string `json:"goos"`
 	GOARCH      string `json:"goarch"`
 	NumCPU      int    `json:"num_cpu"`
 
+	Vehicles            int   `json:"vehicles,omitempty"` // platoon chain length
 	EpisodesPerCampaign int   `json:"episodes_per_campaign"`
 	BaseSeed            int64 `json:"base_seed"`
 	Workers             int   `json:"workers"`
 
 	// Speedup compares 1-worker and full-worker throughput on the first
-	// campaign of the matrix (omitted when running with a single worker).
+	// row of a suite that probes it (omitted with a single worker).
 	Speedup *speedup `json:"speedup,omitempty"`
 
-	Campaigns []*campaign.Report `json:"campaigns"`
+	Campaigns []json.RawMessage `json:"campaigns"`
 }
 
 type speedup struct {
@@ -108,22 +81,34 @@ type speedup struct {
 	Factor          float64 `json:"factor"`
 }
 
+// options are the run parameters a suite's rows and runner read.
+type options struct {
+	quick      bool
+	vehicles   int    // platoon chain length
+	models     string // trained-model directory
+	episodes   int
+	workers    int
+	seed       int64
+	checkpoint string // directory; "" disables checkpointing
+	probe      bool   // run the suite's speed-up probe
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bench: ")
 	var (
-		episodes   = flag.Int("episodes", 5000, "episodes per campaign")
+		episodes   = flag.Int("episodes", 0, "episodes per campaign (0: 5000, or 500 with -quick)")
 		workers    = flag.Int("workers", 0, "worker goroutines (0: one per core)")
 		seed       = flag.Int64("seed", 42, "base seed (episode i runs with seed base+i)")
-		out        = flag.String("out", "BENCH_campaign.json", "output report path (- for stdout)")
+		out        = flag.String("out", "", "output report path (- for stdout; default: the suite's BENCH_*.json)")
 		quick      = flag.Bool("quick", false, "small matrix for regression snapshots (500 episodes unless -episodes is set)")
-		smoke      = flag.Bool("smoke", false, "CI safety gate: one 10k-episode campaign, invariants in fail mode")
+		smoke      = flag.Bool("smoke", false, "CI safety gate: the suite's 10k-episode smoke cases, invariants in fail mode")
 		guardMode  = flag.Bool("guard", false, "compute-fault matrix: one campaign per planner-fault preset under the guarded design")
 		checkpoint = flag.String("checkpoint", "", "directory for per-campaign checkpoints (enables resume)")
 		ibpMode    = flag.Bool("ibp", false, "certification sweep: every trained-NN design in IBP verified mode, zero certified-range misses required (BENCH_ibp.json)")
 		platoonN   = flag.Int("platoon", 0, "chain length for the N-vehicle platoon matrix (BENCH_platoon.json); with -smoke, the platoon CI gate")
 		modelDir   = flag.String("models", "models", "trained-model directory for -ibp")
-		check      = flag.String("check", "", "rerun the campaigns of this committed report and compare their stats byte for byte")
+		check      = flag.String("check", "", "rerun the campaigns of this committed report and compare them byte for byte")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -166,143 +151,191 @@ func main() {
 		}()
 	}
 
+	o := options{quick: *quick, models: *modelDir, workers: *workers, seed: *seed}
+	if o.workers == 0 {
+		o.workers = runtime.GOMAXPROCS(0)
+	}
 	if *check != "" {
-		w := *workers
-		if w == 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		if err := runCheck(*check, w, *modelDir); err != nil {
+		if err := runCheck(*check, o); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
-
-	if *platoonN != 0 && *platoonN < 2 {
-		log.Fatalf("-platoon %d: a chain needs at least two vehicles (head + ego)", *platoonN)
-	}
-
-	if *smoke {
-		switch {
-		case *guardMode:
-			runGuardSmoke(*workers, *seed)
-		case *platoonN >= 2:
-			runPlatoonSmoke(*platoonN, *workers, *seed)
-		default:
-			runSmoke(*workers, *seed)
-		}
-		return
-	}
-
-	if err := makeCheckpointDir(*checkpoint); err != nil {
+	s, err := pickSuite(*guardMode, *ibpMode, *platoonN)
+	if err != nil {
 		log.Fatal(err)
 	}
-	n := *episodes
-	if *quick && !flagPassed("episodes") {
-		n = 500
+	if s.generatedBy == "cmd/bench -platoon" {
+		o.vehicles = *platoonN
 	}
-	w := *workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-
-	if *guardMode {
-		o := *out
-		if !flagPassed("out") {
-			o = "BENCH_guard.json"
+	if *smoke {
+		if err := runSmoke(s, o); err != nil {
+			log.Fatal(err)
 		}
-		runGuardMatrix(n, w, *seed, o, *checkpoint)
 		return
 	}
-
-	if *ibpMode {
-		o := *out
-		if !flagPassed("out") {
-			o = "BENCH_ibp.json"
+	o.episodes, o.checkpoint, o.probe = *episodes, *checkpoint, true
+	if o.episodes == 0 {
+		o.episodes = 5000
+		if *quick {
+			o.episodes = 500
 		}
-		runIBPSweep(n, w, *seed, o, *modelDir)
-		return
 	}
+	path := *out
+	if path == "" {
+		path = s.out
+	}
+	if err := runReport(s, o, path); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	if *platoonN >= 2 {
-		o := *out
-		if !flagPassed("out") {
-			o = "BENCH_platoon.json"
+// pickSuite is the suite the mode flags select.
+func pickSuite(guard, ibp bool, vehicles int) (*suite, error) {
+	name := "cmd/bench"
+	switch {
+	case guard:
+		name += " -guard"
+	case ibp:
+		name += " -ibp"
+	case vehicles != 0:
+		if vehicles < 2 {
+			return nil, fmt.Errorf("-platoon %d: a chain needs at least two vehicles (head + ego)", vehicles)
 		}
-		runPlatoonMatrix(*platoonN, n, w, *seed, o)
-		return
+		name += " -platoon"
 	}
+	return lookupSuite(name)
+}
 
-	report := benchReport{
-		GeneratedBy:         "cmd/bench",
+// runReport runs suite s's rows and writes the report to path (- for
+// stdout).
+func runReport(s *suite, o options, path string) error {
+	if o.checkpoint != "" {
+		if err := os.MkdirAll(o.checkpoint, 0o755); err != nil {
+			return fmt.Errorf("-checkpoint: %w", err)
+		}
+	}
+	rows, err := s.rows(o)
+	if err != nil {
+		return err
+	}
+	rep, err := s.run(rows, o)
+	if err != nil {
+		return err
+	}
+	raw, err := json.MarshalIndent(rep, "", " ")
+	if err != nil {
+		return err
+	}
+	raw = append(raw, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(raw)
+		return err
+	}
+	if err := campaign.WriteFileAtomic(path, raw); err != nil {
+		return err
+	}
+	log.Printf("wrote %s (%d campaigns)", path, len(rep.Campaigns))
+	return nil
+}
+
+// run runs rows in counting mode at o's size, seed and workers, each
+// under its gate, logs one line per row and returns the report.
+func (s *suite) run(rows []row, o options) (*report, error) {
+	rep := &report{
+		GeneratedBy:         s.generatedBy,
 		GoVersion:           runtime.Version(),
 		GOOS:                runtime.GOOS,
 		GOARCH:              runtime.GOARCH,
 		NumCPU:              runtime.NumCPU(),
-		EpisodesPerCampaign: n,
-		BaseSeed:            *seed,
-		Workers:             w,
+		Vehicles:            o.vehicles,
+		EpisodesPerCampaign: o.episodes,
+		BaseSeed:            o.seed,
+		Workers:             o.workers,
 	}
-
-	matrix := workloads.CanonicalMatrix(*quick)
-	for i, wl := range matrix {
-		spec := matrixSpec(wl, n, w, *seed)
-		if *checkpoint != "" {
-			spec.CheckpointPath = filepath.Join(*checkpoint, sanitize(wl.Name)+".json")
+	for i, r := range rows {
+		spec := campaign.Spec{
+			Name:            r.name,
+			Episodes:        o.episodes,
+			BaseSeed:        o.seed,
+			Workers:         o.workers,
+			Invariants:      r.invariants,
+			CountViolations: true,
 		}
-		rep, err := runCampaign(spec, wl.Episode())
+		if o.checkpoint != "" {
+			spec.CheckpointPath = filepath.Join(o.checkpoint, sanitize(r.name)+".json")
+		}
+		res, err := runCampaign(spec, r.episode)
 		if err != nil {
-			log.Fatalf("campaign %s: %v", wl.Name, err)
+			return nil, fmt.Errorf("campaign %s: %w", r.name, err)
 		}
-		log.Printf("%-28s %6d eps  %8.0f eps/s  safe %.4f [%.4f, %.4f]",
-			wl.Name, rep.Stats.Episodes, rep.Perf.EpisodesPerSec,
-			rep.Stats.SafeRate.Rate, rep.Stats.SafeRate.Lo, rep.Stats.SafeRate.Hi)
-		report.Campaigns = append(report.Campaigns, rep)
+		var row any = res
+		note := safeNote(res)
+		if r.finish != nil {
+			if row, note, err = r.finish(spec, r.episode, res); err != nil {
+				return nil, fmt.Errorf("campaign %s: %w", r.name, err)
+			}
+		}
+		log.Printf("%-28s %6d eps  %8.0f eps/s  %s", r.name, res.Stats.Episodes, res.Perf.EpisodesPerSec, note)
+		raw, err := json.Marshal(row)
+		if err != nil {
+			return nil, err
+		}
+		rep.Campaigns = append(rep.Campaigns, raw)
 
-		// Parallel-efficiency probe: rerun the first campaign single-worker.
-		if i == 0 && w > 1 {
+		if i == 0 && s.speedup && o.probe && o.workers > 1 {
 			spec.CheckpointPath = "" // never resume the probe
 			spec.Workers = 1
-			base, err := campaign.Run(spec, wl.Episode())
+			base, err := campaign.Run(spec, r.episode)
 			if err != nil {
-				log.Fatalf("campaign %s (1 worker): %v", wl.Name, err)
+				return nil, fmt.Errorf("campaign %s (1 worker): %w", r.name, err)
 			}
-			report.Speedup = &speedup{
-				Campaign:        wl.Name,
-				Workers:         w,
+			rep.Speedup = &speedup{
+				Campaign:        r.name,
+				Workers:         o.workers,
 				EpisodesPerSec1: base.Perf.EpisodesPerSec,
-				EpisodesPerSecN: rep.Perf.EpisodesPerSec,
-				Factor:          rep.Perf.EpisodesPerSec / base.Perf.EpisodesPerSec,
+				EpisodesPerSecN: res.Perf.EpisodesPerSec,
+				Factor:          res.Perf.EpisodesPerSec / base.Perf.EpisodesPerSec,
 			}
-			log.Printf("%-28s speedup %.2fx at %d workers", wl.Name, report.Speedup.Factor, w)
+			log.Printf("%-28s speedup %.2fx at %d workers", r.name, rep.Speedup.Factor, o.workers)
 		}
 	}
-
-	raw, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	raw = append(raw, '\n')
-	if *out == "-" {
-		os.Stdout.Write(raw)
-		return
-	}
-	if err := campaign.WriteFileAtomic(*out, raw); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s (%d campaigns)", *out, len(report.Campaigns))
+	return rep, nil
 }
 
-// matrixSpec is the campaign of one canonical-matrix workload: every
-// checker of its invariant set in counting mode.
-func matrixSpec(wl workloads.Workload, n, w int, seed int64) campaign.Spec {
-	return campaign.Spec{
-		Name:            wl.Name,
-		Episodes:        n,
-		BaseSeed:        seed,
-		Workers:         w,
-		Invariants:      wl.Invariants(),
-		CountViolations: true,
+// runSmoke runs suite s's smoke cases at smokeEpisodes each with every
+// checker in fail mode: any violation, collision or sound-interval miss
+// fails the gate.
+func runSmoke(s *suite, o options) error {
+	if s.smoke == nil {
+		return fmt.Errorf("-smoke: %s has no smoke cases", s.generatedBy)
 	}
+	cases, err := s.smoke(o)
+	if err != nil {
+		return err
+	}
+	line := s.smokeLine
+	if line == nil {
+		line = okLine
+	}
+	for _, c := range cases {
+		rep, err := campaign.Run(campaign.Spec{
+			Name:       c.name,
+			Episodes:   smokeEpisodes,
+			BaseSeed:   o.seed,
+			Workers:    o.workers,
+			Invariants: c.invariants,
+		}, c.episode)
+		if err != nil {
+			return fmt.Errorf("SMOKE FAILED (%s): %w", c.label, err)
+		}
+		if rep.Stats.Collided != 0 || rep.Stats.SoundViolations != 0 {
+			return fmt.Errorf("SMOKE FAILED (%s): %d collisions, %d sound-interval violations (must be 0)",
+				c.label, rep.Stats.Collided, rep.Stats.SoundViolations)
+		}
+		fmt.Println(line(c.label, rep))
+	}
+	return nil
 }
 
 // runCampaign executes a spec, degrading gracefully when its checkpoint
@@ -320,202 +353,6 @@ func runCampaign(spec campaign.Spec, episode campaign.EpisodeFunc) (*campaign.Re
 		rep, err = campaign.Run(spec, episode)
 	}
 	return rep, err
-}
-
-// runSmoke is the CI safety gate: a clean (no-disturbance) and a disturbed
-// (delayed) 10k-episode campaign with every checker in fail mode.  Any
-// violation makes the campaign — and the process — fail, and the
-// sound_violations counter must come back zero from both: the soundness
-// contract holds with and without communication disturbance.
-func runSmoke(workers int, seed int64) {
-	settings := experiments.StandardSettings()
-	for _, s := range []struct {
-		label string
-		idx   int
-	}{
-		{"clean", 0},   // no disturbance
-		{"delayed", 1}, // messages delayed
-	} {
-		cfg := experiments.SettingConfig(settings[s.idx])
-		cfg.InfoFilter = true
-		// The aggressive planner exercises κ_e heavily, which is what the
-		// emergency checkers are for.
-		agent := core.NewUltimate(cfg.Scenario, planner.AggressiveExpert(cfg.Scenario))
-		rep, err := campaign.Run(campaign.Spec{
-			Name:       "smoke/" + s.label + "/ultimate-aggressive",
-			Episodes:   10_000,
-			BaseSeed:   seed,
-			Workers:    workers,
-			Invariants: workloads.InvariantSet(cfg),
-		}, campaign.LeftTurn(cfg, agent))
-		if err != nil {
-			log.Fatalf("SMOKE FAILED (%s): %v", s.label, err)
-		}
-		if rep.Stats.SoundViolations != 0 {
-			log.Fatalf("SMOKE FAILED (%s): %d sound-interval violations (must be 0)",
-				s.label, rep.Stats.SoundViolations)
-		}
-		fmt.Printf("smoke OK (%s): %d episodes, safe %d/%d, %.0f eps/s, emergency episodes %d, sound violations 0\n",
-			s.label, rep.Stats.Episodes, rep.Stats.Episodes-rep.Stats.Collided, rep.Stats.Episodes,
-			rep.Perf.EpisodesPerSec, rep.Stats.EmergencyEpisodes)
-	}
-}
-
-// guardBenchReport is the file layout of BENCH_guard.json: one guarded
-// campaign per planner-fault preset.
-type guardBenchReport struct {
-	GeneratedBy string `json:"generated_by"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	NumCPU      int    `json:"num_cpu"`
-
-	EpisodesPerCampaign int   `json:"episodes_per_campaign"`
-	BaseSeed            int64 `json:"base_seed"`
-	Workers             int   `json:"workers"`
-
-	Campaigns []*guardCampaignReport `json:"campaigns"`
-}
-
-// guardCampaignReport is one preset's row of the fault matrix.
-type guardCampaignReport struct {
-	Preset string `json:"preset"`
-	// MeanEta is the efficiency score under contained faults — the cost
-	// of degradation, to compare against the preset "none" baseline.
-	MeanEta float64 `json:"mean_eta"`
-	// CrashFreeRate is the fraction of episodes that completed without an
-	// uncontained planner crash.  The guard recovers every injected
-	// panic, so this must be 1 for every preset; an episode that
-	// crashed would abort its campaign and the whole bench run.
-	CrashFreeRate float64 `json:"crash_free_rate"`
-
-	Report *campaign.Report `json:"report"`
-}
-
-// faultInvariantSet is the fail-mode checker set under planner faults.
-// MonitorConsistency is absent by design: a guard-forced κ_e step
-// diverges from the monitor's verdict — that divergence is the
-// containment the remaining checkers assert.
-func faultInvariantSet(cfg sim.Config) []sim.Invariant {
-	return []sim.Invariant{
-		sim.NoCollision{},
-		sim.SoundEstimate{},
-		sim.EmergencyOneStep{Cfg: cfg.Scenario},
-		sim.NewGuardConsistency(cfg.Scenario),
-	}
-}
-
-// runGuardMatrix runs the fault matrix (guardMatrix) and writes it to out
-// (BENCH_guard.json by default).
-func runGuardMatrix(n, w int, seed int64, out, checkpoint string) {
-	report := guardMatrix(n, w, seed, checkpoint)
-	raw, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	raw = append(raw, '\n')
-	if out == "-" {
-		os.Stdout.Write(raw)
-		return
-	}
-	if err := campaign.WriteFileAtomic(out, raw); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s (%d fault campaigns)", out, len(report.Campaigns))
-}
-
-// guardMatrix runs one guarded campaign per planner-fault preset.  The
-// containment invariants run in counting mode so the report doubles as a
-// fault-tolerance audit: every invariant_violations counter must be zero
-// and every crash_free_rate 1.
-func guardMatrix(n, w int, seed int64, checkpoint string) *guardBenchReport {
-	report := &guardBenchReport{
-		GeneratedBy:         "cmd/bench -guard",
-		GoVersion:           runtime.Version(),
-		GOOS:                runtime.GOOS,
-		GOARCH:              runtime.GOARCH,
-		NumCPU:              runtime.NumCPU(),
-		EpisodesPerCampaign: n,
-		BaseSeed:            seed,
-		Workers:             w,
-	}
-	for _, preset := range faultinject.PresetNames() {
-		m, err := faultinject.Preset(preset)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := sim.DefaultConfig()
-		cfg.InfoFilter = true
-		cfg.PlannerFault = m
-		gc := guard.DefaultConfig(cfg.Scenario.Ego)
-		cfg.Guard = &gc
-		agent := core.NewUltimate(cfg.Scenario, planner.ConservativeExpert(cfg.Scenario))
-		spec := campaign.Spec{
-			Name:            "fault-" + preset + "/ultimate-conservative",
-			Episodes:        n,
-			BaseSeed:        seed,
-			Workers:         w,
-			Invariants:      faultInvariantSet(cfg),
-			CountViolations: true,
-		}
-		if checkpoint != "" {
-			spec.CheckpointPath = filepath.Join(checkpoint, sanitize(spec.Name)+".json")
-		}
-		rep, err := runCampaign(spec, campaign.LeftTurn(cfg, agent))
-		if err != nil {
-			log.Fatalf("campaign %s: %v", spec.Name, err)
-		}
-		for name, v := range rep.Stats.InvariantViolations {
-			if v != 0 {
-				log.Fatalf("campaign %s: invariant %s violated %d times", spec.Name, name, v)
-			}
-		}
-		row := &guardCampaignReport{
-			Preset:        preset,
-			MeanEta:       rep.Stats.Eta.Mean,
-			CrashFreeRate: 1, // campaign.Run fails on any uncontained crash
-			Report:        rep,
-		}
-		report.Campaigns = append(report.Campaigns, row)
-		log.Printf("%-28s %6d eps  %8.0f eps/s  η %.4f  faults %d  fallback rate %.4f",
-			spec.Name, rep.Stats.Episodes, rep.Perf.EpisodesPerSec,
-			row.MeanEta, rep.Stats.GuardFaults, rep.Stats.GuardFallbackStepRate)
-	}
-	return report
-}
-
-// runGuardSmoke is the guard's CI gate: the acceptance worst cases —
-// half of all planner calls panicking, half returning NaN — over 10k
-// episodes each, containment checkers in fail mode.  Any escaped panic,
-// collision, burned κ_e slack, or malformed guard intervention fails the
-// process.
-func runGuardSmoke(workers int, seed int64) {
-	cases := []struct {
-		name  string
-		model faultinject.Model
-	}{
-		{"panic-half", faultinject.PanicP{P: 0.5}},
-		{"nan-half", faultinject.NaNOutput{P: 0.5}},
-	}
-	for _, c := range cases {
-		cfg := sim.DefaultConfig()
-		cfg.InfoFilter = true
-		cfg.PlannerFault = c.model
-		agent := core.NewUltimate(cfg.Scenario, planner.ConservativeExpert(cfg.Scenario))
-		rep, err := campaign.Run(campaign.Spec{
-			Name:       "guard-smoke/" + c.name,
-			Episodes:   10_000,
-			BaseSeed:   seed,
-			Workers:    workers,
-			Invariants: faultInvariantSet(cfg),
-		}, campaign.LeftTurn(cfg, agent))
-		if err != nil {
-			log.Fatalf("GUARD SMOKE FAILED (%s): %v", c.name, err)
-		}
-		fmt.Printf("guard smoke OK (%s): %d episodes, safe %d/%d, %d contained faults, %.0f eps/s\n",
-			c.name, rep.Stats.Episodes, rep.Stats.Episodes-rep.Stats.Collided,
-			rep.Stats.Episodes, rep.Stats.GuardFaults, rep.Perf.EpisodesPerSec)
-	}
 }
 
 // runDistWorker joins a campaignd coordinator as a distributed-campaign
@@ -568,31 +405,7 @@ func runDistWorker(addr, id, checkpoint string, killAfter int) {
 	}
 }
 
-// makeCheckpointDir creates the -checkpoint directory and its parents
-// before any campaign runs, so the first shard save finds it; an empty
-// dir (no checkpointing) is left alone.
-func makeCheckpointDir(dir string) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("-checkpoint: %w", err)
-	}
-	return nil
-}
-
 // sanitize maps a campaign name onto a filename.
 func sanitize(name string) string {
 	return strings.NewReplacer("/", "-", " ", "_").Replace(name)
-}
-
-// flagPassed reports whether the named flag was set explicitly.
-func flagPassed(name string) bool {
-	passed := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			passed = true
-		}
-	})
-	return passed
 }

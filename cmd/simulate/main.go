@@ -126,38 +126,38 @@ func main() {
 		log.Fatalf("unknown planner %q", *plKind)
 	}
 
-	var agent core.Agent
-	switch *design {
-	case "pure":
-		agent = &core.PureNN{Cfg: cfg.Scenario, Planner: kn}
-	case "basic":
-		agent = core.NewBasic(cfg.Scenario, kn)
-	case "ultimate":
-		agent = core.NewUltimate(cfg.Scenario, kn)
-		cfg.InfoFilter = true
-	default:
-		log.Fatalf("unknown design %q", *design)
-	}
-
 	var coll *telemetry.Metrics
+	var c telemetry.Collector
 	switch *metrics {
 	case "":
 	case "text", "json":
 		coll = telemetry.NewMetrics()
-		// Compound agents additionally report monitor selections.
-		if ia, ok := agent.(interface{ SetCollector(telemetry.Collector) }); ok {
-			ia.SetCollector(coll)
-		}
+		c = coll
 	default:
 		log.Fatalf("unknown -metrics format %q (want text or json)", *metrics)
 	}
 
+	var agent core.Agent
+	var comp *core.Compound
+	switch *design {
+	case "pure":
+		agent = &core.PureNN{Cfg: cfg.Scenario, Planner: kn}
+	case "basic":
+		comp = core.NewBasic(cfg.Scenario, kn)
+	case "ultimate":
+		comp = core.NewUltimate(cfg.Scenario, kn)
+		cfg.InfoFilter = true
+	default:
+		log.Fatalf("unknown design %q", *design)
+	}
+	if comp != nil {
+		// Compound agents additionally report monitor selections.
+		comp.Collector = c
+		agent = comp
+	}
+
 	fmt.Printf("agent:    %s\n", agent.Name())
 	if *episodes > 1 {
-		var c telemetry.Collector
-		if coll != nil {
-			c = coll
-		}
 		rs, err := campaign.Results(campaign.Spec{
 			Name:      agent.Name(),
 			Episodes:  *episodes,
@@ -177,10 +177,6 @@ func main() {
 		return
 	}
 
-	var c telemetry.Collector
-	if coll != nil {
-		c = coll
-	}
 	r, err := sim.Run(cfg, agent, sim.Options{Seed: *seed, Trace: *trace, Collector: c})
 	if err != nil {
 		log.Fatal(err)

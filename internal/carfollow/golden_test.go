@@ -177,7 +177,7 @@ func goldenTrace(t *testing.T, tc goldenCase) []byte {
 	opts := sim.Options{Seed: goldenSeed, Trace: true}
 	rec := &streamRecorder{}
 	if tc.Probe {
-		agent.SetCollector(rec)
+		agent.Collector = rec
 		opts.Collector = rec
 		opts.Invariants = []sim.Invariant{
 			sim.NoCollision{}, sim.SoundEstimate{}, TrueSlack{Cfg: cfg.Scenario},

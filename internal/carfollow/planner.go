@@ -208,10 +208,6 @@ type Compound struct {
 	label string
 }
 
-// SetCollector attaches a telemetry collector; part of the optional
-// instrumentation contract recognized by the public run options.
-func (c *Compound) SetCollector(tc telemetry.Collector) { c.Collector = tc }
-
 // NewBasic builds the basic compound design (monitor + κ_e only).
 func NewBasic(cfg Config, p Planner) *Compound {
 	return &Compound{Cfg: cfg, Planner: p, label: "basic:" + p.Name()}

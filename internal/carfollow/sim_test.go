@@ -32,7 +32,7 @@ func TestSimValidate(t *testing.T) {
 		"dts":      func(c *SimConfig) { c.DtS = -1 },
 		"horizon":  func(c *SimConfig) { c.Horizon = -1 },
 		"speeds":   func(c *SimConfig) { c.LeadSpeedMin = 10; c.LeadSpeedMax = 5 },
-		"comms":    func(c *SimConfig) { c.Comms.DropProb = 2 },
+		"comms":    func(c *SimConfig) { c.Comms = comms.Delayed(0, 2) },
 		"sensor":   func(c *SimConfig) { c.Sensor.DeltaP = -1 },
 		"lead":     func(c *SimConfig) { c.Lead.BrakeAccel = 1 },
 		"scenario": func(c *SimConfig) { c.Scenario.PGap = 0 },

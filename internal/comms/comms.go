@@ -30,36 +30,15 @@ type Message struct {
 
 // Config describes a channel's disturbance behaviour.
 type Config struct {
-	Delay    float64 // Δt_d: delivery delay applied to every surviving message [s]
-	DropProb float64 // p_d: probability each message is dropped, in [0, 1]
-	Lost     bool    // if true, every message is dropped ("messages lost")
-
-	// OutageStart/OutageDuration model a communication blackout (e.g. an
-	// occlusion or interferer): every message whose timestamp falls in
-	// [OutageStart, OutageStart+OutageDuration) is dropped.  A zero
-	// duration disables the outage.
-	OutageStart    float64
-	OutageDuration float64
-
-	// Model, when non-nil, replaces the Delay/DropProb pair with a
-	// composable disturbance process (Gilbert–Elliott burst loss, delay
-	// jitter with reordering, stale replay, scripted phase schedules —
-	// see internal/disturb).  Lost and the outage window still apply
-	// first; they are deterministic and consume no randomness.
+	// Model is the channel's disturbance process (i.i.d. loss and delay,
+	// blackout, Gilbert–Elliott burst loss, delay jitter with reordering,
+	// stale replay, scripted phase schedules — see internal/disturb); nil
+	// is a perfect channel.
 	Model disturb.Model
 }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.Delay < 0 {
-		return fmt.Errorf("comms: negative delay %v", c.Delay)
-	}
-	if c.DropProb < 0 || c.DropProb > 1 {
-		return fmt.Errorf("comms: drop probability %v outside [0,1]", c.DropProb)
-	}
-	if c.OutageDuration < 0 {
-		return fmt.Errorf("comms: negative outage duration %v", c.OutageDuration)
-	}
 	if c.Model != nil {
 		if err := c.Model.Validate(); err != nil {
 			return fmt.Errorf("comms: %w", err)
@@ -68,20 +47,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// inOutage reports whether a message stamped t falls into the blackout.
-func (c Config) inOutage(t float64) bool {
-	return c.OutageDuration > 0 && t >= c.OutageStart && t < c.OutageStart+c.OutageDuration
-}
-
 // NoDisturbance returns the perfect-communication setting.
 func NoDisturbance() Config { return Config{} }
 
 // Delayed returns the "messages delayed" setting of the paper's evaluation:
 // delay Δt_d with drop probability pd.
-func Delayed(delay, pd float64) Config { return Config{Delay: delay, DropProb: pd} }
+func Delayed(delay, pd float64) Config { return Config{Model: disturb.IID{DropProb: pd, Delay: delay}} }
 
 // Lost returns the "messages lost" setting (sensors only).
-func Lost() Config { return Config{Lost: true} }
+func Lost() Config { return Config{Model: disturb.Blackout{}} }
 
 // Disturbed returns a channel governed by the given disturbance model.
 func Disturbed(m disturb.Model) Config { return Config{Model: m} }
@@ -95,8 +69,7 @@ type pending struct {
 // Channel simulates the unreliable V2V link from one sender to the ego
 // vehicle.  It is not safe for concurrent use.
 type Channel struct {
-	cfg   Config
-	proc  disturb.Process // nil for the legacy Delay/DropProb pair
+	proc  disturb.Process // nil for a perfect channel
 	drop  *rand.Rand      // loss decisions only
 	delay *rand.Rand      // latency draws only
 	queue []pending
@@ -137,7 +110,6 @@ func (c *Channel) Reset(cfg Config, rng *rand.Rand) error {
 		c.drop.Seed(rng.Int63())
 		c.delay.Seed(rng.Int63())
 	}
-	c.cfg = cfg
 	if cfg.Model == nil {
 		c.proc = nil
 	} else {
@@ -154,27 +126,19 @@ func (c *Channel) Reset(cfg Config, rng *rand.Rand) error {
 // stale duplicate copies.
 func (c *Channel) Send(m Message) {
 	c.sent++
-	if c.cfg.Lost || c.cfg.inOutage(m.T) {
+	if c.proc == nil {
+		c.enqueue(m.T, m)
+		return
+	}
+	d := c.proc.Next(m.T)
+	if d.Drop {
 		c.dropped++
 		return
 	}
-	if c.proc != nil {
-		d := c.proc.Next(m.T)
-		if d.Drop {
-			c.dropped++
-			return
-		}
-		c.enqueue(m.T+d.Delay, m)
-		for _, extra := range d.Dup {
-			c.enqueue(m.T+extra, m)
-		}
-		return
+	c.enqueue(m.T+d.Delay, m)
+	for _, extra := range d.Dup {
+		c.enqueue(m.T+extra, m)
 	}
-	if c.cfg.DropProb > 0 && c.drop.Float64() < c.cfg.DropProb {
-		c.dropped++
-		return
-	}
-	c.enqueue(m.T+c.cfg.Delay, m)
 }
 
 // enqueue inserts one delivery, keeping the queue sorted by delivery time

@@ -19,13 +19,13 @@ func newCh(t *testing.T, cfg Config, seed int64) *Channel {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{Delay: -1}).Validate(); err == nil {
+	if err := Delayed(-1, 0).Validate(); err == nil {
 		t.Error("negative delay accepted")
 	}
-	if err := (Config{DropProb: 1.5}).Validate(); err == nil {
+	if err := Delayed(0, 1.5).Validate(); err == nil {
 		t.Error("drop probability > 1 accepted")
 	}
-	if err := (Config{DropProb: -0.1}).Validate(); err == nil {
+	if err := Delayed(0, -0.1).Validate(); err == nil {
 		t.Error("negative drop probability accepted")
 	}
 	if err := NoDisturbance().Validate(); err != nil {
@@ -285,7 +285,7 @@ func TestTickerReset(t *testing.T) {
 	}
 }
 
-// Property: with DropProb 0 and any delay, every sent message is eventually
+// Property: with drop probability 0 and any delay, every sent message is eventually
 // delivered exactly once, in timestamp order.
 func TestQuickLosslessConservation(t *testing.T) {
 	f := func(seed int64, delayRaw float64) bool {
@@ -293,7 +293,7 @@ func TestQuickLosslessConservation(t *testing.T) {
 		if math.IsNaN(delay) {
 			delay = 0
 		}
-		ch, err := NewChannel(Config{Delay: delay}, rand.New(rand.NewSource(seed)))
+		ch, err := NewChannel(Delayed(delay, 0), rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return false
 		}

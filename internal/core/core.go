@@ -92,10 +92,6 @@ type Compound struct {
 	label string
 }
 
-// SetCollector attaches a telemetry collector; part of the optional
-// instrumentation contract recognized by the public run options.
-func (c *Compound) SetCollector(tc telemetry.Collector) { c.Collector = tc }
-
 // NewBasic builds the basic compound design of the evaluation: runtime
 // monitor and emergency planner only (κ_cb).  Pair it with a fusion filter
 // that has the Kalman component disabled.

@@ -92,10 +92,6 @@ type MultiCompound struct {
 	label string
 }
 
-// SetCollector attaches a telemetry collector; part of the optional
-// instrumentation contract recognized by the public run options.
-func (c *MultiCompound) SetCollector(tc telemetry.Collector) { c.Collector = tc }
-
 // decide reports the step's combined monitor selection to the collector.
 func (c *MultiCompound) decide(reason string) {
 	if c.Collector != nil {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"safeplan/internal/disturb"
 	"safeplan/internal/leftturn"
 )
 
@@ -23,10 +24,10 @@ func TestStandardSettings(t *testing.T) {
 	if len(ss) != 3 {
 		t.Fatalf("settings = %d", len(ss))
 	}
-	if !ss[2].Comms.Lost {
-		t.Fatal("third setting must be messages-lost")
+	if ss[2].Comms.Model != (disturb.Blackout{}) {
+		t.Fatalf("third setting = %+v, must be messages-lost", ss[2].Comms)
 	}
-	if ss[1].Comms.Delay != DelayedDelay || ss[1].Comms.DropProb != DelayedDropProb {
+	if ss[1].Comms.Model != (disturb.IID{DropProb: DelayedDropProb, Delay: DelayedDelay}) {
 		t.Fatalf("delayed setting = %+v", ss[1].Comms)
 	}
 }

@@ -124,7 +124,7 @@ func goldenChainTrace(t *testing.T, tc goldenCase) []byte {
 	opts := sim.Options{Seed: goldenSeed}
 	if tc.Probe {
 		rec := chainRecorder{g: &g}
-		agent.SetCollector(rec)
+		agent.Collector = rec
 		opts.Collector = rec
 		opts.Invariants = []sim.Invariant{
 			sim.NoCollision{}, sim.SoundEstimate{}, carfollow.TrueSlack{Cfg: sc},

@@ -31,7 +31,7 @@ func TestValidate(t *testing.T) {
 		"spec":          func(c *SimConfig) { c.Spec = GapSpec(9) },
 		"tgap":          func(c *SimConfig) { c.Spec = TimeGap; c.TGap = math.Inf(1) },
 		"follow":        func(c *SimConfig) { c.Follow.GainGap = -1 },
-		"embedded-comm": func(c *SimConfig) { c.Comms.DropProb = 2 },
+		"embedded-comm": func(c *SimConfig) { c.Comms = comms.Delayed(0, 2) },
 	}
 	for name, mut := range muts {
 		c := DefaultSimConfig()

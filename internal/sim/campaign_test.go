@@ -96,7 +96,7 @@ func TestCampaignCollectorInvariance(t *testing.T) {
 		spec := campaign.Spec{Episodes: detEpisodes, BaseSeed: detSeed}
 		if withCollector {
 			m := telemetry.NewMetrics()
-			agent.SetCollector(m)
+			agent.Collector = m
 			spec.Collector = m
 		}
 		return results(t, spec, campaign.LeftTurn(cfg, agent))

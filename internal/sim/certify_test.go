@@ -230,8 +230,8 @@ type sharedRun struct {
 func runShared(t *testing.T, cfg Config, agent *core.Compound, seed int64, hide bool) (run sharedRun, shared bool) {
 	t.Helper()
 	rec := &reasonRecorder{}
-	agent.SetCollector(rec)
-	defer agent.SetCollector(nil)
+	agent.Collector = rec
+	defer func() { agent.Collector = nil }()
 	var a core.Agent = agent
 	if hide && cfg.Certify == nil {
 		a = ownAssess{agent}

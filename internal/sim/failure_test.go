@@ -11,6 +11,7 @@ import (
 
 	"safeplan/internal/comms"
 	"safeplan/internal/core"
+	"safeplan/internal/disturb"
 	"safeplan/internal/planner"
 	"safeplan/internal/sensor"
 )
@@ -27,17 +28,25 @@ func TestSensorDropProbValidated(t *testing.T) {
 	}
 }
 
+// outage is the delayed channel with a total blackout over [start, end).
+func outage(start, end float64) comms.Config {
+	delayed := comms.Delayed(0.25, 0.5).Model
+	return comms.Disturbed(disturb.Schedule{Phases: []disturb.Phase{
+		{Start: 0, Model: delayed}, {Start: start, Model: disturb.Blackout{}}, {Start: end, Model: delayed},
+	}})
+}
+
 func TestOutageValidated(t *testing.T) {
 	cfg := baseConfig()
-	cfg.Comms.OutageDuration = -1
+	cfg.Comms = outage(3, 1)
 	if cfg.Validate() == nil {
-		t.Fatal("negative outage duration accepted")
+		t.Fatal("an outage ending before it starts accepted")
 	}
 }
 
 func TestCommOutageDropsWindow(t *testing.T) {
 	// Direct channel-level check: messages inside the blackout vanish.
-	cfg := comms.Config{OutageStart: 1.0, OutageDuration: 2.0}
+	cfg := comms.Disturbed(disturb.Schedule{Phases: []disturb.Phase{{Start: 1, Model: disturb.Blackout{}}, {Start: 3, Model: disturb.None{}}}})
 	ch, err := comms.NewChannel(cfg, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +62,7 @@ func TestCommOutageDropsWindow(t *testing.T) {
 
 func TestSafetyUnderFlakySensorsAndOutage(t *testing.T) {
 	cfg := baseConfig()
-	cfg.Comms = comms.Config{Delay: 0.25, DropProb: 0.5, OutageStart: 2, OutageDuration: 3}
+	cfg.Comms = outage(2, 5)
 	cfg.Sensor = sensor.Uniform(2)
 	cfg.SensorDropProb = 0.5
 	cfg.InfoFilter = true

@@ -63,7 +63,7 @@ func certifiedSetup(t *testing.T, model string) (Config, *planner.NNPlanner) {
 func certifiedGolden(t *testing.T, cfg Config, agent *core.Compound, seed int64, ranges bool) []byte {
 	t.Helper()
 	rec := &reasonRecorder{}
-	agent.SetCollector(rec)
+	agent.Collector = rec
 	st, err := NewStepper(cfg, agent, Options{Seed: seed, Trace: true, Collector: rec})
 	if err != nil {
 		t.Fatal(err)

@@ -172,13 +172,13 @@ func (c oneTrackCase) newStepper(opts Options, rec telemetry.Collector) (*MultiS
 	if c.vehicles == 0 {
 		agent := c.agent(c.cfg)
 		if a, ok := agent.(*core.Compound); ok && rec != nil {
-			a.SetCollector(rec)
+			a.Collector = rec
 		}
 		return NewStepper(c.cfg, agent, opts)
 	}
 	agent := core.NewMultiUltimate(c.cfg.Scenario, planner.ConservativeExpert(c.cfg.Scenario))
 	if rec != nil {
-		agent.SetCollector(rec)
+		agent.Collector = rec
 	}
 	return NewMultiStepper(MultiConfig{Config: c.cfg, Vehicles: c.vehicles}, agent, opts)
 }

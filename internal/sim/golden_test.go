@@ -92,7 +92,7 @@ func goldenTrace(t *testing.T, cfg Config) []byte {
 	sc := cfg.Scenario
 	agent := core.NewUltimate(sc, planner.ConservativeExpert(sc))
 	rec := &reasonRecorder{}
-	agent.SetCollector(rec)
+	agent.Collector = rec
 	res, err := Run(cfg, agent, Options{Seed: goldenSeed, Trace: true, Collector: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestGoldenTraceStableAcrossTelemetry(t *testing.T) {
 		opts := Options{Seed: goldenSeed, Trace: true}
 		if withCollector {
 			m := telemetry.NewMetrics()
-			agent.SetCollector(m)
+			agent.Collector = m
 			opts.Collector = m
 		}
 		res, err := Run(ep.Cfg, agent, opts)

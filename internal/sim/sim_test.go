@@ -24,7 +24,7 @@ func TestValidateRejects(t *testing.T) {
 		"hor":    func(c *Config) { c.Horizon = -1 },
 		"spread": func(c *Config) { c.OncomingStartSpread = -1 },
 		"speed":  func(c *Config) { c.OncomingSpeedMin = 10; c.OncomingSpeedMax = 5 },
-		"comms":  func(c *Config) { c.Comms.DropProb = 2 },
+		"comms":  func(c *Config) { c.Comms = comms.Delayed(0, 2) },
 		"sensor": func(c *Config) { c.Sensor.DeltaP = -1 },
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -20,7 +20,7 @@ func TestRunCampaignCollector(t *testing.T) {
 	sc := leftturn.DefaultConfig()
 	agent := core.NewUltimate(sc, planner.ConservativeExpert(sc))
 	m := telemetry.NewMetrics()
-	agent.SetCollector(m)
+	agent.Collector = m
 
 	const n = 64
 	rs := results(t, campaign.Spec{Episodes: n, BaseSeed: 100, Collector: m}, campaign.LeftTurn(cfg, agent))
@@ -95,7 +95,7 @@ func TestRunMultiCampaignCollector(t *testing.T) {
 	sc := leftturn.DefaultConfig()
 	agent := core.NewMultiUltimate(sc, planner.ConservativeExpert(sc))
 	m := telemetry.NewMetrics()
-	agent.SetCollector(m)
+	agent.Collector = m
 
 	rs := results(t, campaign.Spec{Episodes: 8, BaseSeed: 3, Collector: m}, campaign.MultiVehicle(cfg, agent))
 	var steps int

@@ -59,7 +59,9 @@ type Metrics struct {
 	timeouts  atomic.Int64
 	fusedMiss atomic.Int64
 	soundViol atomic.Int64
-	etaSum    atomicFloat
+	// etaSum holds 2^17 = 131,072 episodes (a paper-scale campaign has
+	// 80,000) of |η| ≤ 64 at a quantum of 2^-40 ≈ 9.1e-13.
+	etaSum fixedSum
 
 	reasons [6]atomic.Int64 // knownReasons order, then reasonOther
 
@@ -83,13 +85,15 @@ type Metrics struct {
 // NewMetrics returns an empty Metrics collector with the default bucket
 // layout.
 func NewMetrics() *Metrics {
-	return &Metrics{
+	m := &Metrics{
 		soundWidth: NewHistogram(DefaultWidthBounds...),
 		fusedWidth: NewHistogram(DefaultWidthBounds...),
 		consWidth:  NewHistogram(DefaultWidthBounds...),
 		aggrWidth:  NewHistogram(DefaultWidthBounds...),
 		latency:    NewHistogram(DefaultLatencyBounds...),
 	}
+	m.etaSum.init(64, 17)
+	return m
 }
 
 // OnStep implements Collector.
@@ -122,13 +126,40 @@ func (m *Metrics) OnGuardEvent(e GuardEvent) {
 		countByName(m.guardFallbacks[:], knownGuardFallbacks, e.Fallback)
 	}
 	if e.Transition {
+		tr := GuardTransition{T: e.T, From: e.From, To: e.State}
 		m.transMu.Lock()
 		m.transTotal++
 		if len(m.transitions) < maxGuardTransitions {
-			m.transitions = append(m.transitions, GuardTransition{T: e.T, From: e.From, To: e.State})
+			m.transitions = append(m.transitions, tr)
+		} else if last := latestTransition(m.transitions); tr.before(m.transitions[last]) {
+			m.transitions[last] = tr
 		}
 		m.transMu.Unlock()
 	}
+}
+
+// before orders transitions by episode time, then by states, so the
+// retained log does not depend on the order workers report in.
+func (a GuardTransition) before(b GuardTransition) bool {
+	if a.T != b.T {
+		return a.T < b.T
+	}
+	if a.From != b.From {
+		return a.From < b.From
+	}
+	return a.To < b.To
+}
+
+// latestTransition is the index of the last transition of log in the
+// before order.
+func latestTransition(log []GuardTransition) int {
+	last := 0
+	for i := range log {
+		if log[last].before(log[i]) {
+			last = i
+		}
+	}
+	return last
 }
 
 // countByName bumps the counter matching name, or the trailing "other"
@@ -162,8 +193,14 @@ func (m *Metrics) OnEpisode(o EpisodeOutcome) {
 }
 
 // OnProgress implements Collector.
+// Workers report out of order, so the highest count wins.
 func (m *Metrics) OnProgress(done, total int64) {
-	m.done.Store(done)
+	for {
+		old := m.done.Load()
+		if done <= old || m.done.CompareAndSwap(old, done) {
+			break
+		}
+	}
 	m.total.Store(total)
 }
 
@@ -198,9 +235,10 @@ type Snapshot struct {
 	GuardEvents    int64            `json:"guard_events,omitempty"`
 	GuardFaults    map[string]int64 `json:"guard_faults,omitempty"`
 	GuardFallbacks map[string]int64 `json:"guard_fallbacks,omitempty"`
-	// GuardTransitions retains the first maxGuardTransitions
-	// degradation-state transitions; GuardTransitionTotal is the true
-	// count (the log is bounded, the counter is not).
+	// GuardTransitions retains the maxGuardTransitions earliest
+	// degradation-state transitions by episode time (then states), in
+	// that order; GuardTransitionTotal is the true count (the log is
+	// bounded, the counter is not).
 	GuardTransitions     []GuardTransition `json:"guard_transitions,omitempty"`
 	GuardTransitionTotal int64             `json:"guard_transition_total,omitempty"`
 
@@ -259,6 +297,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	m.transMu.Lock()
 	if len(m.transitions) > 0 {
 		s.GuardTransitions = append([]GuardTransition(nil), m.transitions...)
+		sort.Slice(s.GuardTransitions, func(i, j int) bool { return s.GuardTransitions[i].before(s.GuardTransitions[j]) })
 	}
 	s.GuardTransitionTotal = m.transTotal
 	m.transMu.Unlock()

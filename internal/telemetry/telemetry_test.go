@@ -195,3 +195,27 @@ func TestNopIsCollector(t *testing.T) {
 	c.OnEpisode(EpisodeOutcome{})
 	c.OnProgress(0, 0)
 }
+
+// TestMeansIndependentOfOrder observes {0.1, 0.2, 0.3} in two orders: a
+// floating-point sum gives 0.20000000000000004 and 0.19999999999999998,
+// the fixed-point sums give one mean, for a histogram and for η.
+func TestMeansIndependentOfOrder(t *testing.T) {
+	orders := [][]float64{{0.1, 0.2, 0.3}, {0.3, 0.2, 0.1}}
+	var hist, eta []float64
+	for _, vs := range orders {
+		h := NewHistogram(DefaultWidthBounds...)
+		m := NewMetrics()
+		for _, v := range vs {
+			h.Observe(v)
+			m.OnEpisode(EpisodeOutcome{Reached: true, Eta: v})
+		}
+		hist = append(hist, h.Snapshot().Mean)
+		eta = append(eta, m.Snapshot().MeanEta)
+	}
+	if hist[0] != hist[1] || eta[0] != eta[1] {
+		t.Fatalf("histogram means %v, η means %v: the order changed them", hist, eta)
+	}
+	if math.Abs(hist[0]-0.2) > 1e-7 || math.Abs(eta[0]-0.2) > 1e-12 {
+		t.Fatalf("histogram mean %v, η mean %v, want 0.2", hist[0], eta[0])
+	}
+}

@@ -3,9 +3,13 @@ package safeplan
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"safeplan/internal/telemetry"
 )
 
 // TestWithTraceDeterminism proves the traced options form is
@@ -259,5 +263,86 @@ func TestCollectorDetachedOnReuse(t *testing.T) {
 	}
 	if !bytes.Equal(before, after) {
 		t.Fatalf("a run without WithCollector still reported into the earlier collector:\nbefore: %s\nafter:  %s", before, after)
+	}
+}
+
+// TestSharedAgentConcurrentCollectors runs two campaigns at once on one
+// compound agent, each with its own collector: under -race neither call
+// may write the shared agent, and each collector must count exactly the
+// monitor decisions a solo run of the same campaign counts.
+func TestSharedAgentConcurrentCollectors(t *testing.T) {
+	sc := DefaultScenario()
+	cfg := DefaultSimConfig()
+	cfg.InfoFilter = true
+	agent := BuildUltimate(sc, NewAggressiveExpert(sc))
+
+	solo := NewMetrics()
+	if _, err := RunCampaign(cfg, agent, 30, 7, WithCollector(solo), WithWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	want := solo.Snapshot().MonitorReasons
+	if len(want) == 0 {
+		t.Fatal("the solo run reported no monitor decisions")
+	}
+
+	ms := []*Metrics{NewMetrics(), NewMetrics()}
+	errs := make([]error, len(ms))
+	var wg sync.WaitGroup
+	for i, m := range ms {
+		wg.Add(1)
+		go func(i int, m *Metrics) {
+			defer wg.Done()
+			_, errs[i] = RunCampaign(cfg, agent, 30, 7, WithCollector(m), WithWorkers(1))
+		}(i, m)
+	}
+	wg.Wait()
+	for i, m := range ms {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got := m.Snapshot().MonitorReasons; !reflect.DeepEqual(got, want) {
+			t.Errorf("concurrent run %d counted monitor decisions %v, the solo run %v", i, got, want)
+		}
+	}
+	if agent.Collector != nil {
+		t.Fatalf("the caller's agent holds collector %v after the runs", agent.Collector)
+	}
+}
+
+// TestMetricsWorkerCountParity runs one campaign at 1 and at 4 workers,
+// with and without the planner guard under injected faults: the Metrics
+// snapshots must be byte-identical once the wall-clock planner latency
+// is zeroed.
+func TestMetricsWorkerCountParity(t *testing.T) {
+	sc := DefaultScenario()
+	delayed := DefaultSimConfig()
+	delayed.Comms = DelayedComms(0.25, 0.5)
+	delayed.InfoFilter = true
+	guarded := delayed
+	gc := DefaultGuardConfig(sc.Ego)
+	guarded.Guard = &gc
+	fault, err := PlannerFaultPreset("flaky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	guarded.PlannerFault = fault
+	for name, cfg := range map[string]SimConfig{"delayed": delayed, "guarded": guarded} {
+		var dumps [][]byte
+		for _, w := range []int{1, 4} {
+			m := NewMetrics()
+			if _, err := RunCampaign(cfg, BuildUltimate(sc, NewAggressiveExpert(sc)), 60, 3, WithCollector(m), WithWorkers(w)); err != nil {
+				t.Fatal(err)
+			}
+			s := m.Snapshot()
+			s.PlannerLatency = telemetry.HistogramSnapshot{}
+			raw, err := s.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dumps = append(dumps, raw)
+		}
+		if !bytes.Equal(dumps[0], dumps[1]) {
+			t.Errorf("%s: 1 worker:\n%s\n4 workers:\n%s", name, dumps[0], dumps[1])
+		}
 	}
 }

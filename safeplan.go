@@ -334,12 +334,10 @@ func WithTrace() RunOption { return func(s *runSettings) { s.trace = true } }
 
 // WithCollector attaches a telemetry collector to the run.  The engine
 // feeds it per-step probes and episode outcomes; compound agents
-// additionally report their runtime-monitor selections.  A compound
-// agent holds the collector itself: every entry point sets it, nil for a
-// run without WithCollector, so a reused agent reports into its current
-// run's collector only, and two entry-point calls must not share one
-// compound agent at the same time.  Campaigns share the collector across
-// workers, so it must be concurrency-safe (telemetry.Metrics is).
+// additionally report their runtime-monitor selections, through a copy
+// of the agent the entry point makes for the call, so concurrent calls
+// may share one agent.  Campaigns share the collector across workers, so
+// it must be concurrency-safe (telemetry.Metrics is).
 func WithCollector(c Collector) RunOption { return func(s *runSettings) { s.collector = c } }
 
 // WithWorkers bounds a campaign's episode-level parallelism to n
@@ -353,18 +351,10 @@ func WithWorkers(n int) RunOption {
 	}
 }
 
-// instrumentable is the optional agent contract behind WithCollector: the
-// compound planners implement it to report monitor selections.
-type instrumentable interface {
-	SetCollector(telemetry.Collector)
-}
-
 // run is the one skeleton behind every entry point: it folds the
-// options, checks the worker count, hands the run's collector to the
-// agent when it supports instrumentation (nil included, so a reused
-// agent stops reporting into an earlier run's collector), then makes the
-// one call and prefixes its error.
-func run[T any](agent any, opts []RunOption, call func(runSettings) (T, error)) (T, error) {
+// options, checks the worker count, makes the one call on the agent with
+// the run's collector attached (withCollector) and prefixes its error.
+func run[A, T any](agent A, opts []RunOption, call func(A, runSettings) (T, error)) (T, error) {
 	var s runSettings
 	for _, o := range opts {
 		o(&s)
@@ -373,11 +363,30 @@ func run[T any](agent any, opts []RunOption, call func(runSettings) (T, error)) 
 		var zero T
 		return zero, fmt.Errorf("safeplan: WithWorkers(%d): worker count must be >= 1", s.workers)
 	}
-	if ia, ok := agent.(instrumentable); ok {
-		ia.SetCollector(s.collector)
-	}
-	r, err := call(s)
+	r, err := call(withCollector(agent, s.collector), s)
 	return r, wrapErr(err)
+}
+
+// withCollector returns the agent a run drives: a compound agent is
+// shallow-copied with the run's collector attached (nil without
+// WithCollector), so the caller's agent is never written and reports
+// into no earlier run's collector; any other agent is returned as is.
+func withCollector[A any](agent A, c telemetry.Collector) A {
+	switch a := any(agent).(type) {
+	case *core.Compound:
+		cp := *a
+		cp.Collector = c
+		return any(&cp).(A)
+	case *core.MultiCompound:
+		cp := *a
+		cp.Collector = c
+		return any(&cp).(A)
+	case *carfollow.Compound:
+		cp := *a
+		cp.Collector = c
+		return any(&cp).(A)
+	}
+	return agent
 }
 
 // episode is the per-episode options of a single-episode entry point.
@@ -406,7 +415,7 @@ func (s runSettings) campaign(name string, n int, baseSeed int64, ep campaign.Ep
 // behaviour: WithTrace records the per-step trace, WithCollector attaches
 // a telemetry collector.
 func RunEpisode(cfg SimConfig, agent Agent, seed int64, opts ...RunOption) (EpisodeResult, error) {
-	return run(agent, opts, func(s runSettings) (EpisodeResult, error) {
+	return run(agent, opts, func(agent Agent, s runSettings) (EpisodeResult, error) {
 		return sim.Run(cfg, agent, s.episode(seed))
 	})
 }
@@ -420,7 +429,7 @@ func RunEpisode(cfg SimConfig, agent Agent, seed int64, opts ...RunOption) (Epis
 // the compound designs around them qualify, so the stats do not depend on
 // the worker count.
 func RunCampaign(cfg SimConfig, agent Agent, n int, baseSeed int64, opts ...RunOption) (CampaignStats, error) {
-	return run(agent, opts, func(s runSettings) (CampaignStats, error) {
+	return run(agent, opts, func(agent Agent, s runSettings) (CampaignStats, error) {
 		return s.campaign("left-turn", n, baseSeed, campaign.LeftTurn(cfg, agent))
 	})
 }
@@ -536,7 +545,7 @@ func BuildMultiUltimate(sc Scenario, kn Planner) *MultiCompoundPlanner {
 // streams and aggregates the statistics.  It accepts the same options as
 // RunCampaign.
 func RunMultiCampaign(cfg MultiSimConfig, agent MultiAgent, n int, baseSeed int64, opts ...RunOption) (CampaignStats, error) {
-	return run(agent, opts, func(s runSettings) (CampaignStats, error) {
+	return run(agent, opts, func(agent MultiAgent, s runSettings) (CampaignStats, error) {
 		return s.campaign("multi-vehicle", n, baseSeed, campaign.MultiVehicle(cfg, agent))
 	})
 }
@@ -589,7 +598,7 @@ func BuildCarFollowUltimate(sc CarFollowScenario, kn CarFollowPlanner) CarFollow
 // RunCarFollowCampaign simulates n seed-paired car-following episodes and
 // aggregates the statistics.  It accepts the same options as RunCampaign.
 func RunCarFollowCampaign(cfg CarFollowSimConfig, agent CarFollowAgent, n int, baseSeed int64, opts ...RunOption) (CampaignStats, error) {
-	return run(agent, opts, func(s runSettings) (CampaignStats, error) {
+	return run(agent, opts, func(agent CarFollowAgent, s runSettings) (CampaignStats, error) {
 		return s.campaign("car-following", n, baseSeed, campaign.CarFollow(cfg, agent))
 	})
 }
@@ -653,7 +662,7 @@ type (
 // same options as RunEpisode; drive it with Step and settle it with
 // Finish (mid-episode Finish yields the partial result).
 func NewStepper(cfg SimConfig, agent Agent, seed int64, opts ...RunOption) (*Stepper, error) {
-	return run(agent, opts, func(s runSettings) (*Stepper, error) {
+	return run(agent, opts, func(agent Agent, s runSettings) (*Stepper, error) {
 		return sim.NewStepper(cfg, agent, s.episode(seed))
 	})
 }

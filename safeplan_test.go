@@ -155,7 +155,11 @@ func TestMultiVehicleFacade(t *testing.T) {
 func TestFailureInjectionFacade(t *testing.T) {
 	sc := DefaultScenario()
 	cfg := DefaultSimConfig()
-	cfg.Comms = CommsConfig{Delay: 0.25, DropProb: 0.5, OutageStart: 1, OutageDuration: 2}
+	// The delayed channel with a total blackout over [1 s, 3 s).
+	delayed := DelayedComms(0.25, 0.5).Model
+	cfg.Comms = CommsConfig{Model: DisturbanceSchedule{Phases: []DisturbancePhase{
+		{Start: 0, Model: delayed}, {Start: 1, Model: BlackoutModel{}}, {Start: 3, Model: delayed},
+	}}}
 	cfg.SensorDropProb = 0.3
 	cfg.InfoFilter = true
 	st, err := RunCampaign(cfg, BuildUltimate(sc, NewAggressiveExpert(sc)), 40, 11)
