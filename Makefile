@@ -12,7 +12,7 @@ test: build
 # Full gate: vet + the whole suite under the race detector (includes the
 # concurrent-campaign telemetry tests), then the golden-trace regressions
 # (left turn, certified-NN left turn, multi-vehicle, car following,
-# platoon),
+# platoon, and cmd/figures' output of every study),
 # the committed fuzz corpora (guarded planner, IBP containment, the serve
 # and dist wire protocols, the vector kernels against their scalar
 # references, the IBP tanh epilogue's AVX-512 and AVX2 kernels against
@@ -25,7 +25,7 @@ check:
 	./scripts/lint_determinism.sh
 	$(GO) test -race ./...
 	$(MAKE) bench-check
-	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon
+	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon ./cmd/figures
 	$(GO) test -run FuzzGuardedPlanner ./internal/sim
 	$(GO) test -run 'FuzzIBPContainment|FuzzTanhEpilogue' ./internal/nn/ibp
 	$(GO) test -run 'FuzzTanhInto|FuzzMidRadInto|FuzzDotRowsInto' ./internal/mat
@@ -51,7 +51,7 @@ bench-check:
 
 # Re-bless the golden traces after an intentional behaviour change.
 golden:
-	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon -update
+	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon ./cmd/figures -update
 
 # Short fuzzing pass: ~20s per safety target, per wire protocol, for the
 # wire layer's bounded decoder, per vector kernel and for the checkpoint
@@ -185,9 +185,9 @@ guard-smoke:
 	$(GO) run ./cmd/bench -smoke -guard
 
 # Platoon CI gate: a clean four-vehicle chain and one with the burst
-# preset on its middle link, 10k episodes each, the chain's checkers
-# (pairwise no-collision, per-link soundness, true-state slack, string
-# stability) in fail mode.
+# preset on link 0, the link the compound planner reads, 10k episodes
+# each, the chain's checkers (pairwise no-collision, per-link soundness,
+# true-state slack, string stability) in fail mode.
 platoon-smoke:
 	$(GO) run ./cmd/bench -smoke -platoon 4
 

@@ -1,11 +1,12 @@
 package safeplan
 
-// Benchmark harness: one benchmark per paper artifact (Tables I–II,
-// Figures 5a–5f, 6a–6b, the §V-C RMSE study) plus the DESIGN.md §6
-// ablations and micro-benchmarks of the hot paths.  Each table/figure
-// benchmark runs a reduced episode count per iteration (benchEpisodes)
-// so `go test -bench=.` finishes in minutes; the cmd/tables and
-// cmd/figures binaries regenerate the artifacts at any scale.
+// Benchmark harness: one sub-benchmark of BenchmarkStudies per campaign
+// of the evaluation's study table (Tables I–II, Figures 5a–5f, the
+// DESIGN.md §6 ablations and the extension studies), one benchmark per
+// trace (Figures 6a–6b, the §V-C RMSE study), and micro-benchmarks of
+// the hot paths.  The studies run a reduced episode count per iteration
+// (benchStudyN) so `go test -bench=.` finishes in minutes; cmd/figures
+// regenerates every artifact at any scale.
 
 import (
 	"math/rand"
@@ -26,8 +27,7 @@ import (
 )
 
 const (
-	benchEpisodes  = 60 // episodes per table cell / sweep point, per iteration
-	benchSweepN    = 20 // episodes per sweep point (20 points per figure)
+	benchStudyN    = 20 // episodes per design and cell of a study, per iteration
 	benchTrajsRMSE = 20
 	benchSeed      = 42
 )
@@ -46,61 +46,26 @@ func planners() experiments.Planners {
 	return benchPlanners
 }
 
-// --- Tables ---------------------------------------------------------------
+// --- Studies ---------------------------------------------------------------
 
-func BenchmarkTable1(b *testing.B) {
-	pl := planners()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table(experiments.Conservative, pl, benchEpisodes, benchSeed); err != nil {
-			b.Fatal(err)
+// BenchmarkStudies runs each campaign of the evaluation's study table
+// once per iteration, at benchStudyN episodes per design and cell.  Studies
+// that chart the same campaign (Fig. 5a/5b, 5c/5d, 5e/5f) share the
+// sub-benchmark of the first.
+func BenchmarkStudies(b *testing.B) {
+	seen := map[*experiments.Campaign]bool{}
+	for _, s := range experiments.Studies(planners()) {
+		if s.Campaign == nil || seen[s.Campaign] {
+			continue
 		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	pl := planners()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table(experiments.Aggressive, pl, benchEpisodes, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figure 5 sweeps (a/b share a sweep; c/d and e/f likewise — the two
-// sub-figures are two projections of the same campaign, so each benchmark
-// regenerates both of its pair) -------------------------------------------
-
-func BenchmarkFig5aReachVsTransmission(b *testing.B) {
-	benchSweep(b, experiments.SweepTransmission)
-}
-
-func BenchmarkFig5bEmergencyVsTransmission(b *testing.B) {
-	benchSweep(b, experiments.SweepTransmission)
-}
-
-func BenchmarkFig5cReachVsDrop(b *testing.B) {
-	benchSweep(b, experiments.SweepDrop)
-}
-
-func BenchmarkFig5dEmergencyVsDrop(b *testing.B) {
-	benchSweep(b, experiments.SweepDrop)
-}
-
-func BenchmarkFig5eReachVsSensor(b *testing.B) {
-	benchSweep(b, experiments.SweepSensor)
-}
-
-func BenchmarkFig5fEmergencyVsSensor(b *testing.B) {
-	benchSweep(b, experiments.SweepSensor)
-}
-
-func benchSweep(b *testing.B, sweep func(experiments.Planners, int, int64) ([]experiments.SweepPoint, error)) {
-	b.Helper()
-	pl := planners()
-	for i := 0; i < b.N; i++ {
-		if _, err := sweep(pl, benchSweepN, benchSeed); err != nil {
-			b.Fatal(err)
-		}
+		seen[s.Campaign] = true
+		b.Run(s.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Campaign.Run(benchStudyN, benchSeed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -125,25 +90,6 @@ func BenchmarkFig6bWindowTrace(b *testing.B) {
 func BenchmarkRMSE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.FilterRMSE(benchTrajsRMSE, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablations (DESIGN.md §6) ----------------------------------------------
-
-func BenchmarkAblationFilter(b *testing.B)       { benchAblation(b) }
-func BenchmarkAblationAggressive(b *testing.B)   { benchAblation(b) }
-func BenchmarkAblationReplay(b *testing.B)       { benchAblation(b) }
-func BenchmarkAblationSoundMonitor(b *testing.B) { benchAblation(b) }
-
-// benchAblation runs the full six-variant ablation campaign (all four
-// named ablations are columns of the same run).
-func benchAblation(b *testing.B) {
-	b.Helper()
-	pl := planners()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Ablations(pl, benchEpisodes, benchSeed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,16 +247,6 @@ func BenchmarkNNPlannerInference(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamTable exercises the multi-vehicle extension study.
-func BenchmarkStreamTable(b *testing.B) {
-	pl := planners()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.StreamTable(pl, benchSweepN, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMultiEpisode measures one three-vehicle closed-loop episode.
 func BenchmarkMultiEpisode(b *testing.B) {
 	cfg := sim.DefaultMultiConfig()
@@ -320,15 +256,6 @@ func BenchmarkMultiEpisode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.RunMulti(cfg, agent, sim.Options{Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCarFollowTable exercises the second case study's table.
-func BenchmarkCarFollowTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CarFollowTable(benchSweepN, benchSeed); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,7 +17,7 @@
 //	(none)      BENCH_campaign.json  3 settings × 2 experts, burst, worst        none: a safety audit     clean, delayed
 //	-guard      BENCH_guard.json     one guarded campaign per fault preset       zero violations          panic-half, nan-half
 //	-ibp        BENCH_ibp.json       4 trained-NN designs in IBP verified mode   zero certified misses    none
-//	-platoon N  BENCH_platoon.json   3 settings on all links, burst per link     zero violations          clean, burst-mid-link
+//	-platoon N  BENCH_platoon.json   3 settings on all links, burst per link     zero violations          clean, burst-nn-link
 //
 // Every row runs its checkers in counting mode; -quick runs 500 episodes
 // per row (5000 by default) and keeps one canonical workload per axis.

@@ -426,13 +426,14 @@ func platoonRows(o options) ([]row, error) {
 }
 
 // platoonSmoke is the platoon's CI gate: a clean chain and one with the
-// burst preset on its middle link.
+// burst preset on link 0, the link the compound planner (vehicle 1)
+// reads; the -platoon matrix covers the burst on every other link.
 func platoonSmoke(o options) ([]smokeCase, error) {
 	var cases []smokeCase
-	for _, label := range []string{"clean", "burst-mid-link"} {
+	for _, label := range []string{"clean", "burst-nn-link"} {
 		burstLink := -1
 		if label != "clean" {
-			burstLink = (o.vehicles - 1) / 2
+			burstLink = 0
 		}
 		cfg, err := platoonConfig(o, burstLink)
 		if err != nil {

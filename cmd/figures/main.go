@@ -1,383 +1,108 @@
-// Command figures regenerates the paper's Figure 5 sweeps (reaching time
-// and emergency frequency versus transmission period, message drop
+// Command figures regenerates the paper's evaluation, one study at a
+// time or all of them: Tables I–II (planner comparison under the three
+// communication settings), the Figure 5 sweeps (reaching time and
+// emergency frequency versus transmission period, message drop
 // probability, and sensor uncertainty), the Figure 6 traces (information
 // filter and passing-window estimation), the §V-C RMSE study, and the
 // ablation table of DESIGN.md §6.
 //
 // Usage:
 //
-//	figures [-fig 5a|5b|5c|5d|5e|5f|6a|6b|rmse|ablation|all]
-//	        [-n 400] [-seed 42] [-csv] [-nn] [-models DIR]
+//	figures [-fig ID|all] [-n 400] [-seed 42] [-csv] [-nn | -models DIR]
 //
-// Beyond the paper's figures, "burst" sweeps the mean loss-burst length
+// ID is a study of experiments.Studies: table1, table2, 5a–5f, 6a, 6b,
+// rmse, ablation, stream, carfollow, platoon, burst or worstcase.  Beyond
+// the paper, "stream" and "carfollow" run the multi-vehicle and
+// car-following case studies, "burst" sweeps the mean loss-burst length
 // of a Gilbert–Elliott channel, "worstcase" tabulates the adversarial
 // disturbance settings (burst loss, jitter+reordering, stale replay,
 // blackout, sensor bias drift) — the worst-case companion of Table I/II —
 // and "platoon" tabulates the N-vehicle chained-link platoon: a
 // chain-length sweep under delayed messaging plus the burst preset
 // rotated over each individual V2V link.
+//
+// Without -nn or -models the analytic expert policies stand in for κ_n,
+// which reproduces the same shapes in a fraction of the time.  The paper
+// ran 80 000 episodes per setting; pass -n 80000 for full scale.  Stdout
+// depends only on the flags; each campaign's wall time goes to stderr.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"math"
 	"os"
+	"slices"
+	"strings"
+	"time"
 
 	"safeplan/internal/experiments"
 	"safeplan/internal/leftturn"
-	"safeplan/internal/textio"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
-	var (
-		fig    = flag.String("fig", "all", "figure id: 5a–5f, 6a, 6b, rmse, ablation, stream, carfollow, platoon, burst, worstcase, or all")
-		n      = flag.Int("n", 400, "episodes per sweep point")
-		seed   = flag.Int64("seed", experiments.DefaultSeed, "base seed")
-		csv    = flag.Bool("csv", false, "emit CSV instead of tables/ASCII charts")
-		useNN  = flag.Bool("nn", false, "imitation-train NN planners as κ_n")
-		models = flag.String("models", "", "load trained NN planners from this directory")
-	)
-	flag.Parse()
-
-	cfg := leftturn.DefaultConfig()
-	var pl experiments.Planners
-	var err error
-	switch {
-	case *models != "":
-		pl, err = experiments.LoadPlanners(*models, cfg)
-	case *useNN:
-		log.Print("training NN planners…")
-		pl, err = experiments.TrainedPlanners(cfg, *seed)
-	default:
-		pl = experiments.ExpertPlanners(cfg)
-	}
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
+}
 
-	app := &app{pl: pl, n: *n, seed: *seed, csv: *csv}
-	figs := map[string]func() error{
-		"5a": app.fig5a, "5b": app.fig5b,
-		"5c": app.fig5c, "5d": app.fig5d,
-		"5e": app.fig5e, "5f": app.fig5f,
-		"6a": app.fig6a, "6b": app.fig6b,
-		"rmse": app.rmse, "ablation": app.ablation,
-		"stream": app.stream, "carfollow": app.carfollow,
-		"platoon": app.platoon,
-		"burst":   app.burst, "worstcase": app.worstcase,
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	var (
+		fig    = fs.String("fig", "all", "study id (table1, 5a, …; an unknown id lists them) or all")
+		n      = fs.Int("n", 400, "episodes per design and cell")
+		seed   = fs.Int64("seed", experiments.DefaultSeed, "base seed")
+		csv    = fs.Bool("csv", false, "emit CSV instead of tables/ASCII charts")
+		useNN  = fs.Bool("nn", false, "imitation-train NN planners as κ_n")
+		models = fs.String("models", "", "load trained NN planners from this directory")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if *fig == "all" {
-		for _, id := range []string{"5a", "5b", "5c", "5d", "5e", "5f", "6a", "6b", "rmse", "ablation", "stream", "carfollow", "platoon", "burst", "worstcase"} {
-			if err := figs[id](); err != nil {
-				log.Fatal(err)
+	if *n < 1 {
+		return fmt.Errorf("-n %d: need at least one episode", *n)
+	}
+	if *useNN && *models == "" {
+		log.Print("training NN planners (use -models to reuse saved ones)…")
+	}
+	pl, err := experiments.ResolvePlanners(leftturn.DefaultConfig(), *models, *useNN, *seed)
+	if err != nil {
+		return err
+	}
+
+	studies := experiments.Studies(pl)
+	if *fig != "all" {
+		i := slices.IndexFunc(studies, func(s experiments.Study) bool { return s.ID == *fig })
+		if i < 0 {
+			ids := make([]string, len(studies))
+			for j, s := range studies {
+				ids[j] = s.ID
+			}
+			return fmt.Errorf("unknown figure %q (have: %s, all)", *fig, strings.Join(ids, ", "))
+		}
+		studies = studies[i : i+1]
+	}
+	// Studies that share a campaign (Fig. 5a/5b, …) run it once.
+	ran := map[*experiments.Campaign][]experiments.Row{}
+	for _, s := range studies {
+		var rows []experiments.Row
+		if c := s.Campaign; c != nil {
+			if rows = ran[c]; rows == nil {
+				start := time.Now()
+				if rows, err = c.Run(*n, *seed); err != nil {
+					return fmt.Errorf("%s: %w", s.ID, err)
+				}
+				log.Printf("%s: %d campaigns of %d episodes in %.1fs", s.ID, len(rows), *n, time.Since(start).Seconds())
+				ran[c] = rows
 			}
 		}
-		return
-	}
-	f, ok := figs[*fig]
-	if !ok {
-		log.Fatalf("unknown figure %q", *fig)
-	}
-	if err := f(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-type app struct {
-	pl   experiments.Planners
-	n    int
-	seed int64
-	csv  bool
-
-	transmission, drop, sensorPts, burstPts []experiments.SweepPoint
-}
-
-func (a *app) sweep(kind string) ([]experiments.SweepPoint, error) {
-	var err error
-	switch kind {
-	case "transmission":
-		if a.transmission == nil {
-			a.transmission, err = experiments.SweepTransmission(a.pl, a.n, a.seed)
+		if err := s.Write(stdout, rows, *n, *seed, *csv); err != nil {
+			return fmt.Errorf("%s: %w", s.ID, err)
 		}
-		return a.transmission, err
-	case "drop":
-		if a.drop == nil {
-			a.drop, err = experiments.SweepDrop(a.pl, a.n, a.seed)
-		}
-		return a.drop, err
-	case "burst":
-		if a.burstPts == nil {
-			a.burstPts, err = experiments.SweepBurst(a.pl, a.n, a.seed)
-		}
-		return a.burstPts, err
-	default:
-		if a.sensorPts == nil {
-			a.sensorPts, err = experiments.SweepSensor(a.pl, a.n, a.seed)
-		}
-		return a.sensorPts, err
 	}
-}
-
-// renderSweep prints a sweep either as a table/CSV or as an ASCII chart.
-func (a *app) renderSweep(title, xLabel, kind string, emergency bool) error {
-	pts, err := a.sweep(kind)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s  (n=%d per point)\n", title, a.n)
-	pick := func(p experiments.SweepPoint) (float64, float64, float64) {
-		if emergency {
-			return p.PureEm, p.BasicEm, p.UltEm
-		}
-		return p.PureReach, p.BasicReach, p.UltReach
-	}
-	if a.csv {
-		tb := textio.NewTable(xLabel, "pure", "basic", "ultimate")
-		for _, p := range pts {
-			pu, ba, ul := pick(p)
-			tb.AddRow(textio.F(p.X, 3), textio.F(pu, 4), textio.F(ba, 4), textio.F(ul, 4))
-		}
-		if err := tb.CSV(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-		return nil
-	}
-	xs := make([]float64, len(pts))
-	pu := make([]float64, len(pts))
-	ba := make([]float64, len(pts))
-	ul := make([]float64, len(pts))
-	for i, p := range pts {
-		xs[i] = p.X
-		pu[i], ba[i], ul[i] = pick(p)
-	}
-	if err := textio.Chart(os.Stdout, fmt.Sprintf("  x = %s", xLabel), xs, 12,
-		textio.Series{Name: "pure", Y: pu},
-		textio.Series{Name: "basic", Y: ba},
-		textio.Series{Name: "ultimate", Y: ul}); err != nil {
-		return err
-	}
-	fmt.Println()
 	return nil
-}
-
-func (a *app) fig5a() error {
-	return a.renderSweep("Fig. 5a: reaching time vs transmission time step", "dt_m=dt_s [s]", "transmission", false)
-}
-func (a *app) fig5b() error {
-	return a.renderSweep("Fig. 5b: emergency frequency vs transmission time step", "dt_m=dt_s [s]", "transmission", true)
-}
-func (a *app) fig5c() error {
-	return a.renderSweep("Fig. 5c: reaching time vs message drop probability", "p_d", "drop", false)
-}
-func (a *app) fig5d() error {
-	return a.renderSweep("Fig. 5d: emergency frequency vs message drop probability", "p_d", "drop", true)
-}
-func (a *app) fig5e() error {
-	return a.renderSweep("Fig. 5e: reaching time vs sensor uncertainty", "delta", "sensor", false)
-}
-func (a *app) fig5f() error {
-	return a.renderSweep("Fig. 5f: emergency frequency vs sensor uncertainty", "delta", "sensor", true)
-}
-
-func (a *app) fig6a() error {
-	samples, err := experiments.FilterTrace(a.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Fig. 6a: measured vs filtered velocity (sensors only, δ=3)")
-	tb := textio.NewTable("t", "true_v", "measured_v", "filtered_v")
-	// Subsample for terminal output; CSV gets everything.
-	step := 1
-	if !a.csv && len(samples) > 60 {
-		step = len(samples) / 60
-	}
-	for i := 0; i < len(samples); i += step {
-		s := samples[i]
-		tb.AddRow(textio.F(s.T, 2), textio.F(s.TrueV, 3), textio.F(s.MeasV, 3), textio.F(s.FilteredV, 3))
-	}
-	var err2 error
-	if a.csv {
-		err2 = tb.CSV(os.Stdout)
-	} else {
-		err2 = tb.Render(os.Stdout)
-	}
-	fmt.Println()
-	return err2
-}
-
-func (a *app) fig6b() error {
-	res, err := experiments.WindowTrace(a.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Fig. 6b: passing-window estimates (real passing: %.2f–%.2f s)\n",
-		res.RealEnter, res.RealExit)
-	tb := textio.NewTable("t", "cons_enter", "cons_exit", "aggr_enter", "aggr_exit")
-	step := 1
-	if !a.csv && len(res.Samples) > 40 {
-		step = len(res.Samples) / 40
-	}
-	for i := 0; i < len(res.Samples); i += step {
-		s := res.Samples[i]
-		tb.AddRow(textio.F(s.T, 2), textio.F(s.ConsEnter, 2), textio.F(s.ConsExit, 2),
-			textio.F(s.AggrEnter, 2), textio.F(s.AggrExit, 2))
-	}
-	var err2 error
-	if a.csv {
-		err2 = tb.CSV(os.Stdout)
-	} else {
-		err2 = tb.Render(os.Stdout)
-	}
-	fmt.Println()
-	return err2
-}
-
-func (a *app) rmse() error {
-	trajectories := 200
-	res, err := experiments.FilterRMSE(trajectories, a.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("§V-C RMSE study (%d trajectories, sensors only, δ=2)\n", res.Trajectories)
-	tb := textio.NewTable("quantity", "raw RMSE", "filtered RMSE", "reduction")
-	tb.AddRow("position", textio.F(res.PosBefore, 4), textio.F(res.PosAfter, 4),
-		textio.F(res.PosReductionPercent, 1)+"%")
-	tb.AddRow("velocity", textio.F(res.VelBefore, 4), textio.F(res.VelAfter, 4),
-		textio.F(res.VelReductionPercent, 1)+"%")
-	var err2 error
-	if a.csv {
-		err2 = tb.CSV(os.Stdout)
-	} else {
-		err2 = tb.Render(os.Stdout)
-	}
-	fmt.Println()
-	return err2
-}
-
-func (a *app) ablation() error {
-	rows, err := experiments.Ablations(a.pl, a.n, a.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Ablations (messages delayed, conservative κ_n, n=%d)\n", a.n)
-	tb := textio.NewTable("variant", "reaching time", "safe rate", "η value", "emergency freq")
-	for _, r := range rows {
-		tb.AddRow(r.Variant, textio.F(r.ReachTime, 3)+"s", textio.Pct(r.SafeRate),
-			textio.F(r.Eta, 3), textio.Pct(r.EmergencyFreq))
-	}
-	var err2 error
-	if a.csv {
-		err2 = tb.CSV(os.Stdout)
-	} else {
-		err2 = tb.Render(os.Stdout)
-	}
-	fmt.Println()
-	return err2
-}
-
-func (a *app) stream() error {
-	rows, err := experiments.StreamTable(a.pl, a.n, a.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Multi-vehicle extension: oncoming stream, messages delayed, aggressive κ_n (n=%d)\n", a.n)
-	tb := textio.NewTable("vehicles", "planner", "reaching time", "safe rate", "η value", "emergency freq")
-	for _, r := range rows {
-		tb.AddRow(fmt.Sprint(r.Vehicles), r.PlannerType,
-			textio.F(r.ReachTime, 3)+"s", textio.Pct(r.SafeRate),
-			textio.F(r.Eta, 3), textio.Pct(r.EmergencyFreq))
-	}
-	var err2 error
-	if a.csv {
-		err2 = tb.CSV(os.Stdout)
-	} else {
-		err2 = tb.Render(os.Stdout)
-	}
-	fmt.Println()
-	return err2
-}
-
-func (a *app) platoon() error {
-	rows, err := experiments.PlatoonTable(a.n, a.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Platoon extension: chained V2V links, ultimate aggressive κ_n (n=%d)\n", a.n)
-	tb := textio.NewTable("setting", "vehicles", "safe rate", "η value", "emergency freq", "min link gap", "max amplification")
-	for _, r := range rows {
-		tb.AddRow(r.Setting, fmt.Sprint(r.Vehicles),
-			textio.Pct(r.SafeRate), textio.F(r.Eta, 3), textio.Pct(r.EmergencyFreq),
-			fOrDash(r.MinLinkGap, 2), fOrDash(r.MaxAmp, 3))
-	}
-	var err2 error
-	if a.csv {
-		err2 = tb.CSV(os.Stdout)
-	} else {
-		err2 = tb.Render(os.Stdout)
-	}
-	fmt.Println()
-	return err2
-}
-
-// fOrDash formats a float like textio.F but renders NaN — the "column
-// does not apply to this row" marker — as a dash.
-func fOrDash(v float64, prec int) string {
-	if math.IsNaN(v) {
-		return "-"
-	}
-	return textio.F(v, prec)
-}
-
-func (a *app) burst() error {
-	return a.renderSweep("Burst-loss sweep: reaching time vs mean burst length (Gilbert–Elliott)",
-		"mean burst [msgs]", "burst", false)
-}
-
-func (a *app) worstcase() error {
-	rows, err := experiments.WorstCaseTable(experiments.Aggressive, a.pl, a.n, a.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Worst-case disturbance table, aggressive κ_n (n=%d)\n", a.n)
-	tb := textio.NewTable("setting", "planner", "reaching time", "safe rate", "η value", "emergency freq")
-	for _, r := range rows {
-		tb.AddRow(r.Setting, r.PlannerType,
-			textio.F(r.ReachTime, 3)+"s", textio.Pct(r.SafeRate),
-			textio.F(r.Eta, 3), textio.Pct(r.EmergencyFreq))
-	}
-	var err2 error
-	if a.csv {
-		err2 = tb.CSV(os.Stdout)
-	} else {
-		err2 = tb.Render(os.Stdout)
-	}
-	fmt.Println()
-	return err2
-}
-
-func (a *app) carfollow() error {
-	rows, err := experiments.CarFollowTable(a.n, a.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Car-following case study (§II-A unsafe set), aggressive κ_n (n=%d)\n", a.n)
-	tb := textio.NewTable("settings", "planner", "reaching time", "safe rate", "η value", "emergency freq")
-	for _, r := range rows {
-		tb.AddRow(r.Setting, r.PlannerType,
-			textio.F(r.ReachTime, 3)+"s", textio.Pct(r.SafeRate),
-			textio.F(r.Eta, 3), textio.Pct(r.EmergencyFreq))
-	}
-	var err2 error
-	if a.csv {
-		err2 = tb.CSV(os.Stdout)
-	} else {
-		err2 = tb.Render(os.Stdout)
-	}
-	fmt.Println()
-	return err2
 }

@@ -109,12 +109,9 @@ func main() {
 		settingDesc += " +fault:" + *plFault
 	}
 
-	pl := experiments.ExpertPlanners(cfg.Scenario)
-	if *models != "" {
-		var err error
-		if pl, err = experiments.LoadPlanners(*models, cfg.Scenario); err != nil {
-			log.Fatal(err)
-		}
+	pl, err := experiments.ResolvePlanners(cfg.Scenario, *models, false, 0)
+	if err != nil {
+		log.Fatal(err)
 	}
 	var kn planner.Planner
 	switch *plKind {

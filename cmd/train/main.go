@@ -1,6 +1,6 @@
 // Command train imitation-trains the two NN planners of the evaluation
 // (κ_n,cons and κ_n,aggr) and writes them as JSON model files, which
-// cmd/tables, cmd/figures, and cmd/simulate can load with -models.
+// cmd/figures and cmd/simulate can load with -models.
 //
 // Usage:
 //

@@ -96,49 +96,43 @@ func TestAdversarialSafetyInvariant(t *testing.T) {
 }
 
 func TestWorstCaseTableShape(t *testing.T) {
-	rows, err := WorstCaseTable(Aggressive, testPlanners(), testN, testSeed)
-	if err != nil {
-		t.Fatal(err)
+	cells := triples(t, studyRows(t, "worstcase", testN))
+	if len(cells) != 6 { // 6 settings × 3 designs
+		t.Fatalf("cells = %d", len(cells))
 	}
-	if len(rows) != 18 { // 6 settings × 3 designs
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for s := 0; s < 6; s++ {
-		pure, basic, ult := rows[3*s], rows[3*s+1], rows[3*s+2]
-		if basic.SafeRate != 1 || ult.SafeRate != 1 {
-			t.Errorf("%s: compound safe rates %v / %v", pure.Setting, basic.SafeRate, ult.SafeRate)
+	for _, c := range cells {
+		pure, basic, ult := c[0], c[1], c[2]
+		if basic.SafeRate() != 1 || ult.SafeRate() != 1 {
+			t.Errorf("%s: compound safe rates %v / %v", pure.Label, basic.SafeRate(), ult.SafeRate())
 		}
 		if !math.IsNaN(pure.EmergencyFreq) {
-			t.Errorf("%s: pure row has emergency frequency", pure.Setting)
+			t.Errorf("%s: pure row has emergency frequency", pure.Label)
 		}
 		if math.IsNaN(pure.Winning) {
-			t.Errorf("%s: pure row missing winning percentage", pure.Setting)
+			t.Errorf("%s: pure row missing winning percentage", pure.Label)
 		}
 	}
 	// The aggressive pure planner must actually be stressed: unsafe in at
 	// least the full worst-case setting.
-	if last := rows[15]; last.SafeRate >= 1 {
-		t.Errorf("pure aggressive fully safe under %q (%v)", last.Setting, last.SafeRate)
+	if last := cells[5][0]; last.SafeRate() >= 1 {
+		t.Errorf("pure aggressive fully safe under %q (%v)", last.Label, last.SafeRate())
 	}
 }
 
 func TestSweepBurstShape(t *testing.T) {
-	pts, err := SweepBurst(testPlanners(), 60, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 10 || pts[0].X != 1 || pts[9].X != 10 {
-		t.Fatalf("burst sweep x values wrong: %v … %v", pts[0].X, pts[len(pts)-1].X)
+	pts := triples(t, studyRows(t, "burst", 60))
+	if len(pts) != 10 || pts[0][0].X != 1 || pts[9][0].X != 10 {
+		t.Fatalf("burst sweep x values wrong: %v … %v", pts[0][0].X, pts[len(pts)-1][0].X)
 	}
 	for _, pt := range pts {
-		if pt.UltSafe != 1 || pt.BasicSafe != 1 {
-			t.Errorf("x=%v: compound unsafe", pt.X)
+		if pt[2].SafeRate() != 1 || pt[1].SafeRate() != 1 {
+			t.Errorf("x=%v: compound unsafe", pt[0].X)
 		}
 	}
 	// Longer bursts mean a higher stationary loss rate, so the ultimate
 	// design's reaching time must degrade across the sweep.
-	if pts[9].UltReach <= pts[0].UltReach {
+	if pts[9][2].MeanReachTimeSafe <= pts[0][2].MeanReachTimeSafe {
 		t.Errorf("ultimate reach should degrade with burst length: %v → %v",
-			pts[0].UltReach, pts[9].UltReach)
+			pts[0][2].MeanReachTimeSafe, pts[9][2].MeanReachTimeSafe)
 	}
 }

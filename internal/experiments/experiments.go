@@ -5,31 +5,27 @@
 // uncertainty), Figures 6a–6b (information-filter and passing-window
 // traces), the §V-C RMSE study, and the ablations listed in DESIGN.md §6.
 //
-// Every experiment is a pure function of (configuration, episode count,
-// base seed) and is exercised both by cmd/tables / cmd/figures and by the
-// benchmark harness in the repository root.
+// Every study is one entry of the table Studies returns, and a pure
+// function of (planners, episode count, base seed): cmd/figures writes
+// each as a table, chart or CSV, and the benchmark harness in the
+// repository root times its campaigns.
 package experiments
 
 import (
 	"fmt"
-	"math"
 	"path/filepath"
 
-	"safeplan/internal/campaign"
 	"safeplan/internal/comms"
-	"safeplan/internal/core"
-	"safeplan/internal/eval"
 	"safeplan/internal/leftturn"
 	"safeplan/internal/planner"
 	"safeplan/internal/sensor"
 	"safeplan/internal/sim"
 )
 
-// Defaults used by the shipped harness; the paper ran 80 000 episodes per
-// setting (pass n = 80000 for full scale).
+// DefaultSeed is the base seed of the shipped harness.  The paper ran
+// 80 000 episodes per setting (cmd/figures -n 80000 for full scale).
 const (
-	DefaultEpisodes = 2000
-	DefaultSeed     = 42
+	DefaultSeed = 42
 
 	// DelayedDropProb is the representative drop probability used inside
 	// Tables I–II for the "messages delayed" row (the paper sweeps p_d in
@@ -89,9 +85,9 @@ func ExpertPlanners(cfg leftturn.Config) Planners {
 	}
 }
 
-// TrainedPlanners imitation-trains the two NN planners (the evaluation's
+// trainedPlanners imitation-trains the two NN planners (the evaluation's
 // κ_n,cons and κ_n,aggr).  Deterministic for a given seed.
-func TrainedPlanners(cfg leftturn.Config, seed int64) (Planners, error) {
+func trainedPlanners(cfg leftturn.Config, seed int64) (Planners, error) {
 	cons, _, err := planner.TrainNNPlanner(cfg, planner.ConservativeExpert(cfg), "nn-cons",
 		planner.TrainOptions{Seed: seed})
 	if err != nil {
@@ -123,90 +119,6 @@ func SettingConfig(s Setting) sim.Config {
 	return cfg
 }
 
-// baseSim is the internal alias used by the table/figure experiments.
-func baseSim(s Setting) sim.Config { return SettingConfig(s) }
-
-// agents builds the three evaluation agents (pure, basic, ultimate) with
-// their matching filter configurations.
-func agents(sc leftturn.Config, p planner.Planner, base sim.Config) []struct {
-	Label string
-	Agent core.Agent
-	Cfg   sim.Config
-} {
-	pureCfg := base
-	basicCfg := base
-	ultCfg := base
-	ultCfg.InfoFilter = true
-	return []struct {
-		Label string
-		Agent core.Agent
-		Cfg   sim.Config
-	}{
-		{"pure NN", &core.PureNN{Cfg: sc, Planner: p}, pureCfg},
-		{"basic", core.NewBasic(sc, p), basicCfg},
-		{"ultimate", core.NewUltimate(sc, p), ultCfg},
-	}
-}
-
-// TableRow is one line of Table I or II.
-type TableRow struct {
-	Setting     string
-	PlannerType string
-
-	ReachTime     float64 // mean reaching time over safe episodes [s]
-	SafeRate      float64 // fraction of safe episodes
-	Eta           float64 // mean η
-	Winning       float64 // fraction of episodes the ultimate design beats this one (NaN for the ultimate row)
-	EmergencyFreq float64 // fraction of steps under κ_e (NaN for the pure row)
-}
-
-// Table regenerates Table I (kind = Conservative) or Table II
-// (kind = Aggressive): for each communication setting it runs the pure,
-// basic, and ultimate designs over the same n seeds and aggregates the
-// paper's statistics.
-func Table(kind PlannerKind, pl Planners, n int, seed int64) ([]TableRow, error) {
-	if n <= 0 {
-		n = DefaultEpisodes
-	}
-	p := pl.Pick(kind)
-	var rows []TableRow
-	for _, s := range StandardSettings() {
-		base := baseSim(s)
-		stats := make([]eval.Stats, 3)
-		ags := agents(base.Scenario, p, base)
-		for i, ag := range ags {
-			rs, err := campaign.Results(campaign.Spec{Episodes: n, BaseSeed: seed}, campaign.LeftTurn(ag.Cfg, ag.Agent))
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s/%s: %w", s.Name, ag.Label, err)
-			}
-			stats[i] = eval.Aggregate(rs)
-		}
-		for i, ag := range ags {
-			row := TableRow{
-				Setting:       s.Name,
-				PlannerType:   ag.Label,
-				ReachTime:     stats[i].MeanReachTimeSafe,
-				SafeRate:      stats[i].SafeRate(),
-				Eta:           stats[i].MeanEta,
-				Winning:       math.NaN(),
-				EmergencyFreq: stats[i].EmergencyFreq,
-			}
-			if ag.Label != "ultimate" {
-				w, err := eval.WinningPercentage(stats[2].Etas, stats[i].Etas)
-				if err != nil {
-					return nil, err
-				}
-				row.Winning = w
-			}
-			if ag.Label == "pure NN" {
-				row.EmergencyFreq = math.NaN()
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
 // Model file names that cmd/train writes and LoadPlanners reads.
 const (
 	ConsModelFile = "nn-cons.json"
@@ -224,4 +136,17 @@ func LoadPlanners(dir string, cfg leftturn.Config) (Planners, error) {
 		return Planners{}, err
 	}
 	return Planners{Cons: cons, Aggr: aggr}, nil
+}
+
+// ResolvePlanners returns the κ_n pair an evaluation runs: the NN planners
+// saved in modelsDir when it is set, else freshly imitation-trained ones
+// (seeded by seed) when train is set, else the analytic experts.
+func ResolvePlanners(cfg leftturn.Config, modelsDir string, train bool, seed int64) (Planners, error) {
+	switch {
+	case modelsDir != "":
+		return LoadPlanners(modelsDir, cfg)
+	case train:
+		return trainedPlanners(cfg, seed)
+	}
+	return ExpertPlanners(cfg), nil
 }

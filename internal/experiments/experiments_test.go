@@ -38,69 +38,111 @@ func TestPlannerKindString(t *testing.T) {
 	}
 }
 
-// TestTableWorkerParity pins the table pipeline end to end: Table's rows,
-// paired winning % included, are byte-identical at GOMAXPROCS 1 and 4 (its
-// campaigns run at one worker per core), for the expert planners and for
-// the committed NN models, which every worker shares.
-func TestTableWorkerParity(t *testing.T) {
+// studyRows runs study id's campaign with the expert planners.
+func studyRows(t *testing.T, id string, n int) []Row {
+	t.Helper()
+	for _, s := range Studies(testPlanners()) {
+		if s.ID == id {
+			rows, err := s.Campaign.Run(n, testSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		}
+	}
+	t.Fatalf("no study %q", id)
+	return nil
+}
+
+// triples splits a comparison study's rows into its cells' pure, basic
+// and ultimate rows.
+func triples(t *testing.T, rows []Row) [][3]Row {
+	t.Helper()
+	if len(rows)%3 != 0 {
+		t.Fatalf("%d rows is not a whole number of pure/basic/ultimate cells", len(rows))
+	}
+	var out [][3]Row
+	for i := 0; i < len(rows); i += 3 {
+		c := [3]Row{rows[i], rows[i+1], rows[i+2]}
+		if c[0].Design != PureNN || c[1].Design != Basic || c[2].Design != Ultimate {
+			t.Fatalf("cell %d designs = %q, %q, %q", i/3, c[0].Design, c[1].Design, c[2].Design)
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestStudyWorkerParity pins every campaign study end to end: its rows,
+// paired winning % included, are byte-identical at GOMAXPROCS 1 and 4
+// (campaigns run at one worker per core).  Every study runs with the
+// expert planners; Tables I–II also with the committed NN models, which
+// every worker shares.
+func TestStudyWorkerParity(t *testing.T) {
 	models, err := LoadPlanners("../../models", leftturn.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name string
-		pl   Planners
-		n    int
+		name   string
+		pl     Planners
+		n      int
+		tables bool // Tables I–II only
 	}{
-		{"expert", testPlanners(), 40},
-		{"nn", models, 200},
+		{"expert", testPlanners(), 20, false},
+		{"nn", models, 200, true},
 	} {
-		rowsAt := func(procs int, kind PlannerKind) string {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			rows, err := Table(kind, c.pl, c.n, testSeed)
-			if err != nil {
-				t.Fatal(err)
+		seen := map[*Campaign]bool{}
+		for _, s := range Studies(c.pl) {
+			if s.Campaign == nil || seen[s.Campaign] || c.tables && s.ID != "table1" && s.ID != "table2" {
+				continue
 			}
-			return fmt.Sprintf("%+v", rows)
-		}
-		for _, kind := range []PlannerKind{Conservative, Aggressive} {
-			if one, four := rowsAt(1, kind), rowsAt(4, kind); one != four {
-				t.Fatalf("%s %s table differs between GOMAXPROCS 1 and 4:\n1: %s\n4: %s", c.name, kind, one, four)
-			}
+			seen[s.Campaign] = true
+			t.Run(c.name+"/"+s.ID, func(t *testing.T) {
+				rowsAt := func(procs int) string {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					rows, err := s.Campaign.Run(c.n, testSeed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return fmt.Sprintf("%+v", rows)
+				}
+				if one, four := rowsAt(1), rowsAt(4); one != four {
+					t.Fatalf("rows differ between GOMAXPROCS 1 and 4:\n1: %s\n4: %s", one, four)
+				}
+			})
 		}
 	}
 }
 
 func TestTableConservativeShape(t *testing.T) {
-	rows, err := Table(Conservative, testPlanners(), testN, testSeed)
-	if err != nil {
-		t.Fatal(err)
+	cells := triples(t, studyRows(t, "table1", testN))
+	if len(cells) != 3 { // 3 settings × 3 designs
+		t.Fatalf("cells = %d", len(cells))
 	}
-	if len(rows) != 9 { // 3 settings × 3 designs
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		// Paper shape: every design 100% safe with the conservative κ_n.
-		if r.SafeRate != 1 {
-			t.Errorf("%s/%s safe rate = %v", r.Setting, r.PlannerType, r.SafeRate)
+	for _, c := range cells {
+		for _, r := range c {
+			// Paper shape: every design 100% safe with the conservative κ_n.
+			if r.SafeRate() != 1 {
+				t.Errorf("%s/%s safe rate = %v", r.Label, r.Design, r.SafeRate())
+			}
 		}
 	}
 	// Ultimate must be faster than pure and basic in every setting, and
 	// pure ≈ basic.
-	for s := 0; s < 3; s++ {
-		pure, basic, ult := rows[3*s], rows[3*s+1], rows[3*s+2]
-		if ult.ReachTime >= pure.ReachTime {
-			t.Errorf("%s: ultimate %v not faster than pure %v", pure.Setting, ult.ReachTime, pure.ReachTime)
+	for _, c := range cells {
+		pure, basic, ult := c[0], c[1], c[2]
+		if ult.MeanReachTimeSafe >= pure.MeanReachTimeSafe {
+			t.Errorf("%s: ultimate %v not faster than pure %v", pure.Label, ult.MeanReachTimeSafe, pure.MeanReachTimeSafe)
 		}
-		if math.Abs(pure.ReachTime-basic.ReachTime) > 0.2 {
-			t.Errorf("%s: basic %v deviates from pure %v", pure.Setting, basic.ReachTime, pure.ReachTime)
+		if math.Abs(pure.MeanReachTimeSafe-basic.MeanReachTimeSafe) > 0.2 {
+			t.Errorf("%s: basic %v deviates from pure %v", pure.Label, basic.MeanReachTimeSafe, pure.MeanReachTimeSafe)
 		}
 		if !math.IsNaN(pure.EmergencyFreq) {
 			t.Error("pure row should have no emergency frequency")
 		}
 		if math.IsNaN(ult.EmergencyFreq) || ult.EmergencyFreq <= basic.EmergencyFreq {
 			t.Errorf("%s: ultimate emergency %v should exceed basic %v",
-				pure.Setting, ult.EmergencyFreq, basic.EmergencyFreq)
+				pure.Label, ult.EmergencyFreq, basic.EmergencyFreq)
 		}
 		if !math.IsNaN(ult.Winning) {
 			t.Error("ultimate row should have no winning percentage")
@@ -111,102 +153,80 @@ func TestTableConservativeShape(t *testing.T) {
 	}
 	// Degradation ordering across settings: none ≤ delayed ≤ lost for the
 	// ultimate design's reaching time.
-	if !(rows[2].ReachTime <= rows[5].ReachTime+0.05 && rows[5].ReachTime <= rows[8].ReachTime+0.05) {
-		t.Errorf("ultimate degradation ordering violated: %v / %v / %v",
-			rows[2].ReachTime, rows[5].ReachTime, rows[8].ReachTime)
+	if u := [3]float64{cells[0][2].MeanReachTimeSafe, cells[1][2].MeanReachTimeSafe, cells[2][2].MeanReachTimeSafe}; !(u[0] <= u[1]+0.05 && u[1] <= u[2]+0.05) {
+		t.Errorf("ultimate degradation ordering violated: %v / %v / %v", u[0], u[1], u[2])
 	}
 }
 
 func TestTableAggressiveShape(t *testing.T) {
-	rows, err := Table(Aggressive, testPlanners(), testN, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 3; s++ {
-		pure, basic, ult := rows[3*s], rows[3*s+1], rows[3*s+2]
+	for _, c := range triples(t, studyRows(t, "table2", testN)) {
+		pure, basic, ult := c[0], c[1], c[2]
 		// Paper shape: the pure aggressive planner is substantially unsafe;
 		// both compound designs are 100% safe.
-		if pure.SafeRate > 0.9 {
-			t.Errorf("%s: pure aggressive safe rate %v too high", pure.Setting, pure.SafeRate)
+		if pure.SafeRate() > 0.9 {
+			t.Errorf("%s: pure aggressive safe rate %v too high", pure.Label, pure.SafeRate())
 		}
-		if basic.SafeRate != 1 || ult.SafeRate != 1 {
-			t.Errorf("%s: compound safe rates %v / %v", pure.Setting, basic.SafeRate, ult.SafeRate)
+		if basic.SafeRate() != 1 || ult.SafeRate() != 1 {
+			t.Errorf("%s: compound safe rates %v / %v", pure.Label, basic.SafeRate(), ult.SafeRate())
 		}
 		// Pure is fastest when safe (it just floors it).
-		if pure.ReachTime >= basic.ReachTime {
-			t.Errorf("%s: pure %v not faster than basic %v", pure.Setting, pure.ReachTime, basic.ReachTime)
+		if pure.MeanReachTimeSafe >= basic.MeanReachTimeSafe {
+			t.Errorf("%s: pure %v not faster than basic %v", pure.Label, pure.MeanReachTimeSafe, basic.MeanReachTimeSafe)
 		}
 		// Mean η of the pure design suffers from the collisions.
-		if pure.Eta >= ult.Eta {
-			t.Errorf("%s: pure η %v should trail ultimate %v", pure.Setting, pure.Eta, ult.Eta)
+		if pure.MeanEta >= ult.MeanEta {
+			t.Errorf("%s: pure η %v should trail ultimate %v", pure.Label, pure.MeanEta, ult.MeanEta)
 		}
-	}
-}
-
-func TestTableDefaultEpisodes(t *testing.T) {
-	// n ≤ 0 falls back to the default count; use the expert planners and
-	// only verify it doesn't error by running the smallest real call.
-	if _, err := Table(Conservative, testPlanners(), 10, testSeed); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestSweepTransmissionShape(t *testing.T) {
-	pts, err := SweepTransmission(testPlanners(), 60, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := triples(t, studyRows(t, "5a", 60))
 	if len(pts) != 20 {
 		t.Fatalf("points = %d", len(pts))
 	}
 	first, last := pts[0], pts[len(pts)-1]
-	if first.X != 0.05 || last.X != 1.0 {
-		t.Fatalf("x range [%v, %v]", first.X, last.X)
+	if first[0].X != 0.05 || last[0].X != 1.0 {
+		t.Fatalf("x range [%v, %v]", first[0].X, last[0].X)
 	}
 	// Ultimate stays below pure everywhere; reaching time degrades with the
 	// period for the ultimate design.
 	for _, pt := range pts {
-		if pt.UltReach >= pt.PureReach {
-			t.Errorf("x=%v: ultimate %v not below pure %v", pt.X, pt.UltReach, pt.PureReach)
+		if pt[2].MeanReachTimeSafe >= pt[0].MeanReachTimeSafe {
+			t.Errorf("x=%v: ultimate %v not below pure %v", pt[0].X, pt[2].MeanReachTimeSafe, pt[0].MeanReachTimeSafe)
 		}
-		if pt.UltSafe != 1 || pt.BasicSafe != 1 {
-			t.Errorf("x=%v: compound unsafe", pt.X)
+		if pt[2].SafeRate() != 1 || pt[1].SafeRate() != 1 {
+			t.Errorf("x=%v: compound unsafe", pt[0].X)
 		}
 	}
-	if last.UltReach <= first.UltReach {
-		t.Errorf("ultimate reach should degrade with the period: %v → %v", first.UltReach, last.UltReach)
+	if last[2].MeanReachTimeSafe <= first[2].MeanReachTimeSafe {
+		t.Errorf("ultimate reach should degrade with the period: %v → %v", first[2].MeanReachTimeSafe, last[2].MeanReachTimeSafe)
 	}
 }
 
 func TestSweepDropShape(t *testing.T) {
-	pts, err := SweepDrop(testPlanners(), 60, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 20 || pts[0].X != 0 || math.Abs(pts[19].X-0.95) > 1e-9 {
-		t.Fatalf("drop sweep x values wrong: %v … %v", pts[0].X, pts[19].X)
+	pts := triples(t, studyRows(t, "5c", 60))
+	if len(pts) != 20 || pts[0][0].X != 0 || math.Abs(pts[19][0].X-0.95) > 1e-9 {
+		t.Fatalf("drop sweep x values wrong: %v … %v", pts[0][0].X, pts[len(pts)-1][0].X)
 	}
 	for _, pt := range pts {
-		if pt.UltReach >= pt.PureReach {
-			t.Errorf("pd=%v: ultimate %v not below pure %v", pt.X, pt.UltReach, pt.PureReach)
+		if pt[2].MeanReachTimeSafe >= pt[0].MeanReachTimeSafe {
+			t.Errorf("pd=%v: ultimate %v not below pure %v", pt[0].X, pt[2].MeanReachTimeSafe, pt[0].MeanReachTimeSafe)
 		}
 	}
 }
 
 func TestSweepSensorShape(t *testing.T) {
-	pts, err := SweepSensor(testPlanners(), 60, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 20 || pts[0].X != 1 || math.Abs(pts[19].X-4.8) > 1e-9 {
-		t.Fatalf("sensor sweep x values wrong: %v … %v", pts[0].X, pts[19].X)
+	pts := triples(t, studyRows(t, "5e", 60))
+	if len(pts) != 20 || pts[0][0].X != 1 || math.Abs(pts[19][0].X-4.8) > 1e-9 {
+		t.Fatalf("sensor sweep x values wrong: %v … %v", pts[0][0].X, pts[len(pts)-1][0].X)
 	}
 	// Reaching time grows with sensor uncertainty for every design.
-	if pts[19].UltReach <= pts[0].UltReach {
-		t.Errorf("ultimate should degrade with δ: %v → %v", pts[0].UltReach, pts[19].UltReach)
+	if pts[19][2].MeanReachTimeSafe <= pts[0][2].MeanReachTimeSafe {
+		t.Errorf("ultimate should degrade with δ: %v → %v", pts[0][2].MeanReachTimeSafe, pts[19][2].MeanReachTimeSafe)
 	}
-	if pts[19].PureReach <= pts[0].PureReach {
-		t.Errorf("pure should degrade with δ: %v → %v", pts[0].PureReach, pts[19].PureReach)
+	if pts[19][0].MeanReachTimeSafe <= pts[0][0].MeanReachTimeSafe {
+		t.Errorf("pure should degrade with δ: %v → %v", pts[0][0].MeanReachTimeSafe, pts[19][0].MeanReachTimeSafe)
 	}
 }
 
@@ -298,13 +318,10 @@ func TestFilterRMSE(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	rows, err := Ablations(testPlanners(), testN, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]AblationRow{}
+	rows := studyRows(t, "ablation", testN)
+	byName := map[string]Row{}
 	for _, r := range rows {
-		byName[r.Variant] = r
+		byName[r.Design] = r
 	}
 	full, okF := byName["full"]
 	basic, okB := byName["basic"]
@@ -312,42 +329,39 @@ func TestAblations(t *testing.T) {
 	if !okF || !okB || !okA {
 		t.Fatalf("missing variants: %+v", rows)
 	}
-	if full.SafeRate != 1 || basic.SafeRate != 1 {
-		t.Fatalf("safety regressed in ablation: full=%v basic=%v", full.SafeRate, basic.SafeRate)
+	if full.SafeRate() != 1 || basic.SafeRate() != 1 {
+		t.Fatalf("safety regressed in ablation: full=%v basic=%v", full.SafeRate(), basic.SafeRate())
 	}
 	// The full design must beat the basic design; dropping the aggressive
 	// set must cost efficiency relative to full.
-	if full.ReachTime >= basic.ReachTime {
-		t.Errorf("full %v not faster than basic %v", full.ReachTime, basic.ReachTime)
+	if full.MeanReachTimeSafe >= basic.MeanReachTimeSafe {
+		t.Errorf("full %v not faster than basic %v", full.MeanReachTimeSafe, basic.MeanReachTimeSafe)
 	}
-	if noAggr.ReachTime < full.ReachTime-0.05 {
+	if noAggr.MeanReachTimeSafe < full.MeanReachTimeSafe-0.05 {
 		t.Errorf("removing the aggressive set should not speed things up: %v vs %v",
-			noAggr.ReachTime, full.ReachTime)
+			noAggr.MeanReachTimeSafe, full.MeanReachTimeSafe)
 	}
 }
 
 func TestStreamTable(t *testing.T) {
-	rows, err := StreamTable(testPlanners(), 60, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := studyRows(t, "stream", 60)
 	if len(rows) != 12 { // 4 stream sizes × 3 designs
 		t.Fatalf("rows = %d", len(rows))
 	}
 	var pureSafe, ultReach []float64
 	for _, r := range rows {
-		switch r.PlannerType {
-		case "pure NN":
-			pureSafe = append(pureSafe, r.SafeRate)
-			if r.SafeRate > 0.95 {
-				t.Errorf("%d vehicles: pure aggressive suspiciously safe (%v)", r.Vehicles, r.SafeRate)
+		switch r.Design {
+		case PureNN:
+			pureSafe = append(pureSafe, r.SafeRate())
+			if r.SafeRate() > 0.95 {
+				t.Errorf("%v vehicles: pure aggressive suspiciously safe (%v)", r.X, r.SafeRate())
 			}
 		default:
-			if r.SafeRate != 1 {
-				t.Errorf("%d vehicles / %s: compound safe rate %v", r.Vehicles, r.PlannerType, r.SafeRate)
+			if r.SafeRate() != 1 {
+				t.Errorf("%v vehicles / %s: compound safe rate %v", r.X, r.Design, r.SafeRate())
 			}
-			if r.PlannerType == "ultimate" {
-				ultReach = append(ultReach, r.ReachTime)
+			if r.Design == Ultimate {
+				ultReach = append(ultReach, r.MeanReachTimeSafe)
 			}
 		}
 	}
@@ -366,24 +380,21 @@ func TestStreamTable(t *testing.T) {
 }
 
 func TestCarFollowTable(t *testing.T) {
-	rows, err := CarFollowTable(60, testSeed)
-	if err != nil {
-		t.Fatal(err)
+	cells := triples(t, studyRows(t, "carfollow", 60))
+	if len(cells) != 3 {
+		t.Fatalf("cells = %d", len(cells))
 	}
-	if len(rows) != 9 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for s := 0; s < 3; s++ {
-		pure, basic, ult := rows[3*s], rows[3*s+1], rows[3*s+2]
-		if basic.SafeRate != 1 || ult.SafeRate != 1 {
-			t.Errorf("%s: compound safe rates %v / %v", pure.Setting, basic.SafeRate, ult.SafeRate)
+	for _, c := range cells {
+		pure, basic, ult := c[0], c[1], c[2]
+		if basic.SafeRate() != 1 || ult.SafeRate() != 1 {
+			t.Errorf("%s: compound safe rates %v / %v", pure.Label, basic.SafeRate(), ult.SafeRate())
 		}
-		if ult.ReachTime > basic.ReachTime+1e-9 {
-			t.Errorf("%s: ultimate %v slower than basic %v", pure.Setting, ult.ReachTime, basic.ReachTime)
+		if ult.MeanReachTimeSafe > basic.MeanReachTimeSafe+1e-9 {
+			t.Errorf("%s: ultimate %v slower than basic %v", pure.Label, ult.MeanReachTimeSafe, basic.MeanReachTimeSafe)
 		}
 	}
 	// The tailgater must be unsafe in at least the noisiest setting.
-	if rows[6].SafeRate >= 1 {
-		t.Errorf("pure tailgater safe under lost comms: %v", rows[6].SafeRate)
+	if lost := cells[2][0]; lost.SafeRate() >= 1 {
+		t.Errorf("pure tailgater safe under lost comms: %v", lost.SafeRate())
 	}
 }

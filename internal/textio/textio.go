@@ -75,6 +75,14 @@ func (t *Table) Render(w io.Writer) error {
 	return nil
 }
 
+// Write writes the table to w as CSV when csv is set, else aligned.
+func (t *Table) Write(w io.Writer, csv bool) error {
+	if csv {
+		return t.CSV(w)
+	}
+	return t.Render(w)
+}
+
 // CSV writes the table as comma-separated values (cells containing commas
 // or quotes are quoted per RFC 4180).
 func (t *Table) CSV(w io.Writer) error {
