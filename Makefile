@@ -12,7 +12,8 @@ test: build
 # Full gate: vet + the whole suite under the race detector (includes the
 # concurrent-campaign telemetry tests), then the golden-trace regressions
 # (left turn, certified-NN left turn, multi-vehicle, car following,
-# platoon, and cmd/figures' output of every study),
+# platoon, every registered workload's meaning and cmd/figures' output
+# of every study),
 # the committed fuzz corpora (guarded planner, IBP containment, the serve
 # and dist wire protocols, the vector kernels against their scalar
 # references, the IBP tanh epilogue's AVX-512 and AVX2 kernels against
@@ -25,7 +26,7 @@ check:
 	./scripts/lint_determinism.sh
 	$(GO) test -race ./...
 	$(MAKE) bench-check
-	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon ./cmd/figures
+	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon ./internal/workloads ./cmd/figures
 	$(GO) test -run FuzzGuardedPlanner ./internal/sim
 	$(GO) test -run 'FuzzIBPContainment|FuzzTanhEpilogue' ./internal/nn/ibp
 	$(GO) test -run 'FuzzTanhInto|FuzzMidRadInto|FuzzDotRowsInto' ./internal/mat
@@ -46,12 +47,13 @@ bench-check:
 	$(GO) run ./cmd/bench -check BENCH_seed.json
 	$(GO) run ./cmd/bench -check BENCH_ibp.json
 	$(GO) run ./cmd/bench -check BENCH_guard_quick.json
-	$(GO) run ./cmd/bench -platoon 4 -episodes 200 -workers 1 -out $${TMPDIR:-/tmp}/BENCH_platoon_check.json
+	$(GO) run ./cmd/bench -platoon -episodes 200 -workers 1 -out $${TMPDIR:-/tmp}/BENCH_platoon_check.json
 	$(GO) run ./cmd/bench -check $${TMPDIR:-/tmp}/BENCH_platoon_check.json
 
-# Re-bless the golden traces after an intentional behaviour change.
+# Re-bless the golden traces, the workload registry's golden and
+# cmd/figures' output after an intentional behaviour change.
 golden:
-	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon ./cmd/figures -update
+	$(GO) test -run TestGolden ./internal/sim ./internal/carfollow ./internal/platoon ./internal/workloads ./cmd/figures -update
 
 # Short fuzzing pass: ~20s per safety target, per wire protocol, for the
 # wire layer's bounded decoder, per vector kernel and for the checkpoint
@@ -189,12 +191,12 @@ guard-smoke:
 # each, the chain's checkers (pairwise no-collision, per-link soundness,
 # true-state slack, string stability) in fail mode.
 platoon-smoke:
-	$(GO) run ./cmd/bench -smoke -platoon 4
+	$(GO) run ./cmd/bench -smoke -platoon
 
 # N-vehicle chained-link platoon matrix: canonical settings on all links
 # plus the burst preset rotated over each link; writes BENCH_platoon.json.
 bench-platoon:
-	$(GO) run ./cmd/bench -platoon 4 -out BENCH_platoon.json
+	$(GO) run ./cmd/bench -platoon -out BENCH_platoon.json
 
 # Compute-fault matrix: one guarded campaign per planner-fault preset;
 # writes BENCH_guard.json with mean η and crash-free rate per preset

@@ -37,14 +37,10 @@ func TestDiffRowsNamesFields(t *testing.T) {
 	}
 }
 
-// tinyOptions runs suite s at a test size: 4 episodes per row, the
-// quick canonical matrix, a four-vehicle platoon.
-func tinyOptions(s *suite) options {
-	o := options{quick: true, models: filepath.Join("..", "..", "models"), episodes: 4, workers: 2, seed: 42, probe: true}
-	if s.generatedBy == "cmd/bench -platoon" {
-		o.vehicles = 4
-	}
-	return o
+// tinyOptions runs a suite at a test size: 4 episodes per row and the
+// quick canonical matrix.
+func tinyOptions() options {
+	return options{quick: true, models: filepath.Join("..", "..", "models"), episodes: 4, workers: 2, seed: 42, probe: true}
 }
 
 // TestSuitesRoundTrip runs every suite at tiny size and checks its
@@ -54,7 +50,7 @@ func tinyOptions(s *suite) options {
 func TestSuitesRoundTrip(t *testing.T) {
 	for _, s := range suites {
 		t.Run(s.out, func(t *testing.T) {
-			o := tinyOptions(s)
+			o := tinyOptions()
 			path := filepath.Join(t.TempDir(), "report.json")
 			if err := runReport(s, o, path); err != nil {
 				t.Fatal(err)

@@ -5,34 +5,38 @@
 //
 // Usage:
 //
-//	bench [-guard | -ibp | -platoon N] [-quick] [-episodes N] [-workers W] [-seed S]
+//	bench [-guard | -ibp | -platoon] [-quick] [-episodes N] [-workers W] [-seed S]
 //	      [-out FILE] [-checkpoint DIR] [-models DIR] [-cpuprofile F] [-memprofile F]
-//	bench -smoke [-guard | -platoon N] [-workers W] [-seed S]
+//	bench -smoke [-guard | -platoon] [-workers W] [-seed S]
 //	bench -check REPORT [-workers W] [-models DIR]
-//	bench -worker ADDR [-worker-id ID] [-worker-checkpoint FILE] [-worker-kill-after N]
+//	bench -worker ADDR [-models DIR] [-worker-id ID] [-worker-checkpoint FILE] [-worker-kill-after N]
 //
 // Suites (the flag is the tail of the report's generated_by):
 //
-//	flag        default -out         rows                                        gate                     -smoke cases (10k episodes each)
-//	(none)      BENCH_campaign.json  3 settings × 2 experts, burst, worst        none: a safety audit     clean, delayed
-//	-guard      BENCH_guard.json     one guarded campaign per fault preset       zero violations          panic-half, nan-half
-//	-ibp        BENCH_ibp.json       4 trained-NN designs in IBP verified mode   zero certified misses    none
-//	-platoon N  BENCH_platoon.json   3 settings on all links, burst per link     zero violations          clean, burst-nn-link
+//	flag      default -out         rows                                        gate                     -smoke cases (10k episodes each)
+//	(none)    BENCH_campaign.json  3 settings × 2 experts, burst, worst        none: a safety audit     clean, delayed
+//	-guard    BENCH_guard.json     one guarded campaign per fault preset       zero violations          panic-half, nan-half
+//	-ibp      BENCH_ibp.json       4 trained-NN designs in IBP verified mode   zero certified misses    none
+//	-platoon  BENCH_platoon.json   3 settings on all 3 links of a 4-vehicle    zero violations          clean, burst-nn-link
+//	                               chain, burst per link
 //
-// Every row runs its checkers in counting mode; -quick runs 500 episodes
-// per row (5000 by default) and keeps one canonical workload per axis.
-// -smoke runs the suite's smoke cases with every checker in fail mode
-// and no collision or sound-interval violation allowed: the CI gates.
-// -check reruns the rows a committed report of any suite records, at its
-// recorded size, seed and chain length, and compares every row byte for
-// byte apart from its perf timings; a difference names the campaign and
-// the field and exits nonzero.
+// Every row and smoke case is a workload of the internal/workloads
+// registry, named in the report.  Every row runs its checkers in
+// counting mode; -quick runs 500 episodes per row (5000 by default) and
+// keeps one canonical workload per axis.  -smoke runs the suite's smoke
+// cases with every checker in fail mode and no collision or
+// sound-interval violation allowed: the CI gates.  -check reruns the
+// workloads a committed report of any suite names, at its recorded size
+// and seed, and compares every row byte for byte apart from its perf
+// timings; a difference names the campaign and the field and exits
+// nonzero.
 // -checkpoint saves each row's completed shards in DIR (created first),
 // so an interrupted run resumes them; a corrupt checkpoint file is
 // discarded with a warning and its campaign restarts fresh.
 // -worker joins a campaignd coordinator as a distributed-campaign worker
-// (internal/dist) whose shard aggregates fold byte-identically to a local
-// run; -worker-checkpoint resumes a crashed worker mid-shard.
+// (internal/dist) that runs any registered workload and whose shard
+// aggregates fold byte-identically to a local run; -worker-checkpoint
+// resumes a crashed worker mid-shard.
 package main
 
 import (
@@ -49,7 +53,6 @@ import (
 
 	"safeplan/internal/campaign"
 	"safeplan/internal/dist"
-	"safeplan/internal/sim"
 	"safeplan/internal/workloads"
 )
 
@@ -84,7 +87,6 @@ type speedup struct {
 // options are the run parameters a suite's rows and runner read.
 type options struct {
 	quick      bool
-	vehicles   int    // platoon chain length
 	models     string // trained-model directory
 	episodes   int
 	workers    int
@@ -106,8 +108,8 @@ func main() {
 		guardMode  = flag.Bool("guard", false, "compute-fault matrix: one campaign per planner-fault preset under the guarded design")
 		checkpoint = flag.String("checkpoint", "", "directory for per-campaign checkpoints (enables resume)")
 		ibpMode    = flag.Bool("ibp", false, "certification sweep: every trained-NN design in IBP verified mode, zero certified-range misses required (BENCH_ibp.json)")
-		platoonN   = flag.Int("platoon", 0, "chain length for the N-vehicle platoon matrix (BENCH_platoon.json); with -smoke, the platoon CI gate")
-		modelDir   = flag.String("models", "models", "trained-model directory for -ibp")
+		platoon    = flag.Bool("platoon", false, "four-vehicle platoon matrix (BENCH_platoon.json); with -smoke, the platoon CI gate")
+		modelDir   = flag.String("models", "models", "trained-model directory for the certify/* workloads (-ibp, -check, -worker)")
 		check      = flag.String("check", "", "rerun the campaigns of this committed report and compare them byte for byte")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -118,9 +120,14 @@ func main() {
 		workerKill = flag.Int("worker-kill-after", 0, "crash seam for the dist-smoke gate: hard-exit the process after N episodes, leaving mid-shard state on disk (0 disables)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// An argument ends flag parsing: "-platoon 4 -episodes 200" would
+		// silently drop every flag after the 4.
+		log.Fatalf("unexpected argument %q (-platoon takes no chain length: the chain has four vehicles)", flag.Arg(0))
+	}
 
 	if *workerAddr != "" {
-		runDistWorker(*workerAddr, *workerID, *workerCkpt, *workerKill)
+		runDistWorker(*workerAddr, *workerID, *workerCkpt, *modelDir, *workerKill)
 		return
 	}
 
@@ -161,12 +168,9 @@ func main() {
 		}
 		return
 	}
-	s, err := pickSuite(*guardMode, *ibpMode, *platoonN)
+	s, err := pickSuite(*guardMode, *ibpMode, *platoon)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if s.generatedBy == "cmd/bench -platoon" {
-		o.vehicles = *platoonN
 	}
 	if *smoke {
 		if err := runSmoke(s, o); err != nil {
@@ -191,17 +195,14 @@ func main() {
 }
 
 // pickSuite is the suite the mode flags select.
-func pickSuite(guard, ibp bool, vehicles int) (*suite, error) {
+func pickSuite(guard, ibp, platoon bool) (*suite, error) {
 	name := "cmd/bench"
 	switch {
 	case guard:
 		name += " -guard"
 	case ibp:
 		name += " -ibp"
-	case vehicles != 0:
-		if vehicles < 2 {
-			return nil, fmt.Errorf("-platoon %d: a chain needs at least two vehicles (head + ego)", vehicles)
-		}
+	case platoon:
 		name += " -platoon"
 	}
 	return lookupSuite(name)
@@ -215,11 +216,7 @@ func runReport(s *suite, o options, path string) error {
 			return fmt.Errorf("-checkpoint: %w", err)
 		}
 	}
-	rows, err := s.rows(o)
-	if err != nil {
-		return err
-	}
-	rep, err := s.run(rows, o)
+	rep, err := s.run(s.rows(o.quick), o)
 	if err != nil {
 		return err
 	}
@@ -239,44 +236,49 @@ func runReport(s *suite, o options, path string) error {
 	return nil
 }
 
-// run runs rows in counting mode at o's size, seed and workers, each
-// under its gate, logs one line per row and returns the report.
-func (s *suite) run(rows []row, o options) (*report, error) {
+// run runs the named workloads in counting mode at o's size, seed and
+// workers, each under the suite's gate, logs one line per row and
+// returns the report.
+func (s *suite) run(names []string, o options) (*report, error) {
 	rep := &report{
 		GeneratedBy:         s.generatedBy,
 		GoVersion:           runtime.Version(),
 		GOOS:                runtime.GOOS,
 		GOARCH:              runtime.GOARCH,
 		NumCPU:              runtime.NumCPU(),
-		Vehicles:            o.vehicles,
+		Vehicles:            s.vehicles,
 		EpisodesPerCampaign: o.episodes,
 		BaseSeed:            o.seed,
 		Workers:             o.workers,
 	}
-	for i, r := range rows {
+	for i, name := range names {
+		wl, err := workloads.Lookup(name, o.models)
+		if err != nil {
+			return nil, err
+		}
 		spec := campaign.Spec{
-			Name:            r.name,
+			Name:            name,
 			Episodes:        o.episodes,
 			BaseSeed:        o.seed,
 			Workers:         o.workers,
-			Invariants:      r.invariants,
+			Invariants:      wl.Invariants,
 			CountViolations: true,
 		}
 		if o.checkpoint != "" {
-			spec.CheckpointPath = filepath.Join(o.checkpoint, sanitize(r.name)+".json")
+			spec.CheckpointPath = filepath.Join(o.checkpoint, sanitize(name)+".json")
 		}
-		res, err := runCampaign(spec, r.episode)
+		res, err := runCampaign(spec, wl.Episode)
 		if err != nil {
-			return nil, fmt.Errorf("campaign %s: %w", r.name, err)
+			return nil, fmt.Errorf("campaign %s: %w", name, err)
 		}
 		var row any = res
 		note := safeNote(res)
-		if r.finish != nil {
-			if row, note, err = r.finish(spec, r.episode, res); err != nil {
-				return nil, fmt.Errorf("campaign %s: %w", r.name, err)
+		if s.finish != nil {
+			if row, note, err = s.finish(spec, wl.Episode, res); err != nil {
+				return nil, fmt.Errorf("campaign %s: %w", name, err)
 			}
 		}
-		log.Printf("%-28s %6d eps  %8.0f eps/s  %s", r.name, res.Stats.Episodes, res.Perf.EpisodesPerSec, note)
+		log.Printf("%-28s %6d eps  %8.0f eps/s  %s", name, res.Stats.Episodes, res.Perf.EpisodesPerSec, note)
 		raw, err := json.Marshal(row)
 		if err != nil {
 			return nil, err
@@ -286,18 +288,18 @@ func (s *suite) run(rows []row, o options) (*report, error) {
 		if i == 0 && s.speedup && o.probe && o.workers > 1 {
 			spec.CheckpointPath = "" // never resume the probe
 			spec.Workers = 1
-			base, err := campaign.Run(spec, r.episode)
+			base, err := campaign.Run(spec, wl.Episode)
 			if err != nil {
-				return nil, fmt.Errorf("campaign %s (1 worker): %w", r.name, err)
+				return nil, fmt.Errorf("campaign %s (1 worker): %w", name, err)
 			}
 			rep.Speedup = &speedup{
-				Campaign:        r.name,
+				Campaign:        name,
 				Workers:         o.workers,
 				EpisodesPerSec1: base.Perf.EpisodesPerSec,
 				EpisodesPerSecN: res.Perf.EpisodesPerSec,
 				Factor:          res.Perf.EpisodesPerSec / base.Perf.EpisodesPerSec,
 			}
-			log.Printf("%-28s speedup %.2fx at %d workers", r.name, rep.Speedup.Factor, o.workers)
+			log.Printf("%-28s speedup %.2fx at %d workers", name, rep.Speedup.Factor, o.workers)
 		}
 	}
 	return rep, nil
@@ -310,22 +312,22 @@ func runSmoke(s *suite, o options) error {
 	if s.smoke == nil {
 		return fmt.Errorf("-smoke: %s has no smoke cases", s.generatedBy)
 	}
-	cases, err := s.smoke(o)
-	if err != nil {
-		return err
-	}
 	line := s.smokeLine
 	if line == nil {
 		line = okLine
 	}
-	for _, c := range cases {
+	for _, c := range s.smoke {
+		wl, err := workloads.Lookup(c.name, o.models)
+		if err != nil {
+			return err
+		}
 		rep, err := campaign.Run(campaign.Spec{
 			Name:       c.name,
 			Episodes:   smokeEpisodes,
 			BaseSeed:   o.seed,
 			Workers:    o.workers,
-			Invariants: c.invariants,
-		}, c.episode)
+			Invariants: wl.Invariants,
+		}, wl.Episode)
 		if err != nil {
 			return fmt.Errorf("SMOKE FAILED (%s): %w", c.label, err)
 		}
@@ -359,10 +361,11 @@ func runCampaign(spec campaign.Spec, episode campaign.EpisodeFunc) (*campaign.Re
 // worker: lease shards, run episodes through the workload registry,
 // submit byte-identical aggregates, exit when the campaign completes or
 // the coordinator drains.  Workload resolution goes through the same
-// registry the local matrix uses, which is the whole point: identical
+// registry the local suites use, which is the whole point: identical
 // construction on both sides keeps remote episodes byte-identical to
-// local ones.
-func runDistWorker(addr, id, checkpoint string, killAfter int) {
+// local ones.  models is the trained-model directory of the certify/*
+// workloads.
+func runDistWorker(addr, id, checkpoint, models string, killAfter int) {
 	if id == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -372,15 +375,9 @@ func runDistWorker(addr, id, checkpoint string, killAfter int) {
 	}
 	log.Printf("worker %s joining coordinator at %s", id, addr)
 	cfg := dist.WorkerConfig{
-		ID:   id,
-		Dial: func() (dist.Conn, error) { return dist.DialTCP(addr) },
-		Resolve: func(name string) (campaign.EpisodeFunc, []sim.Invariant, error) {
-			wl, err := workloads.Lookup(name)
-			if err != nil {
-				return nil, nil, err
-			}
-			return wl.Episode(), wl.Invariants(), nil
-		},
+		ID:             id,
+		Dial:           func() (dist.Conn, error) { return dist.DialTCP(addr) },
+		Resolve:        workloads.Resolver(models),
 		CheckpointPath: checkpoint,
 	}
 	if killAfter > 0 {

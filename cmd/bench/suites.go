@@ -3,56 +3,40 @@ package main
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"safeplan/internal/campaign"
-	"safeplan/internal/carfollow"
-	"safeplan/internal/comms"
-	"safeplan/internal/core"
-	"safeplan/internal/disturb"
-	"safeplan/internal/experiments"
 	"safeplan/internal/faultinject"
-	"safeplan/internal/guard"
-	"safeplan/internal/nn/ibp"
-	"safeplan/internal/planner"
-	"safeplan/internal/platoon"
-	"safeplan/internal/sim"
 	"safeplan/internal/telemetry"
-	"safeplan/internal/workloads"
 )
 
 // suite is one kind of report: the flag that selects it is the tail of
-// its generated_by string.
+// its generated_by string.  Its rows and smoke cases are workload names
+// (internal/workloads); the suite adds only its gate and row shape.
 type suite struct {
 	generatedBy string
 	out         string // default -out
 	// speedup reruns the first row on one worker to report the parallel
 	// speed-up (outside -check).
 	speedup bool
-	rows    func(o options) ([]row, error)
+	// vehicles is the platoon chain length the report records.
+	vehicles int
+	rows     func(quick bool) []string
+	// finish applies the suite's gate to a row and shapes the written
+	// row; nil writes the campaign report as is, ungated.  note ends the
+	// row's log line.
+	finish func(spec campaign.Spec, episode campaign.EpisodeFunc, rep *campaign.Report) (out any, note string, err error)
 	// smoke lists the -smoke cases, run at smokeEpisodes each with every
 	// checker in fail mode; nil when the suite has no smoke gate.
-	smoke func(o options) ([]smokeCase, error)
+	smoke []smokeCase
 	// smokeLine is the case's "smoke OK" line; nil selects okLine.
 	smokeLine func(label string, rep *campaign.Report) string
 }
 
-// row is one campaign of a suite.  The runner fills in the size, seed,
-// workers and checkpoint of its campaign.Spec.
-type row struct {
-	name       string
-	invariants []sim.Invariant
-	episode    campaign.EpisodeFunc
-	// finish applies the row's gate and shapes the written row; nil writes
-	// the campaign report as is, ungated.  note ends the row's log line.
-	finish func(spec campaign.Spec, episode campaign.EpisodeFunc, rep *campaign.Report) (out any, note string, err error)
-}
-
-// smokeCase is one fail-mode campaign of a suite's -smoke gate.
-type smokeCase struct {
-	label string
-	row
-}
+// smokeCase is one fail-mode campaign of a suite's -smoke gate: the
+// workload name and the label its "smoke OK" line prints.
+type smokeCase struct{ label, name string }
 
 const smokeEpisodes = 10_000
 
@@ -62,13 +46,19 @@ var suites = []*suite{
 		out:         "BENCH_campaign.json",
 		speedup:     true,
 		rows:        canonicalRows,
-		smoke:       canonicalSmoke,
+		// The CI safety gate: the ultimate design around the aggressive
+		// expert (which exercises κ_e hardest) with and without delayed
+		// messages.
+		smoke: []smokeCase{{"clean", "smoke/clean/ultimate-aggressive"}, {"delayed", "smoke/delayed/ultimate-aggressive"}},
 	},
 	{
 		generatedBy: "cmd/bench -guard",
 		out:         "BENCH_guard.json",
 		rows:        guardRows,
-		smoke:       guardSmoke,
+		finish:      guardFinish,
+		// The acceptance worst cases: half of all planner calls panicking
+		// or returning NaN.
+		smoke: []smokeCase{{"panic-half", "guard-smoke/panic-half"}, {"nan-half", "guard-smoke/nan-half"}},
 		smokeLine: func(label string, rep *campaign.Report) string {
 			return fmt.Sprintf("guard smoke OK (%s): %d episodes, safe %d/%d, %d contained faults, %.0f eps/s",
 				label, rep.Stats.Episodes, rep.Stats.Episodes-rep.Stats.Collided,
@@ -78,14 +68,27 @@ var suites = []*suite{
 	{
 		generatedBy: "cmd/bench -ibp",
 		out:         "BENCH_ibp.json",
-		rows:        ibpRows,
+		rows: fixed("certify/pure-nn-cons", "certify/basic-nn-cons",
+			"certify/ultimate-nn-cons", "certify/ultimate-nn-aggr"),
+		finish: certify,
 	},
 	{
 		generatedBy: "cmd/bench -platoon",
 		out:         "BENCH_platoon.json",
-		rows:        platoonRows,
-		smoke:       platoonSmoke,
+		vehicles:    4,
+		rows: fixed("platoon/clean", "platoon/delayed-all-links", "platoon/lost-all-links",
+			"platoon/burst-link-0", "platoon/burst-link-1", "platoon/burst-link-2"),
+		finish: auditRow,
+		// A clean chain and one with the burst preset on link 0, the link
+		// the compound planner (vehicle 1) reads; the matrix covers the
+		// burst on every other link.
+		smoke: []smokeCase{{"platoon clean, N=4", "platoon-smoke/clean"}, {"platoon burst-nn-link, N=4", "platoon-smoke/burst-nn-link"}},
 	},
+}
+
+// fixed is a suite's rows when -quick keeps all of them.
+func fixed(names ...string) func(bool) []string {
+	return func(bool) []string { return names }
 }
 
 // lookupSuite returns the suite whose reports carry generatedBy.
@@ -129,56 +132,31 @@ func safeNote(rep *campaign.Report) string {
 // expert planners under the ultimate design, plus the burst and worst
 // disturbance presets (one workload per axis with -quick), every checker
 // counting but ungated: the report is the designs' safety audit.
-func canonicalRows(o options) ([]row, error) {
-	var rows []row
-	for _, wl := range workloads.CanonicalMatrix(o.quick) {
-		rows = append(rows, row{name: wl.Name, invariants: wl.Invariants(), episode: wl.Episode()})
+func canonicalRows(quick bool) []string {
+	kinds, presets := []string{"conservative", "aggressive"}, []string{"burst", "worst"}
+	if quick {
+		kinds, presets = kinds[:1], presets[:1]
 	}
-	return rows, nil
+	var names []string
+	for _, setting := range []string{"none", "delayed", "lost"} {
+		for _, k := range kinds {
+			names = append(names, setting+"/ultimate-"+k)
+		}
+	}
+	for _, p := range presets {
+		names = append(names, "disturb-"+p+"/ultimate-conservative")
+	}
+	return names
 }
 
-// canonicalSmoke is the CI safety gate: the ultimate design around the
-// aggressive expert (which exercises κ_e hardest) with and without
-// delayed messages.
-func canonicalSmoke(options) ([]smokeCase, error) {
-	settings := experiments.StandardSettings()
-	var cases []smokeCase
-	for i, label := range []string{"clean", "delayed"} {
-		cfg := experiments.SettingConfig(settings[i])
-		cfg.InfoFilter = true
-		agent := core.NewUltimate(cfg.Scenario, planner.AggressiveExpert(cfg.Scenario))
-		cases = append(cases, smokeCase{label, row{
-			name:       "smoke/" + label + "/ultimate-aggressive",
-			invariants: workloads.InvariantSet(cfg),
-			episode:    campaign.LeftTurn(cfg, agent),
-		}})
+// guardRows is the compute-fault matrix: one guarded campaign per
+// planner-fault preset, gated on zero invariant violations.
+func guardRows(bool) []string {
+	var names []string
+	for _, preset := range faultinject.PresetNames() {
+		names = append(names, "fault-"+preset+"/ultimate-conservative")
 	}
-	return cases, nil
-}
-
-// faultRow is a left-turn campaign of the guarded ultimate conservative
-// design under planner faults m.  MonitorConsistency is absent from its
-// checkers by design: a guard-forced κ_e step diverges from the
-// monitor's verdict — that divergence is the containment the remaining
-// checkers assert.
-func faultRow(name string, m faultinject.Model, withGuard bool) row {
-	cfg := sim.DefaultConfig()
-	cfg.InfoFilter = true
-	cfg.PlannerFault = m
-	if withGuard {
-		gc := guard.DefaultConfig(cfg.Scenario.Ego)
-		cfg.Guard = &gc
-	}
-	return row{
-		name: name,
-		invariants: []sim.Invariant{
-			sim.NoCollision{},
-			sim.SoundEstimate{},
-			sim.EmergencyOneStep{Cfg: cfg.Scenario},
-			sim.NewGuardConsistency(cfg.Scenario),
-		},
-		episode: campaign.LeftTurn(cfg, core.NewUltimate(cfg.Scenario, planner.ConservativeExpert(cfg.Scenario))),
-	}
+	return names
 }
 
 // guardRow is one preset's row of the fault matrix.
@@ -196,34 +174,13 @@ type guardRow struct {
 	Report *campaign.Report `json:"report"`
 }
 
-// guardRows is the compute-fault matrix: one guarded campaign per
-// planner-fault preset, gated on zero invariant violations.
-func guardRows(options) ([]row, error) {
-	var rows []row
-	for _, preset := range faultinject.PresetNames() {
-		m, err := faultinject.Preset(preset)
-		if err != nil {
-			return nil, err
-		}
-		r := faultRow("fault-"+preset+"/ultimate-conservative", m, true)
-		r.finish = func(_ campaign.Spec, _ campaign.EpisodeFunc, rep *campaign.Report) (any, string, error) {
-			note := fmt.Sprintf("η %.4f  faults %d  fallback rate %.4f",
-				rep.Stats.Eta.Mean, rep.Stats.GuardFaults, rep.Stats.GuardFallbackStepRate)
-			// CrashFreeRate is 1: campaign.Run fails on any uncontained crash.
-			return &guardRow{Preset: preset, MeanEta: rep.Stats.Eta.Mean, CrashFreeRate: 1, Report: rep}, note, noViolations(rep)
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
-}
-
-// guardSmoke is the guard's CI gate: the acceptance worst cases, half of
-// all planner calls panicking or returning NaN.
-func guardSmoke(options) ([]smokeCase, error) {
-	return []smokeCase{
-		{"panic-half", faultRow("guard-smoke/panic-half", faultinject.PanicP{P: 0.5}, false)},
-		{"nan-half", faultRow("guard-smoke/nan-half", faultinject.NaNOutput{P: 0.5}, false)},
-	}, nil
+// guardFinish writes a fault-matrix row under the noViolations gate.
+func guardFinish(spec campaign.Spec, _ campaign.EpisodeFunc, rep *campaign.Report) (any, string, error) {
+	preset, _, _ := strings.Cut(strings.TrimPrefix(spec.Name, "fault-"), "/")
+	note := fmt.Sprintf("η %.4f  faults %d  fallback rate %.4f",
+		rep.Stats.Eta.Mean, rep.Stats.GuardFaults, rep.Stats.GuardFallbackStepRate)
+	// CrashFreeRate is 1: campaign.Run fails on any uncontained crash.
+	return &guardRow{Preset: preset, MeanEta: rep.Stats.Eta.Mean, CrashFreeRate: 1, Report: rep}, note, noViolations(rep)
 }
 
 // ibpRow is one design's row of the certification sweep.
@@ -280,43 +237,6 @@ func (c *certWidths) OnStep(p telemetry.StepProbe) {
 // mean returns the mean certified width.
 func (c *certWidths) mean() float64 { return float64(c.sum) * widthQuantum / float64(c.n) }
 
-// ibpRows is the offline certification sweep: every trained-NN design on
-// the clean canonical scenario in IBP verified mode, each executed κ_n
-// command cross-checked against the certified output range.
-func ibpRows(o options) ([]row, error) {
-	sc := sim.DefaultConfig().Scenario
-	pl, err := experiments.LoadPlanners(o.models, sc)
-	if err != nil {
-		return nil, fmt.Errorf("load planners from %s: %w", o.models, err)
-	}
-	cons := pl.Cons.(*planner.NNPlanner)
-	aggr := pl.Aggr.(*planner.NNPlanner)
-	consProp, err := ibp.New(cons.Net, cons.Norm)
-	if err != nil {
-		return nil, fmt.Errorf("propagator (cons): %w", err)
-	}
-	aggrProp, err := ibp.New(aggr.Net, aggr.Norm)
-	if err != nil {
-		return nil, fmt.Errorf("propagator (aggr): %w", err)
-	}
-	mk := func(name string, prop *ibp.Propagator, agent core.Agent) row {
-		cfg := sim.DefaultConfig()
-		cfg.InfoFilter = true
-		cfg.Certify = &sim.CertifyConfig{Prop: prop}
-		// NoCollision stays out of the set: the pure NN baseline has no
-		// safety guarantee by design, and this sweep audits certification,
-		// not safety.  SoundEstimate still runs — certification rests on it.
-		return row{name: name, invariants: []sim.Invariant{sim.SoundEstimate{}},
-			episode: campaign.LeftTurn(cfg, agent), finish: certify}
-	}
-	return []row{
-		mk("certify/pure-nn-cons", consProp, &core.PureNN{Cfg: sc, Planner: cons}),
-		mk("certify/basic-nn-cons", consProp, core.NewBasic(sc, cons)),
-		mk("certify/ultimate-nn-cons", consProp, core.NewUltimate(sc, cons)),
-		mk("certify/ultimate-nn-aggr", aggrProp, core.NewUltimate(sc, aggr)),
-	}, nil
-}
-
 // certify is a certification row's gate: it reruns the campaign's
 // episodes with a certWidths collector (so the timed run carries no
 // telemetry), and fails unless some step was certified, no certified
@@ -349,101 +269,4 @@ func certify(spec campaign.Spec, episode campaign.EpisodeFunc, rep *campaign.Rep
 	}
 	note := fmt.Sprintf("certified %d steps, 0 misses, width mean %.4g max %.4g", st.CertifiedSteps, out.CertWidthMean, out.CertWidthMax)
 	return out, note, noViolations(rep)
-}
-
-// platoonRow is a campaign of the N-vehicle chain cfg: the ultimate
-// compound design around the aggressive expert, built against the
-// effective per-link scenario so its monitoring matches the engine's,
-// with the chain's checkers — pairwise no-collision, per-link sound
-// estimates, the true-state stopping-distance slack and the
-// string-stability bound on consecutive-link peak gap errors.
-func platoonRow(name string, cfg platoon.SimConfig) (row, error) {
-	if err := cfg.Validate(); err != nil {
-		return row{}, fmt.Errorf("campaign %s: %w", name, err)
-	}
-	sc := cfg.LinkScenario()
-	return row{
-		name: name,
-		invariants: []sim.Invariant{
-			sim.NoCollision{},
-			sim.SoundEstimate{},
-			carfollow.TrueSlack{Cfg: sc},
-			platoon.StringStability{},
-		},
-		episode: campaign.Platoon(cfg, carfollow.NewUltimate(sc, carfollow.AggressiveExpert(sc))),
-	}, nil
-}
-
-// platoonConfig is a chain of o.vehicles vehicles, with the burst
-// disturbance preset on link burstLink alone (none when negative).
-func platoonConfig(o options, burstLink int) (platoon.SimConfig, error) {
-	cfg := platoon.DefaultSimConfig()
-	cfg.Vehicles = o.vehicles
-	cfg.InfoFilter = true
-	if burstLink < 0 {
-		return cfg, nil
-	}
-	bm, err := disturb.Preset("burst")
-	if err != nil {
-		return cfg, err
-	}
-	cfg.LinkComms = make([]comms.Config, o.vehicles-1)
-	for l := range cfg.LinkComms {
-		cfg.LinkComms[l] = comms.NoDisturbance()
-	}
-	cfg.LinkComms[burstLink] = comms.Disturbed(bm)
-	return cfg, nil
-}
-
-// platoonRows is the chained-link matrix: every canonical communication
-// setting applied uniformly to all V2V links, plus the burst preset
-// rotated over each individual link, gated on zero invariant violations.
-func platoonRows(o options) ([]row, error) {
-	names := []string{"platoon/clean", "platoon/delayed-all-links", "platoon/lost-all-links"}
-	for link := 0; link < o.vehicles-1; link++ {
-		names = append(names, fmt.Sprintf("platoon/burst-link-%d", link))
-	}
-	var rows []row
-	for i, name := range names {
-		cfg, err := platoonConfig(o, i-3)
-		if err != nil {
-			return nil, err
-		}
-		switch i {
-		case 1:
-			cfg.Comms = comms.Delayed(0.25, 0.5)
-		case 2:
-			cfg.Comms = comms.Lost()
-		}
-		r, err := platoonRow(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.finish = auditRow
-		rows = append(rows, r)
-	}
-	return rows, nil
-}
-
-// platoonSmoke is the platoon's CI gate: a clean chain and one with the
-// burst preset on link 0, the link the compound planner (vehicle 1)
-// reads; the -platoon matrix covers the burst on every other link.
-func platoonSmoke(o options) ([]smokeCase, error) {
-	var cases []smokeCase
-	for _, label := range []string{"clean", "burst-nn-link"} {
-		burstLink := -1
-		if label != "clean" {
-			burstLink = 0
-		}
-		cfg, err := platoonConfig(o, burstLink)
-		if err != nil {
-			return nil, err
-		}
-		r, err := platoonRow("platoon-smoke/"+label, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cases = append(cases, smokeCase{fmt.Sprintf("platoon %s, N=%d", label, o.vehicles), r})
-	}
-	return cases, nil
 }

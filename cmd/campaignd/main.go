@@ -8,10 +8,15 @@
 //
 // Usage:
 //
-//	campaignd -workload no/ultimate-conservative -episodes 5000 -seed 42 \
+//	campaignd -workload none/ultimate-conservative -episodes 5000 -seed 42 \
 //	          [-addr :7450] [-http :7451] [-checkpoint dist.ckpt.json] \
 //	          [-lease-ttl 10s] [-out DIST_campaign.json]
 //	campaignd -list
+//
+// -workload takes any name of the internal/workloads registry (-list
+// prints them): a cmd/bench suite row or smoke case, or a design cell of
+// one of the paper's studies.  The certify/* workloads load the trained
+// models from ./models, the directory cmd/bench reads by default.
 //
 // Workers join with:
 //
@@ -61,7 +66,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7450", "worker-protocol TCP listen address")
 		httpAddr = flag.String("http", "", "HTTP listen address for /metrics and /healthz (empty disables)")
-		workload = flag.String("workload", "", "workload name from the canonical registry (see -list)")
+		workload = flag.String("workload", "", "registered workload name: a cmd/bench row or smoke case, or a study cell (see -list)")
 		episodes = flag.Int("episodes", 5000, "episodes in the campaign")
 		seed     = flag.Int64("seed", 42, "base seed (episode i runs with seed base+i)")
 		shards   = flag.Int("shards", 0, "shard count (0: the engine's fixed default)")
@@ -89,7 +94,7 @@ func main() {
 	// Validate the name now, against the same registry workers use: a typo
 	// should fail here, not on every joining worker (each would fail to
 	// resolve it, say bye and exit with a local error).
-	wl, err := workloads.Lookup(*workload)
+	wl, err := workloads.Lookup(*workload, "models")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +104,7 @@ func main() {
 		Episodes:        *episodes,
 		BaseSeed:        *seed,
 		Shards:          *shards,
-		Invariants:      wl.Invariants(),
+		Invariants:      wl.Invariants,
 		CountViolations: true,
 		CheckpointPath:  *ckpt,
 		CheckpointEvery: *ckEvery,
@@ -111,7 +116,7 @@ func main() {
 		// byte-compares this run's stats against a chaotic multi-worker
 		// run — they must be identical.
 		start := time.Now()
-		rep, err := campaign.Run(spec, wl.Episode())
+		rep, err := campaign.Run(spec, wl.Episode)
 		if err != nil {
 			log.Fatal(err)
 		}

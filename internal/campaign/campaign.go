@@ -33,24 +33,61 @@ type EpisodeFunc func(opts sim.Options) (sim.Result, error)
 // shares its agent across Run's workers, so results are independent of
 // the worker count only for agents that hold no mutable state across
 // calls.  The analytic experts, the NN planners (their inference reads
-// only the weights) and the compound designs around them qualify.
+// only the weights) and the compound designs around them qualify.  With
+// a collector in the options, a compound agent runs as a copy that
+// reports its monitor decisions there too (WithCollector).
 func LeftTurn(cfg sim.Config, agent core.Agent) EpisodeFunc {
-	return func(opts sim.Options) (sim.Result, error) { return sim.Run(cfg, agent, opts) }
+	return func(opts sim.Options) (sim.Result, error) { return sim.Run(cfg, collecting(agent, opts), opts) }
 }
 
 // MultiVehicle adapts the multi-vehicle left-turn runner.
 func MultiVehicle(cfg sim.MultiConfig, agent core.MultiAgent) EpisodeFunc {
-	return func(opts sim.Options) (sim.Result, error) { return sim.RunMulti(cfg, agent, opts) }
+	return func(opts sim.Options) (sim.Result, error) { return sim.RunMulti(cfg, collecting(agent, opts), opts) }
 }
 
 // CarFollow adapts the car-following runner.
 func CarFollow(cfg carfollow.SimConfig, agent carfollow.Agent) EpisodeFunc {
-	return func(opts sim.Options) (sim.Result, error) { return carfollow.RunEpisode(cfg, agent, opts) }
+	return func(opts sim.Options) (sim.Result, error) {
+		return carfollow.RunEpisode(cfg, collecting(agent, opts), opts)
+	}
 }
 
 // Platoon adapts the N-vehicle platoon runner.
 func Platoon(cfg platoon.SimConfig, agent carfollow.Agent) EpisodeFunc {
-	return func(opts sim.Options) (sim.Result, error) { return platoon.RunEpisode(cfg, agent, opts) }
+	return func(opts sim.Options) (sim.Result, error) {
+		return platoon.RunEpisode(cfg, collecting(agent, opts), opts)
+	}
+}
+
+// collecting is agent with opts' collector attached, or agent itself
+// when the episode runs without one.
+func collecting[A any](agent A, opts sim.Options) A {
+	if opts.Collector == nil {
+		return agent
+	}
+	return WithCollector(agent, opts.Collector)
+}
+
+// WithCollector returns the agent a run with collector c drives: a
+// compound agent is shallow-copied with c attached (nil detaches), so
+// the caller's agent is never written and reports into no earlier run's
+// collector; any other agent is returned as is.
+func WithCollector[A any](agent A, c telemetry.Collector) A {
+	switch a := any(agent).(type) {
+	case *core.Compound:
+		cp := *a
+		cp.Collector = c
+		return any(&cp).(A)
+	case *core.MultiCompound:
+		cp := *a
+		cp.Collector = c
+		return any(&cp).(A)
+	case *carfollow.Compound:
+		cp := *a
+		cp.Collector = c
+		return any(&cp).(A)
+	}
+	return agent
 }
 
 // Spec configures a campaign.

@@ -115,9 +115,10 @@ type Request struct {
 // CampaignInfo describes the campaign to joining workers: everything a
 // worker needs to reconstruct the spec's deterministic skeleton.  The
 // configuration and agent are NOT shipped — the Workload name resolves
-// them through the worker's registry (internal/workloads), because only
-// identical construction on both sides keeps remote episodes
-// byte-identical to local ones.
+// them through the worker's registry (internal/workloads, where any
+// registered name may be distributed), because only identical
+// construction on both sides keeps remote episodes byte-identical to
+// local ones.
 type CampaignInfo struct {
 	Name            string               `json:"name"`
 	Workload        string               `json:"workload"`

@@ -34,10 +34,11 @@ func DialTCP(addr string) (Conn, error) {
 }
 
 // Resolver turns a coordinator's workload name into the episode function
-// and invariant set, via the worker's own registry (internal/workloads in
-// production, synthetic fixtures in tests).  Both sides constructing from
-// the same name is what keeps remote episodes byte-identical to local
-// ones.
+// and invariant set, via the worker's own registry (in production
+// internal/workloads' Resolver, which names every cmd/bench row and
+// smoke case and every study cell; synthetic fixtures in tests).  Both
+// sides constructing from the same name is what keeps remote episodes
+// byte-identical to local ones.
 type Resolver func(workload string) (campaign.EpisodeFunc, []sim.Invariant, error)
 
 // Default worker cadences.

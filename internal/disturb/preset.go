@@ -5,9 +5,9 @@ import (
 	"sort"
 )
 
-// Presets are named, ready-to-run disturbance scripts shared by the CLI
-// flags (cmd/simulate -disturb), the worst-case experiment sweep, and the
-// fuzz targets' seed corpora.  Parameters are chosen to be *adversarial*
+// Presets are named, ready-to-run disturbance scripts shared by the
+// workload registry's disturb-* campaigns, the worst-case experiment
+// sweep, and the fuzz targets' seed corpora.  Parameters are chosen to be *adversarial*
 // at the evaluation's Δt_m = 0.1 s message cadence: bursts starve the
 // filter for tens of control steps, jitter tails overtake several fresher
 // messages, and the blackout script follows the ISSUE's canonical

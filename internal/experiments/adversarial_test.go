@@ -6,6 +6,7 @@ import (
 
 	"safeplan/internal/campaign"
 	"safeplan/internal/core"
+	"safeplan/internal/planner"
 )
 
 func TestAdversarialSettingsValid(t *testing.T) {
@@ -44,9 +45,12 @@ func TestAdversarialSafetyInvariant(t *testing.T) {
 	const episodes = 1000
 	pl := testPlanners()
 	for _, s := range AdversarialSettings() {
-		for _, kind := range []PlannerKind{Conservative, Aggressive} {
+		for _, kind := range []struct {
+			name string
+			p    planner.Planner
+		}{{"conservative", pl.Cons}, {"aggressive", pl.Aggr}} {
 			s, kind := s, kind
-			t.Run(s.Name+"/"+kind.String(), func(t *testing.T) {
+			t.Run(s.Name+"/"+kind.name, func(t *testing.T) {
 				t.Parallel()
 				// Ultimate + information filter: the full design must never
 				// collide.  Fused-estimate misses are tolerated here — with
@@ -55,7 +59,7 @@ func TestAdversarialSafetyInvariant(t *testing.T) {
 				// monitor uses the sound estimate; see failure_test.go).
 				ultCfg := adversarialSim(s)
 				ultCfg.InfoFilter = true
-				ult := core.NewUltimate(ultCfg.Scenario, pl.Pick(kind))
+				ult := core.NewUltimate(ultCfg.Scenario, kind.p)
 				rs, err := campaign.Results(campaign.Spec{Episodes: episodes, BaseSeed: testSeed}, campaign.LeftTurn(ultCfg, ult))
 				if err != nil {
 					t.Fatal(err)
@@ -71,7 +75,7 @@ func TestAdversarialSafetyInvariant(t *testing.T) {
 				// violation is a genuine soundness bug in the disturbance
 				// threading.
 				basicCfg := adversarialSim(s)
-				basic := core.NewBasic(basicCfg.Scenario, pl.Pick(kind))
+				basic := core.NewBasic(basicCfg.Scenario, kind.p)
 				rs, err = campaign.Results(campaign.Spec{Episodes: episodes, BaseSeed: testSeed}, campaign.LeftTurn(basicCfg, basic))
 				if err != nil {
 					t.Fatal(err)

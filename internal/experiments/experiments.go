@@ -54,22 +54,6 @@ func StandardSettings() []Setting {
 	}
 }
 
-// PlannerKind selects which κ_n family an experiment evaluates.
-type PlannerKind int
-
-// The two NN-planner families of the evaluation.
-const (
-	Conservative PlannerKind = iota
-	Aggressive
-)
-
-func (k PlannerKind) String() string {
-	if k == Conservative {
-		return "conservative"
-	}
-	return "aggressive"
-}
-
 // Planners bundles the two κ_n used throughout the evaluation.
 type Planners struct {
 	Cons planner.Planner
@@ -99,14 +83,6 @@ func trainedPlanners(cfg leftturn.Config, seed int64) (Planners, error) {
 		return Planners{}, fmt.Errorf("experiments: train aggressive: %w", err)
 	}
 	return Planners{Cons: cons, Aggr: aggr}, nil
-}
-
-// Pick returns the planner of the given kind.
-func (p Planners) Pick(k PlannerKind) planner.Planner {
-	if k == Conservative {
-		return p.Cons
-	}
-	return p.Aggr
 }
 
 // SettingConfig builds the sim configuration for a setting — the exact

@@ -32,12 +32,6 @@ func TestStandardSettings(t *testing.T) {
 	}
 }
 
-func TestPlannerKindString(t *testing.T) {
-	if Conservative.String() != "conservative" || Aggressive.String() != "aggressive" {
-		t.Fatal("kind names wrong")
-	}
-}
-
 // studyRows runs study id's campaign with the expert planners.
 func studyRows(t *testing.T, id string, n int) []Row {
 	t.Helper()

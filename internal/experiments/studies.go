@@ -102,11 +102,11 @@ func emergencyChart(xLabel string) *Chart {
 // compare returns the pure, basic and ultimate designs of one scenario
 // family: episode runs an agent on the family's configuration with the
 // information filter on or off, and only the ultimate design has it on.
-func compare[A any](episode func(agent A, infoFilter bool) campaign.EpisodeFunc, pure, basic, ultimate A) []Design {
+func compare[A interface{ Name() string }](episode func(agent A, infoFilter bool) campaign.EpisodeFunc, pure, basic, ultimate A) []Design {
 	return []Design{
-		{PureNN, episode(pure, false)},
-		{Basic, episode(basic, false)},
-		{Ultimate, episode(ultimate, true)},
+		{PureNN, pure.Name(), episode(pure, false)},
+		{Basic, basic.Name(), episode(basic, false)},
+		{Ultimate, ultimate.Name(), episode(ultimate, true)},
 	}
 }
 
@@ -197,15 +197,16 @@ func ablations(p planner.Planner) *Campaign {
 		cfg := base
 		cfg.InfoFilter = infoFilter
 		cfg.NoReplay = noReplay
-		return Design{name, campaign.LeftTurn(cfg, &core.Compound{
+		agent := &core.Compound{
 			Cfg:            sc,
 			Planner:        p,
 			Monitor:        monitor.New(sc),
 			AggressiveSet:  aggressive,
 			MonitorOnFused: fusedMonitor,
-		})}
+		}
+		return Design{name, agent.Name(), campaign.LeftTurn(cfg, agent)}
 	}
-	return &Campaign{Cells: []Cell{{Designs: []Design{
+	return &Campaign{Cells: []Cell{{Label: "messages delayed", Designs: []Design{
 		variant("full", true, false, true, false),
 		variant("no-filter", false, false, true, false),
 		variant("no-aggressive", true, false, false, false),
@@ -273,7 +274,7 @@ func platoons() *Campaign {
 		sc := cfg.LinkScenario()
 		agent := carfollow.NewUltimate(sc, carfollow.AggressiveExpert(sc))
 		c.Cells = append(c.Cells, Cell{Label: label, X: float64(cfg.Vehicles),
-			Designs: []Design{{Ultimate, campaign.Platoon(cfg, agent)}}})
+			Designs: []Design{{Ultimate, agent.Name(), campaign.Platoon(cfg, agent)}}})
 	}
 	delayed := StandardSettings()[1]
 	for _, vehicles := range []int{2, 3, 4, 6} {

@@ -49,9 +49,10 @@ type Cell struct {
 }
 
 // Design is one named agent configuration: the episode function a
-// campaign runs n times.
+// campaign runs n times, and the name of the agent it drives.
 type Design struct {
 	Name    string
+	Agent   string
 	Episode campaign.EpisodeFunc
 }
 

@@ -6,8 +6,9 @@ import (
 )
 
 // Presets are named, ready-to-run planner-fault workloads shared by the
-// CLI flags (cmd/simulate -plannerfault, cmd/bench -guard), the fault
-// matrix, and the fuzz seed corpus.  Parameters are adversarial at the
+// workload registry's fault-* campaigns (cmd/bench -guard, cmd/simulate
+// -workload fault-<preset>/ultimate-conservative), the fault matrix, and
+// the fuzz seed corpus.  Parameters are adversarial at the
 // evaluation's Δt_c = 0.1 s control cadence: panic and NaN rates high
 // enough to drive the guard through its full degradation cycle within an
 // episode, latency spikes that straddle the default one-period step

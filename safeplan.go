@@ -353,7 +353,8 @@ func WithWorkers(n int) RunOption {
 
 // run is the one skeleton behind every entry point: it folds the
 // options, checks the worker count, makes the one call on the agent with
-// the run's collector attached (withCollector) and prefixes its error.
+// the run's collector attached (campaign.WithCollector) and prefixes its
+// error.
 func run[A, T any](agent A, opts []RunOption, call func(A, runSettings) (T, error)) (T, error) {
 	var s runSettings
 	for _, o := range opts {
@@ -363,30 +364,8 @@ func run[A, T any](agent A, opts []RunOption, call func(A, runSettings) (T, erro
 		var zero T
 		return zero, fmt.Errorf("safeplan: WithWorkers(%d): worker count must be >= 1", s.workers)
 	}
-	r, err := call(withCollector(agent, s.collector), s)
+	r, err := call(campaign.WithCollector(agent, s.collector), s)
 	return r, wrapErr(err)
-}
-
-// withCollector returns the agent a run drives: a compound agent is
-// shallow-copied with the run's collector attached (nil without
-// WithCollector), so the caller's agent is never written and reports
-// into no earlier run's collector; any other agent is returned as is.
-func withCollector[A any](agent A, c telemetry.Collector) A {
-	switch a := any(agent).(type) {
-	case *core.Compound:
-		cp := *a
-		cp.Collector = c
-		return any(&cp).(A)
-	case *core.MultiCompound:
-		cp := *a
-		cp.Collector = c
-		return any(&cp).(A)
-	case *carfollow.Compound:
-		cp := *a
-		cp.Collector = c
-		return any(&cp).(A)
-	}
-	return agent
 }
 
 // episode is the per-episode options of a single-episode entry point.
