@@ -49,7 +49,7 @@ var suites = []*suite{
 		// The CI safety gate: the ultimate design around the aggressive
 		// expert (which exercises κ_e hardest) with and without delayed
 		// messages.
-		smoke: []smokeCase{{"clean", "smoke/clean/ultimate-aggressive"}, {"delayed", "smoke/delayed/ultimate-aggressive"}},
+		smoke: []smokeCase{{"clean", "none/ultimate-aggressive"}, {"delayed", "delayed/ultimate-aggressive"}},
 	},
 	{
 		generatedBy: "cmd/bench -guard",
@@ -57,8 +57,8 @@ var suites = []*suite{
 		rows:        guardRows,
 		finish:      guardFinish,
 		// The acceptance worst cases: half of all planner calls panicking
-		// or returning NaN.
-		smoke: []smokeCase{{"panic-half", "guard-smoke/panic-half"}, {"nan-half", "guard-smoke/nan-half"}},
+		// or returning NaN (the nan preset's rate).
+		smoke: []smokeCase{{"panic-half", "guard-smoke/panic-half"}, {"nan-half", "fault-nan/ultimate-conservative"}},
 		smokeLine: func(label string, rep *campaign.Report) string {
 			return fmt.Sprintf("guard smoke OK (%s): %d episodes, safe %d/%d, %d contained faults, %.0f eps/s",
 				label, rep.Stats.Episodes, rep.Stats.Episodes-rep.Stats.Collided,
@@ -82,7 +82,7 @@ var suites = []*suite{
 		// A clean chain and one with the burst preset on link 0, the link
 		// the compound planner (vehicle 1) reads; the matrix covers the
 		// burst on every other link.
-		smoke: []smokeCase{{"platoon clean, N=4", "platoon-smoke/clean"}, {"platoon burst-nn-link, N=4", "platoon-smoke/burst-nn-link"}},
+		smoke: []smokeCase{{"platoon clean, N=4", "platoon/clean"}, {"platoon burst-nn-link, N=4", "platoon/burst-link-0"}},
 	},
 }
 

@@ -1,11 +1,16 @@
 package carfollow
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"safeplan/internal/comms"
+	"safeplan/internal/disturb"
+	"safeplan/internal/dynamics"
 	"safeplan/internal/eval"
+	"safeplan/internal/faultinject"
+	"safeplan/internal/guard"
 	"safeplan/internal/sensor"
 	"safeplan/internal/sim"
 )
@@ -43,6 +48,40 @@ func TestSimValidate(t *testing.T) {
 		if c.Validate() == nil {
 			t.Errorf("%s: invalid config accepted", name)
 		}
+	}
+}
+
+// TestStackValidatedOnce: the input stack is validated by one
+// sim.Stack.Validate, so a bad stack field fails the left turn and the
+// chain with the same error, and a guard without limits takes each
+// scenario's ego limits in both.
+func TestStackValidatedOnce(t *testing.T) {
+	for name, mut := range map[string]func(*sim.Stack){
+		"dtm":     func(s *sim.Stack) { s.DtM = math.NaN() },
+		"dts":     func(s *sim.Stack) { s.DtS = 0 },
+		"horizon": func(s *sim.Stack) { s.Horizon = -1 },
+		"comms":   func(s *sim.Stack) { s.Comms = comms.Delayed(0, 2) },
+		"sensor":  func(s *sim.Stack) { s.Sensor.DeltaP = -1 },
+		"disturb": func(s *sim.Stack) { s.SensorDisturb = disturb.BiasDrift{Max: -1, Period: 1} },
+		"guard":   func(s *sim.Stack) { g := guard.DefaultConfig(dynamics.Limits{}); g.StepBudget = -1; s.Guard = &g },
+		"fault":   func(s *sim.Stack) { s.PlannerFault = faultinject.PanicP{P: 2} },
+	} {
+		lt, cf := sim.DefaultConfig(), simCfg()
+		mut(&lt.Stack)
+		mut(&cf.Stack)
+		ltErr, cfErr := lt.Validate(), cf.Validate()
+		if ltErr == nil || cfErr == nil || ltErr.Error() != cfErr.Error() {
+			t.Errorf("%s: left turn %v, chain %v", name, ltErr, cfErr)
+		}
+	}
+	lt, cf := sim.DefaultConfig(), simCfg()
+	g := guard.DefaultConfig(dynamics.Limits{})
+	lt.Guard, cf.Guard = &g, &g
+	if err := lt.Validate(); err != nil {
+		t.Errorf("left turn rejects a guard without limits: %v", err)
+	}
+	if err := cf.Validate(); err != nil {
+		t.Errorf("chain rejects a guard without limits: %v", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"safeplan/internal/comms"
 	"safeplan/internal/disturb"
 	"safeplan/internal/dynamics"
-	"safeplan/internal/fusion"
 	"safeplan/internal/interval"
 	"safeplan/internal/sim"
 	"safeplan/internal/telemetry"
@@ -34,20 +33,6 @@ type Chain struct {
 	TGap float64
 	// Follower is the control law of vehicles 2..N−1.
 	Follower Expert
-}
-
-func (c *Chain) linkComms(cfg *SimConfig, l int) comms.Config {
-	if len(c.LinkComms) > 0 {
-		return c.LinkComms[l]
-	}
-	return cfg.Comms
-}
-
-func (c *Chain) linkSensorDisturb(cfg *SimConfig, l int) disturb.SensorModel {
-	if len(c.LinkSensorDisturb) > 0 {
-		return c.LinkSensorDisturb[l]
-	}
-	return cfg.SensorDisturb
 }
 
 // Stepper is the resumable stop-and-go chain engine: the shared
@@ -107,10 +92,6 @@ func NewStepper(cfg SimConfig, agent Agent, opts sim.Options) (*Stepper, error) 
 // faults keep their per-seed behaviour) the per-link sensing-disturbance
 // streams in link order, then the guard/fault streams.
 func NewChainStepper(cfg SimConfig, ch Chain, agent Agent, opts sim.Options) (*Stepper, error) {
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = DefaultHorizon
-	}
 	if opts.Scratch == nil {
 		opts.Scratch = sim.NewScratch()
 	}
@@ -121,7 +102,7 @@ func NewChainStepper(cfg SimConfig, ch Chain, agent Agent, opts sim.Options) (*S
 	st := sim.Pooled[Stepper](sh)
 	st.cfg, st.ch, st.agent = cfg, ch, agent
 	n := ch.Vehicles
-	links := st.eng.Begin(opts, n-1, st.hooks)
+	links := st.eng.Begin(&st.cfg.Stack, opts, n-1, st.hooks)
 	sc := &st.cfg.Scenario
 
 	master := sh.RNG(opts.Seed)
@@ -131,39 +112,19 @@ func NewChainStepper(cfg SimConfig, ch Chain, agent Agent, opts sim.Options) (*S
 		return nil, err
 	}
 	for l := range links {
-		lk := &links[l]
-		if lk.Channel, err = sh.Channel(ch.linkComms(&st.cfg, l), sh.RNG(master.Int63())); err != nil {
-			return nil, err
-		}
-		if lk.Sensor, err = sh.Sensor(cfg.Sensor, sh.RNG(master.Int63())); err != nil {
-			return nil, err
-		}
 		// Every link's filter propagates with the scenario's Lead limits —
 		// the same worst case the monitor assumes for the predecessor.  For
 		// follower links (targets moving under Ego limits) soundness
 		// therefore additionally assumes Ego ⊆ Lead actuation bounds, which
 		// the defaults satisfy with equality.
-		lk.Filter, err = sh.Fusion(fusion.Config{
-			Limits:    sc.Lead,
-			Sensor:    cfg.Sensor,
-			UseKalman: cfg.InfoFilter,
-			Replay:    cfg.InfoFilter,
-		})
-		if err != nil {
+		if err = st.eng.OpenLink(l, ch.LinkComms, sc.Lead, true, sh.RNG(master.Int63()), sh.RNG(master.Int63())); err != nil {
 			return nil, err
 		}
 	}
 	initRng := sh.RNG(master.Int63())
-	for l := range links {
-		if m := ch.linkSensorDisturb(&st.cfg, l); m != nil {
-			links[l].SensProc = m.NewSensor(sh.RNG(master.Int63()))
-		}
-	}
+	st.eng.OpenSensing(master, ch.LinkSensorDisturb)
 	st.states = sim.Zeroed(st.states, n)
-	if err := st.eng.Arm(sim.Setup{
-		Dt: sc.DtC, Horizon: horizon, DtM: cfg.DtM, DtS: cfg.DtS, Ego: &st.states[1],
-		Guard: cfg.Guard, PlannerFault: cfg.PlannerFault, Limits: sc.Ego,
-	}, master); err != nil {
+	if err := st.eng.Arm(sim.Setup{Dt: sc.DtC, Horizon: DefaultHorizon, Ego: &st.states[1], Limits: sc.Ego}, master); err != nil {
 		return nil, err
 	}
 

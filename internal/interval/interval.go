@@ -1,5 +1,5 @@
-// Package interval implements closed real intervals [Lo, Hi] and the
-// arithmetic the safety framework needs to propagate set-valued state
+// Package interval implements closed real intervals [Lo, Hi] and the set
+// operations the safety framework needs to join set-valued state
 // estimates.
 //
 // Every quantity the ego vehicle knows about another traffic participant —

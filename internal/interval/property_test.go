@@ -6,17 +6,16 @@ import (
 	"testing"
 )
 
-// Property-based tests for the interval-arithmetic laws the safety argument
-// leans on.  Each law is checked against ~200 randomly drawn cases; the
-// fundamental one is *inclusion soundness* — for every point x ∈ a, y ∈ b,
-// the point result of an operation lies inside the interval result — since
-// that is exactly what makes the conservative windows sound overapproxima-
-// tions of the reachable sets.
+// Property-based tests for the interval laws the safety argument leans
+// on.  Each law is checked against ~200 randomly drawn cases; the
+// fundamental one is *inclusion monotonicity* — shrinking the operands
+// never grows the result — since that is what keeps the information
+// filter's intersections sound overapproximations of the reachable sets.
 
 const propCases = 200
 
 // drawInterval returns a random non-empty interval, occasionally degenerate
-// (a point) and occasionally spanning zero (the interesting case for Mul).
+// (a point).
 func drawInterval(rng *rand.Rand) Interval {
 	lo := (rng.Float64() - 0.5) * 40
 	switch rng.Intn(4) {
@@ -35,53 +34,6 @@ func drawIn(rng *rand.Rand, iv Interval) float64 {
 	return iv.Lo + rng.Float64()*(iv.Hi-iv.Lo)
 }
 
-func TestPropAddSoundAndCommutative(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	for i := 0; i < propCases; i++ {
-		a, b := drawInterval(rng), drawInterval(rng)
-		s := a.Add(b)
-		if s != b.Add(a) {
-			t.Fatalf("Add not commutative: %v + %v", a, b)
-		}
-		x, y := drawIn(rng, a), drawIn(rng, b)
-		if !s.Contains(x + y) {
-			t.Fatalf("%v + %v = %v does not contain %v + %v = %v", a, b, s, x, y, x+y)
-		}
-	}
-}
-
-func TestPropSubNegConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(102))
-	for i := 0; i < propCases; i++ {
-		a, b := drawInterval(rng), drawInterval(rng)
-		if a.Sub(b) != a.Add(b.Scale(-1)) {
-			t.Fatalf("a−b ≠ a+(−b) for %v, %v", a, b)
-		}
-		x, y := drawIn(rng, a), drawIn(rng, b)
-		if !a.Sub(b).Contains(x - y) {
-			t.Fatalf("%v − %v does not contain %v − %v", a, b, x, y)
-		}
-	}
-}
-
-func TestPropMulSoundAndCommutative(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	for i := 0; i < propCases; i++ {
-		a, b := drawInterval(rng), drawInterval(rng)
-		p := a.Mul(b)
-		if p != b.Mul(a) {
-			t.Fatalf("Mul not commutative: %v × %v = %v vs %v", a, b, p, b.Mul(a))
-		}
-		x, y := drawIn(rng, a), drawIn(rng, b)
-		// One float rounding of x*y may escape the exact-endpoint product
-		// interval; allow an ulp-scale tolerance.
-		tol := 1e-9 * (1 + math.Abs(x*y))
-		if !p.Expand(tol).Contains(x * y) {
-			t.Fatalf("%v × %v = %v does not contain %v × %v = %v", a, b, p, x, y, x*y)
-		}
-	}
-}
-
 func TestPropInclusionMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	for i := 0; i < propCases; i++ {
@@ -89,11 +41,8 @@ func TestPropInclusionMonotone(t *testing.T) {
 		// a' ⊆ a, b' ⊆ b drawn by shrinking.
 		aa := New(drawIn(rng, a), a.Hi)
 		bb := New(b.Lo, drawIn(rng, b))
-		if !subset(aa.Add(bb), a.Add(b)) {
-			t.Fatalf("Add not inclusion-monotone: %v⊆%v, %v⊆%v", aa, a, bb, b)
-		}
-		if !subset(aa.Mul(bb), a.Mul(b)) {
-			t.Fatalf("Mul not inclusion-monotone: %v⊆%v, %v⊆%v", aa, a, bb, b)
+		if !subset(aa.Intersect(bb), a.Intersect(b)) {
+			t.Fatalf("Intersect not inclusion-monotone: %v⊆%v, %v⊆%v", aa, a, bb, b)
 		}
 		if got := aa.Intersect(a); !subset(got, a) {
 			t.Fatalf("Intersect escapes its operand: %v ∩ %v = %v", aa, a, got)
@@ -116,17 +65,10 @@ func TestPropIntersectHull(t *testing.T) {
 	}
 }
 
-func TestPropScaleExpand(t *testing.T) {
+func TestPropExpand(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	for i := 0; i < propCases; i++ {
 		a := drawInterval(rng)
-		k := (rng.Float64() - 0.5) * 8
-		x := drawIn(rng, a)
-		s := a.Scale(k)
-		tol := 1e-9 * (1 + math.Abs(k*x))
-		if !s.Expand(tol).Contains(k * x) {
-			t.Fatalf("%v scaled by %v = %v does not contain %v", a, k, s, k*x)
-		}
 		r := rng.Float64() * 3
 		e := a.Expand(r)
 		if !subset(a, e) || math.Abs(e.Width()-(a.Width()+2*r)) > 1e-9 {

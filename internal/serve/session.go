@@ -122,14 +122,19 @@ func buildEngine(req Request, opts sim.Options) (engine, error) {
 		}
 		model = m
 	}
+	// Every scenario reads the request's disturbance and design through
+	// its input stack.
+	setStack := func(st *sim.Stack) {
+		if model != nil {
+			st.Comms = comms.Disturbed(model)
+		}
+		st.InfoFilter = design == DesignUltimate
+	}
 
 	switch req.Scenario {
 	case "", ScenarioLeftTurn:
 		cfg := sim.DefaultConfig()
-		if model != nil {
-			cfg.Comms = comms.Disturbed(model)
-		}
-		cfg.InfoFilter = design == DesignUltimate
+		setStack(&cfg.Stack)
 		var kn planner.Planner
 		switch pl {
 		case PlannerConservative:
@@ -154,10 +159,7 @@ func buildEngine(req Request, opts sim.Options) (engine, error) {
 
 	case ScenarioMulti:
 		cfg := sim.DefaultMultiConfig()
-		if model != nil {
-			cfg.Comms = comms.Disturbed(model)
-		}
-		cfg.InfoFilter = design == DesignUltimate
+		setStack(&cfg.Stack)
 		var kn planner.Planner
 		switch pl {
 		case PlannerConservative:
@@ -182,10 +184,7 @@ func buildEngine(req Request, opts sim.Options) (engine, error) {
 
 	case ScenarioCarFollow:
 		cfg := carfollow.DefaultSimConfig()
-		if model != nil {
-			cfg.Comms = comms.Disturbed(model)
-		}
-		cfg.InfoFilter = design == DesignUltimate
+		setStack(&cfg.Stack)
 		var kn carfollow.Planner
 		switch pl {
 		case PlannerConservative:

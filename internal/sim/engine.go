@@ -8,7 +8,6 @@ import (
 	"safeplan/internal/comms"
 	"safeplan/internal/disturb"
 	"safeplan/internal/dynamics"
-	"safeplan/internal/faultinject"
 	"safeplan/internal/fusion"
 	"safeplan/internal/guard"
 	"safeplan/internal/interval"
@@ -19,10 +18,11 @@ import (
 // Engine is the scenario-independent half of a resumable episode engine.
 // Both engines hold one: MultiStepper (the left turn and the oncoming
 // stream) and carfollow.Stepper (car following and the platoon).  It
-// owns the per-link estimation, the control schedule, the guarded and
-// certified plan, the telemetry probe, the invariant dispatch, the
-// outcome checks and Finish; Drive is the closed loop over either
-// engine.  A scenario supplies its random-stream order, initial states,
+// owns the link stack (each link's channel, sensor and fusion filter,
+// opened from the scenario's Stack), the per-link estimation, the
+// control schedule, the guarded and certified plan, the telemetry probe,
+// the invariant dispatch, the outcome checks and Finish; Drive is the
+// closed loop over either engine.  A scenario supplies its random-stream order, initial states,
 // knowledge layout, dynamics and predicates, and writes its Step as one
 // pass over the engine's calls:
 //
@@ -44,10 +44,11 @@ type Engine struct {
 	cert   certifier
 	certOn bool
 
-	opts Options
-	coll telemetry.Collector
-	gs   *guardedStep
-	ego  *dynamics.State // the scenario's ego state
+	stack *Stack // the scenario's config, which outlives the episode
+	opts  Options
+	coll  telemetry.Collector
+	gs    *guardedStep
+	ego   *dynamics.State // the scenario's ego state
 
 	msgTick, sensTick comms.Ticker
 	msgAt, sensAt     float64
@@ -91,8 +92,8 @@ type Hooks struct {
 // Link is one V2V link's estimation state: the channel and sensor
 // stream from the observed vehicle to the ego (or follower), the
 // receiver's fusion filter, its sensing-fault process, the latest
-// estimate and the last reading taken.  The scenario opens the
-// components during set-up; Exchange runs them each step.
+// estimate and the last reading taken.  OpenLink and OpenSensing open
+// the components during set-up; Exchange runs them each step.
 type Link struct {
 	Channel  *comms.Channel
 	Sensor   *sensor.Model
@@ -104,19 +105,16 @@ type Link struct {
 	HaveMeas bool
 }
 
-// Setup is the part of an episode's set-up the engine takes over once
-// the scenario has derived its streams.
+// Setup is what Arm needs of the scenario beyond its stack.
 type Setup struct {
-	// Dt is the control period and Horizon the resolved episode cutoff
-	// [s]; DtM and DtS are the message and sensing periods.
-	Dt, Horizon, DtM, DtS float64
+	// Dt is the control period [s]; Horizon is the scenario's default
+	// episode cutoff [s], used when the stack's Horizon is zero.
+	Dt, Horizon float64
 	// Ego points at the scenario's ego state, read for step outcomes.
 	Ego *dynamics.State
-	// Guard, PlannerFault and Limits configure the planner guard (see
-	// Config.Guard); Limits are the ego's actuation limits.
-	Guard        *guard.Config
-	PlannerFault faultinject.Model
-	Limits       dynamics.Limits
+	// Limits are the ego's actuation limits, which fill a guard
+	// configured without its own.
+	Limits dynamics.Limits
 }
 
 // Tick describes the control step Start opened.
@@ -143,16 +141,17 @@ func Zeroed[T any](s []T, n int) []T {
 // messages in one control step simply grows it.
 const msgBufCap = 64
 
-// Begin starts an episode: it clears the previous episode's state,
-// keeping the hooks, the storage and the IBP scratch, and returns n
-// zeroed links for the scenario to open.  hooks builds the scenario's
-// hooks; it runs once, on a fresh pooled engine.
-func (e *Engine) Begin(opts Options, n int, hooks func() Hooks) []Link {
+// Begin starts an episode over the scenario's stack: it clears the
+// previous episode's state, keeping the hooks, the storage and the IBP
+// scratch, and returns n zeroed links for OpenLink to open.  hooks builds
+// the scenario's hooks; it runs once, on a fresh pooled engine.
+// opts.Scratch must be set: the links' components come from it.
+func (e *Engine) Begin(stack *Stack, opts Options, n int, hooks func() Hooks) []Link {
 	*e = Engine{
 		hooks: e.hooks, certFn: e.certFn,
 		links: Zeroed(e.links, n), msgBuf: e.msgBuf,
-		cert: certifier{scr: e.cert.scr},
-		opts: opts, coll: opts.Collector,
+		cert:  certifier{scr: e.cert.scr},
+		stack: stack, opts: opts, coll: opts.Collector,
 	}
 	if e.hooks.Plan == nil {
 		e.hooks = hooks()
@@ -161,22 +160,73 @@ func (e *Engine) Begin(opts Options, n int, hooks func() Hooks) []Link {
 	return e.links
 }
 
+// OpenLink opens link i from the stack: its channel on stream chanRng,
+// over linkComms[i] when the scenario sets one channel model per link
+// and over the stack's Comms otherwise, its sensor on stream sensRng,
+// and its fusion filter, which bounds the observed vehicle by limits.
+// replay keeps the Kalman component's message replay (the left turn's
+// NoReplay ablation clears it).
+func (e *Engine) OpenLink(i int, linkComms []comms.Config, limits dynamics.Limits, replay bool, chanRng, sensRng *rand.Rand) error {
+	sh, lk := e.opts.Scratch, &e.links[i]
+	c := e.stack.Comms
+	if len(linkComms) > 0 {
+		c = linkComms[i]
+	}
+	var err error
+	if lk.Channel, err = sh.Channel(c, chanRng); err != nil {
+		return err
+	}
+	if lk.Sensor, err = sh.Sensor(e.stack.Sensor, sensRng); err != nil {
+		return err
+	}
+	lk.Filter, err = sh.Fusion(fusion.Config{
+		Limits:    limits,
+		Sensor:    e.stack.Sensor,
+		UseKalman: e.stack.InfoFilter,
+		Replay:    e.stack.InfoFilter && replay,
+	})
+	return err
+}
+
+// OpenSensing derives each link's sensing-fault process from master, in
+// link order: from linkModels[i] when the scenario sets one model per
+// link, from the stack's SensorDisturb otherwise.  A link without a
+// model draws no stream.  The scenarios call it after every other link
+// stream, so configurations without sensing faults keep their per-seed
+// behaviour.
+func (e *Engine) OpenSensing(master *rand.Rand, linkModels []disturb.SensorModel) {
+	for i := range e.links {
+		m := e.stack.SensorDisturb
+		if len(linkModels) > 0 {
+			m = linkModels[i]
+		}
+		if m != nil {
+			e.links[i].SensProc = m.NewSensor(e.opts.Scratch.RNG(master.Int63()))
+		}
+	}
+}
+
 // Arm completes set-up: it derives the guard's streams from master (the
 // last ones an episode derives, so configurations without a guard or a
-// fault model keep their per-seed behaviour) and positions the schedule
-// before step 0.
+// fault model keep their per-seed behaviour) and positions the stack's
+// schedule before step 0.
 func (e *Engine) Arm(s Setup, master *rand.Rand) error {
-	gs, err := newGuardedStep(s.Guard, s.PlannerFault, s.Limits, master)
+	st := e.stack
+	gs, err := newGuardedStep(st.Guard, st.PlannerFault, s.Limits, master)
 	if err != nil {
 		return err
+	}
+	horizon := st.Horizon
+	if horizon == 0 {
+		horizon = s.Horizon
 	}
 	e.gs = gs
 	e.ego = s.Ego
 	e.dt = s.Dt
-	e.maxSteps = int(s.Horizon/s.Dt) + 1
-	e.msgTick = comms.MakeTicker(s.DtM)
+	e.maxSteps = int(horizon/s.Dt) + 1
+	e.msgTick = comms.MakeTicker(st.DtM)
 	e.msgTick.Due(0) // initial broadcast consumed by InitExact
-	e.sensTick = comms.MakeTicker(s.DtS)
+	e.sensTick = comms.MakeTicker(st.DtS)
 	e.sensTick.Due(0)
 	return nil
 }

@@ -325,3 +325,19 @@ func (c *MonitorConsistency) CheckStep(s *StepInfo) error {
 	}
 	return nil
 }
+
+// StandardInvariants is the full checker set for guaranteed left-turn
+// compound designs: no collision (η ≥ 0), sound estimates contain the
+// true state, the Eq. 4 emergency one-step slack, and
+// monitor-selects-κ_e-iff-X_b consistency.
+func StandardInvariants(sc leftturn.Config) []Invariant {
+	return []Invariant{NoCollision{}, SoundEstimate{}, EmergencyOneStep{Cfg: sc}, NewMonitorConsistency(sc)}
+}
+
+// FaultInvariants is the checker set for guarded runs under planner
+// fault injection: StandardInvariants with guard-intervention
+// well-formedness in place of monitor consistency, which is absent by
+// design — a guard-forced κ_e step diverges from the monitor's verdict.
+func FaultInvariants(sc leftturn.Config) []Invariant {
+	return []Invariant{NoCollision{}, SoundEstimate{}, EmergencyOneStep{Cfg: sc}, NewGuardConsistency(sc)}
+}

@@ -49,6 +49,9 @@ func (c MultiConfig) Validate() error {
 	if c.Vehicles < 1 {
 		return fmt.Errorf("sim: need at least one oncoming vehicle, got %d", c.Vehicles)
 	}
+	if err := CheckFinite("sim", Field{"SpacingDist", c.SpacingDist}, Field{"SpacingJitter", c.SpacingJitter}); err != nil {
+		return err
+	}
 	if c.SpacingDist < 0 || c.SpacingJitter < 0 {
 		return fmt.Errorf("sim: negative spacing")
 	}

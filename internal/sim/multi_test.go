@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -37,6 +39,28 @@ func TestMultiValidate(t *testing.T) {
 	cfg.DtM = 0
 	if cfg.Validate() == nil {
 		t.Error("invalid base config accepted")
+	}
+}
+
+// TestMultiValidateRejectsNonFiniteSpacing: NaN compares false with the
+// negative-spacing check, so a NaN SpacingJitter used to validate and the
+// episode then ran with NaN oncoming positions (reported as reached and
+// collision-free, with hundreds of sound-interval violations).
+func TestMultiValidateRejectsNonFiniteSpacing(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := multiConfig()
+		cfg.SpacingDist = v
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "SpacingDist") {
+			t.Errorf("SpacingDist = %v: Validate() = %v", v, err)
+		}
+		cfg = multiConfig()
+		cfg.SpacingJitter = v
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "SpacingJitter") {
+			t.Errorf("SpacingJitter = %v: Validate() = %v", v, err)
+		}
+		if _, err := RunMulti(cfg, multiUltimate(cfg, false), Options{Seed: 1}); err == nil {
+			t.Errorf("SpacingJitter = %v: RunMulti ran", v)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"safeplan/internal/comms"
 	"safeplan/internal/core"
 	"safeplan/internal/dynamics"
-	"safeplan/internal/fusion"
 	"safeplan/internal/interval"
 	"safeplan/internal/leftturn"
 	"safeplan/internal/monitor"
@@ -164,10 +163,6 @@ func NewMultiStepper(cfg MultiConfig, agent core.MultiAgent, opts Options) (*Mul
 // single is run through the engine's one-track adapter.  A nil
 // Options.Scratch gets a fresh arena.
 func newEngine(cfg MultiConfig, multi core.MultiAgent, single core.Agent, opts Options, order streamOrder) (*MultiStepper, error) {
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = DefaultHorizon
-	}
 	if opts.Scratch == nil {
 		opts.Scratch = NewScratch()
 	}
@@ -176,8 +171,8 @@ func newEngine(cfg MultiConfig, multi core.MultiAgent, single core.Agent, opts O
 	// Every field of the pooled engine is set below; its slices keep
 	// their backing arrays.
 	st := Pooled[MultiStepper](sh)
-	links := st.eng.Begin(opts, cfg.Vehicles, st.hooks)
 	st.cfg = cfg
+	links := st.eng.Begin(&st.cfg.Stack, opts, cfg.Vehicles, st.hooks)
 	st.agent = multi
 	st.one.Agent = single
 	if single != nil {
@@ -204,7 +199,7 @@ func newEngine(cfg MultiConfig, multi core.MultiAgent, single core.Agent, opts O
 	}
 	offset := 0.0
 	for i := range st.tracks {
-		tr, lk := &st.tracks[i], &links[i]
+		tr := &st.tracks[i]
 		if i > 0 || order != trackBeforeInit {
 			seeds = [3]int64{master.Int63(), master.Int63(), master.Int63()}
 		}
@@ -212,19 +207,7 @@ func newEngine(cfg MultiConfig, multi core.MultiAgent, single core.Agent, opts O
 		if tr.driver, err = sh.Driver(cfg.Driver, sh.RNG(seeds[0])); err != nil {
 			return nil, err
 		}
-		if lk.Channel, err = sh.Channel(cfg.Comms, sh.RNG(seeds[1])); err != nil {
-			return nil, err
-		}
-		if lk.Sensor, err = sh.Sensor(cfg.Sensor, sh.RNG(seeds[2])); err != nil {
-			return nil, err
-		}
-		lk.Filter, err = sh.Fusion(fusion.Config{
-			Limits:    sc.Oncoming,
-			Sensor:    cfg.Sensor,
-			UseKalman: cfg.InfoFilter,
-			Replay:    cfg.InfoFilter && !cfg.NoReplay,
-		})
-		if err != nil {
+		if err = st.eng.OpenLink(i, nil, sc.Oncoming, !cfg.NoReplay, sh.RNG(seeds[1]), sh.RNG(seeds[2])); err != nil {
 			return nil, err
 		}
 		s := sc.OncomingInit
@@ -240,21 +223,12 @@ func newEngine(cfg MultiConfig, multi core.MultiAgent, single core.Agent, opts O
 		// oncoming state is known exactly (paper §IV assumes C0 obtains
 		// p1, v1; all later knowledge flows through the disturbed channel
 		// and sensors).
-		lk.Filter.InitExact(0, s, 0)
+		links[i].Filter.InitExact(0, s, 0)
 		tr.state = s
 	}
-	// Sensor disturbance streams derive after every track's streams so
-	// configurations without one keep their exact per-seed behaviour.
-	if cfg.SensorDisturb != nil {
-		for i := range links {
-			links[i].SensProc = cfg.SensorDisturb.NewSensor(sh.RNG(master.Int63()))
-		}
-	}
+	st.eng.OpenSensing(master, nil)
 	st.ego = sc.EgoInit
-	if err := st.eng.Arm(Setup{
-		Dt: sc.DtC, Horizon: horizon, DtM: cfg.DtM, DtS: cfg.DtS, Ego: &st.ego,
-		Guard: cfg.Guard, PlannerFault: cfg.PlannerFault, Limits: sc.Ego,
-	}, master); err != nil {
+	if err := st.eng.Arm(Setup{Dt: sc.DtC, Horizon: DefaultHorizon, Ego: &st.ego, Limits: sc.Ego}, master); err != nil {
 		return nil, err
 	}
 	// The guard validates executed commands against the monitor's

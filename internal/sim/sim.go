@@ -9,46 +9,30 @@ import (
 	"fmt"
 	"math"
 
-	"safeplan/internal/comms"
 	"safeplan/internal/core"
-	"safeplan/internal/disturb"
-	"safeplan/internal/dynamics"
-	"safeplan/internal/faultinject"
 	"safeplan/internal/guard"
 	"safeplan/internal/leftturn"
-	"safeplan/internal/sensor"
 	"safeplan/internal/telemetry"
 	"safeplan/internal/traffic"
 )
 
-// Config assembles one simulation campaign's fixed parameters.
+// Config assembles one simulation campaign's fixed parameters: the
+// shared input stack (channel, sensor, information filter, horizon,
+// guard and planner faults) and the left turn's own fields.
 type Config struct {
 	Scenario leftturn.Config // geometry, limits, control period
-	Comms    comms.Config    // disturbance setting
-	Sensor   sensor.Config   // onboard sensor noise
-	Driver   traffic.DriverConfig
+	Stack
+	Driver traffic.DriverConfig
 
-	DtM float64 // message transmission period Δt_m [s]
-	DtS float64 // sensing period Δt_s [s]
-
-	// InfoFilter enables the Kalman component (with message replay) in the
-	// fusion filter — the paper's information filter.  Off for the pure
-	// and basic configurations, on for the ultimate one.
-	InfoFilter bool
 	// NoReplay disables the Kalman message rollback/replay while keeping
 	// the filter itself (ablation; meaningful only with InfoFilter).
 	NoReplay bool
 
 	// SensorDropProb drops each scheduled sensor reading with this
-	// probability (failure injection: a flaky perception stack).
+	// probability (failure injection: a flaky perception stack).  It
+	// composes with SensorDisturb — a reading is dropped when either says
+	// so.
 	SensorDropProb float64
-
-	// SensorDisturb, when non-nil, disturbs the sensing schedule beyond
-	// i.i.d. dropout: burst dropout and sound bias drift (see
-	// internal/disturb).  It composes with SensorDropProb — a reading is
-	// dropped when either says so.  The channel-side counterpart lives in
-	// Comms.Model.
-	SensorDisturb disturb.SensorModel
 
 	// OncomingScript, when non-empty, replaces the random driver with a
 	// scripted per-control-step behavioural acceleration for the oncoming
@@ -56,8 +40,6 @@ type Config struct {
 	// after the script is exhausted.  Values are clamped by the physical
 	// envelope in dynamics.Step like any driver command.
 	OncomingScript []float64
-
-	Horizon float64 // episode cutoff [s]; 0 selects DefaultHorizon
 
 	// OncomingStartSpread is the width of the initial-position sweep: each
 	// episode starts C1 at OncomingInit.P − U(0, spread) (the paper's
@@ -68,13 +50,6 @@ type Config struct {
 	// keeps the configured OncomingInit.V.
 	OncomingSpeedMin, OncomingSpeedMax float64
 
-	// Guard, when non-nil, wraps every planner invocation in the
-	// compute-fault containment layer (internal/guard): panics are
-	// recovered, non-finite or out-of-range accelerations rejected, and
-	// deadline overruns detected, each falling back to the last validated
-	// action or κ_e.  Zero Limits are filled from Scenario.Ego.
-	Guard *guard.Config
-
 	// Certify, when non-nil, enables verified mode: each clean
 	// non-emergency planner command is cross-checked against the
 	// IBP-certified output range of the planner network over the sound
@@ -82,36 +57,25 @@ type Config struct {
 	// stats.  See CertifyConfig; nil keeps the point-evaluation hot path
 	// byte-identical.
 	Certify *CertifyConfig
-
-	// PlannerFault, when non-nil, injects compute faults into the planner
-	// (internal/faultinject): panics, NaN outputs, stuck or biased
-	// actuation, latency spikes.  A guard is installed automatically
-	// (DefaultConfig) when none is configured — injected panics must never
-	// escape Run.  The injector's random streams derive from the master
-	// seed after every legacy stream, so configurations without a fault
-	// model keep their exact per-seed behaviour.
-	PlannerFault faultinject.Model
 }
 
 // DefaultHorizon cuts an episode after 30 simulated seconds.
 const DefaultHorizon = 30
 
 // DefaultConfig returns the evaluation defaults documented in
-// EXPERIMENTS.md: Δt_m = Δt_s = 0.1 s, sensor δ = 1, perfect comms,
-// C1's paper start sweep, and initial speeds 7–15 m/s.
+// EXPERIMENTS.md: the default stack with a 30 s horizon, C1's paper start
+// sweep, and initial speeds 7–15 m/s.
 func DefaultConfig() Config {
-	return Config{
+	c := Config{
 		Scenario:            leftturn.DefaultConfig(),
-		Comms:               comms.NoDisturbance(),
-		Sensor:              sensor.Uniform(1),
+		Stack:               DefaultStack(),
 		Driver:              traffic.DefaultDriverConfig(),
-		DtM:                 0.1,
-		DtS:                 0.1,
-		Horizon:             DefaultHorizon,
 		OncomingStartSpread: 9.5,
 		OncomingSpeedMin:    7,
 		OncomingSpeedMax:    15,
 	}
+	c.Horizon = DefaultHorizon
+	return c
 }
 
 // Validate checks the configuration.
@@ -119,37 +83,19 @@ func (c Config) Validate() error {
 	if err := c.Scenario.Validate(); err != nil {
 		return err
 	}
-	if err := c.Comms.Validate(); err != nil {
-		return err
-	}
-	if err := c.Sensor.Validate(); err != nil {
+	if err := c.Stack.Validate(c.Scenario.Ego); err != nil {
 		return err
 	}
 	if err := c.Driver.Validate(); err != nil {
 		return err
 	}
-	// NaN compares false with every ordering operator, so the range checks
-	// below would silently accept NaN fields; reject non-finite values
-	// explicitly first.
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"DtM", c.DtM}, {"DtS", c.DtS}, {"Horizon", c.Horizon},
-		{"SensorDropProb", c.SensorDropProb},
-		{"OncomingStartSpread", c.OncomingStartSpread},
-		{"OncomingSpeedMin", c.OncomingSpeedMin},
-		{"OncomingSpeedMax", c.OncomingSpeedMax},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("sim: %s is %v (must be finite)", f.name, f.v)
-		}
-	}
-	if c.DtM <= 0 || c.DtS <= 0 {
-		return fmt.Errorf("sim: non-positive periods DtM=%v DtS=%v", c.DtM, c.DtS)
-	}
-	if c.Horizon < 0 {
-		return fmt.Errorf("sim: negative horizon %v", c.Horizon)
+	if err := CheckFinite("sim",
+		Field{"SensorDropProb", c.SensorDropProb},
+		Field{"OncomingStartSpread", c.OncomingStartSpread},
+		Field{"OncomingSpeedMin", c.OncomingSpeedMin},
+		Field{"OncomingSpeedMax", c.OncomingSpeedMax},
+	); err != nil {
+		return err
 	}
 	if c.OncomingStartSpread < 0 {
 		return fmt.Errorf("sim: negative start spread")
@@ -160,28 +106,9 @@ func (c Config) Validate() error {
 	if c.SensorDropProb < 0 || c.SensorDropProb > 1 {
 		return fmt.Errorf("sim: sensor drop probability %v outside [0,1]", c.SensorDropProb)
 	}
-	if c.SensorDisturb != nil {
-		if err := c.SensorDisturb.Validate(); err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-	}
 	for i, a := range c.OncomingScript {
 		if math.IsNaN(a) || math.IsInf(a, 0) {
 			return fmt.Errorf("sim: oncoming script step %d is %v", i, a)
-		}
-	}
-	if c.Guard != nil {
-		g := *c.Guard
-		if g.Limits == (dynamics.Limits{}) {
-			g.Limits = c.Scenario.Ego // newGuardedStep applies the same fill
-		}
-		if err := g.Validate(); err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-	}
-	if c.PlannerFault != nil {
-		if err := c.PlannerFault.Validate(); err != nil {
-			return fmt.Errorf("sim: %w", err)
 		}
 	}
 	if c.Certify != nil {

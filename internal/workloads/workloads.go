@@ -85,19 +85,12 @@ func Resolver(models string) func(name string) (campaign.EpisodeFunc, []sim.Inva
 }
 
 // InvariantSet is the full checker set for guaranteed compound designs
-// (no collision, sound estimates, Eq. 4 emergency one-step,
-// monitor-iff-boundary).
-func InvariantSet(cfg sim.Config) []sim.Invariant {
-	return []sim.Invariant{
-		sim.NoCollision{},
-		sim.SoundEstimate{},
-		sim.EmergencyOneStep{Cfg: cfg.Scenario},
-		sim.NewMonitorConsistency(cfg.Scenario),
-	}
-}
+// on cfg's scenario (sim.StandardInvariants).
+func InvariantSet(cfg sim.Config) []sim.Invariant { return sim.StandardInvariants(cfg.Scenario) }
 
 // registry builds every entry: the canonical, fault, certification and
-// platoon matrices with their smoke cases, then the study cells.
+// platoon matrices with the one smoke case that is no matrix row, then
+// the study cells.
 func registry() []entry {
 	var es []entry
 	add := func(w Workload) {
@@ -111,19 +104,13 @@ func registry() []entry {
 
 	// The canonical matrix: the paper's three communication settings ×
 	// both expert planners under the ultimate design, the burst and worst
-	// disturbance presets, and burst loss with biased sensing.  smoke/*
-	// is the CI safety gate: the aggressive expert (which exercises κ_e
-	// hardest) with and without delayed messages.
+	// disturbance presets, and burst loss with biased sensing.
 	for i, s := range experiments.StandardSettings() {
 		cfg := experiments.SettingConfig(s)
 		cfg.InfoFilter = true
 		setting := []string{"none", "delayed", "lost"}[i]
 		leftTurn(setting+"/ultimate-conservative", cfg, core.NewUltimate(sc, experts.Cons), InvariantSet(cfg))
 		leftTurn(setting+"/ultimate-aggressive", cfg, core.NewUltimate(sc, experts.Aggr), InvariantSet(cfg))
-		if i < 2 {
-			smoke := []string{"clean", "delayed"}[i]
-			leftTurn("smoke/"+smoke+"/ultimate-aggressive", cfg, core.NewUltimate(sc, experts.Aggr), InvariantSet(cfg))
-		}
 	}
 	for _, d := range []struct{ name, channel, sensing string }{
 		{"disturb-burst", "burst", ""},
@@ -140,12 +127,10 @@ func registry() []entry {
 	}
 
 	// The fault matrix: the guarded ultimate conservative design under
-	// every planner-fault preset, and guard-smoke/*, the guard's CI gate:
-	// half of all planner calls panicking or returning NaN, with the
-	// guard the fault model installs by default.  MonitorConsistency is
-	// absent from their checkers by design: a guard-forced κ_e step
-	// diverges from the monitor's verdict — that divergence is the
-	// containment the remaining checkers assert.
+	// every planner-fault preset, and guard-smoke/panic-half, the guard
+	// CI gate's panic case: half of all planner calls panicking (the
+	// panic preset's rate is 0.2), with the guard the fault model
+	// installs by default.  They run sim.FaultInvariants.
 	fault := func(name string, m faultinject.Model, withGuard bool) {
 		cfg := sim.DefaultConfig()
 		cfg.InfoFilter = true
@@ -154,18 +139,12 @@ func registry() []entry {
 			gc := guard.DefaultConfig(cfg.Scenario.Ego)
 			cfg.Guard = &gc
 		}
-		leftTurn(name, cfg, core.NewUltimate(sc, experts.Cons), []sim.Invariant{
-			sim.NoCollision{},
-			sim.SoundEstimate{},
-			sim.EmergencyOneStep{Cfg: cfg.Scenario},
-			sim.NewGuardConsistency(cfg.Scenario),
-		})
+		leftTurn(name, cfg, core.NewUltimate(sc, experts.Cons), sim.FaultInvariants(cfg.Scenario))
 	}
 	for _, p := range faultinject.PresetNames() {
 		fault("fault-"+p+"/ultimate-conservative", must(faultinject.Preset(p)), true)
 	}
 	fault("guard-smoke/panic-half", faultinject.PanicP{P: 0.5}, false)
-	fault("guard-smoke/nan-half", faultinject.NaNOutput{P: 0.5}, false)
 
 	// The certification sweep: every trained-NN design on the clean
 	// canonical scenario in IBP verified mode.  NoCollision stays out of
@@ -205,9 +184,7 @@ func registry() []entry {
 
 	// The platoon matrix on the default four-vehicle chain: every
 	// canonical communication setting applied uniformly to all V2V links,
-	// then the burst preset on each link alone.  platoon-smoke/* is the
-	// platoon's CI gate: the clean chain and the burst on link 0, the
-	// link the compound planner (vehicle 1) reads.  Each runs the
+	// then the burst preset on each link alone.  Each runs the
 	// ultimate compound design around the aggressive expert, built
 	// against the effective per-link scenario so its monitoring matches
 	// the engine's, with the chain's checkers — pairwise no-collision,
@@ -240,8 +217,6 @@ func registry() []entry {
 	for link := 0; link < platoon.DefaultSimConfig().Vehicles-1; link++ {
 		chain(fmt.Sprintf("platoon/burst-link-%d", link), clean, link)
 	}
-	chain("platoon-smoke/clean", clean, -1)
-	chain("platoon-smoke/burst-nn-link", clean, 0)
 
 	// The study cells, <study id>/<cell label, or x>/<design>, with the
 	// sound-estimate contract every design of every scenario family

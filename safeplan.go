@@ -223,14 +223,7 @@ var (
 // slack, and guard-intervention well-formedness.  MonitorConsistency is
 // deliberately absent — a guard-forced κ_e step diverges from the
 // monitor's verdict by design.
-func FaultInvariants(sc Scenario) []Invariant {
-	return []Invariant{
-		sim.NoCollision{},
-		sim.SoundEstimate{},
-		sim.EmergencyOneStep{Cfg: sc},
-		sim.NewGuardConsistency(sc),
-	}
-}
+func FaultInvariants(sc Scenario) []Invariant { return sim.FaultInvariants(sc) }
 
 // Certified interval bound propagation (internal/nn/ibp): verified mode
 // cross-checks every executed κ_n command against a sound interval
@@ -475,14 +468,7 @@ func RunShardedCampaign(spec CampaignSpec, episode CampaignEpisodeFunc) (*Campai
 // state, the Eq. 4 emergency one-step slack, and monitor-selects-κ_e-iff-X_b
 // consistency.  Attach them via CampaignSpec.Invariants; do not attach
 // NoCollision to pure κ_n agents, which carry no guarantee.
-func StandardInvariants(sc Scenario) []Invariant {
-	return []Invariant{
-		sim.NoCollision{},
-		sim.SoundEstimate{},
-		sim.EmergencyOneStep{Cfg: sc},
-		sim.NewMonitorConsistency(sc),
-	}
-}
+func StandardInvariants(sc Scenario) []Invariant { return sim.StandardInvariants(sc) }
 
 // Multi-vehicle API: the paper's system model includes messages from
 // several other vehicles (§II-A, i = 1 … n−1); these entry points run the
